@@ -12,7 +12,6 @@ import json
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from pathlib import Path
 
 from . import actions
@@ -128,6 +127,8 @@ def cmd_validate(args, limits) -> Report:
 
 def cmd_words(args, limits) -> Report:
     name, p = _load_presentation(args.matrix, limits)
+    if args.k < 0:
+        raise FormatError(f"word length must be nonnegative, got {args.k}")
     ws = words(p, args.k, limits)
     rep = Report()
     rep.add("matrix", name)
@@ -243,7 +244,7 @@ def cmd_action(args, limits) -> Report:
     else:
         a = actions.action(_load_function(args.f, p, name, limits))
         mu = p.parse_word(args.word)
-        t = Fraction(args.t)
+        t = coh.parse_value(args.t, coh.RING_RAT)
         x = parse_point(p, args.point)
         exponent = actions.phase_on_word(a, mu, limits)
         value = actions.evaluate_phase(a, mu, t, x)

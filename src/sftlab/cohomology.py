@@ -92,7 +92,9 @@ def function(p: SftPresentation, depth: int, values, ring: str = RING_INT,
         raise FormatError(f"unknown ring {ring!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    table = tuple(_coerce(v, ring) for v in values)
+    table = tuple(values)
+    if ring != RING_INT or any(type(v) is not int for v in table):
+        table = tuple(_coerce(v, ring) for v in table)
     expected = len(words(p, depth, limits))
     if len(table) != expected:
         raise MismatchedInput(
@@ -278,9 +280,11 @@ def potential_graph(p: SftPresentation, depth: int,
         targets=tuple(vidx[w[1:]] for w in edges))
 
 
-def _negative_cycle(n: int, sources, targets, weights) -> list[int] | None:
-    """Bellman-Ford with zero initialization (implicit super source); returns
-    the edge indices of a negative-weight cycle, or None."""
+def _bellman_ford(n: int, sources, targets, weights) -> tuple[list[int] | None, list]:
+    """Bellman-Ford with zero initialization (implicit super source), edges
+    relaxed in index order.  Returns (cycle, dist): the edge indices of a
+    negative-weight cycle and None, or None and the shortest-path potentials
+    when there is no such cycle."""
     dist = [0] * n
     parent = [-1] * n
     relaxed = -1
@@ -293,7 +297,7 @@ def _negative_cycle(n: int, sources, targets, weights) -> list[int] | None:
                 parent[v] = ei
                 relaxed = v
         if relaxed == -1:
-            return None
+            return None, dist
     x = relaxed
     for _ in range(n):
         x = sources[parent[x]]
@@ -306,7 +310,7 @@ def _negative_cycle(n: int, sources, targets, weights) -> list[int] | None:
         if cur == x:
             break
     cycle.reverse()
-    return cycle
+    return cycle, None
 
 
 def _cycle_word(graph: PotentialGraph, cycle_edges: list[int]) -> Word:
@@ -366,10 +370,10 @@ def class_is_zero(f: LocallyConstantFunction,
         assert diff.is_zero(), "is_coboundary: witness failed re-verification"
         return CoboundaryResult(True, witness, None)
 
-    cyc = _negative_cycle(nverts, graph.sources, graph.targets, table)
+    cyc, _ = _bellman_ford(nverts, graph.sources, graph.targets, table)
     if cyc is None:
         neg = tuple(-w for w in table)
-        cyc = _negative_cycle(nverts, graph.sources, graph.targets, neg)
+        cyc, _ = _bellman_ford(nverts, graph.sources, graph.targets, neg)
     assert cyc is not None, "inconsistent potential but no signed cycle found"
     word = _cycle_word(graph, cyc)
     assert orbit_sum(f, word, limits) != 0
@@ -412,13 +416,12 @@ def class_is_nonnegative(f: LocallyConstantFunction,
     table = lift_table(f, graph.depth, limits)
     nverts = len(graph.vertex_words)
 
-    cyc = _negative_cycle(nverts, graph.sources, graph.targets, table)
+    cyc, dist = _bellman_ford(nverts, graph.sources, graph.targets, table)
     if cyc is not None:
         word = _cycle_word(graph, cyc)
         assert orbit_sum(f, word, limits) < 0
         return PositivityResult(False, None, None, word)
 
-    dist = _relaxed_potentials(graph, table)
     rep_table = [table[ei] + dist[graph.sources[ei]] - dist[graph.targets[ei]]
                  for ei in range(len(graph.edge_words))]
     assert all(v >= 0 for v in rep_table)
@@ -427,21 +430,6 @@ def class_is_nonnegative(f: LocallyConstantFunction,
     check = subtract(rep, add(f, coboundary(potential, limits), limits), limits)
     assert check.is_zero(), "nonnegative representative is not cohomologous to f"
     return PositivityResult(True, rep, potential, None)
-
-
-def _relaxed_potentials(graph: PotentialGraph, table) -> list:
-    """Shortest-path potentials from an implicit super source; only valid
-    once the graph is known to have no negative cycle."""
-    dist = [0] * len(graph.vertex_words)
-    changed = True
-    while changed:
-        changed = False
-        for ei in range(len(graph.edge_words)):
-            u, v = graph.sources[ei], graph.targets[ei]
-            if dist[u] + table[ei] < dist[v]:
-                dist[v] = dist[u] + table[ei]
-                changed = True
-    return dist
 
 
 def order_unit_check(f: LocallyConstantFunction,
@@ -459,9 +447,9 @@ def order_unit_check(f: LocallyConstantFunction,
     graph = potential_graph(f.presentation, f.depth, limits)
     table = lift_table(f, graph.depth, limits)
     nverts = len(graph.vertex_words)
-    if _negative_cycle(nverts, graph.sources, graph.targets, table) is not None:
+    cyc, dist = _bellman_ford(nverts, graph.sources, graph.targets, table)
+    if cyc is not None:
         return False
-    dist = _relaxed_potentials(graph, table)
     tight = [[] for _ in range(nverts)]
     for ei in range(len(graph.edge_words)):
         if table[ei] + dist[graph.sources[ei]] - dist[graph.targets[ei]] == 0:

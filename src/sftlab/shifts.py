@@ -11,6 +11,14 @@ Symbols are handled as 0-based indices everywhere; human-readable labels are
 kept alongside for parsing and printing.  Word enumeration order is the
 lexicographic order on symbol indices and is frozen: function tables index
 into it.
+
+Word tables B_k and their word-to-position indexes are cached on the
+presentation itself, in two dicts keyed by k that ``words`` and
+``word_index`` fill on demand.  A table lives exactly as long as its
+presentation; equal presentations built separately each hold their own.  A
+missing B_k is built level by level from the longest shorter table already
+cached.  The word cap of the caller's ``Limits`` is checked on every call,
+cached or not.
 """
 from __future__ import annotations
 
@@ -27,13 +35,10 @@ from .errors import (
     NotZeroOne,
     PermutationMatrix,
 )
+from .linalg import freeze, mat_mul
 
 Matrix = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
-
-
-def freeze_matrix(rows) -> Matrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,16 @@ class SftPresentation:
     @functools.cached_property
     def _successor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(row) for row in self._successors)
+
+    @functools.cached_property
+    def _word_tables(self) -> dict[int, tuple[Word, ...]]:
+        """B_k by length k, filled by ``words``; B_0 and B_1 are seeded."""
+        return {0: ((),), 1: tuple((s,) for s in range(self.alphabet_size))}
+
+    @functools.cached_property
+    def _word_indexes(self) -> dict[int, dict[Word, int]]:
+        """Position of each word in its B_k table, filled by ``word_index``."""
+        return {}
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
@@ -160,7 +175,7 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
     limits = limits or default_limits()
     if kind not in ("vertex", "edge"):
         raise FormatError(f"unknown presentation kind {kind!r}")
-    rows = freeze_matrix(matrix)
+    rows = freeze(matrix)
     n = len(rows)
     if n == 0:
         raise FormatError("empty matrix")
@@ -230,14 +245,6 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
 
 # ------------------------------------------------------------------ counting
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(a[i][k] * bt[j][k] for k in range(m)) for j in range(p))
-        for i in range(n))
-
-
 def _mat_pow_sum(m: Matrix, e: int) -> int:
     """Sum of all entries of m**e, exact."""
     n = len(m)
@@ -245,10 +252,10 @@ def _mat_pow_sum(m: Matrix, e: int) -> int:
     base = m
     while e:
         if e & 1:
-            acc = _mat_mul(acc, base)
+            acc = mat_mul(acc, base)
         e >>= 1
         if e:
-            base = _mat_mul(base, base)
+            base = mat_mul(base, base)
     return sum(sum(row) for row in acc)
 
 
@@ -263,44 +270,42 @@ def count_words(p: SftPresentation, k: int) -> int:
     return _mat_pow_sum(p.adjacency, k)
 
 
-@functools.lru_cache(maxsize=256)
-def _word_list(p: SftPresentation, k: int) -> tuple[Word, ...]:
-    result: list[Word] = []
-    m = p.alphabet_size
-    stack: list[int] = []
-
-    def extend() -> None:
-        if len(stack) == k:
-            result.append(tuple(stack))
-            return
-        choices = range(m) if not stack else p.successors(stack[-1])
-        for s in choices:
-            stack.append(s)
-            extend()
-            stack.pop()
-
-    extend()
-    return tuple(result)
-
-
-@functools.lru_cache(maxsize=256)
-def _word_index(p: SftPresentation, k: int) -> dict[Word, int]:
-    return {w: i for i, w in enumerate(_word_list(p, k))}
+def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
+    """Build B_k from the longest cached shorter table and cache it.  Each
+    level appends the successors of a word's last symbol; successors are
+    ascending, so lexicographic order carries over from level to level."""
+    tables = p._word_tables
+    start = k - 1
+    while start not in tables:
+        start -= 1
+    succ = p._successors
+    level = tables[start]
+    for _ in range(start, k):
+        level = [w + (s,) for w in level for s in succ[w[-1]]]
+    table = tables[k] = tuple(level)
+    return table
 
 
 def words(p: SftPresentation, k: int, limits: Limits | None = None) -> tuple[Word, ...]:
     """All admissible words of length k, in frozen lexicographic order."""
     limits = limits or default_limits()
-    count = count_words(p, k)
+    table = p._word_tables.get(k)
+    count = count_words(p, k) if table is None else len(table)
     if count > limits.max_words:
         raise EnvelopeExceeded(
             f"|B_{k}| = {count} exceeds the word cap {limits.max_words}")
-    return _word_list(p, k)
+    if table is None:
+        table = _extend_table(p, k)
+    return table
 
 
 def word_index(p: SftPresentation, k: int, limits: Limits | None = None) -> dict[Word, int]:
-    words(p, k, limits)      # envelope check
-    return _word_index(p, k)
+    """Position of each word of B_k in ``words(p, k)``; shared, do not mutate."""
+    table = words(p, k, limits)      # envelope check
+    index = p._word_indexes.get(k)
+    if index is None:
+        index = p._word_indexes[k] = {w: i for i, w in enumerate(table)}
+    return index
 
 
 # ------------------------------------------------------- eventually periodic
@@ -450,7 +455,7 @@ def higher_block(p: SftPresentation, k: int,
     return HigherBlockRecoding(
         presentation=relabeled, block_length=k, vertex_words=verts,
         word_of_symbol=edge_words,
-        symbol_of_word=dict(_word_index(p, k + 1)))
+        symbol_of_word=dict(word_index(p, k + 1, limits)))
 
 
 @dataclass(frozen=True)

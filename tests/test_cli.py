@@ -59,6 +59,11 @@ class TestWordsAndSnf:
         assert code == 2
         assert "error" in err
 
+    def test_words_negative_length(self, capsys, fixture_dir):
+        code, out, err = cli(capsys, "words", fixture_dir / "fib.mat", -1)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_snf_square(self, capsys, fixture_dir):
         code, out, _ = cli(capsys, "snf", fixture_dir / "fib.mat")
         assert code == 0
@@ -186,6 +191,18 @@ class TestAction:
                            fixture_dir / "gauge.f", "12", "1/4", ":21")
         assert code == 2
         assert "error" in err
+
+    def test_phase_malformed_t(self, capsys, fixture_dir):
+        code, out, err = cli(capsys, "action", "phase", fixture_dir / "fib.mat",
+                             fixture_dir / "gauge.f", "1", "abc", "1:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_phase_zero_denominator(self, capsys, fixture_dir):
+        code, out, err = cli(capsys, "action", "phase", fixture_dir / "fib.mat",
+                             fixture_dir / "gauge.f", "1", "1/0", "1:1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTransducer:

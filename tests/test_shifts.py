@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -32,10 +35,24 @@ from sftlab.shifts import (
     shift_point_by,
     to_edge_form,
     validate,
+    word_index,
     words,
 )
 
 seeds = st.integers(0, 10**6)
+
+# Each call builds a new presentation, so its word tables start cold.
+FRESH = {
+    "vertex": lambda: validate(((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
+    "edge": lambda: validate(((1, 2), (1, 0)), "edge"),
+    "higher_block": lambda: higher_block(validate(((1, 1), (1, 0)), "vertex"),
+                                         2).presentation,
+}
+
+
+def brute_force_words(p, k):
+    return tuple(w for w in itertools.product(range(p.alphabet_size), repeat=k)
+                 if p.is_admissible(w))
 
 
 class TestValidate:
@@ -114,6 +131,47 @@ class TestWords:
         tight = dataclasses.replace(default_limits(), max_words=4)
         with pytest.raises(EnvelopeExceeded):
             words(full2, 3, tight)
+
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    @pytest.mark.parametrize("k", range(6))
+    def test_cold_table_matches_brute_force(self, kind, k):
+        p = FRESH[kind]()
+        expected = brute_force_words(p, k)
+        assert words(p, k) == expected
+        assert word_index(p, k) == {w: i for i, w in enumerate(expected)}
+
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    @pytest.mark.parametrize("k", range(3, 6))
+    def test_table_extended_from_shorter_matches_brute_force(self, kind, k):
+        for shorter in range(2, k):
+            p = FRESH[kind]()
+            words(p, shorter)
+            assert words(p, k) == brute_force_words(p, k)
+
+    def test_cached_table_still_checks_the_cap(self, full2):
+        table = words(full2, 4)
+        tight = dataclasses.replace(default_limits(), max_words=len(table) - 1)
+        with pytest.raises(EnvelopeExceeded):
+            words(full2, 4, tight)
+        with pytest.raises(EnvelopeExceeded):
+            word_index(full2, 4, tight)
+        assert words(full2, 4) is table
+
+    def test_equal_presentations_give_equal_tables(self):
+        a, b = FRESH["edge"](), FRESH["edge"]()
+        assert a == b and a is not b
+        words(a, 3)
+        assert words(b, 4) == words(a, 4)
+        assert word_index(b, 3) == word_index(a, 3)
+
+    def test_tables_die_with_their_presentation(self):
+        p = FRESH["vertex"]()
+        words(p, 4)
+        word_index(p, 4)
+        ref = weakref.ref(p)
+        del p
+        gc.collect()
+        assert ref() is None
 
     @given(seeds, st.integers(1, 4))
     def test_count_matches_symbol_matrix_power(self, seed, k):
