@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology as coh
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import Inadmissible, PresentationMismatch, RationalNotSupported
 from .shifts import EventuallyPeriodicPoint, SftPresentation, Word
 
@@ -95,7 +95,8 @@ def phase_on_word(a: CircleAction, mu: Word,
 
 
 def evaluate_phase(a: CircleAction, mu: Word, t: Fraction,
-                   x: EventuallyPeriodicPoint) -> Fraction:
+                   x: EventuallyPeriodicPoint,
+                   limits: Limits | None = None) -> Fraction:
     """Exact phase in [0, 1) by which the generator of mu is rotated at the
     point mu.x, for a rational circle parameter t."""
     p = a.presentation
@@ -112,5 +113,5 @@ def evaluate_phase(a: CircleAction, mu: Word, t: Fraction,
             f"word {p.word_label(mu)} cannot precede the point {x.label()}")
     if not p.is_admissible(stream):
         raise Inadmissible("concatenated word-point stream is not admissible")
-    total = sum(f.value_on_word(stream[i: i + f.depth]) for i in range(n))
+    total = coh.window_sums(f, [(stream, n)], limits)[0]
     return (Fraction(t) * total) % 1

@@ -199,12 +199,11 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
         raise ContradictionDetected(
             "verified orbit-equivalence witness against a 'no' verdict: "
             + verdict.reason)
-    c1_fwd = tr.transfer_psi(witness.forward, witness.forward_data,
-                             coh.unit(pb), limits)
-    c1_bwd = tr.transfer_psi(witness.backward, witness.backward_data,
-                             coh.unit(pa), limits)
-    eventual = (coh.subtract(c1_fwd, coh.unit(pa), limits).is_zero()
-                and coh.subtract(c1_bwd, coh.unit(pb), limits).is_zero())
-    strong = (coh.class_equal(c1_fwd, coh.unit(pa), limits).is_coboundary
-              and coh.class_equal(c1_bwd, coh.unit(pb), limits).is_coboundary)
+    unit_a, unit_b = coh.unit(pa, limits), coh.unit(pb, limits)
+    c1_fwd = tr.transfer_psi(witness.forward, witness.forward_data, unit_b, limits)
+    c1_bwd = tr.transfer_psi(witness.backward, witness.backward_data, unit_a, limits)
+    eventual = (coh.subtract(c1_fwd, unit_a, limits).is_zero()
+                and coh.subtract(c1_bwd, unit_b, limits).is_zero())
+    strong = (coh.class_equal(c1_fwd, unit_a, limits).is_coboundary
+              and coh.class_equal(c1_bwd, unit_b, limits).is_coboundary)
     return ConsistencyReport(verdict, True, c1_fwd, c1_bwd, eventual, strong)

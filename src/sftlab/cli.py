@@ -214,7 +214,7 @@ def cmd_cohom(args, limits) -> Report:
         f = _load_function(args.f, p, name, limits)
         cycle = p.parse_word(args.cycle)
         rep.add("cycle", p.word_label(cycle))
-        rep.add("orbit-sum", coh.orbit_sum(f, cycle))
+        rep.add("orbit-sum", coh.orbit_sum(f, cycle, limits))
     return rep
 
 
@@ -247,7 +247,7 @@ def cmd_action(args, limits) -> Report:
         t = coh.parse_value(args.t, coh.RING_RAT)
         x = parse_point(p, args.point)
         exponent = actions.phase_on_word(a, mu, limits)
-        value = actions.evaluate_phase(a, mu, t, x)
+        value = actions.evaluate_phase(a, mu, t, x, limits)
         rep.add("word", p.word_label(mu))
         rep.add("t", t)
         rep.add("point", x.label())

@@ -15,6 +15,13 @@ by f.  Cycles of this graph are exactly the periodic orbits, so
 Both decisions return re-checked witnesses: a potential b with coboundary
 b == f, or an explicit cyclically admissible word whose orbit sum violates
 the claim.
+
+``window_sums`` is the one transfer kernel: every transfer of a function
+along a move or an orbit map (``moves.phi``/``psi``/``psi_xi``/``psi_eta``,
+``transducers.transfer_psi``), the n-step cocycle ``partial_sum``,
+``orbit_sum`` and the action phase sum f over the first n windows of a word.
+``lift_table`` and ``pullback_sigma`` read one window per word and gather
+table entries directly.
 """
 from __future__ import annotations
 
@@ -45,23 +52,14 @@ class LocallyConstantFunction:
     table: tuple
     ring: str
 
-    def value_on_word(self, w: Word):
+    def value_on_word(self, w: Word, limits: Limits | None = None):
         """Value on the cylinder of any admissible word extending w[:depth]."""
-        if len(w) < self.depth:
-            raise MismatchedInput(
-                f"need at least {self.depth} symbols, got {len(w)}")
-        prefix = tuple(w[: self.depth])
-        idx = word_index(self.presentation, self.depth)
-        try:
-            return self.table[idx[prefix]]
-        except KeyError:
-            raise MismatchedInput(
-                f"word {self.presentation.word_label(prefix)} not admissible") from None
+        return window_sums(self, [(tuple(w), 1)], limits)[0]
 
-    def value_at_point(self, x) -> int | Fraction:
+    def value_at_point(self, x, limits: Limits | None = None) -> int | Fraction:
         if x.presentation != self.presentation:
             raise PresentationMismatch("point lives on a different presentation")
-        return self.value_on_word(x.prefix(self.depth))
+        return self.value_on_word(x.prefix(self.depth), limits)
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.table)
@@ -87,7 +85,6 @@ def function(p: SftPresentation, depth: int, values, ring: str = RING_INT,
              limits: Limits | None = None) -> LocallyConstantFunction:
     """Build and normalize a locally constant function from a value table
     aligned with words(p, depth)."""
-    limits = limits or default_limits()
     if ring not in (RING_INT, RING_RAT):
         raise FormatError(f"unknown ring {ring!r}")
     if depth < 1:
@@ -99,18 +96,19 @@ def function(p: SftPresentation, depth: int, values, ring: str = RING_INT,
     if len(table) != expected:
         raise MismatchedInput(
             f"table has {len(table)} entries, B_{depth} has {expected}")
-    depth, table = _normalize(p, depth, table)
+    depth, table = _normalize(p, depth, table, limits)
     return LocallyConstantFunction(p, depth, table, ring)
 
 
-def _normalize(p: SftPresentation, depth: int, table: tuple) -> tuple[int, tuple]:
+def _normalize(p: SftPresentation, depth: int, table: tuple,
+               limits: Limits | None) -> tuple[int, tuple]:
     """Reduce the depth while the value depends only on a proper prefix."""
     while depth > 1:
-        shorter = words(p, depth - 1)
-        sidx = word_index(p, depth - 1)
+        shorter = words(p, depth - 1, limits)
+        sidx = word_index(p, depth - 1, limits)
         candidate: list = [None] * len(shorter)
         ok = True
-        for w, v in zip(words(p, depth), table):
+        for w, v in zip(words(p, depth, limits), table):
             i = sidx[w[:-1]]
             if candidate[i] is None:
                 candidate[i] = v
@@ -124,17 +122,18 @@ def _normalize(p: SftPresentation, depth: int, table: tuple) -> tuple[int, tuple
     return depth, table
 
 
-def constant(p: SftPresentation, value, ring: str = RING_INT) -> LocallyConstantFunction:
-    return function(p, 1, [value] * p.alphabet_size, ring)
+def constant(p: SftPresentation, value, ring: str = RING_INT,
+             limits: Limits | None = None) -> LocallyConstantFunction:
+    return function(p, 1, [value] * p.alphabet_size, ring, limits)
 
 
-def unit(p: SftPresentation) -> LocallyConstantFunction:
+def unit(p: SftPresentation, limits: Limits | None = None) -> LocallyConstantFunction:
     """The constant function 1; its class is the order unit of interest."""
-    return constant(p, 1)
+    return constant(p, 1, RING_INT, limits)
 
 
-def zero(p: SftPresentation) -> LocallyConstantFunction:
-    return constant(p, 0)
+def zero(p: SftPresentation, limits: Limits | None = None) -> LocallyConstantFunction:
+    return constant(p, 0, RING_INT, limits)
 
 
 def indicator(p: SftPresentation, word: Word,
@@ -214,20 +213,41 @@ def pullback_sigma(f: LocallyConstantFunction,
     return function(p, f.depth + 1, table, f.ring, limits)
 
 
+def window_sums(f: LocallyConstantFunction, streams,
+                limits: Limits | None = None) -> list:
+    """The transfer kernel: for each (stream, n), the sum of f over the
+    first n windows stream[i:i+depth], i < n.  Streams are tuples of
+    symbols; n = 0 gives 0.  A window that is short or inadmissible raises
+    MismatchedInput."""
+    k, table = f.depth, f.table
+    index = word_index(f.presentation, k, limits)
+    sums = []
+    for stream, n in streams:
+        try:
+            sums.append(sum([table[index[stream[i:i + k]]] for i in range(n)]))
+        except KeyError as exc:
+            window = exc.args[0]
+            if len(window) < k:
+                raise MismatchedInput(
+                    f"need at least {k} symbols, got {len(window)}") from None
+            raise MismatchedInput(
+                f"word {f.presentation.word_label(window)} not admissible") from None
+    return sums
+
+
 def partial_sum(f: LocallyConstantFunction, n: int,
                 limits: Limits | None = None) -> LocallyConstantFunction:
     """Sum of f over the first n shift iterates (the n-step cocycle)."""
     if n < 0:
         raise ValueError("partial sums need n >= 0")
-    acc = zero(f.presentation)
-    if f.ring == RING_RAT:
-        acc = function(f.presentation, 1, [Fraction(0)] * f.presentation.alphabet_size,
-                       RING_RAT, limits)
-    cur = f
-    for _ in range(n):
-        acc = add(acc, cur, limits)
-        cur = pullback_sigma(cur, limits)
-    return acc
+    p = f.presentation
+    if f.depth == 1 and len(set(f.table)) == 1:
+        # n times a constant needs no word table beyond B_1, however large n
+        return constant(p, n * f.table[0], f.ring, limits)
+    depth = max(f.depth + n - 1, 1)
+    ws = words(p, depth, limits)
+    return function(p, depth, window_sums(f, ((w, n) for w in ws), limits),
+                    f.ring, limits)
 
 
 def coboundary(b: LocallyConstantFunction,
@@ -249,8 +269,7 @@ def orbit_sum(f: LocallyConstantFunction, cycle: Word,
     reps = 1
     while reps * len(cyc) < len(cyc) + f.depth:
         reps += 1
-    stream = cyc * reps
-    return sum(f.value_on_word(stream[i: i + f.depth]) for i in range(len(cyc)))
+    return window_sums(f, [(cyc * reps, len(cyc))], limits)[0]
 
 
 # ------------------------------------------------------ the potential graph
@@ -569,9 +588,3 @@ def format_function_text(f: LocallyConstantFunction, matrix_id: str,
     for w, v in zip(words(p, f.depth, limits), f.table):
         lines.append(f"{p.word_label(w)} {format_value(v)}")
     return "\n".join(lines) + "\n"
-
-
-def load_function_file(path, p: SftPresentation, matrix_id: str | None = None,
-                       limits: Limits | None = None) -> LocallyConstantFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_function_text(fh.read(), p, matrix_id, limits)

@@ -12,6 +12,7 @@ Two move families are implemented exactly:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -49,17 +50,9 @@ class Expansion:
     split_data: OrbitData
     merge_data: OrbitData
 
-    def new_symbol(self) -> int:
-        return 0
-
-    def old_symbol(self, a: int) -> int:
-        """Index of base symbol a inside the expanded presentation."""
-        return a + 1
-
 
 def expand(p: SftPresentation, vertex: int = 0,
            limits: Limits | None = None) -> Expansion:
-    limits = limits or default_limits()
     if p.kind != "vertex":
         raise NotVertexKind("expansion needs a 0-1 vertex presentation")
     n = p.n_vertices
@@ -89,11 +82,11 @@ def expand(p: SftPresentation, vertex: int = 0,
     merge = make_transducer(expanded, p, merge_rules)
 
     split_data = OrbitData(
-        k1=coh.zero(p),
+        k1=coh.zero(p, limits),
         l1=coh.function(p, 1, [2 if a == vertex else 1 for a in range(n)],
                         limits=limits))
     merge_data = OrbitData(
-        k1=coh.zero(expanded),
+        k1=coh.zero(expanded, limits),
         l1=coh.function(expanded, 1, [0] + [1] * n, limits=limits))
     return Expansion(base=p, expanded=expanded, vertex=vertex,
                      split=split, merge=merge,
@@ -114,19 +107,13 @@ def psi_xi(e: Expansion, f_exp: coh.LocallyConstantFunction,
     """Pull a function on the expanded shift back to the base shift along
     split: value at x is f(split x), plus f(shift(split x)) when x starts
     with the expanded vertex (the split image spends two steps there)."""
-    limits = limits or default_limits()
     if f_exp.presentation != e.expanded:
         raise PresentationMismatch("function must live on the expanded shift")
-    k = f_exp.depth
-    depth = max(k, 1)
-    values = []
-    for w in words(e.base, depth, limits):
-        img = _split_word(e, w)
-        total = f_exp.value_on_word(img[:k])
-        if w[0] == e.vertex:
-            total = total + f_exp.value_on_word(img[1:k + 1])
-        values.append(total)
-    return coh.function(e.base, depth, values, f_exp.ring, limits)
+    ws = words(e.base, f_exp.depth, limits)
+    values = coh.window_sums(
+        f_exp, ((_split_word(e, w), 2 if w[0] == e.vertex else 1) for w in ws),
+        limits)
+    return coh.function(e.base, f_exp.depth, values, f_exp.ring, limits)
 
 
 def psi_eta(e: Expansion, f: coh.LocallyConstantFunction,
@@ -136,18 +123,13 @@ def psi_eta(e: Expansion, f: coh.LocallyConstantFunction,
 
     The new symbol is never followed by itself, so a word of length 2k-1
     always leaves at least k symbols after erasure."""
-    limits = limits or default_limits()
     if f.presentation != e.base:
         raise PresentationMismatch("function must live on the base shift")
-    k = f.depth
-    depth = max(2 * k - 1, 1)
-    values = []
-    for w in words(e.expanded, depth, limits):
-        if w[0] == 0:
-            values.append(0)
-            continue
-        merged = tuple(a - 1 for a in w if a != 0)
-        values.append(f.value_on_word(merged[:k]))
+    depth = 2 * f.depth - 1
+    ws = words(e.expanded, depth, limits)
+    values = coh.window_sums(
+        f, (((), 0) if w[0] == 0 else (tuple(a - 1 for a in w if a), 1)
+            for w in ws), limits)
     return coh.function(e.expanded, depth, values, f.ring, limits)
 
 
@@ -171,19 +153,13 @@ class ElementaryEquivalence:
     a_pairs: tuple[tuple[int, int], ...]     # A-edge -> (C-edge, D-edge)
     b_pairs: tuple[tuple[int, int], ...]     # B-edge -> (D-edge, C-edge)
 
+    @functools.cached_property
     def a_pair_index(self) -> dict[tuple[int, int], int]:
-        if not hasattr(self, "_a_pair_index"):
-            object.__setattr__(
-                self, "_a_pair_index",
-                {pair: s for s, pair in enumerate(self.a_pairs)})
-        return self._a_pair_index
+        return {pair: s for s, pair in enumerate(self.a_pairs)}
 
+    @functools.cached_property
     def b_pair_index(self) -> dict[tuple[int, int], int]:
-        if not hasattr(self, "_b_pair_index"):
-            object.__setattr__(
-                self, "_b_pair_index",
-                {pair: s for s, pair in enumerate(self.b_pairs)})
-        return self._b_pair_index
+        return {pair: s for s, pair in enumerate(self.b_pairs)}
 
 
 def _enumerate_bipartite(m: Matrix) -> tuple[tuple[int, int, int], ...]:
@@ -260,41 +236,39 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
         a_pairs=tuple(a_pairs), b_pairs=tuple(b_pairs))
 
 
+def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
+                   target_pairs, source_index,
+                   limits: Limits | None) -> coh.LocallyConstantFunction:
+    """Shared body of phi and psi: split each target edge into its pair of
+    factor edges and reassemble the interleaved pairs into source edges, one
+    step later."""
+    k = f.depth
+    streams = []
+    for w in words(target, k + 1, limits):
+        pairs = [target_pairs[s] for s in w]
+        streams.append((tuple(source_index[(pairs[t][1], pairs[t + 1][0])]
+                              for t in range(k)), 1))
+    return coh.function(target, k + 1, coh.window_sums(f, streams, limits),
+                        f.ring, limits)
+
+
 def phi(ee: ElementaryEquivalence, f: coh.LocallyConstantFunction,
         limits: Limits | None = None) -> coh.LocallyConstantFunction:
     """Transfer a function on the edge shift of A = CD to the edge shift of
     B = DC: decompose each B-edge as (D-edge, C-edge) and reassemble the
     interleaved (C-edge, D-edge) pairs into A-edges, one step later."""
-    limits = limits or default_limits()
     if f.presentation != ee.a:
         raise PresentationMismatch("function must live on the edge shift of CD")
-    k = f.depth
-    index = ee.a_pair_index()
-    values = []
-    for w in words(ee.b, k + 1, limits):
-        pairs = [ee.b_pairs[s] for s in w]
-        a_word = tuple(
-            index[(pairs[t][1], pairs[t + 1][0])] for t in range(k))
-        values.append(f.value_on_word(a_word))
-    return coh.function(ee.b, k + 1, values, f.ring, limits)
+    return _edge_transfer(f, ee.b, ee.b_pairs, ee.a_pair_index, limits)
 
 
 def psi(ee: ElementaryEquivalence, g: coh.LocallyConstantFunction,
         limits: Limits | None = None) -> coh.LocallyConstantFunction:
     """Transfer in the other direction, from the edge shift of B = DC to the
     edge shift of A = CD."""
-    limits = limits or default_limits()
     if g.presentation != ee.b:
         raise PresentationMismatch("function must live on the edge shift of DC")
-    k = g.depth
-    index = ee.b_pair_index()
-    values = []
-    for w in words(ee.a, k + 1, limits):
-        pairs = [ee.a_pairs[s] for s in w]
-        b_word = tuple(
-            index[(pairs[t][1], pairs[t + 1][0])] for t in range(k))
-        values.append(g.value_on_word(b_word))
-    return coh.function(ee.a, k + 1, values, g.ring, limits)
+    return _edge_transfer(g, ee.a, ee.a_pairs, ee.b_pair_index, limits)
 
 
 # ------------------------------------------------------------- SSE search

@@ -244,12 +244,6 @@ def identity_transducer(p: SftPresentation) -> Transducer:
     return make_transducer(p, p, rules)
 
 
-def single_state_transducer(domain: SftPresentation, codomain: SftPresentation,
-                            output_map: dict[int, Word]) -> Transducer:
-    rules = [(0, a, 0, tuple(out)) for a, out in sorted(output_map.items())]
-    return make_transducer(domain, codomain, rules)
-
-
 def compose(second: Transducer, first: Transducer,
             limits: Limits | None = None) -> Transducer:
     """Machine presenting second(first(.)); built on reachable state pairs
@@ -402,9 +396,9 @@ class OrbitData:
                 raise ValueError("cocycle exponents must be nonnegative")
 
 
-def conjugacy_data(p: SftPresentation) -> OrbitData:
+def conjugacy_data(p: SftPresentation, limits: Limits | None = None) -> OrbitData:
     """k1 = 0, l1 = 1: the data of a shift-commuting map."""
-    return OrbitData(coh.zero(p), coh.unit(p))
+    return OrbitData(coh.zero(p, limits), coh.unit(p, limits))
 
 
 def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
@@ -414,13 +408,14 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     The input is buffered to the depth of the shift amount (cylinder
     refinement); afterwards the machine replays h with a decreasing count of
     output symbols to drop."""
-    limits = limits or default_limits()
     if amount.presentation != h.domain:
         raise PresentationMismatch("shift amount must live on the machine's domain")
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
         raise RationalNotSupported("shift amounts are nonnegative integers")
     depth = max(amount.depth, pre_shift, 1)
     table = h.table()
+    amount_at = dict(zip(words(h.domain, depth, limits),
+                         coh.lift_table(amount, depth, limits)))
 
     phase_ids: dict[Word, int] = {}
     for length in range(depth):
@@ -447,7 +442,7 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
                 rules.append((sid, a, phase_ids[full], ()))
                 continue
             qh, emitted = run_on_word(h, full[pre_shift:])
-            s = amount.value_on_word(full)
+            s = amount_at[full]
             if s <= len(emitted):
                 out = emitted[s:]
                 drops = 0
@@ -509,8 +504,8 @@ def verify_orbit_relation(h: Transducer, data: OrbitData,
     checked = 0
     for x in enumerate_points(h.domain, limits.point_check_preperiod,
                               limits.point_check_period, limits):
-        kv = data.k1.value_at_point(x)
-        lv = data.l1.value_at_point(x)
+        kv = data.k1.value_at_point(x, limits)
+        lv = data.l1.value_at_point(x, limits)
         left = shift_point_by(apply(h, shift_point(x)), kv)
         right = shift_point_by(apply(h, x), lv)
         if left != right:
@@ -522,7 +517,7 @@ def verify_orbit_relation(h: Transducer, data: OrbitData,
 
 # ------------------------------------------------------------ transfer map
 
-def _min_output_lengths(h: Transducer, limits: Limits):
+def _min_output_lengths(h: Transducer):
     """Generator of (input length m, min output length over admissible
     m-words from the initial state)."""
     table = h.table()
@@ -552,17 +547,15 @@ def transfer_psi(h: Transducer, data: OrbitData, f: coh.LocallyConstantFunction,
 
     The result is computed on cylinders of a depth D chosen so that every
     admissible input of length D - 1 forces enough output symbols from h."""
-    limits = limits or default_limits()
     if f.presentation != h.codomain:
         raise PresentationMismatch("function must live on the machine's codomain")
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
-    df = f.depth
-    need = data.l1.max_value() + data.k1.max_value() + df
+    need = data.l1.max_value() + data.k1.max_value() + f.depth
     cap = (need + 1) * (h.n_states * h.domain.alphabet_size + 2) + \
         data.k1.depth + data.l1.depth
     depth = None
-    for m, shortest in _min_output_lengths(h, limits):
+    for m, shortest in _min_output_lengths(h):
         if shortest >= need:
             depth = m + 1
             break
@@ -571,17 +564,17 @@ def transfer_psi(h: Transducer, data: OrbitData, f: coh.LocallyConstantFunction,
                 f"no input depth below {cap} forces {need} output symbols")
     depth = max(depth, data.k1.depth, data.l1.depth)
 
-    values = []
-    for w in words(h.domain, depth, limits):
-        lv = data.l1.value_on_word(w)
-        kv = data.k1.value_on_word(w)
-        _q, out1 = run_on_word(h, w)
-        total = sum(f.value_on_word(out1[i: i + df]) for i in range(lv))
-        if kv:
-            _q, out2 = run_on_word(h, w[1:])
-            total -= sum(f.value_on_word(out2[j: j + df]) for j in range(kv))
-        values.append(total)
-    return coh.function(h.domain, depth, values, f.ring, limits)
+    ws = words(h.domain, depth, limits)
+    l1 = coh.lift_table(data.l1, depth, limits)
+    k1 = coh.lift_table(data.k1, depth, limits)
+    gains = coh.window_sums(
+        f, ((run_on_word(h, w)[1], lv) for w, lv in zip(ws, l1)), limits)
+    losses = coh.window_sums(
+        f, ((run_on_word(h, w[1:])[1], kv) if kv else ((), 0)
+            for w, kv in zip(ws, k1)), limits)
+    return coh.function(h.domain, depth,
+                        [g - loss for g, loss in zip(gains, losses)],
+                        f.ring, limits)
 
 
 @dataclass(frozen=True)
@@ -597,14 +590,16 @@ def is_eventual_conjugacy(h: Transducer, data: OrbitData,
                           limits: Limits | None = None) -> ConjugacyVerdict:
     """Eventual conjugacy detector: the transfer of the constant 1 must be
     the constant 1 exactly, in both directions when an inverse is given."""
-    c1 = transfer_psi(h, data, coh.unit(h.codomain), limits)
-    ok = coh.subtract(c1, coh.unit(h.domain), limits).is_zero()
+    c1 = transfer_psi(h, data, coh.unit(h.codomain, limits), limits)
+    ok = coh.subtract(c1, coh.unit(h.domain, limits), limits).is_zero()
     c1_back = None
     if h_back is not None:
         if data_back is None:
             raise ValueError("inverse machine needs its own cocycle data")
-        c1_back = transfer_psi(h_back, data_back, coh.unit(h_back.codomain), limits)
-        ok = ok and coh.subtract(c1_back, coh.unit(h_back.domain), limits).is_zero()
+        c1_back = transfer_psi(h_back, data_back,
+                               coh.unit(h_back.codomain, limits), limits)
+        ok = ok and coh.subtract(
+            c1_back, coh.unit(h_back.domain, limits), limits).is_zero()
     return ConjugacyVerdict(ok, c1, c1_back)
 
 
@@ -619,8 +614,8 @@ def is_strong_coe(h: Transducer, data: OrbitData,
                   limits: Limits | None = None) -> StrongCoeVerdict:
     """Strong continuous orbit equivalence detector on this side: the class
     of the transferred constant 1 must equal the class of the constant 1."""
-    c1 = transfer_psi(h, data, coh.unit(h.codomain), limits)
-    comparison = coh.class_equal(c1, coh.unit(h.domain), limits)
+    c1 = transfer_psi(h, data, coh.unit(h.codomain, limits), limits)
+    comparison = coh.class_equal(c1, coh.unit(h.domain, limits), limits)
     return StrongCoeVerdict(comparison.is_coboundary, c1, comparison)
 
 
@@ -641,7 +636,6 @@ def block_conjugacy(p: SftPresentation, k: int,
                     limits: Limits | None = None) -> BlockConjugacy:
     """Conjugacy onto the higher-block presentation with block length k:
     the i-th output symbol is the (k+1)-block starting at position i."""
-    limits = limits or default_limits()
     hb = higher_block(p, k, limits)
     target = hb.presentation
     sym_of_word = hb.symbol_of_word
@@ -677,8 +671,8 @@ def block_conjugacy(p: SftPresentation, k: int,
 
     return BlockConjugacy(
         forward=forward, backward=backward,
-        forward_data=conjugacy_data(p),
-        backward_data=conjugacy_data(target))
+        forward_data=conjugacy_data(p, limits),
+        backward_data=conjugacy_data(target, limits))
 
 
 # ------------------------------------------------------------------ file I/O
@@ -742,11 +736,3 @@ def format_transducer_text(t: Transducer, domain_id: str, codomain_id: str) -> s
         out_txt = t.codomain.word_label(out) if out else "-"
         lines.append(f"{q} {t.domain.symbols[a]} -> {q2} {out_txt}")
     return "\n".join(lines) + "\n"
-
-
-def load_transducer_file(path, domain: SftPresentation, codomain: SftPresentation,
-                         domain_id: str | None = None,
-                         codomain_id: str | None = None) -> Transducer:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_transducer_text(fh.read(), domain, codomain,
-                                     domain_id, codomain_id)

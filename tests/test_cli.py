@@ -3,8 +3,16 @@ and byte-for-byte determinism."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import sftlab
+import sftlab.cohomology as coh
+import sftlab.moves as moves
 from sftlab.cli import run
+from sftlab.shifts import load_matrix_file
 
 
 def cli(capsys, *argv):
@@ -323,3 +331,42 @@ class TestDeterminism:
         assert doc["command"] == "validate"
         assert doc["report"][0] == ["matrix", "fib"]
         assert ["irreducible", "yes"] in doc["report"]
+
+
+class TestOptimizedInterpreter:
+    """The transfers and the identity suite report the same bytes when
+    ``python -O`` strips the asserts."""
+
+    def test_transfer_and_selftest_bytes(self, fixture_dir, tmp_path):
+        fx = fixture_dir
+        ee = moves.elementary(((1, 1),), ((1,), (1,)))
+        e = moves.expand(load_matrix_file(fx / "fib.mat"))
+        files = {
+            "a.f": coh.function(ee.a, 2, [3, -1, 4, 1]),
+            "b.f": coh.function(ee.b, 1, [5, -9, 2, 6]),
+            "x.f": coh.function(e.expanded, 2, [5, 3, -5, 8]),
+        }
+        for name, f in files.items():
+            (tmp_path / name).write_text(coh.format_function_text(f, "m"))
+        commands = [
+            ["transfer", "phi", fx / "c.mat", fx / "d.mat", tmp_path / "a.f"],
+            ["transfer", "psi", fx / "c.mat", fx / "d.mat", tmp_path / "b.f"],
+            ["transfer", "psi-xi", fx / "fib.mat", tmp_path / "x.f"],
+            ["transfer", "psi-eta", fx / "fib.mat", fx / "g2.f"],
+            ["selftest", "--count", "2"],
+        ]
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        env.pop("SFTLAB_MAX_WORDS", None)
+
+        def stdout(flags, argv):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "sftlab.cli", *map(str, argv)],
+                capture_output=True, text=True, env=env, check=False)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        for argv in commands:
+            plain = stdout([], argv)
+            assert plain.startswith(("transfer:\n", "seed: "))
+            assert stdout(["-O"], argv) == plain

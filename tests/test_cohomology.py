@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import sftlab.cohomology as coh
 from sftlab.errors import (
     FormatError,
+    MismatchedInput,
     NotCyclicallyAdmissible,
     PresentationMismatch,
     RationalNotSupported,
@@ -150,6 +151,66 @@ class TestPullbackAndSums:
         for w in words(p, 2):
             if p.follow(w[-1], w[0]):
                 assert coh.orbit_sum(f, w) == 0
+
+
+def _as_ring(f, ring):
+    """f itself over Z; f / 3 over Q."""
+    return f if ring == coh.RING_INT else coh.scale(f, Fraction(1, 3))
+
+
+def _partial_sum_by_pullbacks(f, n):
+    """Reference n-step cocycle: n rounds of add and pullback_sigma."""
+    acc = coh.constant(f.presentation, 0, f.ring)
+    cur = f
+    for _ in range(n):
+        acc = coh.add(acc, cur)
+        cur = coh.pullback_sigma(cur)
+    return acc
+
+
+class TestWindowSums:
+    @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]))
+    def test_matches_brute_force(self, seed, ring):
+        rng = random.Random(seed)
+        p = random_irreducible(rng, 4)
+        f = _as_ring(random_function(rng, p, max_depth=3), ring)
+        value = dict(zip(words(p, f.depth), f.table))
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            n = rng.randint(0, 3)
+            length = n + f.depth - 1 if n else rng.randint(0, 2)
+            rows.append((random_point(rng, p).prefix(length), n))
+        want = [sum(value[s[i:i + f.depth]] for i in range(n)) for s, n in rows]
+        assert coh.window_sums(f, rows) == want
+
+    def test_no_rows(self, fib):
+        assert coh.window_sums(coh.unit(fib), []) == []
+
+    def test_empty_row_is_zero(self, fib):
+        f = coh.function(fib, 2, [1, 2, 3])
+        assert coh.window_sums(f, [((), 0), ((0, 1), 0)]) == [0, 0]
+
+    def test_inadmissible_window(self, fib):
+        f = coh.function(fib, 2, [1, 2, 3])
+        with pytest.raises(MismatchedInput, match="not admissible"):
+            coh.window_sums(f, [((0, 1, 1), 2)])      # "22" is not a word
+
+    def test_short_window(self, fib):
+        f = coh.function(fib, 2, [1, 2, 3])
+        with pytest.raises(MismatchedInput, match="need at least 2"):
+            coh.window_sums(f, [((0, 1), 2)])
+
+    @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]),
+           st.integers(0, 4))
+    def test_partial_sum_matches_pullback_loop(self, seed, ring, n):
+        rng = random.Random(seed)
+        p = random_irreducible(rng, 4)
+        f = _as_ring(random_function(rng, p, max_depth=2), ring)
+        assert coh.partial_sum(f, n) == _partial_sum_by_pullbacks(f, n)
+
+    def test_partial_sum_of_constant_stays_shallow(self, full2):
+        # B_40 of the full 2-shift is far over the word cap
+        assert coh.partial_sum(coh.unit(full2), 40) == coh.constant(full2, 40)
 
 
 class TestClassIsZero:
