@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import cohomology as coh
 from . import transducers as tr
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import (
     ContradictionDetected,
     InsufficientLookahead,
@@ -55,8 +55,7 @@ class InvariantReport:
     spectral_radius_bounds: tuple[Fraction, Fraction]
 
 
-def invariants(p: SftPresentation, limits: Limits | None = None) -> InvariantReport:
-    limits = limits or default_limits()
+def invariants(p: SftPresentation) -> InvariantReport:
     a = p.adjacency
     n = len(a)
     bf_cok = cokernel(_identity_minus(a))
@@ -91,12 +90,11 @@ class FlowReport:
     b: InvariantReport
 
 
-def flow_equivalent(pa: SftPresentation, pb: SftPresentation,
-                    limits: Limits | None = None) -> FlowReport:
+def flow_equivalent(pa: SftPresentation, pb: SftPresentation) -> FlowReport:
     """Groups isomorphic (canonical invariant factors equal) and determinant
     signs equal."""
-    ra = invariants(pa, limits)
-    rb = invariants(pb, limits)
+    ra = invariants(pa)
+    rb = invariants(pb)
     if ra.det_sign != rb.det_sign:
         return FlowReport(False, "determinant signs differ", ra, rb)
     if ra.bf_group != rb.bf_group:
@@ -116,9 +114,8 @@ class CoeReport:
 def coe_verdict(pa: SftPresentation, pb: SftPresentation,
                 limits: Limits | None = None) -> CoeReport:
     """Pointed isomorphism of the marked cokernels plus determinant sign."""
-    limits = limits or default_limits()
-    ra = invariants(pa, limits)
-    rb = invariants(pb, limits)
+    ra = invariants(pa)
+    rb = invariants(pb)
     if ra.det_sign != rb.det_sign:
         return CoeReport("no", "determinant signs differ", None, ra, rb)
     iso = pointed_iso(ra.k0_pointed, rb.k0_pointed, limits)
@@ -170,7 +167,7 @@ def _check_witness(pa: SftPresentation, pb: SftPresentation,
                 f"{machine.domain.word_label(rel.witness)}")
     for outer, inner, p, name in ((bwd, fwd, pa, "backward after forward"),
                                   (fwd, bwd, pb, "forward after backward")):
-        round_trip = tr.compose(outer, inner, limits)
+        round_trip = tr.compose(outer, inner)
         res = tr.equivalent_maps(round_trip, tr.identity_transducer(p),
                                  None, limits)
         if res.status == "unequal":
@@ -190,7 +187,6 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
     A witness is accepted only if its orbit relations verify and the two
     machines invert each other; an accepted witness together with a `no`
     verdict trips ContradictionDetected."""
-    limits = limits or default_limits()
     verdict = coe_verdict(pa, pb, limits)
     if witness is None:
         return ConsistencyReport(verdict, False, None, None, None, None)

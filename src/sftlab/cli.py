@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -153,7 +154,7 @@ def cmd_snf(args, limits) -> Report:
 
 def cmd_invariants(args, limits) -> Report:
     name, p = _load_presentation(args.matrix, limits)
-    inv = classify.invariants(p, limits)
+    inv = classify.invariants(p)
     rep = Report()
     rep.add("matrix", name)
     _add_invariants(rep, name, inv)
@@ -163,7 +164,7 @@ def cmd_invariants(args, limits) -> Report:
 def cmd_flow_equiv(args, limits) -> Report:
     name_a, pa = _load_presentation(args.matrix_a, limits)
     name_b, pb = _load_presentation(args.matrix_b, limits)
-    res = classify.flow_equivalent(pa, pb, limits)
+    res = classify.flow_equivalent(pa, pb)
     rep = Report()
     rep.add("flow-equivalent", "yes" if res.verdict else "no")
     rep.add("reason", res.reason)
@@ -271,7 +272,7 @@ def cmd_transducer(args, limits) -> Report:
         c_id, pc = _load_presentation(args.matrix_c, limits)
         outer = _load_transducer(args.outer, pb, pc, b_id, c_id)
         inner = _load_transducer(args.inner, pa, pb, a_id, b_id)
-        composed = tr.compose(outer, inner, limits)
+        composed = tr.compose(outer, inner)
         rep.add("machine", _machine_text(composed, a_id, c_id))
     elif args.mode == "equiv":
         dom_id, dom = _load_presentation(args.domain, limits)
@@ -572,6 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("matrix")
     m.add_argument("f")
     m = modes.add_parser("phase")
+    # argparse takes only integers and decimals for negative numbers and
+    # reads a negative rational t such as -1/3 as an option
+    m._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     m.add_argument("matrix")
     m.add_argument("f")
     m.add_argument("word")
@@ -662,9 +666,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    limits = default_limits()
     try:
-        report = args.fn(args, limits)
+        report = args.fn(args, default_limits())
     except ContradictionDetected as exc:
         print(f"error: contradiction: {exc}", file=sys.stderr)
         return 1

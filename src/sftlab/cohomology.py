@@ -25,10 +25,11 @@ table entries directly.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import (
     FormatError,
     MismatchedInput,
@@ -164,30 +165,28 @@ def lift_table(f: LocallyConstantFunction, depth: int,
                  for w in words(f.presentation, depth, limits))
 
 
-def add(f: LocallyConstantFunction, g: LocallyConstantFunction,
-        limits: Limits | None = None) -> LocallyConstantFunction:
+def _pointwise(op, f: LocallyConstantFunction, g: LocallyConstantFunction,
+               limits: Limits | None) -> LocallyConstantFunction:
     depth, ring = _common(f, g)
     ft, gt = lift_table(f, depth, limits), lift_table(g, depth, limits)
-    return function(f.presentation, depth, [x + y for x, y in zip(ft, gt)],
-                    ring, limits)
+    return function(f.presentation, depth, list(map(op, ft, gt)), ring, limits)
+
+
+def add(f: LocallyConstantFunction, g: LocallyConstantFunction,
+        limits: Limits | None = None) -> LocallyConstantFunction:
+    return _pointwise(operator.add, f, g, limits)
 
 
 def subtract(f: LocallyConstantFunction, g: LocallyConstantFunction,
              limits: Limits | None = None) -> LocallyConstantFunction:
-    depth, ring = _common(f, g)
-    ft, gt = lift_table(f, depth, limits), lift_table(g, depth, limits)
-    return function(f.presentation, depth, [x - y for x, y in zip(ft, gt)],
-                    ring, limits)
+    return _pointwise(operator.sub, f, g, limits)
 
 
 def multiply(f: LocallyConstantFunction, g: LocallyConstantFunction,
              limits: Limits | None = None) -> LocallyConstantFunction:
     """Pointwise product; cuts a function to a cylinder when g is an
     indicator."""
-    depth, ring = _common(f, g)
-    ft, gt = lift_table(f, depth, limits), lift_table(g, depth, limits)
-    return function(f.presentation, depth, [x * y for x, y in zip(ft, gt)],
-                    ring, limits)
+    return _pointwise(operator.mul, f, g, limits)
 
 
 def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
@@ -195,13 +194,15 @@ def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
                                    tuple(-v for v in f.table), f.ring)
 
 
-def scale(f: LocallyConstantFunction, c) -> LocallyConstantFunction:
+def scale(f: LocallyConstantFunction, c,
+          limits: Limits | None = None) -> LocallyConstantFunction:
     if isinstance(c, Fraction) and c.denominator != 1:
         ring = RING_RAT
     else:
         ring = f.ring
         c = int(c) if ring == RING_INT else Fraction(c)
-    return function(f.presentation, f.depth, [c * v for v in f.table], ring)
+    return function(f.presentation, f.depth, [c * v for v in f.table], ring,
+                    limits)
 
 
 def pullback_sigma(f: LocallyConstantFunction,
@@ -355,7 +356,6 @@ def class_is_zero(f: LocallyConstantFunction,
     """Zero-class test.  A witness potential b of depth d-1 is rebuilt from a
     spanning arborescence and re-verified; failure yields an explicit cycle
     with nonzero orbit sum (found by negative-cycle detection on f and -f)."""
-    limits = limits or default_limits()
     p = f.presentation
     graph = potential_graph(p, f.depth, limits)
     table = lift_table(f, graph.depth, limits)
@@ -427,7 +427,6 @@ def class_is_nonnegative(f: LocallyConstantFunction,
     Difference constraints b(target) - b(source) <= f(edge) on the potential
     graph, solved by shortest-path relaxation; infeasibility is certified by
     a cycle with negative orbit sum.  Integer-valued functions only."""
-    limits = limits or default_limits()
     if f.ring != RING_INT:
         raise RationalNotSupported("positivity is decided over integer values")
     p = f.presentation
@@ -460,7 +459,6 @@ def order_unit_check(f: LocallyConstantFunction,
     feasible potential are nonnegative and telescope around cycles, so a
     zero-sum cycle uses reduced-weight-zero edges only; it remains to find a
     cycle in that edge subset."""
-    limits = limits or default_limits()
     if f.ring != RING_INT:
         raise RationalNotSupported("order unit test needs integer values")
     graph = potential_graph(f.presentation, f.depth, limits)
@@ -535,7 +533,6 @@ def parse_function_text(text: str, p: SftPresentation,
     ``<word> <value>`` line per admissible word of length k, in the frozen
     enumeration order.  Missing, duplicate, or out-of-order entries are
     errors."""
-    limits = limits or default_limits()
     lines = []
     for raw in text.splitlines():
         line = raw.strip()

@@ -3,11 +3,20 @@
 All limits live in one frozen dataclass so call sites can thread a single
 object through.  The word-enumeration cap can be overridden with the
 SFTLAB_MAX_WORDS environment variable; everything else is code-level.
+
+Limits are resolved only where a field is read (``shifts.words`` and
+``validate``, ``linalg.pointed_iso``, ``moves.sse_search``,
+``transducers.default_delay_bound`` and ``verify_orbit_relation``, plus the
+CLI once per command); every other function passes its ``limits`` on
+untouched, ``None`` included, so a caller's Limits reach every reader.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
+
+from .errors import FormatError
 
 MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
 
@@ -27,14 +36,19 @@ class Limits:
 
 
 def default_limits() -> Limits:
-    """Limits with the environment override applied.  Re-read on each call."""
-    cap = os.environ.get(MAX_WORDS_ENV)
+    """Limits with the environment override applied.  Re-read on each call;
+    a malformed value raises FormatError."""
+    return _limits_for(os.environ.get(MAX_WORDS_ENV))
+
+
+@functools.lru_cache(maxsize=None)
+def _limits_for(cap: str | None) -> Limits:
     if cap is None:
         return Limits()
     try:
         value = int(cap)
-    except ValueError as exc:
-        raise ValueError(f"{MAX_WORDS_ENV} must be an integer, got {cap!r}") from exc
+    except ValueError:
+        raise FormatError(f"{MAX_WORDS_ENV} must be an integer, got {cap!r}") from None
     if value <= 0:
-        raise ValueError(f"{MAX_WORDS_ENV} must be positive, got {value}")
+        raise FormatError(f"{MAX_WORDS_ENV} must be positive, got {value}")
     return Limits(max_words=value)

@@ -172,7 +172,6 @@ def _enumerate_bipartite(m: Matrix) -> tuple[tuple[int, int, int], ...]:
 
 
 def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
-    limits = limits or default_limits()
     c = tuple(tuple(int(v) for v in row) for row in c)
     d = tuple(tuple(int(v) for v in row) for row in d)
     n = len(c)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from . import cohomology as coh
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import SftError
 from .moves import ElementaryEquivalence, elementary
 from .shifts import (
@@ -23,7 +23,6 @@ from .shifts import (
 def random_irreducible(rng: random.Random, n_max: int = 6,
                        limits: Limits | None = None) -> SftPresentation:
     """Random 0-1 irreducible non-permutation presentation."""
-    limits = limits or default_limits()
     while True:
         n = rng.randint(2, n_max)
         rows = [[0] * n for _ in range(n)]
@@ -44,7 +43,6 @@ def random_edge_presentation(rng: random.Random, n_max: int = 4,
                              entry_max: int = 2,
                              limits: Limits | None = None) -> SftPresentation:
     """Random irreducible nonnegative integer matrix as an edge shift."""
-    limits = limits or default_limits()
     while True:
         n = rng.randint(1, n_max)
         rows = [[0] * n for _ in range(n)]
@@ -63,7 +61,6 @@ def random_edge_presentation(rng: random.Random, n_max: int = 4,
 def random_function(rng: random.Random, p: SftPresentation,
                     max_depth: int = 3, low: int = -5, high: int = 5,
                     limits: Limits | None = None) -> coh.LocallyConstantFunction:
-    limits = limits or default_limits()
     depth = rng.randint(1, max_depth)
     table = [rng.randint(low, high) for _ in words(p, depth, limits)]
     return coh.function(p, depth, table, coh.RING_INT, limits)
@@ -73,7 +70,6 @@ def random_elementary(rng: random.Random, outer_max: int = 4,
                       inner_max: int = 4, entry_max: int = 2,
                       limits: Limits | None = None) -> ElementaryEquivalence:
     """Random valid elementary equivalence A = CD, B = DC."""
-    limits = limits or default_limits()
     while True:
         n = rng.randint(1, outer_max)
         m = rng.randint(1, inner_max)

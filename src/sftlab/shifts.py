@@ -392,7 +392,6 @@ def enumerate_points(p: SftPresentation, max_preperiod: int, max_period: int,
     """All canonical eventually periodic points with preperiod length up to
     max_preperiod and period length up to max_period, deduplicated, in a
     deterministic order."""
-    limits = limits or default_limits()
     seen: dict[tuple[Word, Word], EventuallyPeriodicPoint] = {}
     prefixes: list[Word] = [()]
     for k in range(1, max_preperiod + 1):
@@ -433,7 +432,6 @@ def _bracket_label(p: SftPresentation, w: Word) -> str:
 def higher_block(p: SftPresentation, k: int,
                  limits: Limits | None = None) -> HigherBlockRecoding:
     """Graph on B_k with edges B_{k+1}; overlap determines adjacency."""
-    limits = limits or default_limits()
     if k < 1:
         raise ValueError("block length must be at least 1")
     verts = words(p, k, limits)
@@ -469,7 +467,6 @@ class EdgeForm:
 
 def to_edge_form(p: SftPresentation, limits: Limits | None = None) -> EdgeForm:
     """Recode a vertex-kind presentation over its edges; identity on edge kind."""
-    limits = limits or default_limits()
     if p.kind == "edge":
         idents = tuple((s,) for s in range(p.alphabet_size))
         return EdgeForm(p, idents, {w: i for i, w in enumerate(idents)})

@@ -20,6 +20,7 @@ and the induced transfer operator on locally constant functions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -58,20 +59,17 @@ class Transducer:
     initial: int
     rules: tuple[Rule, ...]
 
+    @functools.cached_property
     def table(self) -> dict[tuple[int, int], tuple[int, Word]]:
-        if not hasattr(self, "_table"):
-            object.__setattr__(
-                self, "_table",
-                {(q, a): (q2, out) for (q, a, q2, out) in self.rules})
-        return self._table
+        return {(q, a): (q2, out) for (q, a, q2, out) in self.rules}
 
     def max_output_len(self) -> int:
         return max((len(out) for (_q, _a, _q2, out) in self.rules), default=0)
 
 
 def make_transducer(domain: SftPresentation, codomain: SftPresentation,
-                    rules, initial: int = 0, n_states: int | None = None,
-                    check: bool = True) -> Transducer:
+                    rules, initial: int = 0,
+                    n_states: int | None = None) -> Transducer:
     """Normalize the rule set (sorted, frozen) and validate the machine."""
     normalized = []
     seen = set()
@@ -90,15 +88,14 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
         n_states = max(n_states, initial + 1)
     t = Transducer(domain=domain, codomain=codomain, n_states=n_states,
                    initial=initial, rules=tuple(normalized))
-    if check:
-        check_transducer(t)
+    check_transducer(t)
     return t
 
 
 def _configs(t: Transducer):
     """Reachable (state, previous input symbol) pairs; previous None only at
     the start.  Completeness is enforced along the way."""
-    table = t.table()
+    table = t.table
     dom = t.domain
     start = (t.initial, None)
     seen = {start}
@@ -124,7 +121,7 @@ def _configs(t: Transducer):
 
 def check_transducer(t: Transducer) -> None:
     """Completeness, productivity, and output admissibility."""
-    table = t.table()
+    table = t.table
     dom, cod = t.domain, t.codomain
     for (q, a), (q2, out) in table.items():
         if not (0 <= q < t.n_states and 0 <= q2 < t.n_states):
@@ -196,7 +193,7 @@ def check_transducer(t: Transducer) -> None:
 
 def run_on_word(t: Transducer, word: Word) -> tuple[int, Word]:
     """Feed an admissible word from the initial state; returns (state, output)."""
-    table = t.table()
+    table = t.table
     q = t.initial
     out: list[int] = []
     for a in word:
@@ -213,7 +210,7 @@ def apply(t: Transducer, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     """Exact image of an eventually periodic point, canonicalized."""
     if x.presentation != t.domain:
         raise PresentationMismatch("point lives outside the machine's domain")
-    table = t.table()
+    table = t.table
     q = t.initial
     head: list[int] = []
     for a in x.preperiod:
@@ -244,14 +241,13 @@ def identity_transducer(p: SftPresentation) -> Transducer:
     return make_transducer(p, p, rules)
 
 
-def compose(second: Transducer, first: Transducer,
-            limits: Limits | None = None) -> Transducer:
+def compose(second: Transducer, first: Transducer) -> Transducer:
     """Machine presenting second(first(.)); built on reachable state pairs
     and re-validated."""
     if first.codomain != second.domain:
         raise PresentationMismatch(
             "codomain of the inner machine must be the domain of the outer")
-    t1, t2 = first.table(), second.table()
+    t1, t2 = first.table, second.table
     dom = first.domain
     start_pair = (first.initial, second.initial)
     pair_ids = {start_pair: 0}
@@ -326,7 +322,7 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
         raise PresentationMismatch("machines must share domain and codomain")
     if delay_bound is None:
         delay_bound = default_delay_bound(t1, t2, limits)
-    tab1, tab2 = t1.table(), t2.table()
+    tab1, tab2 = t1.table, t2.table
     dom = t1.domain
     start = (t1.initial, t2.initial, None, 0, ())
     parents: dict = {start: None}
@@ -413,7 +409,7 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
         raise RationalNotSupported("shift amounts are nonnegative integers")
     depth = max(amount.depth, pre_shift, 1)
-    table = h.table()
+    table = h.table
     amount_at = dict(zip(words(h.domain, depth, limits),
                          coh.lift_table(amount, depth, limits)))
 
@@ -520,7 +516,7 @@ def verify_orbit_relation(h: Transducer, data: OrbitData,
 def _min_output_lengths(h: Transducer):
     """Generator of (input length m, min output length over admissible
     m-words from the initial state)."""
-    table = h.table()
+    table = h.table
     dom = h.domain
     layer = {(h.initial, None): 0}
     m = 0
