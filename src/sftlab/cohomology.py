@@ -37,6 +37,7 @@ from .errors import (
     PresentationMismatch,
     RationalNotSupported,
 )
+from .graphs import find_cycle
 from .shifts import SftPresentation, Word, word_index, words
 
 RING_INT = "Z"
@@ -300,6 +301,7 @@ def potential_graph(p: SftPresentation, depth: int,
         targets=tuple(vidx[w[1:]] for w in edges))
 
 
+# The one weighted shortest-path routine; graphs.bfs does the unweighted ones.
 def _bellman_ford(n: int, sources, targets, weights) -> tuple[list[int] | None, list]:
     """Bellman-Ford with zero initialization (implicit super source), edges
     relaxed in index order.  Returns (cycle, dist): the edge indices of a
@@ -365,6 +367,7 @@ def class_is_zero(f: LocallyConstantFunction,
     for ei, u in enumerate(graph.sources):
         out_edges[u].append(ei)
 
+    # not graphs.bfs: its dict costs time and RSS over |B_{d-1}| at the word cap
     b: list = [None] * nverts
     b[0] = 0
     frontier = [0]
@@ -471,42 +474,7 @@ def order_unit_check(f: LocallyConstantFunction,
     for ei in range(len(graph.edge_words)):
         if table[ei] + dist[graph.sources[ei]] - dist[graph.targets[ei]] == 0:
             tight[graph.sources[ei]].append(graph.targets[ei])
-    color = [0] * nverts                   # 0 unseen, 1 on stack, 2 done
-    for start in range(nverts):
-        if color[start]:
-            continue
-        color[start] = 1
-        stack = [(start, iter(tight[start]))]
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if color[nxt] == 1:
-                    return False           # zero-sum cycle found
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(tight[nxt])))
-                    break
-            else:
-                color[node] = 2
-                stack.pop()
-    return True
-
-
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Thin wrapper deciding class-level questions through a representative."""
-
-    representative: LocallyConstantFunction
-
-    def equal(self, other: "CohomologyClass", limits: Limits | None = None) -> bool:
-        return class_equal(self.representative, other.representative,
-                            limits).is_coboundary
-
-    def is_zero(self, limits: Limits | None = None) -> bool:
-        return class_is_zero(self.representative, limits).is_coboundary
-
-    def is_nonnegative(self, limits: Limits | None = None) -> bool:
-        return class_is_nonnegative(self.representative, limits).nonnegative
+    return find_cycle(tight) is None       # a tight cycle has orbit sum zero
 
 
 # ------------------------------------------------------------------ file I/O

@@ -338,7 +338,7 @@ def lattice_member(vector, generators) -> LatticeMembership:
     for i in range(rank):
         y[i] = uv[i] // sd.diagonal[i]
     coeffs = mat_vec(sd.v, tuple(y))
-    combo = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n))
+    combo = mat_vec(gt, coeffs)
     assert combo == v, "lattice_member: coefficient witness failed"
     return LatticeMembership(True, tuple(coeffs), None)
 

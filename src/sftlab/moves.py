@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from . import cohomology as coh
 from .config import Limits, default_limits
 from .errors import (
+    EnvelopeExceeded,
     FormatError,
     InvalidResult,
     NotVertexKind,
     PresentationMismatch,
     SftError,
 )
+from .graphs import path
 from .linalg import mat_mul
 from .shifts import Matrix, SftPresentation, Word, validate, words
 from .transducers import OrbitData, Transducer, make_transducer
@@ -186,6 +188,8 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
     try:
         a = validate(a_mat, "edge", None, limits)
         b = validate(b_mat, "edge", None, limits)
+    except EnvelopeExceeded:
+        raise
     except SftError as exc:
         raise InvalidResult(f"product is not a valid presentation: {exc}") from exc
 
@@ -333,17 +337,10 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
     nodes = 0
     attempts = 0
 
-    def chain_to(node: Matrix) -> tuple[ElementaryEquivalence, ...]:
-        steps = []
-        while parents[node] is not None:
-            node, ee = parents[node]
-            steps.append(ee)
-        steps.reverse()
-        return tuple(steps)
-
     if start == goal:
         return SseSearchResult((), 0, 0)
 
+    # not graphs.bfs: the depth bound and attempt budget stop it inside a level
     while frontier and depth < chain_bound and attempts <= budget:
         nxt = []
         for node in frontier:
@@ -383,7 +380,7 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
                             continue
                         parents[neighbour] = (node, ee)
                         if neighbour == goal:
-                            return SseSearchResult(chain_to(neighbour),
+                            return SseSearchResult(path(parents, neighbour),
                                                    nodes, attempts)
                         nxt.append(neighbour)
         frontier = nxt

@@ -2,14 +2,16 @@
 
 Everything takes an explicit random.Random so runs are reproducible from a
 single seed.  Generators retry until validation passes; the constructions
-make failure rare (a random full cycle guarantees irreducibility)."""
+make failure rare (a random full cycle guarantees irreducibility).  Only the
+rejections a random candidate can hit are retried: a cap in ``limits`` that
+refuses every candidate raises EnvelopeExceeded instead of looping."""
 from __future__ import annotations
 
 import random
 
 from . import cohomology as coh
 from .config import Limits
-from .errors import SftError
+from .errors import InvalidResult, NotIrreducible, PermutationMatrix
 from .moves import ElementaryEquivalence, elementary
 from .shifts import (
     EventuallyPeriodicPoint,
@@ -35,7 +37,7 @@ def random_irreducible(rng: random.Random, n_max: int = 6,
             rows[rng.randrange(n)][rng.randrange(n)] = 1
         try:
             return validate(tuple(tuple(r) for r in rows), "vertex", None, limits)
-        except SftError:
+        except PermutationMatrix:
             continue
 
 
@@ -54,7 +56,7 @@ def random_edge_presentation(rng: random.Random, n_max: int = 4,
             rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(0, entry_max)
         try:
             return validate(tuple(tuple(r) for r in rows), "edge", None, limits)
-        except SftError:
+        except (NotIrreducible, PermutationMatrix):
             continue
 
 
@@ -77,7 +79,7 @@ def random_elementary(rng: random.Random, outer_max: int = 4,
         d = [[rng.randint(0, entry_max) for _ in range(n)] for _ in range(m)]
         try:
             return elementary(c, d, limits)
-        except SftError:
+        except InvalidResult:
             continue
 
 

@@ -35,6 +35,7 @@ from .errors import (
     NotZeroOne,
     PermutationMatrix,
 )
+from .graphs import bfs
 from .linalg import freeze, mat_mul
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -146,24 +147,6 @@ class SftPresentation:
         return tuple(word)
 
 
-def _reachable(n: int, succ) -> tuple[list[bool], list[int]]:
-    """BFS from vertex 0; returns (seen flags, parent vertices, -1 at root)."""
-    seen = [False] * n
-    parent = [-1] * n
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in succ(u):
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return seen, parent
-
-
 def validate(matrix, kind: str = "vertex", vertex_labels=None,
              limits: Limits | None = None) -> SftPresentation:
     """Check a matrix presentation and build the symbol table.
@@ -202,19 +185,19 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
         raise PermutationMatrix("matrix is a permutation matrix")
 
     def out(u):
-        return [v for v in range(n) if rows[u][v] > 0]
+        return [(None, v) for v in range(n) if rows[u][v] > 0]
 
     def into(u):
-        return [v for v in range(n) if rows[v][u] > 0]
+        return [(None, v) for v in range(n) if rows[v][u] > 0]
 
-    fwd_seen, fwd_parent = _reachable(n, out)
-    if not all(fwd_seen):
-        bad = fwd_seen.index(False)
-        raise NotIrreducible(f"vertex {bad + 1} unreachable from vertex 1")
-    bwd_seen, bwd_parent = _reachable(n, into)
-    if not all(bwd_seen):
-        bad = bwd_seen.index(False)
-        raise NotIrreducible(f"vertex 1 unreachable from vertex {bad + 1}")
+    trees = []
+    for succ, message in ((out, "vertex {} unreachable from vertex 1"),
+                          (into, "vertex 1 unreachable from vertex {}")):
+        tree = bfs([0], succ)
+        if len(tree) < n:
+            bad = min(v for v in range(n) if v not in tree)
+            raise NotIrreducible(message.format(bad + 1))
+        trees.append(tuple(-1 if tree[v] is None else tree[v][0] for v in range(n)))
 
     if vertex_labels is None:
         vertex_labels = tuple(str(i + 1) for i in range(n))
@@ -240,7 +223,7 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
 
     return SftPresentation(kind=kind, adjacency=rows, vertex_labels=vertex_labels,
                            symbols=symbols, edges=edges,
-                           certificate=(tuple(fwd_parent), tuple(bwd_parent)))
+                           certificate=tuple(trees))
 
 
 # ------------------------------------------------------------------ counting

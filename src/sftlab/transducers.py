@@ -36,6 +36,7 @@ from .errors import (
     RationalNotSupported,
     Starvation,
 )
+from .graphs import bfs, find_cycle, path
 from .shifts import (
     EventuallyPeriodicPoint,
     SftPresentation,
@@ -92,31 +93,26 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
     return t
 
 
+def _inputs(dom: SftPresentation, prev: int | None):
+    """Input symbols admissible after ``prev``; every symbol at the start."""
+    return range(dom.alphabet_size) if prev is None else dom.successors(prev)
+
+
 def _configs(t: Transducer):
     """Reachable (state, previous input symbol) pairs; previous None only at
     the start.  Completeness is enforced along the way."""
     table = t.table
     dom = t.domain
-    start = (t.initial, None)
-    seen = {start}
-    order = [start]
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (q, prev) in frontier:
-            syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-            for a in syms:
-                if (q, a) not in table:
-                    raise IncompleteTransducer(
-                        f"no rule for state {q} on symbol {dom.symbols[a]}")
-                q2, _out = table[(q, a)]
-                cfg = (q2, a)
-                if cfg not in seen:
-                    seen.add(cfg)
-                    order.append(cfg)
-                    nxt.append(cfg)
-        frontier = nxt
-    return order
+
+    def step(cfg):
+        q, prev = cfg
+        for a in _inputs(dom, prev):
+            if (q, a) not in table:
+                raise IncompleteTransducer(
+                    f"no rule for state {q} on symbol {dom.symbols[a]}")
+            yield a, (table[(q, a)][0], a)
+
+    return list(bfs([(t.initial, None)], step))
 
 
 def check_transducer(t: Transducer) -> None:
@@ -141,54 +137,27 @@ def check_transducer(t: Transducer) -> None:
     # productivity: no cycle among configs using only empty-output steps
     empty_succ: list[list[int]] = [[] for _ in configs]
     for i, (q, prev) in enumerate(configs):
-        syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-        for a in syms:
+        for a in _inputs(dom, prev):
             q2, out = table[(q, a)]
             if not out:
                 empty_succ[i].append(cfg_index[(q2, a)])
-    color = [0] * len(configs)        # 0 new, 1 active, 2 done
-    for root in range(len(configs)):
-        if color[root]:
-            continue
-        stack = [(root, iter(empty_succ[root]))]
-        color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nb in it:
-                if color[nb] == 1:
-                    q, prev = configs[nb]
-                    raise Starvation(
-                        f"cycle through state {q} emits no output")
-                if color[nb] == 0:
-                    color[nb] = 1
-                    stack.append((nb, iter(empty_succ[nb])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    starved = find_cycle(empty_succ)
+    if starved is not None:
+        raise Starvation(
+            f"cycle through state {configs[starved][0]} emits no output")
 
     # output admissibility across steps: track the last emitted symbol
-    start = (t.initial, None, None)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (q, prev, last) in frontier:
-            syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-            for a in syms:
-                q2, out = table[(q, a)]
-                if out and last is not None and not cod.follow(last, out[0]):
-                    raise InadmissibleOutput(
-                        f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
-                        f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
-                new_last = out[-1] if out else last
-                cfg = (q2, a, new_last)
-                if cfg not in seen:
-                    seen.add(cfg)
-                    nxt.append(cfg)
-        frontier = nxt
+    def joins(cfg):
+        q, prev, last = cfg
+        for a in _inputs(dom, prev):
+            q2, out = table[(q, a)]
+            if out and last is not None and not cod.follow(last, out[0]):
+                raise InadmissibleOutput(
+                    f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
+                    f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
+            yield a, (q2, a, out[-1] if out else last)
+
+    bfs([(t.initial, None, None)], joins)
 
 
 def run_on_word(t: Transducer, word: Word) -> tuple[int, Word]:
@@ -252,41 +221,36 @@ def compose(second: Transducer, first: Transducer) -> Transducer:
     start_pair = (first.initial, second.initial)
     pair_ids = {start_pair: 0}
     rules: dict[tuple[int, int], tuple[int, Word]] = {}
-    seen_cfg = {(start_pair, None)}
-    frontier = [(start_pair, None)]
-    while frontier:
-        nxt = []
-        for (pair, prev) in frontier:
-            q1, q2 = pair
-            syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-            for a in syms:
-                if (q1, a) not in t1:
+
+    def step(cfg):
+        pair, prev = cfg
+        q1, q2 = pair
+        for a in _inputs(dom, prev):
+            if (q1, a) not in t1:
+                raise IncompleteTransducer(
+                    f"inner machine lacks state {q1} on {dom.symbols[a]}")
+            q1n, w1 = t1[(q1, a)]
+            q2n = q2
+            out: list[int] = []
+            for s in w1:
+                if (q2n, s) not in t2:
                     raise IncompleteTransducer(
-                        f"inner machine lacks state {q1} on {dom.symbols[a]}")
-                q1n, w1 = t1[(q1, a)]
-                q2n = q2
-                out: list[int] = []
-                for s in w1:
-                    if (q2n, s) not in t2:
-                        raise IncompleteTransducer(
-                            f"outer machine lacks state {q2n} on "
-                            f"{second.domain.symbols[s]}")
-                    q2n, w2 = t2[(q2n, s)]
-                    out.extend(w2)
-                new_pair = (q1n, q2n)
-                if new_pair not in pair_ids:
-                    pair_ids[new_pair] = len(pair_ids)
-                key = (pair_ids[pair], a)
-                value = (pair_ids[new_pair], tuple(out))
-                if key in rules:
-                    assert rules[key] == value
-                else:
-                    rules[key] = value
-                cfg = (new_pair, a)
-                if cfg not in seen_cfg:
-                    seen_cfg.add(cfg)
-                    nxt.append(cfg)
-        frontier = nxt
+                        f"outer machine lacks state {q2n} on "
+                        f"{second.domain.symbols[s]}")
+                q2n, w2 = t2[(q2n, s)]
+                out.extend(w2)
+            new_pair = (q1n, q2n)
+            if new_pair not in pair_ids:
+                pair_ids[new_pair] = len(pair_ids)
+            key = (pair_ids[pair], a)
+            value = (pair_ids[new_pair], tuple(out))
+            if key in rules:
+                assert rules[key] == value
+            else:
+                rules[key] = value
+            yield a, (new_pair, a)
+
+    bfs([(start_pair, None)], step)
     rule_list = [(q, a, q2, out) for (q, a), (q2, out) in rules.items()]
     return make_transducer(dom, second.codomain, rule_list,
                            initial=0, n_states=len(pair_ids))
@@ -324,50 +288,38 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
         delay_bound = default_delay_bound(t1, t2, limits)
     tab1, tab2 = t1.table, t2.table
     dom = t1.domain
-    start = (t1.initial, t2.initial, None, 0, ())
-    parents: dict = {start: None}
-    frontier = [start]
+    mismatch = object()               # goal node: the outputs split here
     overflow = False
-    while frontier:
-        nxt = []
-        for cfg in frontier:
-            q1, q2, prev, side, buf = cfg
-            syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-            for a in syms:
-                q1n, o1 = tab1[(q1, a)]
-                q2n, o2 = tab2[(q2, a)]
-                s1 = (buf + o1) if side == 1 else o1
-                s2 = (buf + o2) if side == 2 else o2
-                c = min(len(s1), len(s2))
-                if s1[:c] != s2[:c]:
-                    word = _trace(parents, cfg) + (a,)
-                    return EquivalenceResult("unequal", word, delay_bound)
-                if len(s1) > c:
-                    nside, nbuf = 1, s1[c:]
-                elif len(s2) > c:
-                    nside, nbuf = 2, s2[c:]
-                else:
-                    nside, nbuf = 0, ()
-                if len(nbuf) > delay_bound:
-                    overflow = True
-                    continue
-                ncfg = (q1n, q2n, a, nside, nbuf)
-                if ncfg not in parents:
-                    parents[ncfg] = (cfg, a)
-                    nxt.append(ncfg)
-        frontier = nxt
+
+    def step(cfg):
+        nonlocal overflow
+        q1, q2, prev, side, buf = cfg
+        for a in _inputs(dom, prev):
+            q1n, o1 = tab1[(q1, a)]
+            q2n, o2 = tab2[(q2, a)]
+            s1 = (buf + o1) if side == 1 else o1
+            s2 = (buf + o2) if side == 2 else o2
+            c = min(len(s1), len(s2))
+            if s1[:c] != s2[:c]:
+                yield a, mismatch
+                return
+            if len(s1) > c:
+                nside, nbuf = 1, s1[c:]
+            elif len(s2) > c:
+                nside, nbuf = 2, s2[c:]
+            else:
+                nside, nbuf = 0, ()
+            if len(nbuf) > delay_bound:
+                overflow = True
+                continue
+            yield a, (q1n, q2n, a, nside, nbuf)
+
+    parents = bfs([(t1.initial, t2.initial, None, 0, ())], step, mismatch)
+    if mismatch in parents:
+        return EquivalenceResult("unequal", path(parents, mismatch), delay_bound)
     if overflow:
         return EquivalenceResult("inconclusive", None, delay_bound)
     return EquivalenceResult("equal", None, delay_bound)
-
-
-def _trace(parents, cfg) -> Word:
-    out = []
-    while parents[cfg] is not None:
-        cfg, a = parents[cfg]
-        out.append(a)
-    out.reverse()
-    return tuple(out)
 
 
 # ------------------------------------------------------------- orbit data
@@ -409,7 +361,6 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
         raise RationalNotSupported("shift amounts are nonnegative integers")
     depth = max(amount.depth, pre_shift, 1)
-    table = h.table
     amount_at = dict(zip(words(h.domain, depth, limits),
                          coh.lift_table(amount, depth, limits)))
 
@@ -447,23 +398,19 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
                 drops = s - len(emitted)
             rules.append((sid, a, run_state(qh, drops), out))
 
-    pending = list(run_ids.keys())
-    done = set()
-    while pending:
-        key = pending.pop(0)
-        if key in done:
-            continue
-        done.add(key)
+    by_state: list[list[tuple[int, int, Word]]] = [[] for _ in range(h.n_states)]
+    for q, a, q2, out in h.rules:
+        by_state[q].append((a, q2, out))
+
+    def replay(key):
         qh, drops = key
         sid = run_ids[key]
-        for (q, a), (q2, out) in table.items():
-            if q != qh:
-                continue
+        for a, q2, out in by_state[qh]:
             cut = min(drops, len(out))
-            target = run_state(q2, drops - cut)
-            rules.append((sid, a, target, out[cut:]))
-            if (q2, drops - cut) not in done:
-                pending.append((q2, drops - cut))
+            rules.append((sid, a, run_state(q2, drops - cut), out[cut:]))
+            yield a, (q2, drops - cut)
+
+    bfs(list(run_ids), replay)
 
     return make_transducer(h.domain, h.codomain, rules,
                            initial=phase_ids[()], n_states=next_id)
@@ -518,14 +465,14 @@ def _min_output_lengths(h: Transducer):
     m-words from the initial state)."""
     table = h.table
     dom = h.domain
+    # not graphs.bfs: a layered min-plus recurrence over every m, not a search
     layer = {(h.initial, None): 0}
     m = 0
     while True:
         m += 1
         nxt: dict = {}
         for (q, prev), best in layer.items():
-            syms = range(dom.alphabet_size) if prev is None else dom.successors(prev)
-            for a in syms:
+            for a in _inputs(dom, prev):
                 q2, out = table[(q, a)]
                 cfg = (q2, a)
                 cand = best + len(out)

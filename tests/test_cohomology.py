@@ -376,16 +376,6 @@ class TestWellDefinedness:
                 assert coh.orbit_sum(f, w) == coh.orbit_sum(g, w)
 
 
-class TestCohomologyClassFacade:
-    def test_wrapper_agrees(self, fib):
-        rng = random.Random(23)
-        b = random_function(rng, fib, max_depth=2)
-        cls = coh.CohomologyClass(coh.coboundary(b))
-        assert cls.is_zero()
-        assert cls.equal(coh.CohomologyClass(coh.zero(fib)))
-        assert cls.is_nonnegative()
-
-
 class TestFunctionText:
     def test_roundtrip(self, fib):
         rng = random.Random(29)

@@ -6,8 +6,11 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -166,12 +169,6 @@ CASES = {
     "cohomology.class_is_nonnegative":
         lambda c, lim: coh.class_is_nonnegative(c.f2, lim),
     "cohomology.order_unit_check": lambda c, lim: coh.order_unit_check(c.f2, lim),
-    "cohomology.CohomologyClass.equal":
-        lambda c, lim: coh.CohomologyClass(c.f2).equal(coh.CohomologyClass(c.g1), lim),
-    "cohomology.CohomologyClass.is_zero":
-        lambda c, lim: coh.CohomologyClass(c.f2).is_zero(lim),
-    "cohomology.CohomologyClass.is_nonnegative":
-        lambda c, lim: coh.CohomologyClass(c.f2).is_nonnegative(lim),
     "cohomology.parse_function_text":
         lambda c, lim: coh.parse_function_text(c.f2_text, c.fib, "fib", lim),
     "cohomology.format_function_text":
@@ -307,6 +304,38 @@ def test_limits_resolved_only_where_a_cap_is_read():
                "transducers.verify_orbit_relation"}
     outside_config = {q for q in _resolvers() if not q.startswith("config.")}
     assert outside_config == readers | {"cli.run"}
+
+
+_REFUSED_BY_CAP = """
+import random
+from sftlab import Limits
+from sftlab.errors import EnvelopeExceeded
+import sftlab.moves as mv
+import sftlab.randgen as rg
+lim = Limits(max_vertices=0)
+for make in (rg.random_irreducible, rg.random_edge_presentation,
+             rg.random_elementary):
+    try:
+        make(random.Random(1), limits=lim)
+    except EnvelopeExceeded:
+        print(make.__name__)
+try:
+    mv.elementary(((1, 1),), ((1,), (1,)), lim)
+except EnvelopeExceeded:
+    print("elementary")
+"""
+
+
+def test_refusing_cap_propagates():
+    """A cap that refuses every candidate is raised, not retried forever.
+    The subprocess and its timeout keep a regression from hanging the suite."""
+    src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _REFUSED_BY_CAP],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["random_irreducible", "random_edge_presentation",
+                                   "random_elementary", "elementary"]
 
 
 # --------------------------------------------------------------------- CLI
