@@ -19,7 +19,6 @@ from .shifts import (
     higher_block,
     parse_point,
     periodic_point,
-    shift,
     to_edge_form,
     validate,
     words,
@@ -34,7 +33,6 @@ __all__ = [
     "higher_block",
     "parse_point",
     "periodic_point",
-    "shift",
     "to_edge_form",
     "validate",
     "words",

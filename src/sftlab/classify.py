@@ -111,14 +111,13 @@ class CoeReport:
     b: InvariantReport
 
 
-def coe_verdict(pa: SftPresentation, pb: SftPresentation,
-                limits: Limits | None = None) -> CoeReport:
+def coe_verdict(pa: SftPresentation, pb: SftPresentation) -> CoeReport:
     """Pointed isomorphism of the marked cokernels plus determinant sign."""
     ra = invariants(pa)
     rb = invariants(pb)
     if ra.det_sign != rb.det_sign:
         return CoeReport("no", "determinant signs differ", None, ra, rb)
-    iso = pointed_iso(ra.k0_pointed, rb.k0_pointed, limits)
+    iso = pointed_iso(ra.k0_pointed, rb.k0_pointed)
     if iso.verdict == "yes":
         return CoeReport("yes", "pointed groups isomorphic and signs equal",
                          iso, ra, rb)
@@ -168,8 +167,7 @@ def _check_witness(pa: SftPresentation, pb: SftPresentation,
     for outer, inner, p, name in ((bwd, fwd, pa, "backward after forward"),
                                   (fwd, bwd, pb, "forward after backward")):
         round_trip = tr.compose(outer, inner)
-        res = tr.equivalent_maps(round_trip, tr.identity_transducer(p),
-                                 None, limits)
+        res = tr.equivalent_maps(round_trip, tr.identity_transducer(p))
         if res.status == "unequal":
             raise InvalidResult(
                 f"{name} is not the identity "
@@ -187,7 +185,7 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
     A witness is accepted only if its orbit relations verify and the two
     machines invert each other; an accepted witness together with a `no`
     verdict trips ContradictionDetected."""
-    verdict = coe_verdict(pa, pb, limits)
+    verdict = coe_verdict(pa, pb)
     if witness is None:
         return ConsistencyReport(verdict, False, None, None, None, None)
     _check_witness(pa, pb, witness, limits)

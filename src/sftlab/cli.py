@@ -58,29 +58,32 @@ class Report:
                           indent=2) + "\n"
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def _load_presentation(path: str, limits) -> tuple[str, SftPresentation]:
-    text = Path(path).read_text(encoding="ascii")
-    kind, rows = parse_matrix_text(text)
+    kind, rows = parse_matrix_text(_read_text(path))
     if kind == "rect":
         raise FormatError(f"{path}: rectangular matrices cannot present a shift")
     return Path(path).stem, validate(rows, kind, None, limits)
 
 
 def _load_rect(path: str) -> tuple:
-    text = Path(path).read_text(encoding="ascii")
-    _kind, rows = parse_matrix_text(text)
+    _kind, rows = parse_matrix_text(_read_text(path))
     return rows
 
 
 def _load_function(path: str, p: SftPresentation, matrix_id, limits):
-    text = Path(path).read_text(encoding="ascii")
-    return coh.parse_function_text(text, p, matrix_id, limits)
+    return coh.parse_function_text(_read_text(path), p, matrix_id, limits)
 
 
 def _load_transducer(path: str, dom: SftPresentation, cod: SftPresentation,
                      dom_id, cod_id):
-    text = Path(path).read_text(encoding="ascii")
-    return tr.parse_transducer_text(text, dom, cod, dom_id, cod_id)
+    return tr.parse_transducer_text(_read_text(path), dom, cod, dom_id, cod_id)
 
 
 def _function_text(f, matrix_id: str) -> str:
@@ -176,7 +179,7 @@ def cmd_flow_equiv(args, limits) -> Report:
 def cmd_coe(args, limits) -> Report:
     name_a, pa = _load_presentation(args.matrix_a, limits)
     name_b, pb = _load_presentation(args.matrix_b, limits)
-    res = classify.coe_verdict(pa, pb, limits)
+    res = classify.coe_verdict(pa, pb)
     rep = Report()
     rep.add("coe", res.verdict)
     rep.add("reason", res.reason)
@@ -279,7 +282,7 @@ def cmd_transducer(args, limits) -> Report:
         cod_id, cod = _load_presentation(args.codomain, limits)
         t1 = _load_transducer(args.first, dom, cod, dom_id, cod_id)
         t2 = _load_transducer(args.second, dom, cod, dom_id, cod_id)
-        res = tr.equivalent_maps(t1, t2, args.delay, limits)
+        res = tr.equivalent_maps(t1, t2, args.delay)
         rep.add("maps-equal", res.status)
         rep.add("delay-bound", res.delay_bound)
         if res.witness is not None:
@@ -505,6 +508,20 @@ def cmd_selftest(args, limits) -> Report:
 
 # ------------------------------------------------------------------ main
 
+# integer options that count or bound something, so never below zero
+_NONNEGATIVE = ("delay", "inner_dim", "entry_bound", "chain_bound", "count")
+
+
+def _check_bounds(args) -> None:
+    for name in _NONNEGATIVE:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise FormatError(f"{flag} must be nonnegative, got {value}")
+    if getattr(args, "threads", 1) < 1:
+        raise FormatError(f"--threads must be at least 1, got {args.threads}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sftlab",
@@ -650,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sse-search", help="bounded strong shift equivalence search")
     s.add_argument("matrix_a")
     s.add_argument("matrix_b")
-    s.add_argument("--inner-dim", type=int, default=None)
-    s.add_argument("--entry-bound", type=int, default=None)
-    s.add_argument("--chain-bound", type=int, default=None)
+    s.add_argument("--inner-dim", type=int, default=moves.SSE_INNER_DIM)
+    s.add_argument("--entry-bound", type=int, default=moves.SSE_ENTRY_BOUND)
+    s.add_argument("--chain-bound", type=int, default=moves.SSE_CHAIN_BOUND)
     s.set_defaults(fn=cmd_sse_search)
 
     s = sub.add_parser("selftest", help="run the embedded identity suite")
@@ -667,6 +684,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         report = args.fn(args, default_limits())
     except ContradictionDetected as exc:
         print(f"error: contradiction: {exc}", file=sys.stderr)

@@ -479,10 +479,6 @@ def order_unit_check(f: LocallyConstantFunction,
 
 # ------------------------------------------------------------------ file I/O
 
-def format_value(v) -> str:
-    return str(v)
-
-
 def parse_value(token: str, ring: str):
     try:
         if ring == RING_INT:
@@ -551,5 +547,5 @@ def format_function_text(f: LocallyConstantFunction, matrix_id: str,
     p = f.presentation
     lines = [f"function {matrix_id} depth={f.depth} ring={f.ring}"]
     for w, v in zip(words(p, f.depth, limits), f.table):
-        lines.append(f"{p.word_label(w)} {format_value(v)}")
+        lines.append(f"{p.word_label(w)} {v}")
     return "\n".join(lines) + "\n"

@@ -1,14 +1,15 @@
-"""Resource bounds used by enumeration-heavy operations.
+"""The two input-size caps: vertices of a presentation, words in a table.
 
-All limits live in one frozen dataclass so call sites can thread a single
-object through.  The word-enumeration cap can be overridden with the
-SFTLAB_MAX_WORDS environment variable; everything else is code-level.
+Both live in one frozen dataclass so call sites can thread a single object
+through.  The word cap can be overridden with the SFTLAB_MAX_WORDS
+environment variable.  The bounds of the searches and checks (pointed-iso
+budget, SSE attempt budget, delay slack, point-check bounds) are constants
+next to their one reader.
 
-Limits are resolved only where a field is read (``shifts.words`` and
-``validate``, ``linalg.pointed_iso``, ``moves.sse_search``,
-``transducers.default_delay_bound`` and ``verify_orbit_relation``, plus the
-CLI once per command); every other function passes its ``limits`` on
-untouched, ``None`` included, so a caller's Limits reach every reader.
+Limits are resolved only where a cap is read (``shifts.words`` and
+``shifts.validate``, plus the CLI once per command); every other function
+passes its ``limits`` on untouched, ``None`` included, so a caller's Limits
+reach both readers.
 """
 from __future__ import annotations
 
@@ -25,14 +26,6 @@ MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
 class Limits:
     max_vertices: int = 64
     max_words: int = 1_000_000        # cap on any B_k enumeration
-    delay_slack: int = 8              # added to the product-size delay default
-    point_check_preperiod: int = 4    # orbit-relation cross-check bounds
-    point_check_period: int = 6
-    pointed_iso_budget: int = 2_000_000   # candidate images tried before giving up
-    sse_inner_dim: int = 3
-    sse_entry_bound: int = 2
-    sse_chain_bound: int = 3
-    sse_node_budget: int = 20_000     # factorizations examined before NotFound
 
 
 def default_limits() -> Limits:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Limits, default_limits
-
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
@@ -472,16 +470,19 @@ def _column_candidates(j: int, moduli) -> "itertools.product":
     return itertools.product(*axes)
 
 
-def _search_finite_auto(src, dst, moduli, budget: int):
+POINTED_ISO_BUDGET = 2_000_000      # candidate images tried before "undecided"
+
+
+def _search_finite_auto(src, dst, moduli):
     """Backtracking over generator images for an automorphism carrying src to
     dst.  Returns (matrix, None) on success, (None, spent) on exhaustion,
-    (None, None) when the budget runs out."""
+    (None, None) when POINTED_ISO_BUDGET runs out."""
     r = len(moduli)
     total = 1
     for j in range(r):
         for i in range(r):
             total *= math.gcd(moduli[i], moduli[j])
-        if total > budget:
+        if total > POINTED_ISO_BUDGET:
             return None, None
     per_column = [list(_column_candidates(j, moduli)) for j in range(r)]
     cols: list[tuple[int, ...]] = []
@@ -524,8 +525,7 @@ def _cyclic_pointed(d: int, a: int, b: int):
     return None
 
 
-def pointed_iso(a: PointedGroup, b: PointedGroup,
-                limits: Limits | None = None) -> PointedIsoResult:
+def pointed_iso(a: PointedGroup, b: PointedGroup) -> PointedIsoResult:
     """Isomorphism of pairs (group, marked element).
 
     Complete for finite groups (bounded generator-image search, cyclic case
@@ -534,7 +534,6 @@ def pointed_iso(a: PointedGroup, b: PointedGroup,
     a witness is searched for; "undecided" is returned when the search budget
     runs out without a decision.
     """
-    limits = limits or default_limits()
     if a.group != b.group:
         return PointedIsoResult("no", reason="groups not isomorphic")
     group = a.group
@@ -560,8 +559,7 @@ def pointed_iso(a: PointedGroup, b: PointedGroup,
             mat = ((u,),)
             assert _verify_pointed_witness(mat, a.marked, b.marked, moduli)
             return PointedIsoResult("yes", witness=mat)
-        mat, spent = _search_finite_auto(a.marked, b.marked, moduli,
-                                         limits.pointed_iso_budget)
+        mat, spent = _search_finite_auto(a.marked, b.marked, moduli)
         if mat is not None:
             assert _verify_pointed_witness(mat, a.marked, b.marked, moduli)
             return PointedIsoResult("yes", witness=mat)
@@ -588,8 +586,7 @@ def pointed_iso(a: PointedGroup, b: PointedGroup,
     if not any(src_f) and not any(dst_f):
         sub = pointed_iso(
             PointedGroup(FgAbelianGroup(0, group.invariant_factors), src_t),
-            PointedGroup(FgAbelianGroup(0, group.invariant_factors), dst_t),
-            limits)
+            PointedGroup(FgAbelianGroup(0, group.invariant_factors), dst_t))
         if sub.verdict == "yes":
             mat = [[0] * r for _ in range(r)]
             for i in range(tor):

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import cohomology as coh
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import (
     EnvelopeExceeded,
     FormatError,
@@ -314,21 +314,18 @@ class SseSearchResult:
     attempts: int
 
 
-def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
-               entry_bound: int | None = None, chain_bound: int | None = None,
+SSE_INNER_DIM, SSE_ENTRY_BOUND, SSE_CHAIN_BOUND = 3, 2, 3
+SSE_ATTEMPT_BUDGET = 20_000          # factorizations tried before "not-found"
+
+
+def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
+               entry_bound: int = SSE_ENTRY_BOUND,
+               chain_bound: int = SSE_CHAIN_BOUND,
                limits: Limits | None = None) -> SseSearchResult:
     """Breadth-first search for a chain of elementary equivalences from A to
     B.  Every factorization A' = C D with inner dimension and entries within
-    the bounds yields the neighbour D C.  Exponential in the bounds."""
-    limits = limits or default_limits()
-    if inner_dim_bound is None:
-        inner_dim_bound = limits.sse_inner_dim
-    if entry_bound is None:
-        entry_bound = limits.sse_entry_bound
-    if chain_bound is None:
-        chain_bound = limits.sse_chain_bound
-    budget = limits.sse_node_budget
-
+    the bounds yields the neighbour D C.  Exponential in the bounds.  A cap
+    of ``limits`` that refuses a candidate is raised, not skipped."""
     start = tuple(tuple(int(v) for v in row) for row in a_matrix)
     goal = tuple(tuple(int(v) for v in row) for row in b_matrix)
     parents: dict[Matrix, tuple[Matrix, ElementaryEquivalence] | None] = {start: None}
@@ -341,7 +338,7 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
         return SseSearchResult((), 0, 0)
 
     # not graphs.bfs: the depth bound and attempt budget stop it inside a level
-    while frontier and depth < chain_bound and attempts <= budget:
+    while frontier and depth < chain_bound and attempts <= SSE_ATTEMPT_BUDGET:
         nxt = []
         for node in frontier:
             nodes += 1
@@ -349,7 +346,7 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
             for m in range(1, inner_dim_bound + 1):
                 for flat in itertools.product(range(entry_bound + 1), repeat=n * m):
                     attempts += 1
-                    if attempts > budget:
+                    if attempts > SSE_ATTEMPT_BUDGET:
                         return SseSearchResult(None, nodes, attempts)
                     c = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
                     if any(all(v == 0 for v in row) for row in c):
@@ -367,13 +364,13 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int | None = None,
                         continue
                     for combo in itertools.product(*per_column):
                         attempts += 1
-                        if attempts > budget:
+                        if attempts > SSE_ATTEMPT_BUDGET:
                             return SseSearchResult(None, nodes, attempts)
                         d = tuple(tuple(combo[j][i] for j in range(n))
                                   for i in range(m))
                         try:
                             ee = elementary(c, d, limits)
-                        except (InvalidResult, SftError):
+                        except InvalidResult:
                             continue
                         neighbour = ee.b.adjacency
                         if neighbour in parents:

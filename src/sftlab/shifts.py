@@ -367,9 +367,6 @@ def shift_point_by(x: EventuallyPeriodicPoint, n: int) -> EventuallyPeriodicPoin
     return x
 
 
-shift = shift_point
-
-
 def enumerate_points(p: SftPresentation, max_preperiod: int, max_period: int,
                      limits: Limits | None = None) -> list[EventuallyPeriodicPoint]:
     """All canonical eventually periodic points with preperiod length up to
@@ -494,6 +491,8 @@ def parse_matrix_text(text: str):
             raise FormatError("bad sizes in rect matrix header") from None
     else:
         raise FormatError(f"bad matrix header {lines[0]!r}")
+    if min(r, c) < 1:
+        raise FormatError(f"matrix header {lines[0]!r} needs sizes of at least 1")
     if len(lines) - 1 != r:
         raise FormatError(f"expected {r} rows, found {len(lines) - 1}")
     rows = []

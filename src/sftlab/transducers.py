@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import cohomology as coh
-from .config import Limits, default_limits
+from .config import Limits
 from .errors import (
     ContradictionDetected,
     FormatError,
@@ -266,16 +266,16 @@ class EquivalenceResult:
     delay_bound: int = 0
 
 
-def default_delay_bound(t1: Transducer, t2: Transducer,
-                        limits: Limits | None = None) -> int:
-    limits = limits or default_limits()
+DELAY_SLACK = 8          # added to the product-size delay default
+
+
+def default_delay_bound(t1: Transducer, t2: Transducer) -> int:
     maxlen = max(t1.max_output_len(), t2.max_output_len(), 1)
-    return t1.n_states * t2.n_states * maxlen + limits.delay_slack
+    return t1.n_states * t2.n_states * maxlen + DELAY_SLACK
 
 
 def equivalent_maps(t1: Transducer, t2: Transducer,
-                    delay_bound: int | None = None,
-                    limits: Limits | None = None) -> EquivalenceResult:
+                    delay_bound: int | None = None) -> EquivalenceResult:
     """Do the two machines present the same map?
 
     Synchronized product with output-buffer cancellation.  No reachable
@@ -285,7 +285,7 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
     if t1.domain != t2.domain or t1.codomain != t2.codomain:
         raise PresentationMismatch("machines must share domain and codomain")
     if delay_bound is None:
-        delay_bound = default_delay_bound(t1, t2, limits)
+        delay_bound = default_delay_bound(t1, t2)
     tab1, tab2 = t1.table, t2.table
     dom = t1.domain
     mismatch = object()               # goal node: the outputs split here
@@ -424,6 +424,9 @@ class OrbitRelationResult:
     points_checked: int
 
 
+POINT_CHECK_PREPERIOD, POINT_CHECK_PERIOD = 4, 6
+
+
 def verify_orbit_relation(h: Transducer, data: OrbitData,
                           limits: Limits | None = None) -> OrbitRelationResult:
     """Decide the cocycle relation for h and (k1, l1).
@@ -431,31 +434,31 @@ def verify_orbit_relation(h: Transducer, data: OrbitData,
     Machine check: the transducers for both sides of the relation are
     compared for map equality with the default delay bound.  On "equal" the
     relation is additionally cross-checked on all eventually periodic points
-    within the configured preperiod/period bounds; disagreement there would
-    contradict the machine verdict and trips ContradictionDetected."""
-    limits = limits or default_limits()
+    with preperiod up to POINT_CHECK_PREPERIOD and period up to
+    POINT_CHECK_PERIOD; disagreement there would contradict the machine
+    verdict and trips ContradictionDetected."""
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
     lhs = shifted_image(h, data.k1, 1, limits)
     rhs = shifted_image(h, data.l1, 0, limits)
-    verdict = equivalent_maps(lhs, rhs, None, limits)
+    verdict = equivalent_maps(lhs, rhs)
     if verdict.status == "unequal":
         return OrbitRelationResult(False, verdict.witness, verdict.status, 0)
     if verdict.status == "inconclusive":
         raise InsufficientLookahead(
             f"delay bound {verdict.delay_bound} too small for the machine check")
-    checked = 0
-    for x in enumerate_points(h.domain, limits.point_check_preperiod,
-                              limits.point_check_period, limits):
-        kv = data.k1.value_at_point(x, limits)
-        lv = data.l1.value_at_point(x, limits)
+    points = enumerate_points(h.domain, POINT_CHECK_PREPERIOD,
+                              POINT_CHECK_PERIOD, limits)
+    # one kernel call per side: a word-table lookup per point would dominate
+    k1, l1 = (coh.window_sums(f, ((x.prefix(f.depth), 1) for x in points), limits)
+              for f in (data.k1, data.l1))
+    for x, kv, lv in zip(points, k1, l1):
         left = shift_point_by(apply(h, shift_point(x)), kv)
         right = shift_point_by(apply(h, x), lv)
         if left != right:
             raise ContradictionDetected(
                 f"machine check passed but point {x.label()} separates the sides")
-        checked += 1
-    return OrbitRelationResult(True, None, "equal", checked)
+    return OrbitRelationResult(True, None, "equal", len(points))
 
 
 # ------------------------------------------------------------ transfer map

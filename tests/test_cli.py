@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import sftlab
 import sftlab.cohomology as coh
 import sftlab.moves as moves
@@ -84,6 +86,51 @@ class TestWordsAndSnf:
         assert code == 0
         assert "shape: 1x2" in out
         assert "diagonal: 1" in out
+
+
+class TestMalformedInput:
+    """Each is refused with exit 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("transducer", "equiv", "fib.mat", "fib.mat", "ident.t", "ident.t",
+         "--delay", "-1"),
+        ("sse-search", "two.mat", "full2.mat", "--inner-dim", "-1"),
+        ("sse-search", "two.mat", "full2.mat", "--entry-bound", "-2"),
+        ("sse-search", "two.mat", "full2.mat", "--chain-bound", "-3"),
+        ("selftest", "--count", "-1"),
+        ("selftest", "--threads", "0"),
+    ], ids=["delay", "inner-dim", "entry-bound", "chain-bound", "count", "threads"])
+    def test_negative_count_or_bound(self, capsys, fixture_dir, argv):
+        argv = [fixture_dir / a if a.endswith((".mat", ".t")) else a for a in argv]
+        code, out, err = cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+        assert str(argv[-2]) in err
+
+    @pytest.mark.parametrize("header", ["matrix rect 0 0", "matrix rect 0 3",
+                                        "matrix vertex 0"])
+    def test_empty_matrix_header(self, capsys, tmp_path, header):
+        bad = tmp_path / "empty.mat"
+        bad.write_text(header + "\n")
+        code, out, err = cli(capsys, "snf", bad)
+        assert code == 2 and out == ""
+        assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("validate", "bad"),
+        ("snf", "bad"),
+        ("cohom", "positive", "fib.mat", "bad"),
+        ("transducer", "apply", "fib.mat", "fib.mat", "bad", "1:12"),
+    ], ids=["matrix", "rect", "function", "transducer"])
+    def test_non_ascii_file(self, capsys, fixture_dir, tmp_path, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"# caf\xc3\xa9\nmatrix vertex 2\n1 1\n1 0\n")
+        argv = [bad if a == "bad" else fixture_dir / a if a.endswith(".mat") else a
+                for a in argv]
+        code, out, err = cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: FormatError: ") and err.count("\n") == 1
+        assert "non-ASCII" in err
 
 
 class TestVerdicts:

@@ -4,6 +4,7 @@ only where a cap is read."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -20,7 +21,6 @@ import sftlab
 import sftlab.actions as act
 import sftlab.classify as cl
 import sftlab.cohomology as coh
-import sftlab.linalg as la
 import sftlab.moves as mv
 import sftlab.randgen as rg
 import sftlab.shifts as sh
@@ -124,7 +124,6 @@ def ctx(tmp_path_factory):
         gb=coh.function(ee.b, 1, [1, 2, 3, 4], limits=big),
         fe=coh.function(e.expanded, 1, [1, 2, 3], limits=big),
         x=periodic_point(fib, (), (0, 1)),
-        k0=cl.invariants(fib).k0_pointed,
         h=h, h3=h3, data=data, data3=data3,
         witness=cl.CoeWitness(h, data, h, data),
         path=path)
@@ -140,7 +139,6 @@ CASES = {
     "shifts.higher_block": lambda c, lim: sh.higher_block(c.fib, 1, lim),
     "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(c.fib, lim),
     "shifts.load_matrix_file": lambda c, lim: sh.load_matrix_file(c.path, lim),
-    "linalg.pointed_iso": lambda c, lim: la.pointed_iso(c.k0, c.k0, lim),
     "cohomology.LocallyConstantFunction.value_on_word":
         lambda c, lim: c.f2.value_on_word((1, 0), lim),
     "cohomology.LocallyConstantFunction.value_at_point":
@@ -180,10 +178,6 @@ CASES = {
     "actions.phase_on_word": lambda c, lim: act.phase_on_word(c.a, (0, 1), lim),
     "actions.evaluate_phase":
         lambda c, lim: act.evaluate_phase(c.a, (0, 1), Fraction(1, 7), c.x, lim),
-    "transducers.default_delay_bound":
-        lambda c, lim: tr.default_delay_bound(c.h, c.h, lim),
-    "transducers.equivalent_maps":
-        lambda c, lim: tr.equivalent_maps(c.h, c.h, None, lim),
     "transducers.conjugacy_data": lambda c, lim: tr.conjugacy_data(c.full3, lim),
     "transducers.shifted_image":
         lambda c, lim: tr.shifted_image(c.h, c.amount, 0, lim),
@@ -203,7 +197,6 @@ CASES = {
     "moves.psi": lambda c, lim: mv.psi(c.ee, c.gb, lim),
     "moves.sse_search":
         lambda c, lim: mv.sse_search(((2,),), ((1, 1), (1, 1)), 2, 1, 1, lim),
-    "classify.coe_verdict": lambda c, lim: cl.coe_verdict(c.fib, c.fib, lim),
     "classify.consistency_check":
         lambda c, lim: cl.consistency_check(c.fib, c.fib, c.witness, lim),
     "randgen.random_irreducible":
@@ -216,12 +209,10 @@ CASES = {
         lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim),
 }
 
-# Calls that build no word table (they read other caps, or none).
+# Calls that build no word table (they read the vertex cap only).
 NO_TABLE = {
     "shifts.validate", "shifts.to_edge_form", "shifts.load_matrix_file",
-    "linalg.pointed_iso", "transducers.default_delay_bound",
-    "transducers.equivalent_maps", "moves.elementary", "moves.sse_search",
-    "classify.coe_verdict", "randgen.random_irreducible",
+    "moves.elementary", "moves.sse_search", "randgen.random_irreducible",
     "randgen.random_edge_presentation", "randgen.random_elementary",
 }
 
@@ -299,11 +290,13 @@ def _resolvers() -> set[str]:
 
 def test_limits_resolved_only_where_a_cap_is_read():
     """Everything else passes its limits on; see the config docstring."""
-    readers = {"shifts.words", "shifts.validate", "linalg.pointed_iso",
-               "moves.sse_search", "transducers.default_delay_bound",
-               "transducers.verify_orbit_relation"}
     outside_config = {q for q in _resolvers() if not q.startswith("config.")}
-    assert outside_config == readers | {"cli.run"}
+    assert outside_config == {"shifts.words", "shifts.validate", "cli.run"}
+
+
+def test_limits_holds_only_the_input_size_caps():
+    """Search and check bounds are constants at their reader, not knobs."""
+    assert [f.name for f in dataclasses.fields(Limits)] == ["max_vertices", "max_words"]
 
 
 _REFUSED_BY_CAP = """
@@ -323,6 +316,11 @@ try:
     mv.elementary(((1, 1),), ((1,), (1,)), lim)
 except EnvelopeExceeded:
     print("elementary")
+try:
+    mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=Limits(max_vertices=1))
+except EnvelopeExceeded as exc:
+    assert "supported maximum is 1" in str(exc), exc
+    print("sse_search")
 """
 
 
@@ -335,7 +333,8 @@ def test_refusing_cap_propagates():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["random_irreducible", "random_edge_presentation",
-                                   "random_elementary", "elementary"]
+                                   "random_elementary", "elementary",
+                                   "sse_search"]
 
 
 # --------------------------------------------------------------------- CLI
