@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology as coh
-from .config import Limits
 from .errors import Inadmissible, PresentationMismatch, RationalNotSupported
 from .shifts import EventuallyPeriodicPoint, SftPresentation, Word
 
@@ -45,37 +44,34 @@ def trivial_action(p: SftPresentation) -> CircleAction:
     return CircleAction(p, coh.zero(p))
 
 
-def compose(a: CircleAction, b: CircleAction,
-            limits: Limits | None = None) -> CircleAction:
+def compose(a: CircleAction, b: CircleAction) -> CircleAction:
     """Pointwise composition of the two actions; classifiers add."""
     if a.presentation != b.presentation:
         raise PresentationMismatch("actions live on different presentations")
-    return CircleAction(a.presentation, coh.add(a.classifier, b.classifier, limits))
+    return CircleAction(a.presentation, coh.add(a.classifier, b.classifier))
 
 
 def inverse(a: CircleAction) -> CircleAction:
     return CircleAction(a.presentation, coh.negate(a.classifier))
 
 
-def equivalent(a: CircleAction, b: CircleAction,
-               limits: Limits | None = None) -> coh.CoboundaryResult:
+def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:
     """Unitary equivalence of the two actions: are the classifiers
     cohomologous?  The witness potential generates the intertwining
     one-parameter unitary family; it is oriented so that its coboundary is
     the second classifier minus the first."""
     if a.presentation != b.presentation:
         raise PresentationMismatch("actions live on different presentations")
-    return coh.class_equal(b.classifier, a.classifier, limits)
+    return coh.class_equal(b.classifier, a.classifier)
 
 
-def class_nonnegative(a: CircleAction,
-                      limits: Limits | None = None) -> coh.PositivityResult:
+def class_nonnegative(a: CircleAction) -> coh.PositivityResult:
     """Order relation against the trivial action."""
-    return coh.class_is_nonnegative(a.classifier, limits)
+    return coh.class_is_nonnegative(a.classifier)
 
 
-def is_order_unit(a: CircleAction, limits: Limits | None = None) -> bool:
-    return coh.order_unit_check(a.classifier, limits)
+def is_order_unit(a: CircleAction) -> bool:
+    return coh.order_unit_check(a.classifier)
 
 
 @dataclass(frozen=True)
@@ -87,16 +83,14 @@ class PhaseExponent:
     exponent: coh.LocallyConstantFunction
 
 
-def phase_on_word(a: CircleAction, mu: Word,
-                  limits: Limits | None = None) -> PhaseExponent:
+def phase_on_word(a: CircleAction, mu: Word) -> PhaseExponent:
     a.presentation.check_admissible(tuple(mu))
     return PhaseExponent(tuple(mu),
-                         coh.partial_sum(a.classifier, len(mu), limits))
+                         coh.partial_sum(a.classifier, len(mu)))
 
 
 def evaluate_phase(a: CircleAction, mu: Word, t: Fraction,
-                   x: EventuallyPeriodicPoint,
-                   limits: Limits | None = None) -> Fraction:
+                   x: EventuallyPeriodicPoint) -> Fraction:
     """Exact phase in [0, 1) by which the generator of mu is rotated at the
     point mu.x, for a rational circle parameter t."""
     p = a.presentation
@@ -113,5 +107,5 @@ def evaluate_phase(a: CircleAction, mu: Word, t: Fraction,
             f"word {p.word_label(mu)} cannot precede the point {x.label()}")
     if not p.is_admissible(stream):
         raise Inadmissible("concatenated word-point stream is not admissible")
-    total = coh.window_sums(f, [(stream, n)], limits)[0]
+    total = coh.window_sums(f, [(stream, n)])[0]
     return (Fraction(t) * total) % 1

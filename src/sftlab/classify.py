@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import cohomology as coh
 from . import transducers as tr
-from .config import Limits
 from .errors import (
     ContradictionDetected,
     InsufficientLookahead,
@@ -151,7 +150,7 @@ class ConsistencyReport:
 
 
 def _check_witness(pa: SftPresentation, pb: SftPresentation,
-                   witness: CoeWitness, limits: Limits) -> None:
+                   witness: CoeWitness) -> None:
     fwd, bwd = witness.forward, witness.backward
     if fwd.domain != pa or fwd.codomain != pb:
         raise PresentationMismatch("forward witness does not map A to B")
@@ -159,7 +158,7 @@ def _check_witness(pa: SftPresentation, pb: SftPresentation,
         raise PresentationMismatch("backward witness does not map B to A")
     for machine, data, name in ((fwd, witness.forward_data, "forward"),
                                 (bwd, witness.backward_data, "backward")):
-        rel = tr.verify_orbit_relation(machine, data, limits)
+        rel = tr.verify_orbit_relation(machine, data)
         if not rel.holds:
             raise InvalidResult(
                 f"{name} witness violates its orbit relation on "
@@ -178,8 +177,7 @@ def _check_witness(pa: SftPresentation, pb: SftPresentation,
 
 
 def consistency_check(pa: SftPresentation, pb: SftPresentation,
-                      witness: CoeWitness | None = None,
-                      limits: Limits | None = None) -> ConsistencyReport:
+                      witness: CoeWitness | None = None) -> ConsistencyReport:
     """Cross-validate the invariant verdict against an explicit witness.
 
     A witness is accepted only if its orbit relations verify and the two
@@ -188,16 +186,16 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
     verdict = coe_verdict(pa, pb)
     if witness is None:
         return ConsistencyReport(verdict, False, None, None, None, None)
-    _check_witness(pa, pb, witness, limits)
+    _check_witness(pa, pb, witness)
     if verdict.verdict == "no":
         raise ContradictionDetected(
             "verified orbit-equivalence witness against a 'no' verdict: "
             + verdict.reason)
-    unit_a, unit_b = coh.unit(pa, limits), coh.unit(pb, limits)
-    c1_fwd = tr.transfer_psi(witness.forward, witness.forward_data, unit_b, limits)
-    c1_bwd = tr.transfer_psi(witness.backward, witness.backward_data, unit_a, limits)
-    eventual = (coh.subtract(c1_fwd, unit_a, limits).is_zero()
-                and coh.subtract(c1_bwd, unit_b, limits).is_zero())
-    strong = (coh.class_equal(c1_fwd, unit_a, limits).is_coboundary
-              and coh.class_equal(c1_bwd, unit_b, limits).is_coboundary)
+    unit_a, unit_b = coh.unit(pa), coh.unit(pb)
+    c1_fwd = tr.transfer_psi(witness.forward, witness.forward_data, unit_b)
+    c1_bwd = tr.transfer_psi(witness.backward, witness.backward_data, unit_a)
+    eventual = (coh.subtract(c1_fwd, unit_a).is_zero()
+                and coh.subtract(c1_bwd, unit_b).is_zero())
+    strong = (coh.class_equal(c1_fwd, unit_a).is_coboundary
+              and coh.class_equal(c1_bwd, unit_b).is_coboundary)
     return ConsistencyReport(verdict, True, c1_fwd, c1_bwd, eventual, strong)

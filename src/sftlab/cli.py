@@ -26,9 +26,10 @@ from .errors import ContradictionDetected, FormatError, SftError
 from .linalg import smith
 from .shifts import (
     SftPresentation,
+    load_matrix_file,
     parse_matrix_text,
     parse_point,
-    validate,
+    read_text,
     words,
 )
 
@@ -58,32 +59,22 @@ class Report:
                           indent=2) + "\n"
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
-
-
 def _load_presentation(path: str, limits) -> tuple[str, SftPresentation]:
-    kind, rows = parse_matrix_text(_read_text(path))
-    if kind == "rect":
-        raise FormatError(f"{path}: rectangular matrices cannot present a shift")
-    return Path(path).stem, validate(rows, kind, None, limits)
+    return Path(path).stem, load_matrix_file(path, limits)
 
 
 def _load_rect(path: str) -> tuple:
-    _kind, rows = parse_matrix_text(_read_text(path))
+    _kind, rows = parse_matrix_text(read_text(path))
     return rows
 
 
-def _load_function(path: str, p: SftPresentation, matrix_id, limits):
-    return coh.parse_function_text(_read_text(path), p, matrix_id, limits)
+def _load_function(path: str, p: SftPresentation, matrix_id):
+    return coh.parse_function_text(read_text(path), p, matrix_id)
 
 
 def _load_transducer(path: str, dom: SftPresentation, cod: SftPresentation,
                      dom_id, cod_id):
-    return tr.parse_transducer_text(_read_text(path), dom, cod, dom_id, cod_id)
+    return tr.parse_transducer_text(read_text(path), dom, cod, dom_id, cod_id)
 
 
 def _function_text(f, matrix_id: str) -> str:
@@ -133,7 +124,7 @@ def cmd_words(args, limits) -> Report:
     name, p = _load_presentation(args.matrix, limits)
     if args.k < 0:
         raise FormatError(f"word length must be nonnegative, got {args.k}")
-    ws = words(p, args.k, limits)
+    ws = words(p, args.k)
     rep = Report()
     rep.add("matrix", name)
     rep.add("k", args.k)
@@ -198,14 +189,14 @@ def cmd_cohom(args, limits) -> Report:
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "class-equal":
-        f = _load_function(args.f, p, name, limits)
-        g = _load_function(args.g, p, name, limits)
-        diff = coh.subtract(f, g, limits)
-        res = coh.class_is_zero(diff, limits)
+        f = _load_function(args.f, p, name)
+        g = _load_function(args.g, p, name)
+        diff = coh.subtract(f, g)
+        res = coh.class_is_zero(diff)
         _add_coboundary(rep, res, diff, "class-equal", name)
     elif args.mode == "positive":
-        f = _load_function(args.f, p, name, limits)
-        res = coh.class_is_nonnegative(f, limits)
+        f = _load_function(args.f, p, name)
+        res = coh.class_is_nonnegative(f)
         if res.nonnegative:
             rep.add("class-nonnegative", "yes")
             rep.add("representative", _function_text(res.representative, name))
@@ -215,10 +206,10 @@ def cmd_cohom(args, limits) -> Report:
             rep.add("cycle", p.word_label(res.cycle))
             rep.add("cycle-orbit-sum", coh.orbit_sum(f, res.cycle))
     else:
-        f = _load_function(args.f, p, name, limits)
+        f = _load_function(args.f, p, name)
         cycle = p.parse_word(args.cycle)
         rep.add("cycle", p.word_label(cycle))
-        rep.add("orbit-sum", coh.orbit_sum(f, cycle, limits))
+        rep.add("orbit-sum", coh.orbit_sum(f, cycle))
     return rep
 
 
@@ -227,31 +218,31 @@ def cmd_action(args, limits) -> Report:
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "compose":
-        a = actions.action(_load_function(args.f, p, name, limits))
-        b = actions.action(_load_function(args.g, p, name, limits))
+        a = actions.action(_load_function(args.f, p, name))
+        b = actions.action(_load_function(args.g, p, name))
         out = actions.compose(a, b)
         rep.add("classifier", _function_text(out.classifier, name))
     elif args.mode == "equivalent":
-        a = actions.action(_load_function(args.f, p, name, limits))
-        b = actions.action(_load_function(args.g, p, name, limits))
-        res = actions.equivalent(a, b, limits)
-        diff = coh.subtract(a.classifier, b.classifier, limits)
+        a = actions.action(_load_function(args.f, p, name))
+        b = actions.action(_load_function(args.g, p, name))
+        res = actions.equivalent(a, b)
+        diff = coh.subtract(a.classifier, b.classifier)
         _add_coboundary(rep, res, diff, "equivalent", name)
     elif args.mode == "positive":
-        a = actions.action(_load_function(args.f, p, name, limits))
-        res = actions.class_nonnegative(a, limits)
+        a = actions.action(_load_function(args.f, p, name))
+        res = actions.class_nonnegative(a)
         rep.add("class-nonnegative", "yes" if res.nonnegative else "no")
         if res.nonnegative:
             rep.add("representative", _function_text(res.representative, name))
         else:
             rep.add("cycle", p.word_label(res.cycle))
     else:
-        a = actions.action(_load_function(args.f, p, name, limits))
+        a = actions.action(_load_function(args.f, p, name))
         mu = p.parse_word(args.word)
         t = coh.parse_value(args.t, coh.RING_RAT)
         x = parse_point(p, args.point)
-        exponent = actions.phase_on_word(a, mu, limits)
-        value = actions.evaluate_phase(a, mu, t, x, limits)
+        exponent = actions.phase_on_word(a, mu)
+        value = actions.evaluate_phase(a, mu, t, x)
         rep.add("word", p.word_label(mu))
         rep.add("t", t)
         rep.add("point", x.label())
@@ -292,9 +283,9 @@ def cmd_transducer(args, limits) -> Report:
         cod_id, cod = _load_presentation(args.codomain, limits)
         machine = _load_transducer(args.machine, dom, cod, dom_id, cod_id)
         data = tr.OrbitData(
-            k1=_load_function(args.k1, dom, dom_id, limits),
-            l1=_load_function(args.l1, dom, dom_id, limits))
-        res = tr.verify_orbit_relation(machine, data, limits)
+            k1=_load_function(args.k1, dom, dom_id),
+            l1=_load_function(args.l1, dom, dom_id))
+        res = tr.verify_orbit_relation(machine, data)
         rep.add("orbit-relation", "holds" if res.holds else "fails")
         if res.witness is not None:
             rep.add("witness", dom.word_label(res.witness))
@@ -305,10 +296,10 @@ def cmd_transducer(args, limits) -> Report:
         cod_id, cod = _load_presentation(args.codomain, limits)
         machine = _load_transducer(args.machine, dom, cod, dom_id, cod_id)
         data = tr.OrbitData(
-            k1=_load_function(args.k1, dom, dom_id, limits),
-            l1=_load_function(args.l1, dom, dom_id, limits))
-        f = _load_function(args.function, cod, cod_id, limits)
-        out = tr.transfer_psi(machine, data, f, limits)
+            k1=_load_function(args.k1, dom, dom_id),
+            l1=_load_function(args.l1, dom, dom_id))
+        f = _load_function(args.function, cod, cod_id)
+        out = tr.transfer_psi(machine, data, f)
         rep.add("transfer", _function_text(out, dom_id))
     return rep
 
@@ -323,7 +314,7 @@ def _resolve_vertex(p: SftPresentation, label: str | None) -> int:
 
 def cmd_expand(args, limits) -> Report:
     name, p = _load_presentation(args.matrix, limits)
-    e = moves.expand(p, _resolve_vertex(p, args.vertex), limits)
+    e = moves.expand(p, _resolve_vertex(p, args.vertex))
     exp_id = f"{name}.expanded"
     rep = Report()
     rep.add("matrix", name)
@@ -362,23 +353,23 @@ def cmd_transfer(args, limits) -> Report:
         d = _load_rect(args.d_file)
         ee = moves.elementary(c, d, limits)
         if args.mode == "phi":
-            f = _load_function(args.function, ee.a, None, limits)
-            out = moves.phi(ee, f, limits)
+            f = _load_function(args.function, ee.a, None)
+            out = moves.phi(ee, f)
             rep.add("transfer", _function_text(out, "B"))
         else:
-            g = _load_function(args.function, ee.b, None, limits)
-            out = moves.psi(ee, g, limits)
+            g = _load_function(args.function, ee.b, None)
+            out = moves.psi(ee, g)
             rep.add("transfer", _function_text(out, "A"))
     else:
         name, p = _load_presentation(args.matrix, limits)
-        e = moves.expand(p, _resolve_vertex(p, args.vertex), limits)
+        e = moves.expand(p, _resolve_vertex(p, args.vertex))
         if args.mode == "psi-xi":
-            f = _load_function(args.function, e.expanded, None, limits)
-            out = moves.psi_xi(e, f, limits)
+            f = _load_function(args.function, e.expanded, None)
+            out = moves.psi_xi(e, f)
             rep.add("transfer", _function_text(out, name))
         else:
-            f = _load_function(args.function, p, name, limits)
-            out = moves.psi_eta(e, f, limits)
+            f = _load_function(args.function, p, name)
+            out = moves.psi_eta(e, f)
             rep.add("transfer", _function_text(out, f"{name}.expanded"))
     return rep
 

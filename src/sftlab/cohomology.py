@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Limits
 from .errors import (
     FormatError,
     MismatchedInput,
@@ -54,14 +53,14 @@ class LocallyConstantFunction:
     table: tuple
     ring: str
 
-    def value_on_word(self, w: Word, limits: Limits | None = None):
+    def value_on_word(self, w: Word):
         """Value on the cylinder of any admissible word extending w[:depth]."""
-        return window_sums(self, [(tuple(w), 1)], limits)[0]
+        return window_sums(self, [(tuple(w), 1)])[0]
 
-    def value_at_point(self, x, limits: Limits | None = None) -> int | Fraction:
+    def value_at_point(self, x) -> int | Fraction:
         if x.presentation != self.presentation:
             raise PresentationMismatch("point lives on a different presentation")
-        return self.value_on_word(x.prefix(self.depth), limits)
+        return self.value_on_word(x.prefix(self.depth))
 
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.table)
@@ -83,8 +82,8 @@ def _coerce(value, ring: str):
     return Fraction(value)
 
 
-def function(p: SftPresentation, depth: int, values, ring: str = RING_INT,
-             limits: Limits | None = None) -> LocallyConstantFunction:
+def function(p: SftPresentation, depth: int, values,
+             ring: str = RING_INT) -> LocallyConstantFunction:
     """Build and normalize a locally constant function from a value table
     aligned with words(p, depth)."""
     if ring not in (RING_INT, RING_RAT):
@@ -94,23 +93,22 @@ def function(p: SftPresentation, depth: int, values, ring: str = RING_INT,
     table = tuple(values)
     if ring != RING_INT or any(type(v) is not int for v in table):
         table = tuple(_coerce(v, ring) for v in table)
-    expected = len(words(p, depth, limits))
+    expected = len(words(p, depth))
     if len(table) != expected:
         raise MismatchedInput(
             f"table has {len(table)} entries, B_{depth} has {expected}")
-    depth, table = _normalize(p, depth, table, limits)
+    depth, table = _normalize(p, depth, table)
     return LocallyConstantFunction(p, depth, table, ring)
 
 
-def _normalize(p: SftPresentation, depth: int, table: tuple,
-               limits: Limits | None) -> tuple[int, tuple]:
+def _normalize(p: SftPresentation, depth: int, table: tuple) -> tuple[int, tuple]:
     """Reduce the depth while the value depends only on a proper prefix."""
     while depth > 1:
-        shorter = words(p, depth - 1, limits)
-        sidx = word_index(p, depth - 1, limits)
+        shorter = words(p, depth - 1)
+        sidx = word_index(p, depth - 1)
         candidate: list = [None] * len(shorter)
         ok = True
-        for w, v in zip(words(p, depth, limits), table):
+        for w, v in zip(words(p, depth), table):
             i = sidx[w[:-1]]
             if candidate[i] is None:
                 candidate[i] = v
@@ -124,27 +122,26 @@ def _normalize(p: SftPresentation, depth: int, table: tuple,
     return depth, table
 
 
-def constant(p: SftPresentation, value, ring: str = RING_INT,
-             limits: Limits | None = None) -> LocallyConstantFunction:
-    return function(p, 1, [value] * p.alphabet_size, ring, limits)
+def constant(p: SftPresentation, value,
+             ring: str = RING_INT) -> LocallyConstantFunction:
+    return function(p, 1, [value] * p.alphabet_size, ring)
 
 
-def unit(p: SftPresentation, limits: Limits | None = None) -> LocallyConstantFunction:
+def unit(p: SftPresentation) -> LocallyConstantFunction:
     """The constant function 1; its class is the order unit of interest."""
-    return constant(p, 1, RING_INT, limits)
+    return constant(p, 1, RING_INT)
 
 
-def zero(p: SftPresentation, limits: Limits | None = None) -> LocallyConstantFunction:
-    return constant(p, 0, RING_INT, limits)
+def zero(p: SftPresentation) -> LocallyConstantFunction:
+    return constant(p, 0, RING_INT)
 
 
-def indicator(p: SftPresentation, word: Word,
-              limits: Limits | None = None) -> LocallyConstantFunction:
+def indicator(p: SftPresentation, word: Word) -> LocallyConstantFunction:
     """Indicator of the cylinder set of the given admissible word."""
     p.check_admissible(tuple(word))
     k = max(1, len(word))
-    table = [1 if w[: len(word)] == tuple(word) else 0 for w in words(p, k, limits)]
-    return function(p, k, table, RING_INT, limits)
+    table = [1 if w[: len(word)] == tuple(word) else 0 for w in words(p, k)]
+    return function(p, k, table, RING_INT)
 
 
 def _common(f: LocallyConstantFunction, g: LocallyConstantFunction):
@@ -155,39 +152,38 @@ def _common(f: LocallyConstantFunction, g: LocallyConstantFunction):
     return depth, ring
 
 
-def lift_table(f: LocallyConstantFunction, depth: int,
-               limits: Limits | None = None) -> tuple:
+def lift_table(f: LocallyConstantFunction, depth: int) -> tuple:
     """Value table of f at a (possibly) larger depth."""
     if depth == f.depth:
         return f.table
     assert depth > f.depth
-    idx = word_index(f.presentation, f.depth, limits)
+    idx = word_index(f.presentation, f.depth)
     return tuple(f.table[idx[w[: f.depth]]]
-                 for w in words(f.presentation, depth, limits))
+                 for w in words(f.presentation, depth))
 
 
-def _pointwise(op, f: LocallyConstantFunction, g: LocallyConstantFunction,
-               limits: Limits | None) -> LocallyConstantFunction:
+def _pointwise(op, f: LocallyConstantFunction,
+               g: LocallyConstantFunction) -> LocallyConstantFunction:
     depth, ring = _common(f, g)
-    ft, gt = lift_table(f, depth, limits), lift_table(g, depth, limits)
-    return function(f.presentation, depth, list(map(op, ft, gt)), ring, limits)
+    ft, gt = lift_table(f, depth), lift_table(g, depth)
+    return function(f.presentation, depth, list(map(op, ft, gt)), ring)
 
 
-def add(f: LocallyConstantFunction, g: LocallyConstantFunction,
-        limits: Limits | None = None) -> LocallyConstantFunction:
-    return _pointwise(operator.add, f, g, limits)
+def add(f: LocallyConstantFunction,
+        g: LocallyConstantFunction) -> LocallyConstantFunction:
+    return _pointwise(operator.add, f, g)
 
 
-def subtract(f: LocallyConstantFunction, g: LocallyConstantFunction,
-             limits: Limits | None = None) -> LocallyConstantFunction:
-    return _pointwise(operator.sub, f, g, limits)
+def subtract(f: LocallyConstantFunction,
+             g: LocallyConstantFunction) -> LocallyConstantFunction:
+    return _pointwise(operator.sub, f, g)
 
 
-def multiply(f: LocallyConstantFunction, g: LocallyConstantFunction,
-             limits: Limits | None = None) -> LocallyConstantFunction:
+def multiply(f: LocallyConstantFunction,
+             g: LocallyConstantFunction) -> LocallyConstantFunction:
     """Pointwise product; cuts a function to a cylinder when g is an
     indicator."""
-    return _pointwise(operator.mul, f, g, limits)
+    return _pointwise(operator.mul, f, g)
 
 
 def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
@@ -195,34 +191,30 @@ def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
                                    tuple(-v for v in f.table), f.ring)
 
 
-def scale(f: LocallyConstantFunction, c,
-          limits: Limits | None = None) -> LocallyConstantFunction:
+def scale(f: LocallyConstantFunction, c) -> LocallyConstantFunction:
     if isinstance(c, Fraction) and c.denominator != 1:
         ring = RING_RAT
     else:
         ring = f.ring
         c = int(c) if ring == RING_INT else Fraction(c)
-    return function(f.presentation, f.depth, [c * v for v in f.table], ring,
-                    limits)
+    return function(f.presentation, f.depth, [c * v for v in f.table], ring)
 
 
-def pullback_sigma(f: LocallyConstantFunction,
-                   limits: Limits | None = None) -> LocallyConstantFunction:
+def pullback_sigma(f: LocallyConstantFunction) -> LocallyConstantFunction:
     """f composed with the shift map; raises the depth by one."""
     p = f.presentation
-    idx = word_index(p, f.depth, limits)
-    table = [f.table[idx[w[1:]]] for w in words(p, f.depth + 1, limits)]
-    return function(p, f.depth + 1, table, f.ring, limits)
+    idx = word_index(p, f.depth)
+    table = [f.table[idx[w[1:]]] for w in words(p, f.depth + 1)]
+    return function(p, f.depth + 1, table, f.ring)
 
 
-def window_sums(f: LocallyConstantFunction, streams,
-                limits: Limits | None = None) -> list:
+def window_sums(f: LocallyConstantFunction, streams) -> list:
     """The transfer kernel: for each (stream, n), the sum of f over the
     first n windows stream[i:i+depth], i < n.  Streams are tuples of
     symbols; n = 0 gives 0.  A window that is short or inadmissible raises
     MismatchedInput."""
     k, table = f.depth, f.table
-    index = word_index(f.presentation, k, limits)
+    index = word_index(f.presentation, k)
     sums = []
     for stream, n in streams:
         try:
@@ -237,29 +229,25 @@ def window_sums(f: LocallyConstantFunction, streams,
     return sums
 
 
-def partial_sum(f: LocallyConstantFunction, n: int,
-                limits: Limits | None = None) -> LocallyConstantFunction:
+def partial_sum(f: LocallyConstantFunction, n: int) -> LocallyConstantFunction:
     """Sum of f over the first n shift iterates (the n-step cocycle)."""
     if n < 0:
         raise ValueError("partial sums need n >= 0")
     p = f.presentation
     if f.depth == 1 and len(set(f.table)) == 1:
         # n times a constant needs no word table beyond B_1, however large n
-        return constant(p, n * f.table[0], f.ring, limits)
+        return constant(p, n * f.table[0], f.ring)
     depth = max(f.depth + n - 1, 1)
-    ws = words(p, depth, limits)
-    return function(p, depth, window_sums(f, ((w, n) for w in ws), limits),
-                    f.ring, limits)
+    ws = words(p, depth)
+    return function(p, depth, window_sums(f, ((w, n) for w in ws)), f.ring)
 
 
-def coboundary(b: LocallyConstantFunction,
-               limits: Limits | None = None) -> LocallyConstantFunction:
+def coboundary(b: LocallyConstantFunction) -> LocallyConstantFunction:
     """b - b(shift .); always a function of zero class."""
-    return subtract(b, pullback_sigma(b, limits), limits)
+    return subtract(b, pullback_sigma(b))
 
 
-def orbit_sum(f: LocallyConstantFunction, cycle: Word,
-              limits: Limits | None = None):
+def orbit_sum(f: LocallyConstantFunction, cycle: Word):
     """Sum of f along the periodic orbit of the cyclically admissible word."""
     p = f.presentation
     cyc = tuple(cycle)
@@ -271,7 +259,7 @@ def orbit_sum(f: LocallyConstantFunction, cycle: Word,
     reps = 1
     while reps * len(cyc) < len(cyc) + f.depth:
         reps += 1
-    return window_sums(f, [(cyc * reps, len(cyc))], limits)[0]
+    return window_sums(f, [(cyc * reps, len(cyc))])[0]
 
 
 # ------------------------------------------------------ the potential graph
@@ -289,12 +277,11 @@ class PotentialGraph:
     targets: tuple[int, ...]
 
 
-def potential_graph(p: SftPresentation, depth: int,
-                    limits: Limits | None = None) -> PotentialGraph:
+def potential_graph(p: SftPresentation, depth: int) -> PotentialGraph:
     d = max(depth, 2)
-    verts = words(p, d - 1, limits)
-    vidx = word_index(p, d - 1, limits)
-    edges = words(p, d, limits)
+    verts = words(p, d - 1)
+    vidx = word_index(p, d - 1)
+    edges = words(p, d)
     return PotentialGraph(
         presentation=p, depth=d, vertex_words=verts, edge_words=edges,
         sources=tuple(vidx[w[:-1]] for w in edges),
@@ -353,14 +340,13 @@ class CoboundaryResult:
         return self.is_coboundary
 
 
-def class_is_zero(f: LocallyConstantFunction,
-                  limits: Limits | None = None) -> CoboundaryResult:
+def class_is_zero(f: LocallyConstantFunction) -> CoboundaryResult:
     """Zero-class test.  A witness potential b of depth d-1 is rebuilt from a
     spanning arborescence and re-verified; failure yields an explicit cycle
     with nonzero orbit sum (found by negative-cycle detection on f and -f)."""
     p = f.presentation
-    graph = potential_graph(p, f.depth, limits)
-    table = lift_table(f, graph.depth, limits)
+    graph = potential_graph(p, f.depth)
+    table = lift_table(f, graph.depth)
     nverts = len(graph.vertex_words)
 
     out_edges: list[list[int]] = [[] for _ in range(nverts)]
@@ -386,9 +372,9 @@ def class_is_zero(f: LocallyConstantFunction,
         table[ei] == b[graph.sources[ei]] - b[graph.targets[ei]]
         for ei in range(len(graph.edge_words)))
     if consistent:
-        witness = function(p, graph.depth - 1, b, f.ring, limits)
-        check = coboundary(witness, limits)
-        diff = subtract(check, f, limits)
+        witness = function(p, graph.depth - 1, b, f.ring)
+        check = coboundary(witness)
+        diff = subtract(check, f)
         assert diff.is_zero(), "is_coboundary: witness failed re-verification"
         return CoboundaryResult(True, witness, None)
 
@@ -398,14 +384,14 @@ def class_is_zero(f: LocallyConstantFunction,
         cyc, _ = _bellman_ford(nverts, graph.sources, graph.targets, neg)
     assert cyc is not None, "inconsistent potential but no signed cycle found"
     word = _cycle_word(graph, cyc)
-    assert orbit_sum(f, word, limits) != 0
+    assert orbit_sum(f, word) != 0
     return CoboundaryResult(False, None, word)
 
 
-def class_equal(f: LocallyConstantFunction, g: LocallyConstantFunction,
-                 limits: Limits | None = None) -> CoboundaryResult:
+def class_equal(f: LocallyConstantFunction,
+                g: LocallyConstantFunction) -> CoboundaryResult:
     """Class equality: is f - g a coboundary?"""
-    return class_is_zero(subtract(f, g, limits), limits)
+    return class_is_zero(subtract(f, g))
 
 
 @dataclass(frozen=True)
@@ -423,8 +409,7 @@ class PositivityResult:
         return self.nonnegative
 
 
-def class_is_nonnegative(f: LocallyConstantFunction,
-                               limits: Limits | None = None) -> PositivityResult:
+def class_is_nonnegative(f: LocallyConstantFunction) -> PositivityResult:
     """Decide whether the class of f contains a pointwise nonnegative function.
 
     Difference constraints b(target) - b(source) <= f(edge) on the potential
@@ -433,28 +418,27 @@ def class_is_nonnegative(f: LocallyConstantFunction,
     if f.ring != RING_INT:
         raise RationalNotSupported("positivity is decided over integer values")
     p = f.presentation
-    graph = potential_graph(p, f.depth, limits)
-    table = lift_table(f, graph.depth, limits)
+    graph = potential_graph(p, f.depth)
+    table = lift_table(f, graph.depth)
     nverts = len(graph.vertex_words)
 
     cyc, dist = _bellman_ford(nverts, graph.sources, graph.targets, table)
     if cyc is not None:
         word = _cycle_word(graph, cyc)
-        assert orbit_sum(f, word, limits) < 0
+        assert orbit_sum(f, word) < 0
         return PositivityResult(False, None, None, word)
 
     rep_table = [table[ei] + dist[graph.sources[ei]] - dist[graph.targets[ei]]
                  for ei in range(len(graph.edge_words))]
     assert all(v >= 0 for v in rep_table)
-    potential = function(p, graph.depth - 1, dist, RING_INT, limits)
-    rep = function(p, graph.depth, rep_table, RING_INT, limits)
-    check = subtract(rep, add(f, coboundary(potential, limits), limits), limits)
+    potential = function(p, graph.depth - 1, dist, RING_INT)
+    rep = function(p, graph.depth, rep_table, RING_INT)
+    check = subtract(rep, add(f, coboundary(potential)))
     assert check.is_zero(), "nonnegative representative is not cohomologous to f"
     return PositivityResult(True, rep, potential, None)
 
 
-def order_unit_check(f: LocallyConstantFunction,
-                     limits: Limits | None = None) -> bool:
+def order_unit_check(f: LocallyConstantFunction) -> bool:
     """Order-unit test: every periodic orbit sum of f is strictly positive.
 
     Decided exactly in two stages: no negative cycle (shortest-path
@@ -464,8 +448,8 @@ def order_unit_check(f: LocallyConstantFunction,
     cycle in that edge subset."""
     if f.ring != RING_INT:
         raise RationalNotSupported("order unit test needs integer values")
-    graph = potential_graph(f.presentation, f.depth, limits)
-    table = lift_table(f, graph.depth, limits)
+    graph = potential_graph(f.presentation, f.depth)
+    table = lift_table(f, graph.depth)
     nverts = len(graph.vertex_words)
     cyc, dist = _bellman_ford(nverts, graph.sources, graph.targets, table)
     if cyc is not None:
@@ -489,8 +473,7 @@ def parse_value(token: str, ring: str):
 
 
 def parse_function_text(text: str, p: SftPresentation,
-                        matrix_id: str | None = None,
-                        limits: Limits | None = None) -> LocallyConstantFunction:
+                        matrix_id: str | None = None) -> LocallyConstantFunction:
     """Parse the function file format.
 
     Header ``function <matrix-id> depth=<k> ring=<Z|Q>``, then exactly one
@@ -524,7 +507,7 @@ def parse_function_text(text: str, p: SftPresentation,
     if depth < 1:
         raise FormatError("depth must be at least 1")
 
-    expected = words(p, depth, limits)
+    expected = words(p, depth)
     body = lines[1:]
     if len(body) != len(expected):
         raise FormatError(
@@ -539,13 +522,12 @@ def parse_function_text(text: str, p: SftPresentation,
             raise FormatError(
                 f"word {parts[0]!r} out of order; expected {p.word_label(want)}")
         values.append(parse_value(parts[1], ring))
-    return function(p, depth, values, ring, limits)
+    return function(p, depth, values, ring)
 
 
-def format_function_text(f: LocallyConstantFunction, matrix_id: str,
-                         limits: Limits | None = None) -> str:
+def format_function_text(f: LocallyConstantFunction, matrix_id: str) -> str:
     p = f.presentation
     lines = [f"function {matrix_id} depth={f.depth} ring={f.ring}"]
-    for w, v in zip(words(p, f.depth, limits), f.table):
+    for w, v in zip(words(p, f.depth), f.table):
         lines.append(f"{p.word_label(w)} {v}")
     return "\n".join(lines) + "\n"

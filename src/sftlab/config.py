@@ -1,15 +1,16 @@
 """The two input-size caps: vertices of a presentation, words in a table.
 
-Both live in one frozen dataclass so call sites can thread a single object
-through.  The word cap can be overridden with the SFTLAB_MAX_WORDS
+Both live in one frozen dataclass, given where a presentation is built and
+kept on it (``SftPresentation.limits``); presentations derived from it
+inherit them.  The word cap can be overridden with the SFTLAB_MAX_WORDS
 environment variable.  The bounds of the searches and checks (pointed-iso
 budget, SSE attempt budget, delay slack, point-check bounds) are constants
 next to their one reader.
 
-Limits are resolved only where a cap is read (``shifts.words`` and
-``shifts.validate``, plus the CLI once per command); every other function
-passes its ``limits`` on untouched, ``None`` included, so a caller's Limits
-reach both readers.
+Limits are resolved only where a cap is read: ``shifts.validate`` reads the
+vertex cap of the caller's Limits, ``shifts.words`` the word cap of the
+presentation's, and the CLI resolves once per command.  A presentation built
+without Limits (``None``) reads the environment on each word-table request.
 """
 from __future__ import annotations
 

@@ -53,8 +53,8 @@ class Expansion:
     merge_data: OrbitData
 
 
-def expand(p: SftPresentation, vertex: int = 0,
-           limits: Limits | None = None) -> Expansion:
+def expand(p: SftPresentation, vertex: int = 0) -> Expansion:
+    """Expand p at vertex; the expanded presentation inherits the caps of p."""
     if p.kind != "vertex":
         raise NotVertexKind("expansion needs a 0-1 vertex presentation")
     n = p.n_vertices
@@ -71,7 +71,7 @@ def expand(p: SftPresentation, vertex: int = 0,
     while fresh in p.vertex_labels:
         fresh = fresh + "'"
     labels = (fresh,) + p.vertex_labels
-    expanded = validate(tuple(rows), "vertex", labels, limits)
+    expanded = validate(tuple(rows), "vertex", labels, p.limits)
 
     split_rules = []
     for a in range(n):
@@ -84,12 +84,11 @@ def expand(p: SftPresentation, vertex: int = 0,
     merge = make_transducer(expanded, p, merge_rules)
 
     split_data = OrbitData(
-        k1=coh.zero(p, limits),
-        l1=coh.function(p, 1, [2 if a == vertex else 1 for a in range(n)],
-                        limits=limits))
+        k1=coh.zero(p),
+        l1=coh.function(p, 1, [2 if a == vertex else 1 for a in range(n)]))
     merge_data = OrbitData(
-        k1=coh.zero(expanded, limits),
-        l1=coh.function(expanded, 1, [0] + [1] * n, limits=limits))
+        k1=coh.zero(expanded),
+        l1=coh.function(expanded, 1, [0] + [1] * n))
     return Expansion(base=p, expanded=expanded, vertex=vertex,
                      split=split, merge=merge,
                      split_data=split_data, merge_data=merge_data)
@@ -104,22 +103,21 @@ def _split_word(e: Expansion, w: Word) -> Word:
     return tuple(out)
 
 
-def psi_xi(e: Expansion, f_exp: coh.LocallyConstantFunction,
-           limits: Limits | None = None) -> coh.LocallyConstantFunction:
+def psi_xi(e: Expansion,
+           f_exp: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Pull a function on the expanded shift back to the base shift along
     split: value at x is f(split x), plus f(shift(split x)) when x starts
     with the expanded vertex (the split image spends two steps there)."""
     if f_exp.presentation != e.expanded:
         raise PresentationMismatch("function must live on the expanded shift")
-    ws = words(e.base, f_exp.depth, limits)
+    ws = words(e.base, f_exp.depth)
     values = coh.window_sums(
-        f_exp, ((_split_word(e, w), 2 if w[0] == e.vertex else 1) for w in ws),
-        limits)
-    return coh.function(e.base, f_exp.depth, values, f_exp.ring, limits)
+        f_exp, ((_split_word(e, w), 2 if w[0] == e.vertex else 1) for w in ws))
+    return coh.function(e.base, f_exp.depth, values, f_exp.ring)
 
 
-def psi_eta(e: Expansion, f: coh.LocallyConstantFunction,
-            limits: Limits | None = None) -> coh.LocallyConstantFunction:
+def psi_eta(e: Expansion,
+            f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Push a function on the base shift to the expanded shift along merge:
     zero on the cylinder of the new symbol, f(merge x) elsewhere.
 
@@ -128,11 +126,11 @@ def psi_eta(e: Expansion, f: coh.LocallyConstantFunction,
     if f.presentation != e.base:
         raise PresentationMismatch("function must live on the base shift")
     depth = 2 * f.depth - 1
-    ws = words(e.expanded, depth, limits)
+    ws = words(e.expanded, depth)
     values = coh.window_sums(
         f, (((), 0) if w[0] == 0 else (tuple(a - 1 for a in w if a), 1)
-            for w in ws), limits)
-    return coh.function(e.expanded, depth, values, f.ring, limits)
+            for w in ws))
+    return coh.function(e.expanded, depth, values, f.ring)
 
 
 # --------------------------------------------------- elementary equivalence
@@ -240,38 +238,36 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
 
 
 def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
-                   target_pairs, source_index,
-                   limits: Limits | None) -> coh.LocallyConstantFunction:
+                   target_pairs, source_index) -> coh.LocallyConstantFunction:
     """Shared body of phi and psi: split each target edge into its pair of
     factor edges and reassemble the interleaved pairs into source edges, one
     step later."""
     k = f.depth
     streams = []
-    for w in words(target, k + 1, limits):
+    for w in words(target, k + 1):
         pairs = [target_pairs[s] for s in w]
         streams.append((tuple(source_index[(pairs[t][1], pairs[t + 1][0])]
                               for t in range(k)), 1))
-    return coh.function(target, k + 1, coh.window_sums(f, streams, limits),
-                        f.ring, limits)
+    return coh.function(target, k + 1, coh.window_sums(f, streams), f.ring)
 
 
-def phi(ee: ElementaryEquivalence, f: coh.LocallyConstantFunction,
-        limits: Limits | None = None) -> coh.LocallyConstantFunction:
+def phi(ee: ElementaryEquivalence,
+        f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Transfer a function on the edge shift of A = CD to the edge shift of
     B = DC: decompose each B-edge as (D-edge, C-edge) and reassemble the
     interleaved (C-edge, D-edge) pairs into A-edges, one step later."""
     if f.presentation != ee.a:
         raise PresentationMismatch("function must live on the edge shift of CD")
-    return _edge_transfer(f, ee.b, ee.b_pairs, ee.a_pair_index, limits)
+    return _edge_transfer(f, ee.b, ee.b_pairs, ee.a_pair_index)
 
 
-def psi(ee: ElementaryEquivalence, g: coh.LocallyConstantFunction,
-        limits: Limits | None = None) -> coh.LocallyConstantFunction:
+def psi(ee: ElementaryEquivalence,
+        g: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Transfer in the other direction, from the edge shift of B = DC to the
     edge shift of A = CD."""
     if g.presentation != ee.b:
         raise PresentationMismatch("function must live on the edge shift of DC")
-    return _edge_transfer(g, ee.a, ee.a_pairs, ee.b_pair_index, limits)
+    return _edge_transfer(g, ee.a, ee.a_pairs, ee.b_pair_index)
 
 
 # ------------------------------------------------------------- SSE search

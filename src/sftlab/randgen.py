@@ -61,11 +61,11 @@ def random_edge_presentation(rng: random.Random, n_max: int = 4,
 
 
 def random_function(rng: random.Random, p: SftPresentation,
-                    max_depth: int = 3, low: int = -5, high: int = 5,
-                    limits: Limits | None = None) -> coh.LocallyConstantFunction:
+                    max_depth: int = 3, low: int = -5,
+                    high: int = 5) -> coh.LocallyConstantFunction:
     depth = rng.randint(1, max_depth)
-    table = [rng.randint(low, high) for _ in words(p, depth, limits)]
-    return coh.function(p, depth, table, coh.RING_INT, limits)
+    table = [rng.randint(low, high) for _ in words(p, depth)]
+    return coh.function(p, depth, table, coh.RING_INT)
 
 
 def random_elementary(rng: random.Random, outer_max: int = 4,

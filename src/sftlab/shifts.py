@@ -17,13 +17,18 @@ presentation itself, in two dicts keyed by k that ``words`` and
 ``word_index`` fill on demand.  A table lives exactly as long as its
 presentation; equal presentations built separately each hold their own.  A
 missing B_k is built level by level from the longest shorter table already
-cached.  The word cap of the caller's ``Limits`` is checked on every call,
-cached or not.
+cached.  The word cap is checked on every call, cached or not.
+
+A presentation carries the ``Limits`` its builder was given (``None`` when
+none was), and presentations derived from it inherit them.  ``words`` reads
+the word cap there, or from the environment when there is none; the caps
+take no part in equality or hashing.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 from .config import Limits, default_limits
 from .errors import (
@@ -54,6 +59,8 @@ class SftPresentation:
     # spanning in/out trees from vertex 0, recorded by the irreducibility check
     certificate: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False)
+    # the caller's caps, read by ``words``; None reads the environment
+    limits: Limits | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -153,9 +160,10 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
 
     Requirements: square, nonnegative, irreducible, not a permutation matrix;
     vertex kind additionally 0-1.  The irreducibility certificate (spanning
-    in/out trees from vertex 0) is stored on the result.
+    in/out trees from vertex 0) and the caller's ``limits``, None included,
+    are stored on the result.
     """
-    limits = limits or default_limits()
+    max_vertices = (limits or default_limits()).max_vertices
     if kind not in ("vertex", "edge"):
         raise FormatError(f"unknown presentation kind {kind!r}")
     rows = freeze(matrix)
@@ -164,9 +172,9 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
         raise FormatError("empty matrix")
     if any(len(row) != n for row in rows):
         raise FormatError("matrix is not square")
-    if n > limits.max_vertices:
+    if n > max_vertices:
         raise EnvelopeExceeded(
-            f"matrix has {n} vertices, supported maximum is {limits.max_vertices}")
+            f"matrix has {n} vertices, supported maximum is {max_vertices}")
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v < 0:
@@ -223,7 +231,7 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
 
     return SftPresentation(kind=kind, adjacency=rows, vertex_labels=vertex_labels,
                            symbols=symbols, edges=edges,
-                           certificate=tuple(trees))
+                           certificate=tuple(trees), limits=limits)
 
 
 # ------------------------------------------------------------------ counting
@@ -269,22 +277,22 @@ def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
     return table
 
 
-def words(p: SftPresentation, k: int, limits: Limits | None = None) -> tuple[Word, ...]:
+def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
     """All admissible words of length k, in frozen lexicographic order."""
-    limits = limits or default_limits()
+    max_words = (p.limits or default_limits()).max_words
     table = p._word_tables.get(k)
     count = count_words(p, k) if table is None else len(table)
-    if count > limits.max_words:
+    if count > max_words:
         raise EnvelopeExceeded(
-            f"|B_{k}| = {count} exceeds the word cap {limits.max_words}")
+            f"|B_{k}| = {count} exceeds the word cap {max_words}")
     if table is None:
         table = _extend_table(p, k)
     return table
 
 
-def word_index(p: SftPresentation, k: int, limits: Limits | None = None) -> dict[Word, int]:
+def word_index(p: SftPresentation, k: int) -> dict[Word, int]:
     """Position of each word of B_k in ``words(p, k)``; shared, do not mutate."""
-    table = words(p, k, limits)      # envelope check
+    table = words(p, k)      # envelope check
     index = p._word_indexes.get(k)
     if index is None:
         index = p._word_indexes[k] = {w: i for i, w in enumerate(table)}
@@ -367,17 +375,17 @@ def shift_point_by(x: EventuallyPeriodicPoint, n: int) -> EventuallyPeriodicPoin
     return x
 
 
-def enumerate_points(p: SftPresentation, max_preperiod: int, max_period: int,
-                     limits: Limits | None = None) -> list[EventuallyPeriodicPoint]:
+def enumerate_points(p: SftPresentation, max_preperiod: int,
+                     max_period: int) -> list[EventuallyPeriodicPoint]:
     """All canonical eventually periodic points with preperiod length up to
     max_preperiod and period length up to max_period, deduplicated, in a
     deterministic order."""
     seen: dict[tuple[Word, Word], EventuallyPeriodicPoint] = {}
     prefixes: list[Word] = [()]
     for k in range(1, max_preperiod + 1):
-        prefixes.extend(words(p, k, limits))
+        prefixes.extend(words(p, k))
     for plen in range(1, max_period + 1):
-        for per in words(p, plen, limits):
+        for per in words(p, plen):
             if not p.follow(per[-1], per[0]):
                 continue
             for pre in prefixes:
@@ -409,31 +417,28 @@ def _bracket_label(p: SftPresentation, w: Word) -> str:
     return "[" + p.word_label(w) + "]"
 
 
-def higher_block(p: SftPresentation, k: int,
-                 limits: Limits | None = None) -> HigherBlockRecoding:
-    """Graph on B_k with edges B_{k+1}; overlap determines adjacency."""
+def higher_block(p: SftPresentation, k: int) -> HigherBlockRecoding:
+    """Graph on B_k with edges B_{k+1}; overlap determines adjacency.  The
+    recoding inherits the caps of p."""
     if k < 1:
         raise ValueError("block length must be at least 1")
-    verts = words(p, k, limits)
-    vidx = word_index(p, k, limits)
+    verts = words(p, k)
+    vidx = word_index(p, k)
     n = len(verts)
     adj = [[0] * n for _ in range(n)]
-    edge_words = words(p, k + 1, limits)
+    edge_words = words(p, k + 1)
     for w in edge_words:
         adj[vidx[w[:-1]]][vidx[w[1:]]] = 1
     labels = tuple(_bracket_label(p, w) for w in verts)
-    pres = validate(adj, kind="edge", vertex_labels=labels, limits=limits)
+    pres = validate(adj, kind="edge", vertex_labels=labels, limits=p.limits)
     # validate() enumerates edges in lex (src, tgt) order, which coincides
     # with the lex order on the underlying (k+1)-words
     assert pres.alphabet_size == len(edge_words)
-    relabeled = SftPresentation(
-        kind="edge", adjacency=pres.adjacency, vertex_labels=labels,
-        symbols=tuple(_bracket_label(p, w) for w in edge_words),
-        edges=pres.edges, certificate=pres.certificate)
+    relabeled = replace(pres, symbols=tuple(_bracket_label(p, w) for w in edge_words))
     return HigherBlockRecoding(
         presentation=relabeled, block_length=k, vertex_words=verts,
         word_of_symbol=edge_words,
-        symbol_of_word=dict(word_index(p, k + 1, limits)))
+        symbol_of_word=dict(word_index(p, k + 1)))
 
 
 @dataclass(frozen=True)
@@ -445,13 +450,14 @@ class EdgeForm:
     symbol_of_pair: dict[Word, int]
 
 
-def to_edge_form(p: SftPresentation, limits: Limits | None = None) -> EdgeForm:
-    """Recode a vertex-kind presentation over its edges; identity on edge kind."""
+def to_edge_form(p: SftPresentation) -> EdgeForm:
+    """Recode a vertex-kind presentation over its edges, with the caps of p;
+    identity on edge kind."""
     if p.kind == "edge":
         idents = tuple((s,) for s in range(p.alphabet_size))
         return EdgeForm(p, idents, {w: i for i, w in enumerate(idents)})
     pres = validate(p.adjacency, kind="edge", vertex_labels=p.vertex_labels,
-                    limits=limits)
+                    limits=p.limits)
     pairs = tuple((src, tgt) for (src, tgt, _par) in pres.edges)
     return EdgeForm(pres, pairs, {pair: i for i, pair in enumerate(pairs)})
 
@@ -516,9 +522,17 @@ def format_matrix_text(kind: str, rows: Matrix) -> str:
     return head + "\n" + body + "\n"
 
 
+def read_text(path) -> str:
+    """The ASCII text of an input file; a non-ASCII byte is a FormatError."""
+    try:
+        return Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+
+
 def load_matrix_file(path, limits: Limits | None = None) -> SftPresentation:
-    with open(path, "r", encoding="ascii") as fh:
-        kind, rows = parse_matrix_text(fh.read())
+    """Read, parse and validate a vertex or edge matrix file."""
+    kind, rows = parse_matrix_text(read_text(path))
     if kind == "rect":
-        raise FormatError("rect matrices do not present shifts; use vertex or edge")
-    return validate(rows, kind=kind, limits=limits)
+        raise FormatError(f"{path}: rectangular matrices cannot present a shift")
+    return validate(rows, kind, None, limits)

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 
 from . import cohomology as coh
-from .config import Limits
 from .errors import (
     ContradictionDetected,
     FormatError,
@@ -344,13 +343,13 @@ class OrbitData:
                 raise ValueError("cocycle exponents must be nonnegative")
 
 
-def conjugacy_data(p: SftPresentation, limits: Limits | None = None) -> OrbitData:
+def conjugacy_data(p: SftPresentation) -> OrbitData:
     """k1 = 0, l1 = 1: the data of a shift-commuting map."""
-    return OrbitData(coh.zero(p, limits), coh.unit(p, limits))
+    return OrbitData(coh.zero(p), coh.unit(p))
 
 
 def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
-                  pre_shift: int, limits: Limits | None = None) -> Transducer:
+                  pre_shift: int) -> Transducer:
     """Machine for x -> shift^{amount(x)}( h( shift^{pre_shift}(x) ) ).
 
     The input is buffered to the depth of the shift amount (cylinder
@@ -361,12 +360,12 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
         raise RationalNotSupported("shift amounts are nonnegative integers")
     depth = max(amount.depth, pre_shift, 1)
-    amount_at = dict(zip(words(h.domain, depth, limits),
-                         coh.lift_table(amount, depth, limits)))
+    amount_at = dict(zip(words(h.domain, depth),
+                         coh.lift_table(amount, depth)))
 
     phase_ids: dict[Word, int] = {}
     for length in range(depth):
-        for w in words(h.domain, length, limits):
+        for w in words(h.domain, length):
             phase_ids[w] = len(phase_ids)
     run_ids: dict[tuple[int, int], int] = {}
     next_id = len(phase_ids)
@@ -381,9 +380,7 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
 
     rules: list[Rule] = []
     for w, sid in phase_ids.items():
-        choices = range(h.domain.alphabet_size) if not w \
-            else h.domain.successors(w[-1])
-        for a in choices:
+        for a in _inputs(h.domain, w[-1] if w else None):
             full = w + (a,)
             if len(full) < depth:
                 rules.append((sid, a, phase_ids[full], ()))
@@ -427,8 +424,7 @@ class OrbitRelationResult:
 POINT_CHECK_PREPERIOD, POINT_CHECK_PERIOD = 4, 6
 
 
-def verify_orbit_relation(h: Transducer, data: OrbitData,
-                          limits: Limits | None = None) -> OrbitRelationResult:
+def verify_orbit_relation(h: Transducer, data: OrbitData) -> OrbitRelationResult:
     """Decide the cocycle relation for h and (k1, l1).
 
     Machine check: the transducers for both sides of the relation are
@@ -439,18 +435,17 @@ def verify_orbit_relation(h: Transducer, data: OrbitData,
     verdict and trips ContradictionDetected."""
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
-    lhs = shifted_image(h, data.k1, 1, limits)
-    rhs = shifted_image(h, data.l1, 0, limits)
+    lhs = shifted_image(h, data.k1, 1)
+    rhs = shifted_image(h, data.l1, 0)
     verdict = equivalent_maps(lhs, rhs)
     if verdict.status == "unequal":
         return OrbitRelationResult(False, verdict.witness, verdict.status, 0)
     if verdict.status == "inconclusive":
         raise InsufficientLookahead(
             f"delay bound {verdict.delay_bound} too small for the machine check")
-    points = enumerate_points(h.domain, POINT_CHECK_PREPERIOD,
-                              POINT_CHECK_PERIOD, limits)
+    points = enumerate_points(h.domain, POINT_CHECK_PREPERIOD, POINT_CHECK_PERIOD)
     # one kernel call per side: a word-table lookup per point would dominate
-    k1, l1 = (coh.window_sums(f, ((x.prefix(f.depth), 1) for x in points), limits)
+    k1, l1 = (coh.window_sums(f, ((x.prefix(f.depth), 1) for x in points))
               for f in (data.k1, data.l1))
     for x, kv, lv in zip(points, k1, l1):
         left = shift_point_by(apply(h, shift_point(x)), kv)
@@ -485,8 +480,8 @@ def _min_output_lengths(h: Transducer):
         yield m, min(layer.values())
 
 
-def transfer_psi(h: Transducer, data: OrbitData, f: coh.LocallyConstantFunction,
-             limits: Limits | None = None) -> coh.LocallyConstantFunction:
+def transfer_psi(h: Transducer, data: OrbitData,
+                 f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Transfer of a locally constant function on the codomain through the
     orbit map: at x, the sum of f over the first l1(x) shifts of h(x) minus
     the sum over the first k1(x) shifts of h(shift x).
@@ -510,17 +505,16 @@ def transfer_psi(h: Transducer, data: OrbitData, f: coh.LocallyConstantFunction,
                 f"no input depth below {cap} forces {need} output symbols")
     depth = max(depth, data.k1.depth, data.l1.depth)
 
-    ws = words(h.domain, depth, limits)
-    l1 = coh.lift_table(data.l1, depth, limits)
-    k1 = coh.lift_table(data.k1, depth, limits)
+    ws = words(h.domain, depth)
+    l1 = coh.lift_table(data.l1, depth)
+    k1 = coh.lift_table(data.k1, depth)
     gains = coh.window_sums(
-        f, ((run_on_word(h, w)[1], lv) for w, lv in zip(ws, l1)), limits)
+        f, ((run_on_word(h, w)[1], lv) for w, lv in zip(ws, l1)))
     losses = coh.window_sums(
         f, ((run_on_word(h, w[1:])[1], kv) if kv else ((), 0)
-            for w, kv in zip(ws, k1)), limits)
+            for w, kv in zip(ws, k1)))
     return coh.function(h.domain, depth,
-                        [g - loss for g, loss in zip(gains, losses)],
-                        f.ring, limits)
+                        [g - loss for g, loss in zip(gains, losses)], f.ring)
 
 
 @dataclass(frozen=True)
@@ -532,20 +526,17 @@ class ConjugacyVerdict:
 
 def is_eventual_conjugacy(h: Transducer, data: OrbitData,
                           h_back: Transducer | None = None,
-                          data_back: OrbitData | None = None,
-                          limits: Limits | None = None) -> ConjugacyVerdict:
+                          data_back: OrbitData | None = None) -> ConjugacyVerdict:
     """Eventual conjugacy detector: the transfer of the constant 1 must be
     the constant 1 exactly, in both directions when an inverse is given."""
-    c1 = transfer_psi(h, data, coh.unit(h.codomain, limits), limits)
-    ok = coh.subtract(c1, coh.unit(h.domain, limits), limits).is_zero()
+    c1 = transfer_psi(h, data, coh.unit(h.codomain))
+    ok = coh.subtract(c1, coh.unit(h.domain)).is_zero()
     c1_back = None
     if h_back is not None:
         if data_back is None:
             raise ValueError("inverse machine needs its own cocycle data")
-        c1_back = transfer_psi(h_back, data_back,
-                               coh.unit(h_back.codomain, limits), limits)
-        ok = ok and coh.subtract(
-            c1_back, coh.unit(h_back.domain, limits), limits).is_zero()
+        c1_back = transfer_psi(h_back, data_back, coh.unit(h_back.codomain))
+        ok = ok and coh.subtract(c1_back, coh.unit(h_back.domain)).is_zero()
     return ConjugacyVerdict(ok, c1, c1_back)
 
 
@@ -556,12 +547,11 @@ class StrongCoeVerdict:
     comparison: coh.CoboundaryResult
 
 
-def is_strong_coe(h: Transducer, data: OrbitData,
-                  limits: Limits | None = None) -> StrongCoeVerdict:
+def is_strong_coe(h: Transducer, data: OrbitData) -> StrongCoeVerdict:
     """Strong continuous orbit equivalence detector on this side: the class
     of the transferred constant 1 must equal the class of the constant 1."""
-    c1 = transfer_psi(h, data, coh.unit(h.codomain, limits), limits)
-    comparison = coh.class_equal(c1, coh.unit(h.domain, limits), limits)
+    c1 = transfer_psi(h, data, coh.unit(h.codomain))
+    comparison = coh.class_equal(c1, coh.unit(h.domain))
     return StrongCoeVerdict(comparison.is_coboundary, c1, comparison)
 
 
@@ -578,26 +568,24 @@ class BlockConjugacy:
     backward_data: OrbitData
 
 
-def block_conjugacy(p: SftPresentation, k: int,
-                    limits: Limits | None = None) -> BlockConjugacy:
+def block_conjugacy(p: SftPresentation, k: int) -> BlockConjugacy:
     """Conjugacy onto the higher-block presentation with block length k:
     the i-th output symbol is the (k+1)-block starting at position i."""
-    hb = higher_block(p, k, limits)
+    hb = higher_block(p, k)
     target = hb.presentation
     sym_of_word = hb.symbol_of_word
 
     ids: dict[Word, int] = {}
     for length in range(k):
-        for w in words(p, length, limits):
+        for w in words(p, length):
             ids[w] = len(ids)
     # states of length k hold the last k symbols; transitions emit blocks
-    full_words = words(p, k, limits)
+    full_words = words(p, k)
     full_index = {w: i for i, w in enumerate(full_words)}
     base = len(ids)
     rules: list[Rule] = []
     for w, sid in ids.items():
-        choices = range(p.alphabet_size) if not w else p.successors(w[-1])
-        for a in choices:
+        for a in _inputs(p, w[-1] if w else None):
             full = w + (a,)
             if len(full) < k:
                 rules.append((sid, a, ids[full], ()))
@@ -617,8 +605,8 @@ def block_conjugacy(p: SftPresentation, k: int,
 
     return BlockConjugacy(
         forward=forward, backward=backward,
-        forward_data=conjugacy_data(p, limits),
-        backward_data=conjugacy_data(target, limits))
+        forward_data=conjugacy_data(p),
+        backward_data=conjugacy_data(target))
 
 
 # ------------------------------------------------------------------ file I/O

@@ -7,7 +7,6 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, settings
 
-from sftlab import default_limits
 from sftlab.shifts import validate
 
 settings.register_profile(
@@ -21,11 +20,6 @@ settings.load_profile("suite")
 FIB = ((1, 1), (1, 0))
 FULL2 = ((1, 1), (1, 1))
 FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
-
-
-@pytest.fixture(scope="session")
-def limits():
-    return default_limits()
 
 
 @pytest.fixture(scope="session")

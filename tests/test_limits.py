@@ -1,12 +1,14 @@
 """A Limits object passed by the caller is honoured on every code path,
-also when the environment sets a smaller word cap; the environment is read
-only where a cap is read."""
+also when the environment sets a smaller word cap.  The caps are given where
+a presentation is built and travel with it; the environment is read only
+where a cap is read."""
 from __future__ import annotations
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import itertools
 import os
 import pathlib
 import random
@@ -31,6 +33,14 @@ from sftlab.config import MAX_WORDS_ENV, default_limits
 from sftlab.errors import EnvelopeExceeded, FormatError
 from sftlab.shifts import periodic_point
 
+FIB = ((1, 1), (1, 0))
+FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+SMALL = Limits(max_words=2)
+
+
+def _fib(lim):
+    return sh.validate(FIB, "vertex", None, lim)
+
 
 @pytest.fixture
 def tiny_env_cap(monkeypatch):
@@ -38,183 +48,188 @@ def tiny_env_cap(monkeypatch):
     monkeypatch.setenv(MAX_WORDS_ENV, "2")
 
 
+@pytest.fixture
+def big_fib():
+    return _fib(Limits())
+
+
 def test_environment_cap_applies_without_limits(fib, tiny_env_cap):
     with pytest.raises(EnvelopeExceeded):
         coh.function(fib, 2, [1, 2, 3])
 
 
-def test_function_and_kernel(fib, tiny_env_cap):
-    lim = Limits()
-    f = coh.function(fib, 2, [1, 2, 3], limits=lim)
+def test_function_and_kernel(big_fib, tiny_env_cap):
+    fib = big_fib
+    f = coh.function(fib, 2, [1, 2, 3])
     assert f.depth == 2
-    assert coh.window_sums(f, [((0, 1, 0), 2)], lim) == [2 + 3]
-    assert f.value_on_word((1, 0), lim) == 3
-    assert f.value_at_point(periodic_point(fib, (), (0, 1)), lim) == 2
-    assert coh.orbit_sum(f, (0, 1), lim) == 5
-    assert coh.partial_sum(f, 2, lim).depth == 3
-    assert coh.zero(fib, lim).is_zero()
-    assert coh.unit(fib, lim) == coh.constant(fib, 1, coh.RING_INT, lim)
+    assert coh.window_sums(f, [((0, 1, 0), 2)]) == [2 + 3]
+    assert f.value_on_word((1, 0)) == 3
+    assert f.value_at_point(periodic_point(fib, (), (0, 1))) == 2
+    assert coh.orbit_sum(f, (0, 1)) == 5
+    assert coh.partial_sum(f, 2).depth == 3
+    assert coh.zero(fib).is_zero()
+    assert coh.unit(fib) == coh.constant(fib, 1, coh.RING_INT)
 
 
-def test_phase(fib, tiny_env_cap):
-    lim = Limits()
-    a = act.action(coh.function(fib, 2, [1, 2, 3], limits=lim))
-    x = periodic_point(fib, (), (0,))
-    assert act.evaluate_phase(a, (0, 1), Fraction(1, 7), x, lim) == Fraction(5, 7)
+def test_phase(big_fib, tiny_env_cap):
+    a = act.action(coh.function(big_fib, 2, [1, 2, 3]))
+    x = periodic_point(big_fib, (), (0,))
+    assert act.evaluate_phase(a, (0, 1), Fraction(1, 7), x) == Fraction(5, 7)
 
 
 def test_elementary_transfers(tiny_env_cap):
-    lim = Limits()
-    ee = mv.elementary(((1, 1),), ((1,), (1,)), lim)     # B = DC has 4 edges
-    f = coh.function(ee.a, 2, [1, 2, 3, 4], limits=lim)
-    g = coh.function(ee.b, 1, [1, 2, 3, 4], limits=lim)
-    assert mv.psi(ee, mv.phi(ee, f, lim), lim) == coh.pullback_sigma(f, lim)
-    assert mv.phi(ee, mv.psi(ee, g, lim), lim) == coh.pullback_sigma(g, lim)
+    ee = mv.elementary(((1, 1),), ((1,), (1,)), Limits())    # B = DC has 4 edges
+    f = coh.function(ee.a, 2, [1, 2, 3, 4])
+    g = coh.function(ee.b, 1, [1, 2, 3, 4])
+    assert mv.psi(ee, mv.phi(ee, f)) == coh.pullback_sigma(f)
+    assert mv.phi(ee, mv.psi(ee, g)) == coh.pullback_sigma(g)
 
 
-def test_expansion_transfers(fib, tiny_env_cap):
-    lim = Limits()
-    e = mv.expand(fib, 0, lim)
-    f = coh.function(fib, 2, [1, 2, 3], limits=lim)
-    assert mv.psi_xi(e, mv.psi_eta(e, f, lim), lim) == f
-    ft = coh.unit(e.expanded, lim)
-    assert tr.transfer_psi(e.split, e.split_data, ft, lim) == mv.psi_xi(e, ft, lim)
+def test_expansion_transfers(big_fib, tiny_env_cap):
+    e = mv.expand(big_fib, 0)
+    f = coh.function(big_fib, 2, [1, 2, 3])
+    assert mv.psi_xi(e, mv.psi_eta(e, f)) == f
+    ft = coh.unit(e.expanded)
+    assert tr.transfer_psi(e.split, e.split_data, ft) == mv.psi_xi(e, ft)
 
 
-def test_orbit_maps_and_detectors(fib, tiny_env_cap):
-    lim = Limits()
-    h = tr.identity_transducer(fib)
-    data = tr.conjugacy_data(fib, lim)
-    amount = coh.function(fib, 2, [0, 1, 1], limits=lim)
-    assert tr.shifted_image(h, amount, 0, lim).domain == fib
-    assert tr.verify_orbit_relation(h, data, lim).holds
-    assert tr.is_eventual_conjugacy(h, data, h, data, lim).verdict
-    assert tr.is_strong_coe(h, data, lim).verdict
+def test_orbit_maps_and_detectors(big_fib, tiny_env_cap):
+    h = tr.identity_transducer(big_fib)
+    data = tr.conjugacy_data(big_fib)
+    amount = coh.function(big_fib, 2, [0, 1, 1])
+    assert tr.shifted_image(h, amount, 0).domain == big_fib
+    assert tr.verify_orbit_relation(h, data).holds
+    assert tr.is_eventual_conjugacy(h, data, h, data).verdict
+    assert tr.is_strong_coe(h, data).verdict
 
 
 # ------------------------------------------------- every entry point, by table
 
 LAYERS = ("shifts", "linalg", "cohomology", "actions", "transducers", "moves",
           "classify", "randgen")
-FIB = ((1, 1), (1, 0))
-FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
-SMALL = Limits(max_words=2)
 
 
 @pytest.fixture(scope="module")
 def ctx(tmp_path_factory):
-    """Inputs built under the default Limits, whatever the environment says.
-    |B_2| of fib is 3 and |B_1| of full3 is 3, both above the small cap."""
+    """Inputs built under the default Limits while the environment allows
+    two words.  |B_2| of fib is 3 and |B_1| of full3 is 3, both above it."""
     big = Limits()
-    fib = sh.validate(FIB, "vertex", None, big)
-    full3 = sh.validate(FULL3, "vertex", None, big)
-    f2 = coh.function(fib, 2, [1, 2, 3], limits=big)
-    ee = mv.elementary(((1, 1),), ((1,), (1,)), big)
-    e = mv.expand(fib, 0, big)
-    h, h3 = tr.identity_transducer(fib), tr.identity_transducer(full3)
-    data, data3 = tr.conjugacy_data(fib, big), tr.conjugacy_data(full3, big)
-    path = tmp_path_factory.mktemp("limits") / "fib.mat"
-    path.write_text("matrix vertex 2\n1 1\n1 0\n")
-    return SimpleNamespace(
-        fib=fib, full3=full3, f2=f2, a=act.action(f2), ee=ee, e=e,
-        g1=coh.function(fib, 1, [1, 0], limits=big),
-        f2_text=coh.format_function_text(f2, "fib", big),
-        amount=coh.function(fib, 2, [0, 1, 1], limits=big),
-        fa=coh.function(ee.a, 1, [1, 2], limits=big),
-        gb=coh.function(ee.b, 1, [1, 2, 3, 4], limits=big),
-        fe=coh.function(e.expanded, 1, [1, 2, 3], limits=big),
-        x=periodic_point(fib, (), (0, 1)),
-        h=h, h3=h3, data=data, data3=data3,
-        witness=cl.CoeWitness(h, data, h, data),
-        path=path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(MAX_WORDS_ENV, "2")
+        fib = _fib(big)
+        full3 = sh.validate(FULL3, "vertex", None, big)
+        f2 = coh.function(fib, 2, [1, 2, 3])
+        ee = mv.elementary(((1, 1),), ((1,), (1,)), big)
+        e = mv.expand(fib, 0)
+        h, h3 = tr.identity_transducer(fib), tr.identity_transducer(full3)
+        data, data3 = tr.conjugacy_data(fib), tr.conjugacy_data(full3)
+        path = tmp_path_factory.mktemp("limits") / "fib.mat"
+        path.write_text("matrix vertex 2\n1 1\n1 0\n")
+        return SimpleNamespace(
+            fib=fib, full3=full3, f2=f2, a=act.action(f2), ee=ee, e=e,
+            g1=coh.function(fib, 1, [1, 0]),
+            f2_text=coh.format_function_text(f2, "fib"),
+            amount=coh.function(fib, 2, [0, 1, 1]),
+            fa=coh.function(ee.a, 1, [1, 2]),
+            gb=coh.function(ee.b, 1, [1, 2, 3, 4]),
+            fe=coh.function(e.expanded, 1, [1, 2, 3]),
+            x=periodic_point(fib, (), (0, 1)),
+            h=h, h3=h3, data=data, data3=data3,
+            witness=cl.CoeWitness(h, data, h, data),
+            path=path)
 
 
-# qualified name -> call(ctx, limits); every public function of the layers
-# that takes `limits` has a row (test_every_limits_taker_has_a_case).
-CASES = {
-    "shifts.validate": lambda c, lim: sh.validate(FIB, "vertex", None, lim),
-    "shifts.words": lambda c, lim: sh.words(c.fib, 2, lim),
-    "shifts.word_index": lambda c, lim: sh.word_index(c.fib, 2, lim),
-    "shifts.enumerate_points": lambda c, lim: sh.enumerate_points(c.fib, 0, 2, lim),
-    "shifts.higher_block": lambda c, lim: sh.higher_block(c.fib, 1, lim),
-    "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(c.fib, lim),
+# The public functions of the layers that take `limits`: each builds a
+# presentation from raw matrices (test_every_limits_taker_has_a_case).
+# qualified name -> call(ctx, limits)
+CONSTRUCTORS = {
+    "shifts.validate": lambda c, lim: _fib(lim),
     "shifts.load_matrix_file": lambda c, lim: sh.load_matrix_file(c.path, lim),
-    "cohomology.LocallyConstantFunction.value_on_word":
-        lambda c, lim: c.f2.value_on_word((1, 0), lim),
-    "cohomology.LocallyConstantFunction.value_at_point":
-        lambda c, lim: c.f2.value_at_point(c.x, lim),
-    "cohomology.function":
-        lambda c, lim: coh.function(c.fib, 2, [1, 2, 3], limits=lim),
-    "cohomology.constant":
-        lambda c, lim: coh.constant(c.full3, 1, coh.RING_INT, lim),
-    "cohomology.unit": lambda c, lim: coh.unit(c.full3, lim),
-    "cohomology.zero": lambda c, lim: coh.zero(c.full3, lim),
-    "cohomology.indicator": lambda c, lim: coh.indicator(c.fib, (0, 1), lim),
-    "cohomology.lift_table": lambda c, lim: coh.lift_table(c.g1, 2, lim),
-    "cohomology.add": lambda c, lim: coh.add(c.f2, c.f2, lim),
-    "cohomology.subtract": lambda c, lim: coh.subtract(c.f2, c.g1, lim),
-    "cohomology.multiply": lambda c, lim: coh.multiply(c.f2, c.f2, lim),
-    "cohomology.scale": lambda c, lim: coh.scale(c.f2, 2, lim),
-    "cohomology.pullback_sigma": lambda c, lim: coh.pullback_sigma(c.f2, lim),
-    "cohomology.window_sums":
-        lambda c, lim: coh.window_sums(c.f2, [((0, 1, 0), 2)], lim),
-    "cohomology.partial_sum": lambda c, lim: coh.partial_sum(c.f2, 2, lim),
-    "cohomology.coboundary": lambda c, lim: coh.coboundary(c.f2, lim),
-    "cohomology.orbit_sum": lambda c, lim: coh.orbit_sum(c.f2, (0, 1), lim),
-    "cohomology.potential_graph": lambda c, lim: coh.potential_graph(c.fib, 2, lim),
-    "cohomology.class_is_zero": lambda c, lim: coh.class_is_zero(c.f2, lim),
-    "cohomology.class_equal": lambda c, lim: coh.class_equal(c.f2, c.g1, lim),
-    "cohomology.class_is_nonnegative":
-        lambda c, lim: coh.class_is_nonnegative(c.f2, lim),
-    "cohomology.order_unit_check": lambda c, lim: coh.order_unit_check(c.f2, lim),
-    "cohomology.parse_function_text":
-        lambda c, lim: coh.parse_function_text(c.f2_text, c.fib, "fib", lim),
-    "cohomology.format_function_text":
-        lambda c, lim: coh.format_function_text(c.f2, "fib", lim),
-    "actions.compose": lambda c, lim: act.compose(c.a, c.a, lim),
-    "actions.equivalent": lambda c, lim: act.equivalent(c.a, c.a, lim),
-    "actions.class_nonnegative": lambda c, lim: act.class_nonnegative(c.a, lim),
-    "actions.is_order_unit": lambda c, lim: act.is_order_unit(c.a, lim),
-    "actions.phase_on_word": lambda c, lim: act.phase_on_word(c.a, (0, 1), lim),
-    "actions.evaluate_phase":
-        lambda c, lim: act.evaluate_phase(c.a, (0, 1), Fraction(1, 7), c.x, lim),
-    "transducers.conjugacy_data": lambda c, lim: tr.conjugacy_data(c.full3, lim),
-    "transducers.shifted_image":
-        lambda c, lim: tr.shifted_image(c.h, c.amount, 0, lim),
-    "transducers.verify_orbit_relation":
-        lambda c, lim: tr.verify_orbit_relation(c.h, c.data, lim),
-    "transducers.transfer_psi":
-        lambda c, lim: tr.transfer_psi(c.h, c.data, c.f2, lim),
-    "transducers.is_eventual_conjugacy":
-        lambda c, lim: tr.is_eventual_conjugacy(c.h3, c.data3, c.h3, c.data3, lim),
-    "transducers.is_strong_coe": lambda c, lim: tr.is_strong_coe(c.h3, c.data3, lim),
-    "transducers.block_conjugacy": lambda c, lim: tr.block_conjugacy(c.fib, 1, lim),
-    "moves.expand": lambda c, lim: mv.expand(c.fib, 0, lim),
-    "moves.psi_xi": lambda c, lim: mv.psi_xi(c.e, c.fe, lim),
-    "moves.psi_eta": lambda c, lim: mv.psi_eta(c.e, c.f2, lim),
     "moves.elementary": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim),
-    "moves.phi": lambda c, lim: mv.phi(c.ee, c.fa, lim),
-    "moves.psi": lambda c, lim: mv.psi(c.ee, c.gb, lim),
     "moves.sse_search":
         lambda c, lim: mv.sse_search(((2,),), ((1, 1), (1, 1)), 2, 1, 1, lim),
-    "classify.consistency_check":
-        lambda c, lim: cl.consistency_check(c.fib, c.fib, c.witness, lim),
     "randgen.random_irreducible":
         lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
     "randgen.random_edge_presentation":
         lambda c, lim: rg.random_edge_presentation(random.Random(1), 3, 2, lim),
-    "randgen.random_function":
-        lambda c, lim: rg.random_function(random.Random(1), c.full3, 1, -5, 5, lim),
     "randgen.random_elementary":
         lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim),
 }
 
-# Calls that build no word table (they read the vertex cap only).
-NO_TABLE = {
-    "shifts.validate", "shifts.to_edge_form", "shifts.load_matrix_file",
-    "moves.elementary", "moves.sse_search", "randgen.random_irreducible",
-    "randgen.random_edge_presentation", "randgen.random_elementary",
+# Every other entry point that once took `limits` and passed it on; it now
+# reads the caps of the presentations it is given.  qualified name -> call(ctx)
+CASES = {
+    "shifts.words": lambda c: sh.words(c.fib, 2),
+    "shifts.word_index": lambda c: sh.word_index(c.fib, 2),
+    "shifts.enumerate_points": lambda c: sh.enumerate_points(c.fib, 0, 2),
+    "shifts.higher_block": lambda c: sh.higher_block(c.fib, 1),
+    "shifts.to_edge_form": lambda c: sh.to_edge_form(c.fib),
+    "cohomology.LocallyConstantFunction.value_on_word":
+        lambda c: c.f2.value_on_word((1, 0)),
+    "cohomology.LocallyConstantFunction.value_at_point":
+        lambda c: c.f2.value_at_point(c.x),
+    "cohomology.function": lambda c: coh.function(c.fib, 2, [1, 2, 3]),
+    "cohomology.constant": lambda c: coh.constant(c.full3, 1, coh.RING_INT),
+    "cohomology.unit": lambda c: coh.unit(c.full3),
+    "cohomology.zero": lambda c: coh.zero(c.full3),
+    "cohomology.indicator": lambda c: coh.indicator(c.fib, (0, 1)),
+    "cohomology.lift_table": lambda c: coh.lift_table(c.g1, 2),
+    "cohomology.add": lambda c: coh.add(c.f2, c.f2),
+    "cohomology.subtract": lambda c: coh.subtract(c.f2, c.g1),
+    "cohomology.multiply": lambda c: coh.multiply(c.f2, c.f2),
+    "cohomology.scale": lambda c: coh.scale(c.f2, 2),
+    "cohomology.pullback_sigma": lambda c: coh.pullback_sigma(c.f2),
+    "cohomology.window_sums": lambda c: coh.window_sums(c.f2, [((0, 1, 0), 2)]),
+    "cohomology.partial_sum": lambda c: coh.partial_sum(c.f2, 2),
+    "cohomology.coboundary": lambda c: coh.coboundary(c.f2),
+    "cohomology.orbit_sum": lambda c: coh.orbit_sum(c.f2, (0, 1)),
+    "cohomology.potential_graph": lambda c: coh.potential_graph(c.fib, 2),
+    "cohomology.class_is_zero": lambda c: coh.class_is_zero(c.f2),
+    "cohomology.class_equal": lambda c: coh.class_equal(c.f2, c.g1),
+    "cohomology.class_is_nonnegative": lambda c: coh.class_is_nonnegative(c.f2),
+    "cohomology.order_unit_check": lambda c: coh.order_unit_check(c.f2),
+    "cohomology.parse_function_text":
+        lambda c: coh.parse_function_text(c.f2_text, c.fib, "fib"),
+    "cohomology.format_function_text":
+        lambda c: coh.format_function_text(c.f2, "fib"),
+    "actions.compose": lambda c: act.compose(c.a, c.a),
+    "actions.equivalent": lambda c: act.equivalent(c.a, c.a),
+    "actions.class_nonnegative": lambda c: act.class_nonnegative(c.a),
+    "actions.is_order_unit": lambda c: act.is_order_unit(c.a),
+    "actions.phase_on_word": lambda c: act.phase_on_word(c.a, (0, 1)),
+    "actions.evaluate_phase":
+        lambda c: act.evaluate_phase(c.a, (0, 1), Fraction(1, 7), c.x),
+    "transducers.conjugacy_data": lambda c: tr.conjugacy_data(c.full3),
+    "transducers.shifted_image": lambda c: tr.shifted_image(c.h, c.amount, 0),
+    "transducers.verify_orbit_relation":
+        lambda c: tr.verify_orbit_relation(c.h, c.data),
+    "transducers.transfer_psi": lambda c: tr.transfer_psi(c.h, c.data, c.f2),
+    "transducers.is_eventual_conjugacy":
+        lambda c: tr.is_eventual_conjugacy(c.h3, c.data3, c.h3, c.data3),
+    "transducers.is_strong_coe": lambda c: tr.is_strong_coe(c.h3, c.data3),
+    "transducers.block_conjugacy": lambda c: tr.block_conjugacy(c.fib, 1),
+    "moves.expand": lambda c: mv.expand(c.fib, 0),
+    "moves.psi_xi": lambda c: mv.psi_xi(c.e, c.fe),
+    "moves.psi_eta": lambda c: mv.psi_eta(c.e, c.f2),
+    "moves.phi": lambda c: mv.phi(c.ee, c.fa),
+    "moves.psi": lambda c: mv.psi(c.ee, c.gb),
+    "classify.consistency_check":
+        lambda c: cl.consistency_check(c.fib, c.fib, c.witness),
+    "randgen.random_function":
+        lambda c: rg.random_function(random.Random(1), c.full3, 1, -5, 5),
 }
+
+ENTRY_POINTS = sorted(CONSTRUCTORS.keys() | CASES.keys())
+
+# Calls that build no word table (they read the vertex cap only).
+NO_TABLE = set(CONSTRUCTORS) | {"shifts.to_edge_form"}
+
+
+def _call(name, c, lim):
+    """A constructor gets ``lim``; any other call reads the caps of ctx."""
+    if name in CONSTRUCTORS:
+        return CONSTRUCTORS[name](c, lim)
+    return CASES[name](c)
 
 
 def _limits_takers() -> set[str]:
@@ -237,22 +252,83 @@ def _limits_takers() -> set[str]:
 
 
 def test_every_limits_taker_has_a_case():
-    assert _limits_takers() == set(CASES)
+    """Only the constructors take `limits`; everything else reads the caps
+    of the presentation."""
+    assert _limits_takers() == set(CONSTRUCTORS)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_caller_limits_override_environment(name, ctx, tiny_env_cap):
-    CASES[name](ctx, Limits())
+    _call(name, ctx, Limits())
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_caller_word_cap_reaches_every_table(name, ctx, monkeypatch):
+@pytest.fixture
+def small_ctx(ctx, monkeypatch):
+    """ctx with the small word cap on every presentation for one test.
+    ``limits`` is a plain instance attribute of the frozen presentation, so
+    it is swapped in the instance dict and restored afterwards."""
     monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
+    for p in (ctx.fib, ctx.full3, ctx.ee.a, ctx.ee.b, ctx.e.expanded):
+        monkeypatch.setitem(vars(p), "limits", SMALL)
+    return ctx
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_caller_word_cap_reaches_every_table(name, small_ctx):
     if name in NO_TABLE:
-        CASES[name](ctx, SMALL)
+        _call(name, small_ctx, SMALL)
     else:
         with pytest.raises(EnvelopeExceeded):
-            CASES[name](ctx, SMALL)
+            _call(name, small_ctx, SMALL)
+
+
+# ------------------------------------------------- the caps travel with p
+
+# qualified name -> build(ctx, limits), a presentation built under limits,
+# either by a constructor or derived from one built under limits
+BUILT = {
+    "shifts.validate": lambda c, lim: _fib(lim),
+    "shifts.load_matrix_file": lambda c, lim: sh.load_matrix_file(c.path, lim),
+    "moves.elementary.a": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim).a,
+    "moves.elementary.b": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim).b,
+    "moves.sse_search":
+        lambda c, lim: mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=lim).found[0].a,
+    "moves.expand": lambda c, lim: mv.expand(_fib(lim), 0).expanded,
+    "shifts.higher_block": lambda c, lim: sh.higher_block(_fib(lim), 1).presentation,
+    "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(_fib(lim)).presentation,
+    "transducers.block_conjugacy":
+        lambda c, lim: tr.block_conjugacy(_fib(lim), 1).forward.codomain,
+    "randgen.random_irreducible":
+        lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
+    "randgen.random_edge_presentation":
+        lambda c, lim: rg.random_edge_presentation(random.Random(1), 3, 2, lim),
+    "randgen.random_elementary":
+        lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim).a,
+}
+
+# expand, higher_block and block_conjugacy build B_2 of fib (3 words) or
+# B_1 of the derived shift (3 words) on the way, so two words is too few
+TIGHT = Limits(max_words=3)
+
+
+@pytest.mark.parametrize("name", sorted(BUILT))
+def test_built_presentation_carries_the_cap(name, ctx, monkeypatch):
+    monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
+    p = BUILT[name](ctx, TIGHT)
+    assert p.limits is TIGHT
+    k = next(k for k in itertools.count() if sh.count_words(p, k) > TIGHT.max_words)
+    sh.words(p, k - 1)
+    with pytest.raises(EnvelopeExceeded, match=f"word cap {TIGHT.max_words}"):
+        sh.words(p, k)
+
+
+def test_caps_do_not_change_equality():
+    """A presentation equals and hashes like its uncapped twin, so every
+    presentation != domain check behaves as before."""
+    capped, plain = sh.validate(FIB, limits=SMALL), sh.validate(FIB)
+    assert capped == plain and hash(capped) == hash(plain)
+    assert capped.limits is SMALL and plain.limits is None
+    assert "limits" not in repr(capped)
 
 
 # ------------------------------------------------------ the environment cap
@@ -292,6 +368,34 @@ def test_limits_resolved_only_where_a_cap_is_read():
     """Everything else passes its limits on; see the config docstring."""
     outside_config = {q for q in _resolvers() if not q.startswith("config.")}
     assert outside_config == {"shifts.words", "shifts.validate", "cli.run"}
+
+
+def _cap_readers() -> dict[str, set[str]]:
+    """For each field of Limits, the qualified names of the innermost
+    functions that read it as an attribute (``<module>`` outside any)."""
+    found: dict[str, set[str]] = {f.name: set() for f in dataclasses.fields(Limits)}
+    for path in pathlib.Path(sftlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        scope_of = {}
+        for parent in ast.walk(tree):
+            for child in ast.iter_child_nodes(parent):
+                scope_of[child] = parent
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in found:
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.Module)):
+                    scope = scope_of[scope]
+                name = getattr(scope, "name", "<module>")
+                found[node.attr].add(f"{path.stem}.{name}")
+    return found
+
+
+def test_each_cap_has_one_reader():
+    """The word cap is read in words and the vertex cap in validate; every
+    other function leaves the caps to the presentation."""
+    assert _cap_readers() == {"max_vertices": {"shifts.validate"},
+                              "max_words": {"shifts.words"}}
 
 
 def test_limits_holds_only_the_input_size_caps():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sftlab.config import default_limits
+from sftlab.config import MAX_WORDS_ENV, default_limits
 from sftlab.errors import (
     EnvelopeExceeded,
     FormatError,
@@ -130,7 +130,7 @@ class TestWords:
     def test_envelope(self, full2):
         tight = dataclasses.replace(default_limits(), max_words=4)
         with pytest.raises(EnvelopeExceeded):
-            words(full2, 3, tight)
+            words(validate(full2.adjacency, "vertex", limits=tight), 3)
 
     @pytest.mark.parametrize("kind", sorted(FRESH))
     @pytest.mark.parametrize("k", range(6))
@@ -148,13 +148,14 @@ class TestWords:
             words(p, shorter)
             assert words(p, k) == brute_force_words(p, k)
 
-    def test_cached_table_still_checks_the_cap(self, full2):
+    def test_cached_table_still_checks_the_cap(self, full2, monkeypatch):
         table = words(full2, 4)
-        tight = dataclasses.replace(default_limits(), max_words=len(table) - 1)
+        monkeypatch.setenv(MAX_WORDS_ENV, str(len(table) - 1))
         with pytest.raises(EnvelopeExceeded):
-            words(full2, 4, tight)
+            words(full2, 4)
         with pytest.raises(EnvelopeExceeded):
-            word_index(full2, 4, tight)
+            word_index(full2, 4)
+        monkeypatch.delenv(MAX_WORDS_ENV)
         assert words(full2, 4) is table
 
     def test_equal_presentations_give_equal_tables(self):
@@ -347,7 +348,13 @@ class TestMatrixText:
     def test_load_rejects_rect(self, tmp_path):
         path = tmp_path / "r.mat"
         path.write_text("matrix rect 1 2\n1 1\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="rectangular matrices cannot present"):
+            load_matrix_file(path)
+
+    def test_load_rejects_non_ascii(self, tmp_path):
+        path = tmp_path / "m.mat"
+        path.write_bytes(b"# caf\xc3\xa9\nmatrix vertex 2\n1 1\n1 0\n")
+        with pytest.raises(FormatError, match="non-ASCII byte at offset 5"):
             load_matrix_file(path)
 
     def test_load(self, tmp_path, fib):
