@@ -37,7 +37,7 @@ from .errors import (
     RationalNotSupported,
 )
 from .graphs import find_cycle
-from .shifts import SftPresentation, Word, word_index, words
+from .shifts import SftPresentation, Word, content_lines, word_index, words
 
 RING_INT = "Z"
 RING_RAT = "Q"
@@ -480,13 +480,7 @@ def parse_function_text(text: str, p: SftPresentation,
     ``<word> <value>`` line per admissible word of length k, in the frozen
     enumeration order.  Missing, duplicate, or out-of-order entries are
     errors."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty function file")
+    lines = content_lines(text, "function")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "function":
         raise FormatError(

@@ -464,6 +464,16 @@ def to_edge_form(p: SftPresentation) -> EdgeForm:
 
 # ------------------------------------------------------------------ file I/O
 
+def content_lines(text: str, what: str) -> list[str]:
+    """The stripped lines of a text file, blank and ``#`` lines dropped; a
+    file with none is an "empty <what> file" FormatError."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
+        raise FormatError(f"empty {what} file")
+    return lines
+
+
 def parse_matrix_text(text: str):
     """Parse the matrix file format.
 
@@ -472,13 +482,7 @@ def parse_matrix_text(text: str):
     Lines starting with ``#`` and blank lines are ignored.
     Returns (kind, rows) where rows is a tuple of int tuples.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty matrix file")
+    lines = content_lines(text, "matrix")
     head = lines[0].split()
     if not head or head[0] != "matrix":
         raise FormatError("matrix file must start with 'matrix <kind> <n>'")

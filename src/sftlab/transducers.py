@@ -2,9 +2,10 @@
 maps between one-sided shifts of finite type.
 
 A machine reads the input point symbol by symbol from a fixed initial state
-and emits a (possibly empty) output word per step.  Validation enforces the
-three properties that make the machine a genuine continuous map into the
-codomain shift:
+and emits a (possibly empty) output word per step.  Every ``Transducer`` is
+checked when it is constructed, by ``make_transducer``, by a direct call or
+by any other route, for the three properties that make the machine a genuine
+continuous map into the codomain shift:
 
 * complete: a transition exists for every reachable state and admissible
   next input symbol;
@@ -13,10 +14,11 @@ codomain shift:
 * output-admissible: concatenated outputs along admissible inputs are
   admissible in the codomain.
 
-On top of the machines this module implements: exact application to
-eventually periodic points, composition, bounded-delay equality of the
-presented maps, verification of continuous-orbit-equivalence cocycle data,
-and the induced transfer operator on locally constant functions.
+The rest of the module trusts these properties and does not re-check them.
+On top of the machines it implements: exact application to eventually
+periodic points, composition, bounded-delay equality of the presented maps,
+verification of continuous-orbit-equivalence cocycle data, and the induced
+transfer operator on locally constant functions.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from .shifts import (
     EventuallyPeriodicPoint,
     SftPresentation,
     Word,
+    content_lines,
     higher_block,
     periodic_point,
     shift_point,
@@ -59,6 +62,50 @@ class Transducer:
     initial: int
     rules: tuple[Rule, ...]
 
+    def __post_init__(self):
+        """Completeness, productivity, and output admissibility."""
+        table = self.table
+        dom, cod = self.domain, self.codomain
+        for (q, a), (q2, out) in table.items():
+            if not (0 <= q < self.n_states and 0 <= q2 < self.n_states):
+                raise FormatError(f"rule ({q},{a}) references an unknown state")
+            if not (0 <= a < dom.alphabet_size):
+                raise FormatError(f"rule ({q},{a}) reads an unknown symbol")
+            for s in out:
+                if not (0 <= s < cod.alphabet_size):
+                    raise FormatError(f"rule ({q},{a}) emits an unknown symbol")
+            if not cod.is_admissible(out):
+                raise InadmissibleOutput(
+                    f"output {cod.word_label(out)} of rule ({q},{a}) is inadmissible")
+
+        configs = _configs(self)
+        cfg_index = {c: i for i, c in enumerate(configs)}
+
+        # productivity: no cycle among configs using only empty-output steps
+        empty_succ: list[list[int]] = [[] for _ in configs]
+        for i, (q, prev) in enumerate(configs):
+            for a in _inputs(dom, prev):
+                q2, out = table[(q, a)]
+                if not out:
+                    empty_succ[i].append(cfg_index[(q2, a)])
+        starved = find_cycle(empty_succ)
+        if starved is not None:
+            raise Starvation(
+                f"cycle through state {configs[starved][0]} emits no output")
+
+        # output admissibility across steps: track the last emitted symbol
+        def joins(cfg):
+            q, prev, last = cfg
+            for a in _inputs(dom, prev):
+                q2, out = table[(q, a)]
+                if out and last is not None and not cod.follow(last, out[0]):
+                    raise InadmissibleOutput(
+                        f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
+                        f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
+                yield a, (q2, a, out[-1] if out else last)
+
+        bfs([(self.initial, None, None)], joins)
+
     @functools.cached_property
     def table(self) -> dict[tuple[int, int], tuple[int, Word]]:
         return {(q, a): (q2, out) for (q, a, q2, out) in self.rules}
@@ -70,7 +117,7 @@ class Transducer:
 def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                     rules, initial: int = 0,
                     n_states: int | None = None) -> Transducer:
-    """Normalize the rule set (sorted, frozen) and validate the machine."""
+    """Normalize the rule set (sorted, frozen) and build the machine."""
     normalized = []
     seen = set()
     for q, a, q2, out in rules:
@@ -86,10 +133,8 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                             (q2 for _q, _a, q2, _o in normalized)),
             default=-1)
         n_states = max(n_states, initial + 1)
-    t = Transducer(domain=domain, codomain=codomain, n_states=n_states,
-                   initial=initial, rules=tuple(normalized))
-    check_transducer(t)
-    return t
+    return Transducer(domain=domain, codomain=codomain, n_states=n_states,
+                      initial=initial, rules=tuple(normalized))
 
 
 def _inputs(dom: SftPresentation, prev: int | None):
@@ -114,51 +159,6 @@ def _configs(t: Transducer):
     return list(bfs([(t.initial, None)], step))
 
 
-def check_transducer(t: Transducer) -> None:
-    """Completeness, productivity, and output admissibility."""
-    table = t.table
-    dom, cod = t.domain, t.codomain
-    for (q, a), (q2, out) in table.items():
-        if not (0 <= q < t.n_states and 0 <= q2 < t.n_states):
-            raise FormatError(f"rule ({q},{a}) references an unknown state")
-        if not (0 <= a < dom.alphabet_size):
-            raise FormatError(f"rule ({q},{a}) reads an unknown symbol")
-        for s in out:
-            if not (0 <= s < cod.alphabet_size):
-                raise FormatError(f"rule ({q},{a}) emits an unknown symbol")
-        if not cod.is_admissible(out):
-            raise InadmissibleOutput(
-                f"output {cod.word_label(out)} of rule ({q},{a}) is inadmissible")
-
-    configs = _configs(t)
-    cfg_index = {c: i for i, c in enumerate(configs)}
-
-    # productivity: no cycle among configs using only empty-output steps
-    empty_succ: list[list[int]] = [[] for _ in configs]
-    for i, (q, prev) in enumerate(configs):
-        for a in _inputs(dom, prev):
-            q2, out = table[(q, a)]
-            if not out:
-                empty_succ[i].append(cfg_index[(q2, a)])
-    starved = find_cycle(empty_succ)
-    if starved is not None:
-        raise Starvation(
-            f"cycle through state {configs[starved][0]} emits no output")
-
-    # output admissibility across steps: track the last emitted symbol
-    def joins(cfg):
-        q, prev, last = cfg
-        for a in _inputs(dom, prev):
-            q2, out = table[(q, a)]
-            if out and last is not None and not cod.follow(last, out[0]):
-                raise InadmissibleOutput(
-                    f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
-                    f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
-            yield a, (q2, a, out[-1] if out else last)
-
-    bfs([(t.initial, None, None)], joins)
-
-
 def run_on_word(t: Transducer, word: Word) -> tuple[int, Word]:
     """Feed an admissible word from the initial state; returns (state, output)."""
     table = t.table
@@ -179,11 +179,7 @@ def apply(t: Transducer, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     if x.presentation != t.domain:
         raise PresentationMismatch("point lives outside the machine's domain")
     table = t.table
-    q = t.initial
-    head: list[int] = []
-    for a in x.preperiod:
-        q, out = table[(q, a)]
-        head.extend(out)
+    q, head = run_on_word(t, x.preperiod)
     period = x.period
     seen: dict[tuple[int, int], int] = {}
     step_outputs: list[Word] = []
@@ -194,14 +190,12 @@ def apply(t: Transducer, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
         step_outputs.append(out)
         offset = (offset + 1) % len(period)
     first = seen[(q, offset)]
-    for out in step_outputs[:first]:
-        head.extend(out)
-    tail: list[int] = []
-    for out in step_outputs[first:]:
-        tail.extend(out)
-    if not tail:
-        raise Starvation("image period is empty")
-    return periodic_point(t.codomain, tuple(head), tuple(tail))
+    cat = itertools.chain.from_iterable
+    # construction checked every join along admissible inputs, the wrap from
+    # the period's end back to its start included, and productivity makes the
+    # closed walk step_outputs[first:] emit at least one symbol
+    return periodic_point(t.codomain, head + tuple(cat(step_outputs[:first])),
+                          tuple(cat(step_outputs[first:])), validate_word=False)
 
 
 def identity_transducer(p: SftPresentation) -> Transducer:
@@ -210,8 +204,11 @@ def identity_transducer(p: SftPresentation) -> Transducer:
 
 
 def compose(second: Transducer, first: Transducer) -> Transducer:
-    """Machine presenting second(first(.)); built on reachable state pairs
-    and re-validated."""
+    """Machine presenting second(first(.)), built on reachable state pairs.
+
+    Every lookup succeeds: the inner machine is complete on its reachable
+    configurations, and its output stream is admissible, so the outer machine
+    only visits reachable configurations of its own."""
     if first.codomain != second.domain:
         raise PresentationMismatch(
             "codomain of the inner machine must be the domain of the outer")
@@ -225,28 +222,17 @@ def compose(second: Transducer, first: Transducer) -> Transducer:
         pair, prev = cfg
         q1, q2 = pair
         for a in _inputs(dom, prev):
-            if (q1, a) not in t1:
-                raise IncompleteTransducer(
-                    f"inner machine lacks state {q1} on {dom.symbols[a]}")
             q1n, w1 = t1[(q1, a)]
             q2n = q2
             out: list[int] = []
             for s in w1:
-                if (q2n, s) not in t2:
-                    raise IncompleteTransducer(
-                        f"outer machine lacks state {q2n} on "
-                        f"{second.domain.symbols[s]}")
                 q2n, w2 = t2[(q2n, s)]
                 out.extend(w2)
             new_pair = (q1n, q2n)
             if new_pair not in pair_ids:
                 pair_ids[new_pair] = len(pair_ids)
-            key = (pair_ids[pair], a)
-            value = (pair_ids[new_pair], tuple(out))
-            if key in rules:
-                assert rules[key] == value
-            else:
-                rules[key] = value
+            # a revisit with another prev stores the same value again
+            rules[(pair_ids[pair], a)] = (pair_ids[new_pair], tuple(out))
             yield a, (new_pair, a)
 
     bfs([(start_pair, None)], step)
@@ -348,6 +334,27 @@ def conjugacy_data(p: SftPresentation) -> OrbitData:
     return OrbitData(coh.zero(p), coh.unit(p))
 
 
+def _buffer(p: SftPresentation, depth: int, on_full) -> tuple[int, list[Rule]]:
+    """Input-buffer states: one per admissible word shorter than ``depth``,
+    numbered by length and then in enumeration order, so the empty word is
+    state 0, the initial state.  Each reads one more symbol with empty output
+    until the word reaches ``depth``; then ``on_full(word)`` gives the
+    (state, output) step, its state numbered from the end of the buffer.
+    Returns the number of buffer states and the rules."""
+    ids = {w: i for i, w in enumerate(itertools.chain.from_iterable(
+        words(p, length) for length in range(depth)))}
+    rules: list[Rule] = []
+    for w, sid in ids.items():
+        for a in _inputs(p, w[-1] if w else None):
+            full = w + (a,)
+            if len(full) < depth:
+                rules.append((sid, a, ids[full], ()))
+            else:
+                q2, out = on_full(full)
+                rules.append((sid, a, len(ids) + q2, out))
+    return len(ids), rules
+
+
 def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
                   pre_shift: int) -> Transducer:
     """Machine for x -> shift^{amount(x)}( h( shift^{pre_shift}(x) ) ).
@@ -362,38 +369,17 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     depth = max(amount.depth, pre_shift, 1)
     amount_at = dict(zip(words(h.domain, depth),
                          coh.lift_table(amount, depth)))
-
-    phase_ids: dict[Word, int] = {}
-    for length in range(depth):
-        for w in words(h.domain, length):
-            phase_ids[w] = len(phase_ids)
-    run_ids: dict[tuple[int, int], int] = {}
-    next_id = len(phase_ids)
+    run_ids: dict[tuple[int, int], int] = {}     # (state of h, drops) -> id
 
     def run_state(qh: int, drops: int) -> int:
-        nonlocal next_id
-        key = (qh, drops)
-        if key not in run_ids:
-            run_ids[key] = next_id
-            next_id += 1
-        return run_ids[key]
+        return run_ids.setdefault((qh, drops), len(run_ids))
 
-    rules: list[Rule] = []
-    for w, sid in phase_ids.items():
-        for a in _inputs(h.domain, w[-1] if w else None):
-            full = w + (a,)
-            if len(full) < depth:
-                rules.append((sid, a, phase_ids[full], ()))
-                continue
-            qh, emitted = run_on_word(h, full[pre_shift:])
-            s = amount_at[full]
-            if s <= len(emitted):
-                out = emitted[s:]
-                drops = 0
-            else:
-                out = ()
-                drops = s - len(emitted)
-            rules.append((sid, a, run_state(qh, drops), out))
+    def on_full(full: Word) -> tuple[int, Word]:
+        qh, emitted = run_on_word(h, full[pre_shift:])
+        s = amount_at[full]
+        return run_state(qh, max(s - len(emitted), 0)), emitted[s:]
+
+    base, rules = _buffer(h.domain, depth, on_full)
 
     by_state: list[list[tuple[int, int, Word]]] = [[] for _ in range(h.n_states)]
     for q, a, q2, out in h.rules:
@@ -401,16 +387,16 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
 
     def replay(key):
         qh, drops = key
-        sid = run_ids[key]
+        sid = base + run_ids[key]
         for a, q2, out in by_state[qh]:
             cut = min(drops, len(out))
-            rules.append((sid, a, run_state(q2, drops - cut), out[cut:]))
+            rules.append((sid, a, base + run_state(q2, drops - cut), out[cut:]))
             yield a, (q2, drops - cut)
 
     bfs(list(run_ids), replay)
 
     return make_transducer(h.domain, h.codomain, rules,
-                           initial=phase_ids[()], n_states=next_id)
+                           initial=0, n_states=base + len(run_ids))
 
 
 @dataclass(frozen=True)
@@ -493,16 +479,10 @@ def transfer_psi(h: Transducer, data: OrbitData,
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
     need = data.l1.max_value() + data.k1.max_value() + f.depth
-    cap = (need + 1) * (h.n_states * h.domain.alphabet_size + 2) + \
-        data.k1.depth + data.l1.depth
-    depth = None
-    for m, shortest in _min_output_lengths(h):
-        if shortest >= need:
-            depth = m + 1
-            break
-        if m > cap:
-            raise InsufficientLookahead(
-                f"no input depth below {cap} forces {need} output symbols")
+    # h is productive on its C <= n_states * |alphabet| + 1 reachable
+    # configurations, so m input symbols force m // C outputs: the search ends
+    depth = next(m + 1 for m, shortest in _min_output_lengths(h)
+                 if shortest >= need)
     depth = max(depth, data.k1.depth, data.l1.depth)
 
     ws = words(h.domain, depth)
@@ -575,29 +555,16 @@ def block_conjugacy(p: SftPresentation, k: int) -> BlockConjugacy:
     target = hb.presentation
     sym_of_word = hb.symbol_of_word
 
-    ids: dict[Word, int] = {}
-    for length in range(k):
-        for w in words(p, length):
-            ids[w] = len(ids)
-    # states of length k hold the last k symbols; transitions emit blocks
-    full_words = words(p, k)
-    full_index = {w: i for i, w in enumerate(full_words)}
-    base = len(ids)
-    rules: list[Rule] = []
-    for w, sid in ids.items():
-        for a in _inputs(p, w[-1] if w else None):
-            full = w + (a,)
-            if len(full) < k:
-                rules.append((sid, a, ids[full], ()))
-            else:
-                rules.append((sid, a, base + full_index[full], ()))
+    # states after the buffer hold the last k symbols; transitions emit blocks
+    full_index = {w: i for i, w in enumerate(words(p, k))}
+    base, rules = _buffer(p, k, lambda full: (full_index[full], ()))
     for w, i in full_index.items():
         for a in p.successors(w[-1]):
             block = w + (a,)
             rules.append((base + i, a, base + full_index[block[1:]],
                           (sym_of_word[block],)))
-    forward = make_transducer(p, target, rules, initial=ids[()],
-                              n_states=base + len(full_words))
+    forward = make_transducer(p, target, rules, initial=0,
+                              n_states=base + len(full_index))
 
     back_rules = [(0, s, 0, (hb.word_of_symbol[s][0],))
                   for s in range(target.alphabet_size)]
@@ -620,13 +587,7 @@ def parse_transducer_text(text: str, domain: SftPresentation,
     Header ``transducer <domain-id> <codomain-id> states=<m> initial=<q0>``;
     each following line is ``q a -> q' w`` with ``-`` for the empty output
     word."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    if not lines:
-        raise FormatError("empty transducer file")
+    lines = content_lines(text, "transducer")
     head = lines[0].split()
     if len(head) != 5 or head[0] != "transducer":
         raise FormatError("transducer file must start with "

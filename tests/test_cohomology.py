@@ -20,7 +20,7 @@ from sftlab.errors import (
     RationalNotSupported,
 )
 from sftlab.randgen import random_function, random_irreducible, random_point
-from sftlab.shifts import validate, words
+from sftlab.shifts import words
 
 seeds = st.integers(0, 10**6)
 

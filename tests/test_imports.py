@@ -1,0 +1,42 @@
+"""Every module-level import in the package and its tests is used in its file."""
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FILES = sorted([*(ROOT / "src" / "sftlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by a module-level import and never read in the module;
+    names listed in ``__all__`` count as read."""
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in bound.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_module_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_sees_an_unused_import():
+    source = "import os\nimport sys\nfrom a import b as c, d\n__all__ = ['d']\nsys.exit()\n"
+    assert unused_imports(source) == ["os (line 1)", "c (line 3)"]

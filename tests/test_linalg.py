@@ -8,7 +8,6 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sftlab.cohomology as coh
 import sftlab.transducers as tr
 from sftlab.errors import (
     FormatError,
+    SftError,
     InadmissibleOutput,
     IncompleteTransducer,
     PresentationMismatch,
@@ -20,7 +21,13 @@ from sftlab.errors import (
 )
 from sftlab.moves import expand
 from sftlab.randgen import random_function, random_irreducible, random_point
-from sftlab.shifts import enumerate_points, parse_point, shift_point_by
+from sftlab.shifts import (
+    enumerate_points,
+    parse_point,
+    periodic_point,
+    shift_point_by,
+    words,
+)
 
 seeds = st.integers(0, 10**6)
 
@@ -28,6 +35,31 @@ seeds = st.integers(0, 10**6)
 @pytest.fixture(scope="module")
 def fib_exp(fib):
     return expand(fib)
+
+
+def direct(domain, codomain, rules):
+    """A one-state machine built by the dataclass itself, without
+    make_transducer."""
+    return tr.Transducer(domain, codomain, 1, 0, tuple(rules))
+
+
+BUILDERS = pytest.mark.parametrize("build", [tr.make_transducer, direct],
+                                   ids=["make_transducer", "direct"])
+
+
+def random_machine(rng):
+    """A random complete machine with up to 3 states between random shifts
+    on up to 3 symbols that passes construction."""
+    while True:
+        dom, cod = random_irreducible(rng, 3), random_irreducible(rng, 3)
+        n_states = rng.randint(1, 3)
+        rules = [(q, a, rng.randrange(n_states),
+                  rng.choice(words(cod, rng.randint(0, 2))))
+                 for q in range(n_states) for a in range(dom.alphabet_size)]
+        try:
+            return tr.make_transducer(dom, cod, rules, n_states=n_states)
+        except SftError:
+            continue
 
 
 def sigma_machine(p):
@@ -50,9 +82,10 @@ class TestConstruction:
             tr.make_transducer(fib, fib,
                                [(0, 0, 0, (0,)), (0, 0, 0, (1,)), (0, 1, 0, (1,))])
 
-    def test_incomplete_rejected(self, full2):
-        with pytest.raises(IncompleteTransducer):
-            tr.make_transducer(full2, full2, [(0, 0, 0, (0,))])
+    @BUILDERS
+    def test_incomplete_rejected(self, full2, build):
+        with pytest.raises(IncompleteTransducer, match="no rule for state 0 on symbol 2"):
+            build(full2, full2, [(0, 0, 0, (0,))])
 
     def test_partiality_allowed_off_domain(self, fib):
         # after reading 2 only 1 can follow, so state 1 needs no rule for 2
@@ -60,18 +93,35 @@ class TestConstruction:
         t = tr.make_transducer(fib, fib, rules, n_states=2)
         assert tr.apply(t, parse_point(fib, ":12")).label() == ":12"
 
-    def test_starvation_rejected(self, fib):
-        with pytest.raises(Starvation):
-            tr.make_transducer(fib, fib, [(0, 0, 0, ()), (0, 1, 0, ())])
+    @BUILDERS
+    def test_starvation_rejected(self, fib, build):
+        with pytest.raises(Starvation, match="cycle through state 0 emits no output"):
+            build(fib, fib, [(0, 0, 0, ()), (0, 1, 0, ())])
 
-    def test_inadmissible_output_rejected(self, fib):
+    @BUILDERS
+    def test_inadmissible_output_rejected(self, fib, build):
         # both inputs emit symbol 2; 22 is forbidden in the codomain
-        with pytest.raises(InadmissibleOutput):
-            tr.make_transducer(fib, fib, [(0, 0, 0, (1,)), (0, 1, 0, (1,))])
+        with pytest.raises(InadmissibleOutput,
+                           match="outputs 2 then 2 cannot be concatenated"):
+            build(fib, fib, [(0, 0, 0, (1,)), (0, 1, 0, (1,))])
 
-    def test_inadmissible_output_within_one_emission(self, fib):
-        with pytest.raises(InadmissibleOutput):
-            tr.make_transducer(fib, fib, [(0, 0, 0, (1, 1)), (0, 1, 0, (0,))])
+    @BUILDERS
+    def test_inadmissible_output_within_one_emission(self, fib, build):
+        with pytest.raises(InadmissibleOutput,
+                           match=r"output 22 of rule \(0,0\) is inadmissible"):
+            build(fib, fib, [(0, 0, 0, (1, 1)), (0, 1, 0, (0,))])
+
+    @settings(max_examples=10)
+    @given(seeds)
+    def test_constructed_machines_are_trusted(self, seed):
+        """What construction proves is what apply and transfer_psi rely on:
+        images are admissible points and the lookahead search ends."""
+        rng = random.Random(seed)
+        t = random_machine(rng)
+        for x in enumerate_points(t.domain, 2, 3):
+            y = tr.apply(t, x)
+            assert periodic_point(t.codomain, y.preperiod, y.period) == y
+        tr.transfer_psi(t, tr.conjugacy_data(t.domain), coh.unit(t.codomain))
 
 
 class TestApply:
