@@ -20,14 +20,20 @@ the claim.
 along a move or an orbit map (``moves.phi``/``psi``/``psi_xi``/``psi_eta``,
 ``transducers.transfer_psi``), the n-step cocycle ``partial_sum``,
 ``orbit_sum`` and the action phase sum f over the first n windows of a word.
-``lift_table`` and ``pullback_sigma`` read one window per word and gather
-table entries directly.
+``lift_table``, ``pullback_sigma`` and the normalisation in ``function``
+read no words: they copy slices of tables along the first-symbol blocks of
+the word levels (``shifts.word_level``).  The values of B_d on one word of
+B_k (k <= d) are a contiguous run, so a lift repeats each value once per
+extension, f(shift .) is one block of f's table per pair a, b of
+consecutive symbols, and a table falls to depth k-1 when its values at the
+first children, repeated, give it back.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
 
 from .errors import (
     FormatError,
@@ -37,7 +43,14 @@ from .errors import (
     RationalNotSupported,
 )
 from .graphs import find_cycle
-from .shifts import SftPresentation, Word, content_lines, word_index, words
+from .shifts import (
+    SftPresentation,
+    Word,
+    content_lines,
+    word_index,
+    word_level,
+    words,
+)
 
 RING_INT = "Z"
 RING_RAT = "Q"
@@ -91,9 +104,9 @@ def function(p: SftPresentation, depth: int, values,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     table = tuple(values)
-    if ring != RING_INT or any(type(v) is not int for v in table):
+    if ring != RING_INT or set(map(type, table)) != {int}:
         table = tuple(_coerce(v, ring) for v in table)
-    expected = len(words(p, depth))
+    expected = word_level(p, depth).offsets[-1]
     if len(table) != expected:
         raise MismatchedInput(
             f"table has {len(table)} entries, B_{depth} has {expected}")
@@ -101,24 +114,24 @@ def function(p: SftPresentation, depth: int, values,
     return LocallyConstantFunction(p, depth, table, ring)
 
 
+def _lift(p: SftPresentation, table, depth: int, to: int):
+    """The values of a depth ``depth`` table on B_to, lazily: each word w is
+    followed in B_to by its extensions, as many as there are words of length
+    to - depth + 1 starting with the last symbol of w."""
+    extensions = word_level(p, to - depth + 1).counts
+    reps = map(extensions.__getitem__, word_level(p, depth).last)
+    return chain.from_iterable(map(repeat, table, reps))
+
+
 def _normalize(p: SftPresentation, depth: int, table: tuple) -> tuple[int, tuple]:
-    """Reduce the depth while the value depends only on a proper prefix."""
+    """Reduce the depth while the value depends only on a proper prefix: the
+    values at the first children, lifted back, must give the table."""
     while depth > 1:
-        shorter = words(p, depth - 1)
-        sidx = word_index(p, depth - 1)
-        candidate: list = [None] * len(shorter)
-        ok = True
-        for w, v in zip(words(p, depth), table):
-            i = sidx[w[:-1]]
-            if candidate[i] is None:
-                candidate[i] = v
-            elif candidate[i] != v:
-                ok = False
-                break
-        if not ok:
+        shorter = tuple(compress(table, word_level(p, depth).first_child))
+        if not all(map(operator.eq, _lift(p, shorter, depth - 1, depth), table)):
             break
         depth -= 1
-        table = tuple(candidate)
+        table = shorter
     return depth, table
 
 
@@ -153,13 +166,13 @@ def _common(f: LocallyConstantFunction, g: LocallyConstantFunction):
 
 
 def lift_table(f: LocallyConstantFunction, depth: int) -> tuple:
-    """Value table of f at a (possibly) larger depth."""
+    """Value table of f at a depth no smaller than its own."""
+    if depth < f.depth:
+        raise ValueError(f"cannot lift a depth-{f.depth} function to depth {depth}")
     if depth == f.depth:
         return f.table
-    assert depth > f.depth
-    idx = word_index(f.presentation, f.depth)
-    return tuple(f.table[idx[w[: f.depth]]]
-                 for w in words(f.presentation, depth))
+    word_level(f.presentation, depth)          # checks the cap
+    return tuple(_lift(f.presentation, f.table, f.depth, depth))
 
 
 def _pointwise(op, f: LocallyConstantFunction,
@@ -201,11 +214,16 @@ def scale(f: LocallyConstantFunction, c) -> LocallyConstantFunction:
 
 
 def pullback_sigma(f: LocallyConstantFunction) -> LocallyConstantFunction:
-    """f composed with the shift map; raises the depth by one."""
-    p = f.presentation
-    idx = word_index(p, f.depth)
-    table = [f.table[idx[w[1:]]] for w in words(p, f.depth + 1)]
-    return function(p, f.depth + 1, table, f.ring)
+    """f composed with the shift map; raises the depth by one.  On the words
+    a.w of B_{depth+1} with w starting with b, it is f's block of b."""
+    p, k = f.presentation, f.depth
+    word_level(p, k + 1)                        # checks the cap
+    offsets = word_level(p, k).offsets
+    table: list = []
+    for a in range(p.alphabet_size):
+        for b in p.successors(a):
+            table += f.table[offsets[b]:offsets[b + 1]]
+    return function(p, k + 1, table, f.ring)
 
 
 def window_sums(f: LocallyConstantFunction, streams) -> list:

@@ -8,9 +8,12 @@ budget, SSE attempt budget, delay slack, point-check bounds) are constants
 next to their one reader.
 
 Limits are resolved only where a cap is read: ``shifts.validate`` reads the
-vertex cap of the caller's Limits, ``shifts.words`` the word cap of the
-presentation's, and the CLI resolves once per command.  A presentation built
-without Limits (``None``) reads the environment on each word-table request.
+vertex cap of the caller's Limits, ``shifts._check_word_cap`` the word cap
+of the presentation's, and the CLI resolves once per command.  Every word
+table and word level goes through that one reader: ``shifts.word_level``
+calls it before it builds a level, and ``shifts.words`` through
+``word_level``.  A presentation built without Limits (``None``) reads the
+environment on each word-table request.
 """
 from __future__ import annotations
 

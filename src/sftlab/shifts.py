@@ -12,22 +12,41 @@ kept alongside for parsing and printing.  Word enumeration order is the
 lexicographic order on symbol indices and is frozen: function tables index
 into it.
 
-Word tables B_k and their word-to-position indexes are cached on the
-presentation itself, in two dicts keyed by k that ``words`` and
-``word_index`` fill on demand.  A table lives exactly as long as its
-presentation; equal presentations built separately each hold their own.  A
-missing B_k is built level by level from the longest shorter table already
-cached.  The word cap is checked on every call, cached or not.
+Each word length k >= 1 has a level, a ``WordLevel``: B_k described by
+integer arrays rather than words.  It holds the offsets of the block of
+words that start with each symbol, the per-symbol counts, the last symbol
+of each word and the first-child mask.  B_{k+1} is the concatenation, over
+a and then over b in succ(a), of a followed by B_k's block of b, so every
+array of level k+1 is built from level k by slice concatenation.  Tables of
+locally constant functions are read through the levels (``cohomology``).
+Word tables B_k and their word-to-position indexes are kept for the callers
+that need the words themselves.
+
+Levels, word tables and indexes are cached on the presentation itself, in
+dicts keyed by k that ``word_level``, ``words`` and ``word_index`` fill on
+demand.  They live exactly as long as their presentation; equal
+presentations built separately each hold their own.  A missing level is
+built, together with every level below it, from the longest shorter level
+already cached; a missing word table is built from the longest shorter
+word table.
+
+The word cap is checked on every request, cached or not, and before
+anything is built: the size of a missing level is stepped up from the
+counts of the longest cached level (counts of B_{k+1} at a are the sum of
+the counts of B_k over succ(a)), so a refused request leaves no level
+behind.  ``_check_word_cap`` is the one reader of the cap; ``count_words``
+is the independent count by matrix powers.
 
 A presentation carries the ``Limits`` its builder was given (``None`` when
-none was), and presentations derived from it inherit them.  ``words`` reads
-the word cap there, or from the environment when there is none; the caps
-take no part in equality or hashing.
+none was), and presentations derived from it inherit them.  The word cap is
+read there, or from the environment when there is none; the caps take no
+part in equality or hashing.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, chain
 from pathlib import Path
 
 from .config import Limits, default_limits
@@ -45,6 +64,22 @@ from .linalg import freeze, mat_mul
 
 Matrix = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class WordLevel:
+    """B_k (k >= 1) as integer arrays, in frozen lexicographic order.
+
+    The words that start with symbol a sit at positions offsets[a] up to
+    offsets[a + 1], and counts[a] is their number.  ``last`` holds the last
+    symbol of each word.  ``first_child`` is 1 at the first of the words
+    that extend one word of B_{k-1}; the words extending it follow it in
+    order."""
+
+    offsets: tuple[int, ...]               # m + 1 entries
+    counts: tuple[int, ...]                # m entries
+    last: list[int]
+    first_child: bytes
 
 
 @dataclass(frozen=True)
@@ -86,6 +121,14 @@ class SftPresentation:
     @functools.cached_property
     def _successor_sets(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(row) for row in self._successors)
+
+    @functools.cached_property
+    def _word_levels(self) -> dict[int, WordLevel]:
+        """Levels by length k, filled by ``word_level``; level 1 is seeded."""
+        m = self.alphabet_size
+        return {1: WordLevel(offsets=tuple(range(m + 1)), counts=(1,) * m,
+                             last=list(range(m)),
+                             first_child=bytes([1]) + bytes(m - 1))}
 
     @functools.cached_property
     def _word_tables(self) -> dict[int, tuple[Word, ...]]:
@@ -261,6 +304,66 @@ def count_words(p: SftPresentation, k: int) -> int:
     return _mat_pow_sum(p.adjacency, k)
 
 
+def _check_word_cap(p: SftPresentation, k: int, count: int) -> None:
+    """Refuse a table of ``count`` words when it is over the word cap of p."""
+    max_words = (p.limits or default_limits()).max_words
+    if count > max_words:
+        raise EnvelopeExceeded(
+            f"|B_{k}| = {count} exceeds the word cap {max_words}")
+
+
+def _step_counts(p: SftPresentation, counts: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-symbol counts of B_{k+1} from those of B_k: a word of B_{k+1}
+    starting with a is a followed by a word of B_k starting in succ(a)."""
+    return tuple(sum(map(counts.__getitem__, row)) for row in p._successors)
+
+
+def _next_level(p: SftPresentation, level: WordLevel, k: int) -> WordLevel:
+    """Level k + 1 from level k: for each a and then each b in succ(a), the
+    block of level k of b.  A word a.w keeps the last symbol of w, and for
+    k >= 2 it is a first child exactly when w is one.  The second symbols
+    of B_2, in order, are the last symbols of level 2."""
+    succ = p._successors
+    counts = _step_counts(p, level.counts)
+    if k == 1:
+        last = [b for row in succ for b in row]
+        first = bytes(b == row[0] for row in succ for b in row)
+    else:
+        offs = level.offsets
+        spans = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
+        seconds = p._word_levels[2].last
+        last_of = [level.last[s] for s in spans]
+        first_of = [level.first_child[s] for s in spans]
+        last = list(chain.from_iterable(map(last_of.__getitem__, seconds)))
+        first = b"".join(map(first_of.__getitem__, seconds))
+    return WordLevel(tuple(accumulate(counts, initial=0)), counts, last, first)
+
+
+def word_level(p: SftPresentation, k: int) -> WordLevel:
+    """B_k (k >= 1) as a ``WordLevel``; shared, do not mutate.  A missing
+    level is built with all the levels below it, but only after its size,
+    stepped up from the counts of the longest cached shorter level, has
+    passed the word cap."""
+    if k < 1:
+        raise ValueError("word levels start at length 1")
+    levels = p._word_levels
+    level = levels.get(k)
+    if level is not None:
+        _check_word_cap(p, k, level.offsets[-1])
+        return level
+    start = k - 1
+    while start not in levels:
+        start -= 1
+    counts = levels[start].counts
+    for _ in range(start, k):
+        counts = _step_counts(p, counts)
+    _check_word_cap(p, k, sum(counts))
+    level = levels[start]
+    for j in range(start, k):
+        level = levels[j + 1] = _next_level(p, level, j)
+    return level
+
+
 def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
     """Build B_k from the longest cached shorter table and cache it.  Each
     level appends the successors of a word's last symbol; successors are
@@ -279,12 +382,13 @@ def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
 
 def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
     """All admissible words of length k, in frozen lexicographic order."""
-    max_words = (p.limits or default_limits()).max_words
+    if k < 0:
+        raise ValueError("word length must be nonnegative")
+    if k == 0:
+        _check_word_cap(p, 0, 1)
+    else:
+        word_level(p, k)                 # checks the cap
     table = p._word_tables.get(k)
-    count = count_words(p, k) if table is None else len(table)
-    if count > max_words:
-        raise EnvelopeExceeded(
-            f"|B_{k}| = {count} exceeds the word cap {max_words}")
     if table is None:
         table = _extend_table(p, k)
     return table

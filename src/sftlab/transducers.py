@@ -4,7 +4,8 @@ maps between one-sided shifts of finite type.
 A machine reads the input point symbol by symbol from a fixed initial state
 and emits a (possibly empty) output word per step.  Every ``Transducer`` is
 checked when it is constructed, by ``make_transducer``, by a direct call or
-by any other route, for the three properties that make the machine a genuine
+by any other route.  It must hold one rule per (state, input symbol), and
+it must have the three properties that make the machine a genuine
 continuous map into the codomain shift:
 
 * complete: a transition exists for every reachable state and admissible
@@ -63,8 +64,15 @@ class Transducer:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        """Completeness, productivity, and output admissibility."""
+        """One rule per (state, symbol), completeness, productivity, and
+        output admissibility."""
         table = self.table
+        if len(table) != len(self.rules):
+            seen = set()
+            for q, a, _q2, _out in self.rules:
+                if (q, a) in seen:
+                    raise FormatError(f"duplicate rule for state {q}, symbol {a}")
+                seen.add((q, a))
         dom, cod = self.domain, self.codomain
         for (q, a), (q2, out) in table.items():
             if not (0 <= q < self.n_states and 0 <= q2 < self.n_states):
@@ -118,15 +126,8 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                     rules, initial: int = 0,
                     n_states: int | None = None) -> Transducer:
     """Normalize the rule set (sorted, frozen) and build the machine."""
-    normalized = []
-    seen = set()
-    for q, a, q2, out in rules:
-        key = (int(q), int(a))
-        if key in seen:
-            raise FormatError(f"duplicate rule for state {q}, symbol {a}")
-        seen.add(key)
-        normalized.append((int(q), int(a), int(q2), tuple(int(s) for s in out)))
-    normalized.sort()
+    normalized = sorted((int(q), int(a), int(q2), tuple(int(s) for s in out))
+                        for q, a, q2, out in rules)
     if n_states is None:
         n_states = 1 + max(
             itertools.chain((q for q, _a, _q2, _o in normalized),

@@ -3,7 +3,11 @@ class equality, positivity, and order units.  Independent oracle: exhaustive
 simple-cycle enumeration on the potential graph (networkx)."""
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sftlab
 import sftlab.cohomology as coh
 from sftlab.errors import (
     FormatError,
@@ -19,8 +24,13 @@ from sftlab.errors import (
     PresentationMismatch,
     RationalNotSupported,
 )
-from sftlab.randgen import random_function, random_irreducible, random_point
-from sftlab.shifts import words
+from sftlab.randgen import (
+    random_edge_presentation,
+    random_function,
+    random_irreducible,
+    random_point,
+)
+from sftlab.shifts import count_words, word_index, words
 
 seeds = st.integers(0, 10**6)
 
@@ -166,6 +176,115 @@ def _partial_sum_by_pullbacks(f, n):
         acc = coh.add(acc, cur)
         cur = coh.pullback_sigma(cur)
     return acc
+
+
+# Reference bodies over words, by tuple slicing and word_index lookups; the
+# library reads the first-symbol blocks of the word levels instead.
+
+def _ref_normalize(p, depth, table):
+    while depth > 1:
+        sidx = word_index(p, depth - 1)
+        shorter = [None] * len(sidx)
+        for w, v in zip(words(p, depth), table):
+            i = sidx[w[:-1]]
+            if shorter[i] is None:
+                shorter[i] = v
+            elif shorter[i] != v:
+                return depth, tuple(table)
+        depth, table = depth - 1, shorter
+    return depth, tuple(table)
+
+
+def _ref_lift(f, depth):
+    idx = word_index(f.presentation, f.depth)
+    return tuple(f.table[idx[w[:f.depth]]] for w in words(f.presentation, depth))
+
+
+def _ref_pullback(f):
+    idx = word_index(f.presentation, f.depth)
+    return tuple(f.table[idx[w[1:]]] for w in words(f.presentation, f.depth + 1))
+
+
+def _level_case(seed, ring):
+    """A vertex-kind (even seed) or edge-kind (odd seed) presentation, a
+    depth in 1..5 with |B_(depth+1)| at most 2000, and a table at that depth.
+    The table is the lift of one at a random shallower depth, so that
+    normalisation has work to do, and one entry in three tables is changed."""
+    rng = random.Random(seed)
+    p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+    depth = rng.randint(1, 5)
+    while depth > 1 and count_words(p, depth + 1) > 2000:
+        depth -= 1
+    shallow = rng.randint(1, depth)
+    base = [rng.randint(-3, 3) for _ in words(p, shallow)]
+    idx = word_index(p, shallow)
+    table = [base[idx[w[:shallow]]] for w in words(p, depth)]
+    if rng.randrange(3) == 0:
+        table[rng.randrange(len(table))] += 1
+    if ring == coh.RING_RAT:
+        table = [Fraction(v, 3) for v in table]
+    return p, depth, table
+
+
+rings = st.sampled_from([coh.RING_INT, coh.RING_RAT])
+
+
+class TestLevelTablesMatchWordReference:
+    @given(seeds, rings)
+    def test_function(self, seed, ring):
+        p, depth, table = _level_case(seed, ring)
+        f = coh.function(p, depth, table, ring)
+        assert (f.depth, f.table) == _ref_normalize(p, depth, table)
+
+    @given(seeds, rings)
+    def test_lift_table(self, seed, ring):
+        p, depth, table = _level_case(seed, ring)
+        f = coh.function(p, depth, table, ring)
+        for to in range(f.depth, depth + 2):
+            assert coh.lift_table(f, to) == _ref_lift(f, to)
+
+    @given(seeds, rings)
+    def test_pullback_sigma(self, seed, ring):
+        p, depth, table = _level_case(seed, ring)
+        f = coh.function(p, depth, table, ring)
+        g = coh.pullback_sigma(f)
+        assert g.ring == ring
+        assert (g.depth, g.table) == _ref_normalize(p, f.depth + 1, _ref_pullback(f))
+
+    @given(seeds, rings)
+    def test_coboundary(self, seed, ring):
+        p, depth, table = _level_case(seed, ring)
+        b = coh.function(p, depth, table, ring)
+        diff = [x - y for x, y in zip(_ref_lift(b, b.depth + 1), _ref_pullback(b))]
+        c = coh.coboundary(b)
+        assert (c.depth, c.table) == _ref_normalize(p, b.depth + 1, diff)
+
+
+class TestLiftTable:
+    def test_same_depth_is_the_table(self, fib):
+        f = coh.function(fib, 2, [1, 2, 3])
+        assert coh.lift_table(f, 2) is f.table
+
+    def test_smaller_depth_refused(self, fib):
+        f = coh.function(fib, 2, [1, 2, 3])
+        with pytest.raises(ValueError, match="cannot lift a depth-2 function to depth 1"):
+            coh.lift_table(f, 1)
+
+    def test_smaller_depth_refused_under_optimisation(self):
+        """The refusal is no assert, so python -O keeps it."""
+        code = ("import sftlab.cohomology as coh\n"
+                "from sftlab.shifts import validate\n"
+                "f = coh.function(validate(((1, 1), (1, 0))), 2, [1, 2, 3])\n"
+                "try:\n"
+                "    coh.lift_table(f, 1)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "cannot lift a depth-2 function to depth 1\n"
 
 
 class TestWindowSums:

@@ -322,6 +322,22 @@ def test_built_presentation_carries_the_cap(name, ctx, monkeypatch):
         sh.words(p, k)
 
 
+@pytest.mark.parametrize("name", ["pullback_sigma", "lift_table"])
+def test_refused_level_is_not_built(name):
+    """A depth-k table whose depth-(k+1) image is one word over the caller's
+    cap: the stepped count refuses it before level k + 1 is built."""
+    k = 3
+    cap = sh.count_words(sh.validate(FULL3), k + 1) - 1
+    p = sh.validate(FULL3, limits=Limits(max_words=cap))
+    f = coh.function(p, k, list(range(27)))
+    assert f.depth == k
+    call = {"pullback_sigma": lambda: coh.pullback_sigma(f),
+            "lift_table": lambda: coh.lift_table(f, k + 1)}[name]
+    with pytest.raises(EnvelopeExceeded, match=rf"\|B_{k + 1}\| = {cap + 1} exceeds"):
+        call()
+    assert max(p._word_levels) == k
+
+
 def test_caps_do_not_change_equality():
     """A presentation equals and hashes like its uncapped twin, so every
     presentation != domain check behaves as before."""
@@ -367,7 +383,7 @@ def _resolvers() -> set[str]:
 def test_limits_resolved_only_where_a_cap_is_read():
     """Everything else passes its limits on; see the config docstring."""
     outside_config = {q for q in _resolvers() if not q.startswith("config.")}
-    assert outside_config == {"shifts.words", "shifts.validate", "cli.run"}
+    assert outside_config == {"shifts._check_word_cap", "shifts.validate", "cli.run"}
 
 
 def _cap_readers() -> dict[str, set[str]]:
@@ -392,10 +408,10 @@ def _cap_readers() -> dict[str, set[str]]:
 
 
 def test_each_cap_has_one_reader():
-    """The word cap is read in words and the vertex cap in validate; every
-    other function leaves the caps to the presentation."""
+    """The word cap is read in _check_word_cap and the vertex cap in
+    validate; every other function leaves the caps to the presentation."""
     assert _cap_readers() == {"max_vertices": {"shifts.validate"},
-                              "max_words": {"shifts.words"}}
+                              "max_words": {"shifts._check_word_cap"}}
 
 
 def test_limits_holds_only_the_input_size_caps():

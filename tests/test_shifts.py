@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sftlab.config import MAX_WORDS_ENV, default_limits
+from sftlab.config import MAX_WORDS_ENV, Limits, default_limits
 from sftlab.errors import (
     EnvelopeExceeded,
     FormatError,
@@ -36,6 +36,7 @@ from sftlab.shifts import (
     to_edge_form,
     validate,
     word_index,
+    word_level,
     words,
 )
 
@@ -205,6 +206,54 @@ class TestWords:
         longer = set(words(p, 3))
         for w in words(p, 2):
             assert any(w + (b,) in longer for b in p.successors(w[-1]))
+
+
+class TestWordLevels:
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_level_matches_words(self, kind, k):
+        p = FRESH[kind]()
+        level = word_level(p, k)
+        ws = brute_force_words(p, k)
+        m = p.alphabet_size
+        assert level.offsets == tuple(sum(w[0] < a for w in ws) for a in range(m + 1))
+        assert level.counts == tuple(sum(w[0] == a for w in ws) for a in range(m))
+        assert level.last == [w[-1] for w in ws]
+        # 1 at the first of the words extending one word of B_(k-1)
+        assert list(level.first_child) == [
+            int(i == 0 or ws[i][:-1] != ws[i - 1][:-1]) for i in range(len(ws))]
+
+    @given(seeds)
+    def test_stepped_count_matches_count_words(self, seed):
+        """The cap check reads |B_k| from per-symbol counts stepped up from
+        the longest cached level; it refuses one word short of count_words
+        for every k <= 12, and builds nothing when it refuses."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng) if seed % 2 else random_irreducible(rng, 5)
+        for k in range(1, 13):
+            n = count_words(p, k)
+            capped = validate(p.adjacency, p.kind, limits=Limits(max_words=n - 1))
+            start = 2 if k > 2 else 1            # level 1 is seeded
+            if k > 2:
+                word_level(capped, 2)
+            with pytest.raises(EnvelopeExceeded, match=rf"\|B_{k}\| = {n} exceeds"):
+                word_level(capped, k)
+            assert max(capped._word_levels) == start
+
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    def test_levels_below_stay_cached(self, kind):
+        p = FRESH[kind]()
+        top = word_level(p, 6)
+        cached = dict(p._word_levels)
+        assert sorted(cached) == [1, 2, 3, 4, 5, 6] and cached[6] is top
+        for k in range(1, 6):
+            assert word_level(p, k) is cached[k]
+        assert word_level(p, 7) is p._word_levels[7]
+        assert all(p._word_levels[k] is cached[k] for k in cached)
+
+    def test_levels_start_at_one(self, fib):
+        with pytest.raises(ValueError):
+            word_level(fib, 0)
 
 
 class TestPoints:

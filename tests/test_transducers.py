@@ -82,6 +82,13 @@ class TestConstruction:
             tr.make_transducer(fib, fib,
                                [(0, 0, 0, (0,)), (0, 0, 0, (1,)), (0, 1, 0, (1,))])
 
+    def test_duplicate_rule_rejected_when_built_directly(self, fib):
+        """Two rules for one (state, symbol) would format to a file that
+        parse_transducer_text refuses, so the dataclass refuses them too."""
+        with pytest.raises(FormatError, match="duplicate rule for state 0, symbol 0"):
+            tr.Transducer(fib, fib, 1, 0,
+                          ((0, 0, 0, (1,)), (0, 0, 0, (0,)), (0, 1, 0, (0,))))
+
     @BUILDERS
     def test_incomplete_rejected(self, full2, build):
         with pytest.raises(IncompleteTransducer, match="no rule for state 0 on symbol 2"):
