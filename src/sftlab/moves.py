@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from . import cohomology as coh
 from .config import Limits
 from .errors import (
+    ContradictionDetected,
     EnvelopeExceeded,
     FormatError,
     InvalidResult,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .graphs import path
 from .linalg import mat_mul
-from .shifts import Matrix, SftPresentation, Word, validate, words
+from .shifts import Matrix, SftPresentation, Word, validate, word_level, words
 from .transducers import OrbitData, Transducer, make_transducer
 
 
@@ -193,15 +194,6 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
 
     z = tuple(((0,) * n + c[i]) if i < n else (d[i - n] + (0,) * m)
               for i in range(n + m))
-    zz = mat_mul(z, z)
-    for i in range(n + m):
-        for j in range(n + m):
-            want = 0
-            if i < n and j < n:
-                want = a_mat[i][j]
-            elif i >= n and j >= n:
-                want = b_mat[i - n][j - n]
-            assert zz[i][j] == want, "block square identity failed"
 
     c_edges = _enumerate_bipartite(c)
     d_edges = _enumerate_bipartite(d)
@@ -217,7 +209,10 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
                 for k in range(m)
                 for ci in range(c[i][k])
                 for di in range(d[k][j])]
-            assert len(through) == a_mat[i][j]
+            if len(through) != a_mat[i][j]:
+                raise ContradictionDetected(
+                    f"A has {a_mat[i][j]} edges from {i + 1} to {j + 1} but "
+                    f"{len(through)} factor edge pairs")
         a_pairs.append(through[p])
     b_pairs = []
     through = []
@@ -228,7 +223,10 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
                 for j in range(n)
                 for di in range(d[k][j])
                 for ci in range(c[j][l])]
-            assert len(through) == b_mat[k][l]
+            if len(through) != b_mat[k][l]:
+                raise ContradictionDetected(
+                    f"B has {b_mat[k][l]} edges from {k + 1} to {l + 1} but "
+                    f"{len(through)} factor edge pairs")
         b_pairs.append(through[q])
 
     return ElementaryEquivalence(
@@ -237,25 +235,61 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
         a_pairs=tuple(a_pairs), b_pairs=tuple(b_pairs))
 
 
+def _pair_starts(p: SftPresentation, k: int) -> list[int]:
+    """Where the words of B_k (k >= 2) that begin with each pair a, b of B_2
+    start, in B_2's order, with one more entry closing the last block."""
+    counts = word_level(p, k - 1).counts
+    return list(itertools.accumulate(
+        map(counts.__getitem__, word_level(p, 2).last), initial=0))
+
+
 def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
                    target_pairs, source_index) -> coh.LocallyConstantFunction:
-    """Shared body of phi and psi: split each target edge into its pair of
-    factor edges and reassemble the interleaved pairs into source edges, one
-    step later."""
-    k = f.depth
-    streams = []
-    for w in words(target, k + 1):
-        pairs = [target_pairs[s] for s in w]
-        streams.append((tuple(source_index[(pairs[t][1], pairs[t + 1][0])]
-                              for t in range(k)), 1))
-    return coh.function(target, k + 1, coh.window_sums(f, streams), f.ring)
+    """Shared body of phi and psi.  Its value on x_0 ... x_k in B_{k+1} of the
+    target is f on g(x_0, x_1) ... g(x_{k-1}, x_k), where g(x, y) is the
+    source edge of the pair (second factor edge of x, first factor edge of
+    y): the interleaved pairs reassembled one step later.
+
+    No word is built.  Positions are additive along a word: the rank in
+    B_j of s.v is the start of the block of (s, v_0) in B_j, minus the
+    offset of v_0 in B_{j-1}, plus the rank of v in B_{j-1}.  So the ranks
+    of the images of B_{j+1}, over each block x, y, z of it, are the ranks
+    of the images of B_j's block y, z plus one constant, and f's table is
+    read by one gather at the end."""
+    k, source = f.depth, f.presentation
+    word_level(target, k + 1)                   # checks the cap
+    # the images of B_2: one source edge each, its own rank in B_1
+    ranks = g = [source_index[(target_pairs[x][1], target_pairs[y][0])]
+                 for x in range(target.alphabet_size)
+                 for y in target.successors(x)]
+    if k > 1:
+        rank2 = [dict(zip(source.successors(a), itertools.count(lo)))
+                 for a, lo in enumerate(word_level(source, 2).offsets[:-1])]
+        level2 = word_level(target, 2)
+        # per block x, y, z of B_3: the pair y, z and the rank in B_2 of
+        # the image of x y z, whose last symbol is g(y, z)
+        blocks = [(e2, rank2[g[e]][g[e2]], g[e2])
+                  for e, y in enumerate(level2.last)
+                  for e2 in range(level2.offsets[y], level2.offsets[y + 1])]
+        ranks = [q for _e2, q, _s1 in blocks]
+        for j in range(3, k + 1):
+            starts = _pair_starts(target, j)
+            source_starts = _pair_starts(source, j)
+            source_offsets = word_level(source, j - 1).offsets
+            ranks = list(itertools.chain.from_iterable(
+                map((source_starts[q] - source_offsets[s1]).__add__,
+                    ranks[starts[e2]:starts[e2 + 1]])
+                for e2, q, s1 in blocks))
+    return coh.function(target, k + 1, map(f.table.__getitem__, ranks), f.ring)
 
 
 def phi(ee: ElementaryEquivalence,
         f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Transfer a function on the edge shift of A = CD to the edge shift of
     B = DC: decompose each B-edge as (D-edge, C-edge) and reassemble the
-    interleaved (C-edge, D-edge) pairs into A-edges, one step later."""
+    interleaved (C-edge, D-edge) pairs into A-edges, one step later.  The
+    result has depth at most f.depth + 1; it is read off B_{depth+1} of B
+    by position in f's table, without building words."""
     if f.presentation != ee.a:
         raise PresentationMismatch("function must live on the edge shift of CD")
     return _edge_transfer(f, ee.b, ee.b_pairs, ee.a_pair_index)

@@ -322,20 +322,44 @@ def test_built_presentation_carries_the_cap(name, ctx, monkeypatch):
         sh.words(p, k)
 
 
-@pytest.mark.parametrize("name", ["pullback_sigma", "lift_table"])
-def test_refused_level_is_not_built(name):
-    """A depth-k table whose depth-(k+1) image is one word over the caller's
-    cap: the stepped count refuses it before level k + 1 is built."""
-    k = 3
+# C = (1 2), D = (1 1)^T: A = (3), B = ((1, 1), (2, 2)).  Both ways |B_k| of
+# the source is below |B_(k+1)| of the target, so f fits under the cap.
+C_D = (((1, 2),), ((1,), (1,)))
+
+
+def _refused_call(name, k):
+    """(cap, target, f, call): a depth-k f and a call that builds B_(k+1) of
+    the target, whose cap is one word below |B_(k+1)|."""
+    if name in ("phi", "psi"):
+        plain = mv.elementary(*C_D)
+        side = {"phi": lambda ee: (ee.a, ee.b), "psi": lambda ee: (ee.b, ee.a)}[name]
+        cap = sh.count_words(side(plain)[1], k + 1) - 1
+        ee = mv.elementary(*C_D, Limits(max_words=cap))
+        source, target = side(ee)
+        f = coh.function(source, k, list(range(sh.count_words(source, k))))
+        return cap, target, f, lambda: getattr(mv, name)(ee, f)
     cap = sh.count_words(sh.validate(FULL3), k + 1) - 1
     p = sh.validate(FULL3, limits=Limits(max_words=cap))
     f = coh.function(p, k, list(range(27)))
-    assert f.depth == k
     call = {"pullback_sigma": lambda: coh.pullback_sigma(f),
-            "lift_table": lambda: coh.lift_table(f, k + 1)}[name]
+            "lift_table": lambda: coh.lift_table(f, k + 1),
+            "coboundary": lambda: coh.coboundary(f)}[name]
+    return cap, p, f, call
+
+
+@pytest.mark.parametrize(
+    "name", ["pullback_sigma", "lift_table", "coboundary", "phi", "psi"])
+def test_refused_level_is_not_built(name):
+    """A depth-k table whose depth-(k+1) image is one word over the caller's
+    cap: the stepped count refuses it before any level of the target is
+    built, so level k + 1 is not left behind."""
+    k = 3
+    cap, target, f, call = _refused_call(name, k)
+    assert f.depth == k
+    built = set(target._word_levels)
     with pytest.raises(EnvelopeExceeded, match=rf"\|B_{k + 1}\| = {cap + 1} exceeds"):
         call()
-    assert max(p._word_levels) == k
+    assert set(target._word_levels) == built and max(built) <= k
 
 
 def test_caps_do_not_change_equality():

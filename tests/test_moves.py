@@ -4,16 +4,23 @@ strong-shift-equivalence search."""
 from __future__ import annotations
 
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sftlab
 import sftlab.cohomology as coh
 import sftlab.moves as mv
 import sftlab.transducers as tr
 from sftlab.errors import (
+    ContradictionDetected,
     FormatError,
     InvalidResult,
     NotVertexKind,
@@ -25,7 +32,7 @@ from sftlab.randgen import (
     random_function,
     random_irreducible,
 )
-from sftlab.shifts import validate
+from sftlab.shifts import count_words, validate, words
 
 seeds = st.integers(0, 10**6)
 
@@ -131,6 +138,12 @@ class TestPsiXiEta:
             tr.transfer_psi(e.merge, e.merge_data, f_base)
 
 
+def _off_by_one(rows):
+    rows = [list(row) for row in rows]
+    rows[0][0] += 1
+    return tuple(map(tuple, rows))
+
+
 class TestElementary:
     def test_one_vertex_doubling(self):
         ee = mv.elementary(((1, 1),), ((1,), (1,)))
@@ -162,6 +175,36 @@ class TestElementary:
         with pytest.raises(InvalidResult):
             mv.elementary(((1, -1),), ((1,), (1,)))
 
+    def test_miscounted_product_raises(self, monkeypatch):
+        """A product whose entry disagrees with the factor edge pairs between
+        its ends is a contradiction, not a pair table to gather through."""
+        real = mv.mat_mul
+        monkeypatch.setattr(mv, "mat_mul", lambda x, y: _off_by_one(real(x, y)))
+        with pytest.raises(ContradictionDetected,
+                           match="A has 3 edges from 1 to 1 but 2 factor edge pairs"):
+            mv.elementary(((1, 1),), ((1,), (1,)))
+
+    def test_miscounted_product_raises_under_optimisation(self):
+        """The check is no assert, so python -O keeps it."""
+        code = ("import sftlab.moves as mv\n"
+                "from sftlab.errors import ContradictionDetected\n"
+                "real = mv.mat_mul\n"
+                "def off_by_one(x, y):\n"
+                "    rows = [list(row) for row in real(x, y)]\n"
+                "    rows[0][0] += 1\n"
+                "    return tuple(map(tuple, rows))\n"
+                "mv.mat_mul = off_by_one\n"
+                "try:\n"
+                "    mv.elementary(((1, 1),), ((1,), (1,)))\n"
+                "except ContradictionDetected as exc:\n"
+                "    print(exc)\n")
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "A has 3 edges from 1 to 1 but 2 factor edge pairs\n"
+
     @given(seeds)
     def test_bijections_are_structured(self, seed):
         rng = random.Random(seed)
@@ -179,6 +222,64 @@ class TestElementary:
             assert (dsrc, jj) == (i, j) and k == ksrc
         assert len(set(ee.a_pairs)) == len(ee.a_pairs)
         assert len(set(ee.b_pairs)) == len(ee.b_pairs)
+
+
+def _ref_edge_transfer(f, target, target_pairs, source_index):
+    """Reference phi/psi over words: one stream of source edges per word of
+    B_(k+1) of the target, summed over its one window by window_sums."""
+    k = f.depth
+    streams = []
+    for w in words(target, k + 1):
+        pairs = [target_pairs[s] for s in w]
+        streams.append((tuple(source_index[(pairs[t][1], pairs[t + 1][0])]
+                              for t in range(k)), 1))
+    return coh.function(target, k + 1, coh.window_sums(f, streams), f.ring)
+
+
+class TestPhiPsiMatchWordReference:
+    """phi and psi rank image words arithmetically on the word levels; the
+    reference builds the words.  Entries of C and D up to 2 give parallel
+    edges, and the depth is 1 to 4 with |B_(depth+1)| of the target at most
+    2000."""
+
+    @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]))
+    def test_phi_and_psi(self, seed, ring):
+        rng = random.Random(seed)
+        ee = random_elementary(rng, outer_max=3, inner_max=3, entry_max=2)
+        cases = ((mv.phi, ee.a, ee.b, ee.b_pairs, ee.a_pair_index),
+                 (mv.psi, ee.b, ee.a, ee.a_pairs, ee.b_pair_index))
+        for transfer, source, target, target_pairs, source_index in cases:
+            depth = rng.randint(1, 4)
+            while depth > 1 and count_words(target, depth + 1) > 2000:
+                depth -= 1
+            table = [rng.randint(-3, 3) for _ in range(count_words(source, depth))]
+            if ring == coh.RING_RAT:
+                table = [Fraction(v, 3) for v in table]
+            f = coh.function(source, depth, table, ring)
+            got = transfer(ee, f)
+            want = _ref_edge_transfer(f, target, target_pairs, source_index)
+            assert (got.depth, got.table, got.ring) == \
+                (want.depth, want.table, want.ring)
+
+
+def test_level_transforms_build_no_word_tables(full3):
+    """phi, psi, coboundary, pullback_sigma and lift_table read word levels:
+    they leave no word table beyond the seeded B_0, B_1 and no word index."""
+    ee = mv.elementary(((1, 2), (1, 0)), ((1, 0), (1, 1)))
+    p = validate(full3.adjacency)
+    for depth in (1, 3):
+        f = coh.function(ee.a, depth, range(count_words(ee.a, depth)))
+        g = coh.function(ee.b, depth, range(count_words(ee.b, depth)))
+        h = coh.function(p, depth, range(count_words(p, depth)))
+        mv.psi(ee, mv.phi(ee, f))
+        mv.phi(ee, mv.psi(ee, g))
+        for fn in (f, g, h):
+            coh.coboundary(fn)
+            coh.pullback_sigma(fn)
+            coh.lift_table(fn, depth + 2)
+    for q in (ee.a, ee.b, p):
+        assert set(q._word_tables) == {0, 1}
+        assert q._word_indexes == {}
 
 
 class TestPhiPsi:
