@@ -88,5 +88,11 @@ class ContradictionDetected(SftError):
     """Tripwire: a verified witness contradicts an invariant verdict."""
 
 
+def require(cond: bool, message: str) -> None:
+    """A certificate re-check that ``python -O`` keeps (CLI exit code 1)."""
+    if not cond:
+        raise ContradictionDetected(message)
+
+
 class FormatError(SftError):
     """Malformed input file or token."""

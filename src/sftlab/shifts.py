@@ -18,9 +18,10 @@ words that start with each symbol, the per-symbol counts, the last symbol
 of each word and the first-child mask.  B_{k+1} is the concatenation, over
 a and then over b in succ(a), of a followed by B_k's block of b, so every
 array of level k+1 is built from level k by slice concatenation.  Tables of
-locally constant functions are read through the levels (``cohomology``).
-Word tables B_k and their word-to-position indexes are kept for the callers
-that need the words themselves.
+locally constant functions (``cohomology``) and the graph on B_{k-1} with
+edges B_k (``block_edges``) are read through the levels.  Word tables B_k
+are kept for the callers that need the words themselves, and the
+word-to-position index for ``cohomology.window_sums`` alone.
 
 Levels, word tables and indexes are cached on the presentation itself, in
 dicts keyed by k that ``word_level``, ``words`` and ``word_index`` fill on
@@ -58,6 +59,7 @@ from .errors import (
     NotIrreducible,
     NotZeroOne,
     PermutationMatrix,
+    require,
 )
 from .graphs import bfs
 from .linalg import freeze, mat_mul
@@ -403,6 +405,18 @@ def word_index(p: SftPresentation, k: int) -> dict[Word, int]:
     return index
 
 
+def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:
+    """The graph on B_{d-1} (d >= 2) whose edge w of B_d runs from w[:-1]
+    to w[1:], as the positions in B_{d-1} of the sources and the targets, in
+    B_d's order.  A source is a word's parent; the suffixes of the words a.w
+    with w starting with b, for each pair a, b of B_2, are B_{d-1}'s block of b."""
+    offsets = word_level(p, d - 1).offsets
+    sources = list(accumulate(word_level(p, d).first_child[1:], initial=0))
+    targets = list(chain.from_iterable(range(offsets[b], offsets[b + 1])
+                                       for b in word_level(p, 2).last))
+    return sources, targets
+
+
 # ------------------------------------------------------- eventually periodic
 
 @dataclass(frozen=True)
@@ -504,7 +518,7 @@ def enumerate_points(p: SftPresentation, max_preperiod: int,
 
 @dataclass(frozen=True)
 class HigherBlockRecoding:
-    """Edge-kind presentation on the k-block graph plus the symbol dictionaries.
+    """Edge-kind presentation on the k-block graph plus its vertex and edge words.
 
     Vertices of the new graph are the admissible k-words, edges are the
     (k+1)-words; edge symbol i corresponds to word_of_symbol[i].
@@ -514,7 +528,6 @@ class HigherBlockRecoding:
     block_length: int                      # k
     vertex_words: tuple[Word, ...]         # B_k, lex order
     word_of_symbol: tuple[Word, ...]       # B_{k+1}, lex order
-    symbol_of_word: dict[Word, int]
 
 
 def _bracket_label(p: SftPresentation, w: Word) -> str:
@@ -527,22 +540,19 @@ def higher_block(p: SftPresentation, k: int) -> HigherBlockRecoding:
     if k < 1:
         raise ValueError("block length must be at least 1")
     verts = words(p, k)
-    vidx = word_index(p, k)
-    n = len(verts)
-    adj = [[0] * n for _ in range(n)]
-    edge_words = words(p, k + 1)
-    for w in edge_words:
-        adj[vidx[w[:-1]]][vidx[w[1:]]] = 1
+    adj = [[0] * len(verts) for _ in verts]
+    for u, v in zip(*block_edges(p, k + 1)):
+        adj[u][v] = 1
+    blocks = words(p, k + 1)
     labels = tuple(_bracket_label(p, w) for w in verts)
     pres = validate(adj, kind="edge", vertex_labels=labels, limits=p.limits)
     # validate() enumerates edges in lex (src, tgt) order, which coincides
     # with the lex order on the underlying (k+1)-words
-    assert pres.alphabet_size == len(edge_words)
-    relabeled = replace(pres, symbols=tuple(_bracket_label(p, w) for w in edge_words))
+    require(pres.alphabet_size == len(blocks), "higher_block: edges miscounted")
+    relabeled = replace(pres, symbols=tuple(_bracket_label(p, w) for w in blocks))
     return HigherBlockRecoding(
         presentation=relabeled, block_length=k, vertex_words=verts,
-        word_of_symbol=edge_words,
-        symbol_of_word=dict(word_index(p, k + 1)))
+        word_of_symbol=blocks)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .shifts import (
     shift_point,
     shift_point_by,
     enumerate_points,
+    word_level,
     words,
 )
 
@@ -554,16 +555,13 @@ def block_conjugacy(p: SftPresentation, k: int) -> BlockConjugacy:
     the i-th output symbol is the (k+1)-block starting at position i."""
     hb = higher_block(p, k)
     target = hb.presentation
-    sym_of_word = hb.symbol_of_word
 
-    # states after the buffer hold the last k symbols; transitions emit blocks
-    full_index = {w: i for i, w in enumerate(words(p, k))}
+    # states after the buffer hold the last k symbols; each edge u -> v of
+    # the block graph, a (k+1)-block, reads its last symbol and emits itself
+    full_index = {w: i for i, w in enumerate(hb.vertex_words)}
     base, rules = _buffer(p, k, lambda full: (full_index[full], ()))
-    for w, i in full_index.items():
-        for a in p.successors(w[-1]):
-            block = w + (a,)
-            rules.append((base + i, a, base + full_index[block[1:]],
-                          (sym_of_word[block],)))
+    rules.extend((base + u, a, base + v, (e,)) for e, ((u, v, _par), a)
+                 in enumerate(zip(target.edges, word_level(p, k + 1).last)))
     forward = make_transducer(p, target, rules, initial=0,
                               n_states=base + len(full_index))
 

@@ -30,7 +30,7 @@ from sftlab.randgen import (
     random_irreducible,
     random_point,
 )
-from sftlab.shifts import count_words, word_index, words
+from sftlab.shifts import count_words, validate, word_index, words
 
 seeds = st.integers(0, 10**6)
 
@@ -375,6 +375,50 @@ class TestClassIsZero:
         f = random_function(rng, p, max_depth=2)
         assert coh.class_is_zero(f).is_coboundary == \
             coh.class_is_zero(coh.pullback_sigma(f)).is_coboundary
+
+
+@pytest.mark.parametrize("decide", [
+    lambda f, cob: coh.class_is_zero(cob).is_coboundary,
+    lambda f, cob: coh.class_is_nonnegative(f).nonnegative,
+    lambda f, cob: coh.order_unit_check(f),
+], ids=["class_is_zero", "class_is_nonnegative", "order_unit_check"])
+def test_decisions_build_no_word_tables(decide):
+    """The decisions read the potential graph off the word levels: a yes
+    leaves no word table beyond the seeded B_0, B_1 and no word index.  (A
+    no re-checks its cycle with orbit_sum, which indexes f's own depth.)"""
+    for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
+                       (((1, 2), (1, 0)), "edge")):
+        for depth in (1, 3):
+            p = validate(rows, kind)
+            b = coh.function(p, depth, range(count_words(p, depth)))
+            cob = coh.coboundary(b)
+            assert decide(coh.add(coh.unit(p), cob), cob)
+            assert set(p._word_tables) == {0, 1}
+            assert p._word_indexes == {}
+
+
+def test_failed_witness_raises_under_optimisation():
+    """The re-check is no assert, so python -O keeps it."""
+    code = ("import sftlab.cohomology as coh\n"
+            "from sftlab.errors import ContradictionDetected\n"
+            "from sftlab.shifts import validate\n"
+            "f = coh.coboundary(coh.function(validate(((1, 1), (1, 0))), 1, [2, 5]))\n"
+            "real = coh.coboundary\n"
+            "def off_by_one(b):\n"
+            "    g = real(b)\n"
+            "    table = (g.table[0] + 1,) + g.table[1:]\n"
+            "    return coh.function(g.presentation, g.depth, table, g.ring)\n"
+            "coh.coboundary = off_by_one\n"
+            "try:\n"
+            "    coh.class_is_zero(f)\n"
+            "except ContradictionDetected as exc:\n"
+            "    print(exc)\n")
+    src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "is_coboundary: witness failed re-verification\n"
 
 
 class TestClassEqual:

@@ -163,6 +163,7 @@ CASES = {
     "shifts.word_index": lambda c: sh.word_index(c.fib, 2),
     "shifts.enumerate_points": lambda c: sh.enumerate_points(c.fib, 0, 2),
     "shifts.higher_block": lambda c: sh.higher_block(c.fib, 1),
+    "shifts.block_edges": lambda c: sh.block_edges(c.fib, 2),
     "shifts.to_edge_form": lambda c: sh.to_edge_form(c.fib),
     "cohomology.LocallyConstantFunction.value_on_word":
         lambda c: c.f2.value_on_word((1, 0)),
@@ -183,7 +184,6 @@ CASES = {
     "cohomology.partial_sum": lambda c: coh.partial_sum(c.f2, 2),
     "cohomology.coboundary": lambda c: coh.coboundary(c.f2),
     "cohomology.orbit_sum": lambda c: coh.orbit_sum(c.f2, (0, 1)),
-    "cohomology.potential_graph": lambda c: coh.potential_graph(c.fib, 2),
     "cohomology.class_is_zero": lambda c: coh.class_is_zero(c.f2),
     "cohomology.class_equal": lambda c: coh.class_equal(c.f2, c.g1),
     "cohomology.class_is_nonnegative": lambda c: coh.class_is_nonnegative(c.f2),

@@ -23,6 +23,7 @@ from sftlab.errors import (
 )
 from sftlab.randgen import random_edge_presentation, random_irreducible
 from sftlab.shifts import (
+    block_edges,
     count_words,
     enumerate_points,
     format_matrix_text,
@@ -256,6 +257,33 @@ class TestWordLevels:
             word_level(fib, 0)
 
 
+def _ref_block_edges(p, d):
+    """The block graph built from words: each edge's prefix and suffix
+    looked up in a dict of B_(d-1)."""
+    vidx = {w: i for i, w in enumerate(words(p, d - 1))}
+    edges = words(p, d)
+    return [vidx[w[:-1]] for w in edges], [vidx[w[1:]] for w in edges]
+
+
+class TestBlockEdges:
+    @given(seeds, st.integers(2, 5))
+    def test_matches_word_reference(self, seed, d):
+        """Vertex kind (even seed) and edge kind, parallel edges allowed."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        assert block_edges(p, d) == _ref_block_edges(p, d)
+
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    def test_fixtures_match_word_reference(self, kind):
+        """The edge fixture has two parallel edges from 1 to 2."""
+        for d in range(2, 6):
+            assert block_edges(FRESH[kind](), d) == _ref_block_edges(FRESH[kind](), d)
+
+    def test_edges_start_at_length_two(self, fib):
+        with pytest.raises(ValueError):
+            block_edges(fib, 1)
+
+
 class TestPoints:
     def test_parse_and_canonical_form(self, fib):
         x = parse_point(fib, "1:21")
@@ -326,11 +354,6 @@ class TestHigherBlock:
         hb = higher_block(full2, 1)
         assert hb.presentation.n_vertices == 2
         assert hb.presentation.alphabet_size == 4
-
-    def test_dictionaries_inverse(self, fib):
-        hb = higher_block(fib, 2)
-        for i, w in enumerate(hb.word_of_symbol):
-            assert hb.symbol_of_word[w] == i
 
     def test_edges_overlap(self, fib):
         hb = higher_block(fib, 2)

@@ -20,12 +20,20 @@ from sftlab.errors import (
     Starvation,
 )
 from sftlab.moves import expand
-from sftlab.randgen import random_function, random_irreducible, random_point
+from sftlab.randgen import (
+    random_edge_presentation,
+    random_function,
+    random_irreducible,
+    random_point,
+)
 from sftlab.shifts import (
+    count_words,
     enumerate_points,
+    higher_block,
     parse_point,
     periodic_point,
     shift_point_by,
+    validate,
     words,
 )
 
@@ -405,8 +413,6 @@ class TestBlockConjugacy:
         assert res.verdict
 
     def test_image_symbols_decode_to_blocks(self, fib):
-        from sftlab.shifts import higher_block
-
         k = 2
         bc = tr.block_conjugacy(fib, k)
         hb = higher_block(fib, k)
@@ -415,6 +421,40 @@ class TestBlockConjugacy:
         for i in range(6):
             sym = y.prefix(i + 1)[i]
             assert hb.word_of_symbol[sym] == x.prefix(i + k + 1)[i:i + k + 1]
+
+
+    @given(seeds, st.integers(1, 3))
+    def test_block_rules_match_word_reference(self, seed, k):
+        """Vertex kind (even seed) and edge kind, parallel edges allowed:
+        past the input buffer, the rules are those built from words, with a
+        dict of B_k for the states and one of B_(k+1) for the symbols."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        while count_words(p, k) > 64:          # the block graph's vertex cap
+            k -= 1
+        full_index = {w: i for i, w in enumerate(words(p, k))}
+        sym_of_word = {w: i for i, w in enumerate(words(p, k + 1))}
+        base = sum(count_words(p, j) for j in range(k))
+        want = []
+        for w, i in full_index.items():
+            for a in p.successors(w[-1]):
+                block = w + (a,)
+                want.append((base + i, a, base + full_index[block[1:]],
+                             (sym_of_word[block],)))
+        forward = tr.block_conjugacy(p, k).forward
+        assert [r for r in forward.rules if r[0] >= base] == sorted(want)
+        assert forward.n_states == base + len(full_index)
+
+    @pytest.mark.parametrize("build", [higher_block, tr.block_conjugacy],
+                             ids=["higher_block", "block_conjugacy"])
+    def test_recodings_build_no_word_index(self, build):
+        """The block graph is read off the word levels."""
+        for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
+                           (((1, 2), (1, 0)), "edge")):
+            for k in (1, 3):
+                p = validate(rows, kind)
+                build(p, k)
+                assert p._word_indexes == {}
 
 
 class TestTransducerText:
