@@ -6,10 +6,11 @@ the class of the all-ones vector, the sign of det(I - A), and a rational
 Collatz-Wielandt enclosure of the spectral radius (diagnostic only).
 
 Flow equivalence is decided by group isomorphism plus determinant sign;
-continuous orbit equivalence by pointed isomorphism plus determinant sign,
-with `undecided` propagating from the pointed-isomorphism search.  A
-consistency check cross-validates verdicts against explicit two-sided
-machine witnesses and raises on any contradiction."""
+continuous orbit equivalence by pointed isomorphism plus determinant sign
+(Matsumoto-Matui, Kyoto J. Math. 54, 2014), which `linalg.pointed_iso`
+decides outright, so both verdicts are yes or no.  A consistency check
+cross-validates verdicts against explicit two-sided machine witnesses and
+raises on any contradiction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from .errors import (
     InsufficientLookahead,
     InvalidResult,
     PresentationMismatch,
+    require,
 )
 from .linalg import (
     CokernelPresentation,
@@ -63,7 +65,8 @@ def invariants(p: SftPresentation) -> InvariantReport:
     det = determinant(_identity_minus(a))
     sign = (det > 0) - (det < 0)
     # det(I - A) = +-(product of invariant factors), so sign 0 means free rank
-    assert (sign == 0) == (bf_cok.group.free_rank > 0)
+    require((sign == 0) == (bf_cok.group.free_rank > 0),
+            "invariants: det(I - A) sign disagrees with the free rank")
 
     v = tuple(1 for _ in range(n))
     for _ in range(8):
@@ -103,7 +106,7 @@ def flow_equivalent(pa: SftPresentation, pb: SftPresentation) -> FlowReport:
 
 @dataclass(frozen=True)
 class CoeReport:
-    verdict: str                         # yes / no / undecided
+    verdict: str                         # yes / no
     reason: str
     iso: PointedIsoResult | None
     a: InvariantReport
@@ -120,10 +123,7 @@ def coe_verdict(pa: SftPresentation, pb: SftPresentation) -> CoeReport:
     if iso.verdict == "yes":
         return CoeReport("yes", "pointed groups isomorphic and signs equal",
                          iso, ra, rb)
-    if iso.verdict == "no":
-        return CoeReport("no", f"pointed groups differ: {iso.reason}",
-                         iso, ra, rb)
-    return CoeReport("undecided", iso.reason, iso, ra, rb)
+    return CoeReport("no", f"pointed groups differ: {iso.reason}", iso, ra, rb)
 
 
 # -------------------------------------------------------------- consistency

@@ -3,9 +3,9 @@
 Both live in one frozen dataclass, given where a presentation is built and
 kept on it (``SftPresentation.limits``); presentations derived from it
 inherit them.  The word cap can be overridden with the SFTLAB_MAX_WORDS
-environment variable.  The bounds of the searches and checks (pointed-iso
-budget, SSE attempt budget, delay slack, point-check bounds) are constants
-next to their one reader.
+environment variable.  The bounds of the searches and checks (SSE attempt
+budget, delay slack, point-check bounds) are constants next to their one
+reader.
 
 Limits are resolved only where a cap is read: ``shifts.validate`` reads the
 vertex cap of the caller's Limits, ``shifts._check_word_cap`` the word cap

@@ -49,6 +49,10 @@ def fixture_dir(tmp_path_factory) -> pathlib.Path:
     put("full2.mat", "matrix vertex 2\n1 1\n1 1\n")
     put("full3.mat", "matrix vertex 3\n1 1 1\n1 1 1\n1 1 1\n")
     put("two.mat", "matrix edge 1\n2\n")
+    # (Z/2 + Z; [1, 1]) against (Z/2 + Z; [1, -1]): torsion and a nonzero
+    # free part in the marked element
+    put("mixed_a.mat", "matrix edge 3\n4 4 1\n2 3 0\n2 2 1\n")
+    put("mixed_b.mat", "matrix edge 3\n5 4 3\n4 5 3\n4 2 0\n")
     put("c.mat", "matrix rect 1 2\n1 1\n")
     put("d.mat", "matrix rect 2 1\n1\n1\n")
     put("gauge.f", "function fib depth=1 ring=Z\n1 1\n2 1\n")

@@ -163,6 +163,45 @@ class TestVerdicts:
         assert code == 0
         assert "coe: no" in out
 
+    def test_coe_mixed_witness(self, capsys, fixture_dir):
+        """The printed witness carries mixed_a's marked element to mixed_b's,
+        checked from the printed k0 lines alone."""
+        code, out, _ = cli(capsys, "coe", fixture_dir / "mixed_a.mat",
+                           fixture_dir / "mixed_b.mat")
+        assert code == 0
+        rep = _parse_report(out)
+        assert rep["coe"] == "yes"
+        witness = [[int(v) for v in row.split()]
+                   for row in rep["iso-witness"].splitlines()]
+        moduli, src = _pointed(rep, "mixed_a")
+        dst_moduli, dst = _pointed(rep, "mixed_b")
+        assert moduli == dst_moduli == [2, 0]
+        assert len(witness) == len(moduli)
+        for row, d, want in zip(witness, moduli, dst):
+            assert len(row) == len(moduli)
+            image = sum(x * y for x, y in zip(row, src))
+            assert (image - want) % d == 0 if d else image == want
+
+
+def _parse_report(out: str) -> dict:
+    """key: value lines; indented lines continue the key above."""
+    rep, key = {}, None
+    for line in out.splitlines():
+        if line.startswith("  "):
+            rep[key] += ("\n" if rep[key] else "") + line[2:]
+        else:
+            key, _, value = line.partition(":")
+            rep[key] = value.strip()
+    return rep
+
+
+def _pointed(rep: dict, name: str):
+    """Coordinate moduli (0 for Z) and marked element of a printed k0 line."""
+    parts = [p.strip() for p in rep[f"{name}.k0-group"].split("+")]
+    moduli = [int(p[2:]) for p in parts if p.startswith("Z/")]
+    moduli += [0] * parts.count("Z")
+    return moduli, [int(v) for v in rep[f"{name}.k0-marked"].split()]
+
 
 class TestCohom:
     def test_class_equal_yes(self, capsys, fixture_dir):
@@ -381,8 +420,8 @@ class TestDeterminism:
 
 
 class TestOptimizedInterpreter:
-    """The transfers and the identity suite report the same bytes when
-    ``python -O`` strips the asserts."""
+    """The transfers, the identity suite and a mixed-case coe report the
+    same bytes when ``python -O`` strips the asserts."""
 
     def test_transfer_and_selftest_bytes(self, fixture_dir, tmp_path):
         fx = fixture_dir
@@ -417,3 +456,16 @@ class TestOptimizedInterpreter:
             plain = stdout([], argv)
             assert plain.startswith(("transfer:\n", "seed: "))
             assert stdout(["-O"], argv) == plain
+
+    def test_coe_mixed_bytes(self, fixture_dir):
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "sftlab.cli", "coe",
+                str(fixture_dir / "mixed_a.mat"), str(fixture_dir / "mixed_b.mat")]
+        plain = subprocess.run(argv, capture_output=True, text=True, env=env,
+                               timeout=120)
+        optimised = subprocess.run(argv[:1] + ["-O"] + argv[1:], capture_output=True,
+                                   text=True, env=env, timeout=120)
+        assert plain.returncode == optimised.returncode == 0, plain.stderr
+        assert plain.stdout.startswith("coe: yes\n")
+        assert optimised.stdout == plain.stdout

@@ -1,16 +1,24 @@
 """Exact integer linear algebra: Smith form, cokernels, lattice membership,
-pointed isomorphism.  Oracles: cofactor determinants and the minor-gcd
-characterization of invariant factors."""
+pointed isomorphism.  Oracles: cofactor determinants, the minor-gcd
+characterization of invariant factors, and automorphism orbits found by
+enumerating endomorphism matrices."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sftlab
 from sftlab.linalg import (
     FgAbelianGroup,
     PointedGroup,
@@ -248,9 +256,8 @@ class TestPointedIso:
 
     def test_two_torsion_blocks(self):
         res = pointed_iso(pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
-        assert res.verdict in ("yes", "no")
-        if res.verdict == "yes":
-            self._check_witness(res, pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
+        assert res.verdict == "yes"
+        self._check_witness(res, pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
 
     @staticmethod
     def _check_witness(res, a, b):
@@ -283,6 +290,154 @@ class TestPointedIso:
         x = rng.randrange(d)
         res = pointed_iso(pg(0, (d,), (x,)), pg(0, (d,), ((u * x) % d,)))
         assert res.verdict == "yes"
+
+
+def _factor_chains(n: int, least: int = 2):
+    """Invariant factors d1 | d2 | ... of each finite abelian group of order n."""
+    if n == 1:
+        yield ()
+        return
+    for d in range(least, n + 1):
+        if n % d == 0:
+            for rest in _factor_chains(n // d, d):
+                if not rest or rest[0] % d == 0:
+                    yield (d,) + rest
+
+
+def _candidate_count(factors) -> int:
+    """Endomorphism matrices of the group: entry (i, j) takes gcd(d_i, d_j)
+    values."""
+    return math.prod(math.gcd(x, y) for x in factors for y in factors)
+
+
+@functools.lru_cache(maxsize=None)
+def _automorphisms(factors):
+    """Every automorphism matrix of the finite group, by enumerating the
+    endomorphism matrices and keeping the bijective ones; with the group's
+    elements."""
+    r = len(factors)
+    column_choices = [
+        list(itertools.product(*(range(0, di, di // math.gcd(di, dj))
+                                 for di in factors)))
+        for dj in factors]
+    elements = list(itertools.product(*(range(d) for d in factors)))
+    autos = []
+    for cols in itertools.product(*column_choices):
+        mat = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+        if len({_image(mat, x, factors) for x in elements}) == len(elements):
+            autos.append(mat)
+    return autos, elements
+
+
+def _image(mat, x, moduli):
+    return tuple(v % d if d else v for v, d in zip(mat_vec(mat, x), moduli))
+
+
+SMALL_GROUPS = tuple(f for n in range(1, 65) for f in _factor_chains(n)
+                     if _candidate_count(f) <= 256)
+ORACLE_GROUPS = tuple(f for f in SMALL_GROUPS if math.prod(f) <= 16)
+
+
+class TestPointedIsoOracle:
+    """pointed_iso against the orbits of every automorphism."""
+
+    def test_finite_groups_against_orbits(self):
+        assert len(SMALL_GROUPS) == 84
+        for factors in SMALL_GROUPS:
+            autos, elements = _automorphisms(factors)
+            rep = {}
+            for x in elements:
+                if x not in rep:
+                    for m in autos:
+                        rep[_image(m, x, factors)] = x
+            for x in elements:
+                for y in set(rep.values()):
+                    a, b = pg(0, factors, x), pg(0, factors, y)
+                    res = pointed_iso(a, b)
+                    assert (res.verdict == "yes") == (rep[x] == y), (factors, x, y)
+                    if res.verdict == "yes":
+                        TestPointedIso._check_witness(res, a, b)
+
+    @given(st.sampled_from(ORACLE_GROUPS), seeds)
+    def test_free_rank_one_against_orbits(self, factors, seed):
+        """Aut(T + Z) maps (t, v) to (at + bv, +-v) for a in Aut(T), b in T."""
+        rng = random.Random(seed)
+        autos, elements = _automorphisms(factors)
+        t, s = rng.choice(elements), rng.choice(elements)
+        v, w = rng.randint(-8, 8), rng.randint(-8, 8)
+        orbit = {tuple((x + y * v) % d for x, y, d in zip(_image(m, t, factors),
+                                                          shift, factors)) + (sign * v,)
+                 for m in autos for shift in elements for sign in (1, -1)}
+        a, b = pg(1, factors, t + (v,)), pg(1, factors, s + (w,))
+        res = pointed_iso(a, b)
+        assert (res.verdict == "yes") == (s + (w,) in orbit)
+        if res.verdict == "yes":
+            TestPointedIso._check_witness(res, a, b)
+
+    def test_large_invariant_factors(self):
+        """Invariant factors of 40 to 64 digits; none is factored."""
+        p, q = 2**61 - 1, 2**89 - 1
+        factors = (p, p * q, p * p * q)
+        t = (5, 7 * q, 11 * p)
+        alpha = ((3, 1, 1), (q, 2, 0), (p * q, p, 1))
+        s = tuple(v % d for v, d in zip(mat_vec(alpha, t), factors))
+        start = time.perf_counter()
+        res = pointed_iso(pg(0, factors, t), pg(0, factors, s))
+        assert time.perf_counter() - start < 1.0
+        assert res.verdict == "yes"
+        TestPointedIso._check_witness(res, pg(0, factors, t), pg(0, factors, s))
+        res = pointed_iso(pg(1, factors[1:], (3, 2 * p, 6)),
+                          pg(1, factors[1:], ((3 + 10 * p * q) % (p * q), 14 * p, -6)))
+        assert res.verdict == "yes"
+        res = pointed_iso(pg(0, factors, (p - 1, 0, 0)), pg(0, factors, (0, p, 0)))
+        assert res.verdict == "no"
+
+
+def _run_optimised(code: str) -> subprocess.CompletedProcess:
+    src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+class TestChecksUnderOptimisation:
+    """The re-checks are no asserts, so python -O keeps them."""
+
+    def test_smith_factorization_check(self):
+        proc = _run_optimised(
+            "import sftlab.linalg as la\n"
+            "from sftlab.errors import ContradictionDetected\n"
+            "real = la.mat_mul\n"
+            "def off_by_one(x, y):\n"
+            "    rows = [list(row) for row in real(x, y)]\n"
+            "    rows[0][0] += 1\n"
+            "    return tuple(map(tuple, rows))\n"
+            "la.mat_mul = off_by_one\n"
+            "try:\n"
+            "    la.smith(((2, 0), (0, 3)))\n"
+            "except ContradictionDetected as exc:\n"
+            "    print(exc)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "smith: U M V != D\n"
+
+    def test_corrupted_pointed_witness(self):
+        """A content reducer with a wrong inverse gives gamma = 1, which does
+        not carry 2 to -2."""
+        proc = _run_optimised(
+            "import sftlab.linalg as la\n"
+            "from sftlab.errors import ContradictionDetected\n"
+            "real = la._content_reducer\n"
+            "def wrong_inverse(v):\n"
+            "    return real(v)[0], la.freeze(la.identity(len(v)))\n"
+            "la._content_reducer = wrong_inverse\n"
+            "g = la.FgAbelianGroup(1, ())\n"
+            "try:\n"
+            "    la.pointed_iso(la.PointedGroup(g, (2,)), la.PointedGroup(g, (-2,)))\n"
+            "except ContradictionDetected as exc:\n"
+            "    print(exc)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("pointed_iso: witness is not an automorphism "
+                               "carrying (Z; [2]) to (Z; [-2])\n")
 
 
 class TestHelpers:
