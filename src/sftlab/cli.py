@@ -21,7 +21,6 @@ from . import cohomology as coh
 from . import moves
 from . import randgen
 from . import transducers as tr
-from .config import default_limits
 from .errors import ContradictionDetected, FormatError, SftError
 from .linalg import smith
 from .shifts import (
@@ -59,8 +58,8 @@ class Report:
                           indent=2) + "\n"
 
 
-def _load_presentation(path: str, limits) -> tuple[str, SftPresentation]:
-    return Path(path).stem, load_matrix_file(path, limits)
+def _load_presentation(path: str) -> tuple[str, SftPresentation]:
+    return Path(path).stem, load_matrix_file(path)
 
 
 def _load_rect(path: str) -> tuple:
@@ -75,6 +74,15 @@ def _load_function(path: str, p: SftPresentation, matrix_id):
 def _load_transducer(path: str, dom: SftPresentation, cod: SftPresentation,
                      dom_id, cod_id):
     return tr.parse_transducer_text(read_text(path), dom, cod, dom_id, cod_id)
+
+
+def _load_orbit_data(args, dom: SftPresentation, dom_id) -> tr.OrbitData:
+    k1 = _load_function(args.k1, dom, dom_id)
+    l1 = _load_function(args.l1, dom, dom_id)
+    try:
+        return tr.OrbitData(k1, l1)
+    except ValueError as exc:            # negative exponents read from a file
+        raise FormatError(str(exc)) from None
 
 
 def _function_text(f, matrix_id: str) -> str:
@@ -108,8 +116,8 @@ def _add_coboundary(rep: Report, res, f, name: str, matrix_id: str) -> None:
 
 # ----------------------------------------------------------- subcommands
 
-def cmd_validate(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_validate(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     rep = Report()
     rep.add("matrix", name)
     rep.add("kind", p.kind)
@@ -120,8 +128,8 @@ def cmd_validate(args, limits) -> Report:
     return rep
 
 
-def cmd_words(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_words(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     if args.k < 0:
         raise FormatError(f"word length must be nonnegative, got {args.k}")
     ws = words(p, args.k)
@@ -134,7 +142,7 @@ def cmd_words(args, limits) -> Report:
     return rep
 
 
-def cmd_snf(args, limits) -> Report:
+def cmd_snf(args) -> Report:
     rows = _load_rect(args.matrix)
     dec = smith(rows)
     rep = Report()
@@ -146,8 +154,8 @@ def cmd_snf(args, limits) -> Report:
     return rep
 
 
-def cmd_invariants(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_invariants(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     inv = classify.invariants(p)
     rep = Report()
     rep.add("matrix", name)
@@ -155,9 +163,9 @@ def cmd_invariants(args, limits) -> Report:
     return rep
 
 
-def cmd_flow_equiv(args, limits) -> Report:
-    name_a, pa = _load_presentation(args.matrix_a, limits)
-    name_b, pb = _load_presentation(args.matrix_b, limits)
+def cmd_flow_equiv(args) -> Report:
+    name_a, pa = _load_presentation(args.matrix_a)
+    name_b, pb = _load_presentation(args.matrix_b)
     res = classify.flow_equivalent(pa, pb)
     rep = Report()
     rep.add("flow-equivalent", "yes" if res.verdict else "no")
@@ -167,9 +175,9 @@ def cmd_flow_equiv(args, limits) -> Report:
     return rep
 
 
-def cmd_coe(args, limits) -> Report:
-    name_a, pa = _load_presentation(args.matrix_a, limits)
-    name_b, pb = _load_presentation(args.matrix_b, limits)
+def cmd_coe(args) -> Report:
+    name_a, pa = _load_presentation(args.matrix_a)
+    name_b, pb = _load_presentation(args.matrix_b)
     res = classify.coe_verdict(pa, pb)
     rep = Report()
     rep.add("coe", res.verdict)
@@ -184,8 +192,8 @@ def cmd_coe(args, limits) -> Report:
     return rep
 
 
-def cmd_cohom(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_cohom(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "class-equal":
@@ -213,8 +221,8 @@ def cmd_cohom(args, limits) -> Report:
     return rep
 
 
-def cmd_action(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_action(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "compose":
@@ -251,26 +259,26 @@ def cmd_action(args, limits) -> Report:
     return rep
 
 
-def cmd_transducer(args, limits) -> Report:
+def cmd_transducer(args) -> Report:
     rep = Report()
     if args.mode == "apply":
-        dom_id, dom = _load_presentation(args.domain, limits)
-        cod_id, cod = _load_presentation(args.codomain, limits)
+        dom_id, dom = _load_presentation(args.domain)
+        cod_id, cod = _load_presentation(args.codomain)
         machine = _load_transducer(args.machine, dom, cod, dom_id, cod_id)
         x = parse_point(dom, args.point)
         rep.add("point", x.label())
         rep.add("image", tr.apply(machine, x).label())
     elif args.mode == "compose":
-        a_id, pa = _load_presentation(args.matrix_a, limits)
-        b_id, pb = _load_presentation(args.matrix_b, limits)
-        c_id, pc = _load_presentation(args.matrix_c, limits)
+        a_id, pa = _load_presentation(args.matrix_a)
+        b_id, pb = _load_presentation(args.matrix_b)
+        c_id, pc = _load_presentation(args.matrix_c)
         outer = _load_transducer(args.outer, pb, pc, b_id, c_id)
         inner = _load_transducer(args.inner, pa, pb, a_id, b_id)
         composed = tr.compose(outer, inner)
         rep.add("machine", _machine_text(composed, a_id, c_id))
     elif args.mode == "equiv":
-        dom_id, dom = _load_presentation(args.domain, limits)
-        cod_id, cod = _load_presentation(args.codomain, limits)
+        dom_id, dom = _load_presentation(args.domain)
+        cod_id, cod = _load_presentation(args.codomain)
         t1 = _load_transducer(args.first, dom, cod, dom_id, cod_id)
         t2 = _load_transducer(args.second, dom, cod, dom_id, cod_id)
         res = tr.equivalent_maps(t1, t2, args.delay)
@@ -279,12 +287,10 @@ def cmd_transducer(args, limits) -> Report:
         if res.witness is not None:
             rep.add("witness", dom.word_label(res.witness))
     elif args.mode == "verify-coe":
-        dom_id, dom = _load_presentation(args.domain, limits)
-        cod_id, cod = _load_presentation(args.codomain, limits)
+        dom_id, dom = _load_presentation(args.domain)
+        cod_id, cod = _load_presentation(args.codomain)
         machine = _load_transducer(args.machine, dom, cod, dom_id, cod_id)
-        data = tr.OrbitData(
-            k1=_load_function(args.k1, dom, dom_id),
-            l1=_load_function(args.l1, dom, dom_id))
+        data = _load_orbit_data(args, dom, dom_id)
         res = tr.verify_orbit_relation(machine, data)
         rep.add("orbit-relation", "holds" if res.holds else "fails")
         if res.witness is not None:
@@ -292,12 +298,10 @@ def cmd_transducer(args, limits) -> Report:
         rep.add("machine-check", res.machine_status)
         rep.add("points-checked", res.points_checked)
     else:
-        dom_id, dom = _load_presentation(args.domain, limits)
-        cod_id, cod = _load_presentation(args.codomain, limits)
+        dom_id, dom = _load_presentation(args.domain)
+        cod_id, cod = _load_presentation(args.codomain)
         machine = _load_transducer(args.machine, dom, cod, dom_id, cod_id)
-        data = tr.OrbitData(
-            k1=_load_function(args.k1, dom, dom_id),
-            l1=_load_function(args.l1, dom, dom_id))
+        data = _load_orbit_data(args, dom, dom_id)
         f = _load_function(args.function, cod, cod_id)
         out = tr.transfer_psi(machine, data, f)
         rep.add("transfer", _function_text(out, dom_id))
@@ -312,8 +316,8 @@ def _resolve_vertex(p: SftPresentation, label: str | None) -> int:
     raise FormatError(f"unknown vertex label {label!r}")
 
 
-def cmd_expand(args, limits) -> Report:
-    name, p = _load_presentation(args.matrix, limits)
+def cmd_expand(args) -> Report:
+    name, p = _load_presentation(args.matrix)
     e = moves.expand(p, _resolve_vertex(p, args.vertex))
     exp_id = f"{name}.expanded"
     rep = Report()
@@ -329,10 +333,10 @@ def cmd_expand(args, limits) -> Report:
     return rep
 
 
-def cmd_elementary(args, limits) -> Report:
+def cmd_elementary(args) -> Report:
     c = _load_rect(args.c_file)
     d = _load_rect(args.d_file)
-    ee = moves.elementary(c, d, limits)
+    ee = moves.elementary(c, d)
     rep = Report()
     rep.add_rows("a", ee.a.adjacency)
     rep.add_rows("b", ee.b.adjacency)
@@ -346,12 +350,12 @@ def cmd_elementary(args, limits) -> Report:
     return rep
 
 
-def cmd_transfer(args, limits) -> Report:
+def cmd_transfer(args) -> Report:
     rep = Report()
     if args.mode in ("phi", "psi"):
         c = _load_rect(args.c_file)
         d = _load_rect(args.d_file)
-        ee = moves.elementary(c, d, limits)
+        ee = moves.elementary(c, d)
         if args.mode == "phi":
             f = _load_function(args.function, ee.a, None)
             out = moves.phi(ee, f)
@@ -361,7 +365,7 @@ def cmd_transfer(args, limits) -> Report:
             out = moves.psi(ee, g)
             rep.add("transfer", _function_text(out, "A"))
     else:
-        name, p = _load_presentation(args.matrix, limits)
+        name, p = _load_presentation(args.matrix)
         e = moves.expand(p, _resolve_vertex(p, args.vertex))
         if args.mode == "psi-xi":
             f = _load_function(args.function, e.expanded, None)
@@ -374,12 +378,11 @@ def cmd_transfer(args, limits) -> Report:
     return rep
 
 
-def cmd_sse_search(args, limits) -> Report:
-    _name_a, pa = _load_presentation(args.matrix_a, limits)
-    _name_b, pb = _load_presentation(args.matrix_b, limits)
+def cmd_sse_search(args) -> Report:
+    _name_a, pa = _load_presentation(args.matrix_a)
+    _name_b, pb = _load_presentation(args.matrix_b)
     res = moves.sse_search(pa.adjacency, pb.adjacency,
-                           args.inner_dim, args.entry_bound, args.chain_bound,
-                           limits)
+                           args.inner_dim, args.entry_bound, args.chain_bound)
     rep = Report()
     if res.found is None:
         rep.add("sse-chain", "not-found")
@@ -469,7 +472,7 @@ _SELFTEST_FAMILIES = (
 )
 
 
-def cmd_selftest(args, limits) -> Report:
+def cmd_selftest(args) -> Report:
     rep = Report()
     rep.add("seed", args.seed)
     rep.add("count", args.count)
@@ -676,7 +679,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_bounds(args)
-        report = args.fn(args, default_limits())
+        report = args.fn(args)
     except ContradictionDetected as exc:
         print(f"error: contradiction: {exc}", file=sys.stderr)
         return 1

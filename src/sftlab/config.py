@@ -7,17 +7,16 @@ environment variable.  The bounds of the searches and checks (SSE attempt
 budget, delay slack, point-check bounds) are constants next to their one
 reader.
 
-Limits are resolved only where a cap is read: ``shifts.validate`` reads the
-vertex cap of the caller's Limits, ``shifts._check_word_cap`` the word cap
-of the presentation's, and the CLI resolves once per command.  Every word
-table and word level goes through that one reader: ``shifts.word_level``
-calls it before it builds a level, and ``shifts.words`` through
-``word_level``.  A presentation built without Limits (``None``) reads the
-environment on each word-table request.
+Limits are resolved in one place: ``shifts.validate`` stores the caller's
+Limits as given, or ``default_limits()`` when there are none, so every
+presentation carries concrete caps.  The environment is read when a
+presentation is built without Limits, not on each word-table request;
+changing it later affects only presentations built later.
+``shifts.validate`` reads the vertex cap and ``shifts._check_word_cap`` the
+word cap, and every word table and word level goes through that one reader.
 """
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -26,7 +25,8 @@ from .errors import FormatError
 MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
 
 
-@dataclass(frozen=True)
+# slots: each presentation built without Limits holds its own instance
+@dataclass(frozen=True, slots=True)
 class Limits:
     max_vertices: int = 64
     max_words: int = 1_000_000        # cap on any B_k enumeration
@@ -35,11 +35,7 @@ class Limits:
 def default_limits() -> Limits:
     """Limits with the environment override applied.  Re-read on each call;
     a malformed value raises FormatError."""
-    return _limits_for(os.environ.get(MAX_WORDS_ENV))
-
-
-@functools.lru_cache(maxsize=None)
-def _limits_for(cap: str | None) -> Limits:
+    cap = os.environ.get(MAX_WORDS_ENV)
     if cap is None:
         return Limits()
     try:

@@ -20,12 +20,12 @@ from . import cohomology as coh
 from .config import Limits
 from .errors import (
     ContradictionDetected,
-    EnvelopeExceeded,
     FormatError,
     InvalidResult,
+    NotIrreducible,
     NotVertexKind,
+    PermutationMatrix,
     PresentationMismatch,
-    SftError,
 )
 from .graphs import path
 from .linalg import mat_mul
@@ -184,12 +184,11 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
         raise InvalidResult("factor matrices must be nonnegative")
     a_mat = mat_mul(c, d)
     b_mat = mat_mul(d, c)
+    # only what a product can fail is wrapped; errors of the caps propagate
     try:
         a = validate(a_mat, "edge", None, limits)
         b = validate(b_mat, "edge", None, limits)
-    except EnvelopeExceeded:
-        raise
-    except SftError as exc:
+    except (NotIrreducible, PermutationMatrix) as exc:
         raise InvalidResult(f"product is not a valid presentation: {exc}") from exc
 
     z = tuple(((0,) * n + c[i]) if i < n else (d[i - n] + (0,) * m)
@@ -355,7 +354,8 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
     """Breadth-first search for a chain of elementary equivalences from A to
     B.  Every factorization A' = C D with inner dimension and entries within
     the bounds yields the neighbour D C.  Exponential in the bounds.  A cap
-    of ``limits`` that refuses a candidate is raised, not skipped."""
+    of ``limits`` that refuses a candidate, or a malformed environment cap,
+    is raised, not skipped."""
     start = tuple(tuple(int(v) for v in row) for row in a_matrix)
     goal = tuple(tuple(int(v) for v in row) for row in b_matrix)
     parents: dict[Matrix, tuple[Matrix, ElementaryEquivalence] | None] = {start: None}

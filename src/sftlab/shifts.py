@@ -38,10 +38,10 @@ the counts of B_k over succ(a)), so a refused request leaves no level
 behind.  ``_check_word_cap`` is the one reader of the cap; ``count_words``
 is the independent count by matrix powers.
 
-A presentation carries the ``Limits`` its builder was given (``None`` when
-none was), and presentations derived from it inherit them.  The word cap is
-read there, or from the environment when there is none; the caps take no
-part in equality or hashing.
+A presentation carries the ``Limits`` its builder was given, or else
+``default_limits()`` read once by ``validate``, never on a table request.
+Presentations derived from it inherit these caps.  The caps take no part
+in equality or hashing.
 """
 from __future__ import annotations
 
@@ -96,8 +96,8 @@ class SftPresentation:
     # spanning in/out trees from vertex 0, recorded by the irreducibility check
     certificate: tuple[tuple[int, ...], tuple[int, ...]] | None = field(
         default=None, compare=False, repr=False)
-    # the caller's caps, read by ``words``; None reads the environment
-    limits: Limits | None = field(default=None, compare=False, repr=False)
+    # the caps resolved by ``validate``, read by ``word_level`` and ``words``
+    limits: Limits = field(kw_only=True, compare=False, repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -205,10 +205,10 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
 
     Requirements: square, nonnegative, irreducible, not a permutation matrix;
     vertex kind additionally 0-1.  The irreducibility certificate (spanning
-    in/out trees from vertex 0) and the caller's ``limits``, None included,
-    are stored on the result.
+    in/out trees from vertex 0) is stored on the result, with the caller's
+    ``limits`` as given or else ``default_limits()``, read now and only now.
     """
-    max_vertices = (limits or default_limits()).max_vertices
+    limits = limits or default_limits()
     if kind not in ("vertex", "edge"):
         raise FormatError(f"unknown presentation kind {kind!r}")
     rows = freeze(matrix)
@@ -217,9 +217,9 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
         raise FormatError("empty matrix")
     if any(len(row) != n for row in rows):
         raise FormatError("matrix is not square")
-    if n > max_vertices:
+    if n > limits.max_vertices:
         raise EnvelopeExceeded(
-            f"matrix has {n} vertices, supported maximum is {max_vertices}")
+            f"matrix has {n} vertices, supported maximum is {limits.max_vertices}")
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v < 0:
@@ -308,7 +308,7 @@ def count_words(p: SftPresentation, k: int) -> int:
 
 def _check_word_cap(p: SftPresentation, k: int, count: int) -> None:
     """Refuse a table of ``count`` words when it is over the word cap of p."""
-    max_words = (p.limits or default_limits()).max_words
+    max_words = p.limits.max_words
     if count > max_words:
         raise EnvelopeExceeded(
             f"|B_{k}| = {count} exceeds the word cap {max_words}")

@@ -107,6 +107,15 @@ class TestMalformedInput:
         assert err.startswith("error: FormatError: ") and err.count("\n") == 1
         assert str(argv[-2]) in err
 
+    @pytest.mark.parametrize("mode, extra", [("verify-coe", ()), ("psi", ("g2.f",))])
+    def test_negative_cocycle_exponent(self, capsys, fixture_dir, mode, extra):
+        """g2.f takes the value -1, so it cannot be a cocycle exponent."""
+        argv = ("fib.mat", "fib.mat", "ident.t", "g2.f", "gauge.f", *extra)
+        code, out, err = cli(capsys, "transducer", mode,
+                             *(fixture_dir / a for a in argv))
+        assert code == 2 and out == ""
+        assert err == "error: FormatError: cocycle exponents must be nonnegative\n"
+
     @pytest.mark.parametrize("header", ["matrix rect 0 0", "matrix rect 0 3",
                                         "matrix vertex 0"])
     def test_empty_matrix_header(self, capsys, tmp_path, header):

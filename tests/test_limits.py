@@ -1,7 +1,7 @@
 """A Limits object passed by the caller is honoured on every code path,
 also when the environment sets a smaller word cap.  The caps are given where
 a presentation is built and travel with it; the environment is read only
-where a cap is read."""
+when a presentation is built without them."""
 from __future__ import annotations
 
 import ast
@@ -53,9 +53,46 @@ def big_fib():
     return _fib(Limits())
 
 
-def test_environment_cap_applies_without_limits(fib, tiny_env_cap):
+def test_environment_cap_applies_without_limits(tiny_env_cap):
+    fib = _fib(None)
     with pytest.raises(EnvelopeExceeded):
         coh.function(fib, 2, [1, 2, 3])
+
+
+def test_environment_cap_is_read_when_built(monkeypatch):
+    """A presentation built under the environment cap keeps it after the
+    variable is unset."""
+    monkeypatch.setenv(MAX_WORDS_ENV, "2")
+    fib = _fib(None)
+    monkeypatch.delenv(MAX_WORDS_ENV)
+    assert fib.limits == SMALL
+    with pytest.raises(EnvelopeExceeded, match="word cap 2"):
+        sh.words(fib, 2)
+
+
+def test_later_environment_cap_leaves_built_presentations_alone(monkeypatch):
+    """A presentation built before the variable is set, and the ones derived
+    from it afterwards, keep the caps resolved when it was built."""
+    monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
+    fib = _fib(None)
+    monkeypatch.setenv(MAX_WORDS_ENV, "2")
+    for p in (fib, sh.higher_block(fib, 1).presentation, mv.expand(fib, 0).expanded):
+        assert p.limits == Limits()
+        assert len(sh.words(p, 2)) == sh.count_words(p, 2) > 2
+
+
+def test_tables_do_not_read_the_environment(monkeypatch):
+    """Only validate resolves caps: table requests on a presentation built
+    without Limits never call default_limits again."""
+    def refuse():
+        raise AssertionError("default_limits called after the build")
+
+    monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
+    fib = _fib(None)
+    monkeypatch.setattr(sh, "default_limits", refuse)
+    assert len(sh.words(fib, 3)) == 5
+    assert sh.word_level(fib, 4).offsets[-1] == 8
+    assert coh.function(fib, 2, [1, 2, 3]).depth == 2
 
 
 def test_function_and_kernel(big_fib, tiny_env_cap):
@@ -234,7 +271,7 @@ def _call(name, c, lim):
 
 def _limits_takers() -> set[str]:
     found = set()
-    for layer in LAYERS:
+    for layer in LAYERS + ("cli",):
         mod = importlib.import_module(f"sftlab.{layer}")
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
@@ -253,7 +290,7 @@ def _limits_takers() -> set[str]:
 
 def test_every_limits_taker_has_a_case():
     """Only the constructors take `limits`; everything else reads the caps
-    of the presentation."""
+    of the presentation, and the CLI takes none."""
     assert _limits_takers() == set(CONSTRUCTORS)
 
 
@@ -362,12 +399,13 @@ def test_refused_level_is_not_built(name):
     assert set(target._word_levels) == built and max(built) <= k
 
 
-def test_caps_do_not_change_equality():
+def test_caps_do_not_change_equality(monkeypatch):
     """A presentation equals and hashes like its uncapped twin, so every
     presentation != domain check behaves as before."""
+    monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
     capped, plain = sh.validate(FIB, limits=SMALL), sh.validate(FIB)
     assert capped == plain and hash(capped) == hash(plain)
-    assert capped.limits is SMALL and plain.limits is None
+    assert capped.limits is SMALL and plain.limits == Limits()
     assert "limits" not in repr(capped)
 
 
@@ -407,7 +445,29 @@ def _resolvers() -> set[str]:
 def test_limits_resolved_only_where_a_cap_is_read():
     """Everything else passes its limits on; see the config docstring."""
     outside_config = {q for q in _resolvers() if not q.startswith("config.")}
-    assert outside_config == {"shifts._check_word_cap", "shifts.validate", "cli.run"}
+    assert outside_config == {"shifts.validate"}
+
+
+def _reads_environment(source: str) -> bool:
+    """Whether the module reads os.environ or os.getenv, by attribute or by
+    ``from os import``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv") \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            return True
+        if isinstance(node, ast.ImportFrom) and node.module == "os" \
+                and any(a.name in ("environ", "getenv") for a in node.names):
+            return True
+    return False
+
+
+def test_environment_read_only_in_config():
+    assert _reads_environment("import os\nx = os.getenv('A')\n")
+    assert _reads_environment("from os import environ\n")
+    assert not _reads_environment("import os\nos.path.join('a')\n")
+    readers = {path.stem for path in pathlib.Path(sftlab.__file__).parent.glob("*.py")
+               if _reads_environment(path.read_text())}
+    assert readers == {"config"}
 
 
 def _cap_readers() -> dict[str, set[str]]:
@@ -468,6 +528,37 @@ except EnvelopeExceeded as exc:
 """
 
 
+_MALFORMED_ENV_CAP = """
+import random
+from sftlab.errors import FormatError
+import sftlab.moves as mv
+import sftlab.randgen as rg
+calls = {
+    "elementary": lambda: mv.elementary(((1, 1),), ((1,), (1,))),
+    "sse_search": lambda: mv.sse_search(((1, 1), (1, 1)), ((2,),)),
+    "random_elementary": lambda: rg.random_elementary(random.Random(1)),
+}
+for name, call in calls.items():
+    try:
+        call()
+    except FormatError as exc:
+        assert "SFTLAB_MAX_WORDS" in str(exc), exc
+        print(name)
+"""
+
+
+def test_malformed_environment_cap_propagates():
+    """A malformed environment cap is raised by elementary, not taken for a
+    rejected product that the search skips and the generator retries."""
+    src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", _MALFORMED_ENV_CAP],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(src),
+                                   **{MAX_WORDS_ENV: "abc"}))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["elementary", "sse_search", "random_elementary"]
+
+
 def test_refusing_cap_propagates():
     """A cap that refuses every candidate is raised, not retried forever.
     The subprocess and its timeout keep a regression from hanging the suite."""
@@ -489,13 +580,45 @@ def _cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_cli_malformed_environment_cap(value, capsys, fixture_dir, monkeypatch):
+# Commands that build a presentation, by test id suffix; "validate" keeps
+# the bare value as its id.  Files are fixture_dir names, "a.f" a function
+# on A = CD.
+BUILDING_COMMANDS = {
+    "validate": ("validate", "fib.mat"),
+    "elementary": ("elementary", "c.mat", "d.mat"),
+    "transfer-phi": ("transfer", "phi", "c.mat", "d.mat", "a.f"),
+    "selftest": ("selftest", "--count", "1"),
+    "selftest-threads": ("selftest", "--count", "1", "--threads", "2"),
+}
+
+
+@pytest.fixture(scope="module")
+def a_function_file(fixture_dir):
+    path = fixture_dir / "a.f"
+    path.write_text("function m depth=1 ring=Z\n1>1~0 1\n1>1~1 2\n")
+    return path
+
+
+@pytest.mark.parametrize("value, argv", [
+    pytest.param(value, argv, id=value if name == "validate" else f"{value}-{name}")
+    for name, argv in BUILDING_COMMANDS.items() for value in ("abc", "0")])
+def test_cli_malformed_environment_cap(value, argv, capsys, fixture_dir,
+                                       a_function_file, monkeypatch):
     monkeypatch.setenv(MAX_WORDS_ENV, value)
-    code, out, err = _cli(capsys, "validate", fixture_dir / "fib.mat")
+    code, out, err = _cli(capsys, *(fixture_dir / a if a.endswith((".mat", ".f"))
+                                    else a for a in argv))
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: FormatError: ") and err.count("\n") == 1
     assert MAX_WORDS_ENV in err
+
+
+def test_cli_snf_does_not_read_environment_cap(capsys, fixture_dir, monkeypatch):
+    """snf reads a plain matrix and builds no presentation, so no cap."""
+    monkeypatch.setenv(MAX_WORDS_ENV, "abc")
+    code, out, err = _cli(capsys, "snf", fixture_dir / "c.mat")
+    assert (code, err) == (0, "") and out
+    monkeypatch.delenv(MAX_WORDS_ENV)
+    assert _cli(capsys, "snf", fixture_dir / "c.mat") == (0, out, "")
 
 
 def test_cli_phase_negative_rational(capsys, fixture_dir):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sftlab.config import MAX_WORDS_ENV, Limits, default_limits
+from sftlab.config import Limits, default_limits
 from sftlab.errors import (
     EnvelopeExceeded,
     FormatError,
@@ -152,12 +152,12 @@ class TestWords:
 
     def test_cached_table_still_checks_the_cap(self, full2, monkeypatch):
         table = words(full2, 4)
-        monkeypatch.setenv(MAX_WORDS_ENV, str(len(table) - 1))
+        monkeypatch.setitem(vars(full2), "limits", Limits(max_words=len(table) - 1))
         with pytest.raises(EnvelopeExceeded):
             words(full2, 4)
         with pytest.raises(EnvelopeExceeded):
             word_index(full2, 4)
-        monkeypatch.delenv(MAX_WORDS_ENV)
+        monkeypatch.undo()
         assert words(full2, 4) is table
 
     def test_equal_presentations_give_equal_tables(self):
