@@ -12,7 +12,6 @@ import json
 import random
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import actions
@@ -79,10 +78,7 @@ def _load_transducer(path: str, dom: SftPresentation, cod: SftPresentation,
 def _load_orbit_data(args, dom: SftPresentation, dom_id) -> tr.OrbitData:
     k1 = _load_function(args.k1, dom, dom_id)
     l1 = _load_function(args.l1, dom, dom_id)
-    try:
-        return tr.OrbitData(k1, l1)
-    except ValueError as exc:            # negative exponents read from a file
-        raise FormatError(str(exc)) from None
+    return tr.OrbitData(k1, l1)
 
 
 def _function_text(f, matrix_id: str) -> str:
@@ -130,8 +126,6 @@ def cmd_validate(args) -> Report:
 
 def cmd_words(args) -> Report:
     name, p = _load_presentation(args.matrix)
-    if args.k < 0:
-        raise FormatError(f"word length must be nonnegative, got {args.k}")
     ws = words(p, args.k)
     rep = Report()
     rep.add("matrix", name)
@@ -482,6 +476,7 @@ def cmd_selftest(args) -> Report:
     for name, fn in _SELFTEST_FAMILIES:
         seeds = [args.seed * 1_000_003 + i for i in range(args.count)]
         if args.threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=args.threads) as pool:
                 results = list(pool.map(fn, seeds))
         else:
@@ -502,22 +497,27 @@ def cmd_selftest(args) -> Report:
 
 # ------------------------------------------------------------------ main
 
-# integer options that count or bound something, so never below zero
-_NONNEGATIVE = ("delay", "inner_dim", "entry_bound", "chain_bound", "count")
+class _Parser(argparse.ArgumentParser):
+    """Refuses with a FormatError, which ``run`` prints as one line, in place
+    of a usage line, an error line and SystemExit; subparsers inherit it."""
+
+    def error(self, message):
+        raise FormatError(message)
 
 
-def _check_bounds(args) -> None:
-    for name in _NONNEGATIVE:
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            flag = "--" + name.replace("_", "-")
-            raise FormatError(f"{flag} must be nonnegative, got {value}")
-    if getattr(args, "threads", 1) < 1:
-        raise FormatError(f"--threads must be at least 1, got {args.threads}")
+class _AtLeast(argparse.Action):
+    """Stores an int option, refusing one below ``const``: the parser owns
+    the bounds on counts and search depths."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < self.const:
+            bound = "nonnegative" if self.const == 0 else f"at least {self.const}"
+            parser.error(f"argument {option_string}: must be {bound}, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="sftlab",
         description="Exact invariants of one-sided shifts of finite type: "
                     "ordered cohomology, circle actions, transducer orbit "
@@ -612,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("codomain")
     m.add_argument("first")
     m.add_argument("second")
-    m.add_argument("--delay", type=int, default=None)
+    m.add_argument("--delay", type=int, default=None, action=_AtLeast, const=0)
     m = modes.add_parser("verify-coe")
     m.add_argument("domain")
     m.add_argument("codomain")
@@ -661,24 +661,23 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sse-search", help="bounded strong shift equivalence search")
     s.add_argument("matrix_a")
     s.add_argument("matrix_b")
-    s.add_argument("--inner-dim", type=int, default=moves.SSE_INNER_DIM)
-    s.add_argument("--entry-bound", type=int, default=moves.SSE_ENTRY_BOUND)
-    s.add_argument("--chain-bound", type=int, default=moves.SSE_CHAIN_BOUND)
+    for flag, default in (("--inner-dim", moves.SSE_INNER_DIM),
+                          ("--entry-bound", moves.SSE_ENTRY_BOUND),
+                          ("--chain-bound", moves.SSE_CHAIN_BOUND)):
+        s.add_argument(flag, type=int, default=default, action=_AtLeast, const=0)
     s.set_defaults(fn=cmd_sse_search)
 
     s = sub.add_parser("selftest", help="run the embedded identity suite")
-    s.add_argument("--count", type=int, default=25)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--count", type=int, default=25, action=_AtLeast, const=0)
+    s.add_argument("--threads", type=int, default=1, action=_AtLeast, const=1)
     s.set_defaults(fn=cmd_selftest)
 
     return top
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _check_bounds(args)
+        args = build_parser().parse_args(argv)
         report = args.fn(args)
     except ContradictionDetected as exc:
         print(f"error: contradiction: {exc}", file=sys.stderr)

@@ -91,13 +91,14 @@ class LocallyConstantFunction:
 
 
 def _coerce(value, ring: str):
-    if ring == RING_INT:
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise FormatError(f"value {value} is not an integer")
-            return int(value)
+    """value in the ring; ring Z takes only ints and integral Fractions."""
+    if ring == RING_RAT:
+        return Fraction(value)
+    if isinstance(value, int):
         return int(value)
-    return Fraction(value)
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise FormatError(f"value {value!r} is not an integer")
 
 
 def function(p: SftPresentation, depth: int, values,
@@ -107,7 +108,7 @@ def function(p: SftPresentation, depth: int, values,
     if ring not in (RING_INT, RING_RAT):
         raise FormatError(f"unknown ring {ring!r}")
     if depth < 1:
-        raise ValueError("depth must be at least 1")
+        raise FormatError("depth must be at least 1")
     table = tuple(values)
     if ring != RING_INT or set(map(type, table)) != {int}:
         table = tuple(_coerce(v, ring) for v in table)
@@ -181,7 +182,7 @@ def _common(f: LocallyConstantFunction, g: LocallyConstantFunction):
 def lift_table(f: LocallyConstantFunction, depth: int) -> tuple:
     """Value table of f at a depth no smaller than its own."""
     if depth < f.depth:
-        raise ValueError(f"cannot lift a depth-{f.depth} function to depth {depth}")
+        raise FormatError(f"cannot lift a depth-{f.depth} function to depth {depth}")
     if depth == f.depth:
         return f.table
     word_level(f.presentation, depth)          # checks the cap
@@ -218,11 +219,8 @@ def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
 
 
 def scale(f: LocallyConstantFunction, c) -> LocallyConstantFunction:
-    if isinstance(c, Fraction) and c.denominator != 1:
-        ring = RING_RAT
-    else:
-        ring = f.ring
-        c = int(c) if ring == RING_INT else Fraction(c)
+    ring = RING_RAT if isinstance(c, Fraction) and c.denominator != 1 else f.ring
+    c = _coerce(c, ring)
     return function(f.presentation, f.depth, [c * v for v in f.table], ring)
 
 
@@ -268,7 +266,7 @@ def window_sums(f: LocallyConstantFunction, streams) -> list:
 def partial_sum(f: LocallyConstantFunction, n: int) -> LocallyConstantFunction:
     """Sum of f over the first n shift iterates (the n-step cocycle)."""
     if n < 0:
-        raise ValueError("partial sums need n >= 0")
+        raise FormatError("partial sums need n >= 0")
     p = f.presentation
     if f.depth == 1 and len(set(f.table)) == 1:
         # n times a constant needs no word table beyond B_1, however large n

@@ -1,8 +1,10 @@
 """Exception types shared across the library.
 
 Error classes carry the name of the violated contract; messages add the
-offending data.  Anything raised by the library derives from SftError so
-the CLI can map library failures to exit code 2.
+offending data.  Every refusal is an SftError, raised by the code that owns
+the check, so ``cli.run`` alone turns it into one ``error:`` line (exit 1
+for ContradictionDetected, 2 otherwise).  FormatError is also a ValueError,
+for callers that catch the built-in.
 """
 
 
@@ -94,5 +96,5 @@ def require(cond: bool, message: str) -> None:
         raise ContradictionDetected(message)
 
 
-class FormatError(SftError):
-    """Malformed input file or token."""
+class FormatError(SftError, ValueError):
+    """Malformed input: a file, a token, or an argument out of range."""

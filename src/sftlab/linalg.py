@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import require
+from .errors import FormatError, require
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -204,10 +204,10 @@ class FgAbelianGroup:
     def __post_init__(self):
         for x in self.invariant_factors:
             if x < 2:
-                raise ValueError("invariant factors must be at least 2")
+                raise FormatError("invariant factors must be at least 2")
         for x, y in zip(self.invariant_factors, self.invariant_factors[1:]):
             if y % x != 0:
-                raise ValueError("invariant factors must form a divisibility chain")
+                raise FormatError("invariant factors must form a divisibility chain")
 
     @property
     def torsion_rank(self) -> int:
@@ -216,14 +216,6 @@ class FgAbelianGroup:
     @property
     def rank(self) -> int:
         return self.free_rank + self.torsion_rank
-
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int | None:
-        if not self.is_finite():
-            return None
-        return math.prod(self.invariant_factors)
 
     def moduli(self) -> tuple[int, ...]:
         """Per-coordinate moduli: invariant factors then 0s for free coords."""
@@ -250,10 +242,10 @@ class PointedGroup:
     def __post_init__(self):
         moduli = self.group.moduli()
         if len(self.marked) != len(moduli):
-            raise ValueError("marked element has the wrong number of coordinates")
+            raise FormatError("marked element has the wrong number of coordinates")
         for v, d in zip(self.marked, moduli):
             if d and not (0 <= v < d):
-                raise ValueError("marked torsion coordinates must be reduced")
+                raise FormatError("marked torsion coordinates must be reduced")
 
     def describe(self) -> str:
         coords = ",".join(str(v) for v in self.marked)
@@ -318,7 +310,7 @@ def lattice_member(vector, generators) -> LatticeMembership:
         return _verified_no(v, gens, w)
     n = len(v)
     if any(len(g) != n for g in gens):
-        raise ValueError("generator length mismatch")
+        raise FormatError("generator length mismatch")
     gt = transpose(gens)                     # n x m
     sd = smith(gt)
     uv = mat_vec(sd.u, v)

@@ -35,8 +35,9 @@ The word cap is checked on every request, cached or not, and before
 anything is built: the size of a missing level is stepped up from the
 counts of the longest cached level (counts of B_{k+1} at a are the sum of
 the counts of B_k over succ(a)), so a refused request leaves no level
-behind.  ``_check_word_cap`` is the one reader of the cap; ``count_words``
-is the independent count by matrix powers.
+behind.  |B_k| grows with k, so the stepping stops at the first level over
+the cap, however large k is.  ``_check_word_cap`` is the one reader of the
+cap; ``count_words`` is the independent count by matrix powers.
 
 A presentation carries the ``Limits`` its builder was given, or else
 ``default_limits()`` read once by ``validate``, never on a table request.
@@ -298,7 +299,7 @@ def _mat_pow_sum(m: Matrix, e: int) -> int:
 def count_words(p: SftPresentation, k: int) -> int:
     """|B_k| without enumeration: path counts from the adjacency matrix."""
     if k < 0:
-        raise ValueError("word length must be nonnegative")
+        raise FormatError(f"word length must be nonnegative, got {k}")
     if k == 0:
         return 1
     if p.kind == "vertex":
@@ -306,12 +307,19 @@ def count_words(p: SftPresentation, k: int) -> int:
     return _mat_pow_sum(p.adjacency, k)
 
 
-def _check_word_cap(p: SftPresentation, k: int, count: int) -> None:
-    """Refuse a table of ``count`` words when it is over the word cap of p."""
+def _check_word_cap(p: SftPresentation, k: int, count: int,
+                    j: int | None = None) -> None:
+    """Refuse B_k when |B_j| = ``count`` (j <= k, by default k) is over the
+    word cap of p.  |B_j| grows strictly with j on a validated presentation
+    (irreducible, not a permutation), so B_k is then over the cap too."""
     max_words = p.limits.max_words
-    if count > max_words:
+    if count <= max_words:
+        return
+    if j in (None, k):
         raise EnvelopeExceeded(
             f"|B_{k}| = {count} exceeds the word cap {max_words}")
+    raise EnvelopeExceeded(
+        f"|B_{k}| exceeds the word cap {max_words}: |B_{j}| = {count} already does")
 
 
 def _step_counts(p: SftPresentation, counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -347,19 +355,17 @@ def word_level(p: SftPresentation, k: int) -> WordLevel:
     stepped up from the counts of the longest cached shorter level, has
     passed the word cap."""
     if k < 1:
-        raise ValueError("word levels start at length 1")
+        raise FormatError("word levels start at length 1")
     levels = p._word_levels
     level = levels.get(k)
     if level is not None:
         _check_word_cap(p, k, level.offsets[-1])
         return level
-    start = k - 1
-    while start not in levels:
-        start -= 1
+    start = max(j for j in levels if j < k)          # level 1 is seeded
     counts = levels[start].counts
-    for _ in range(start, k):
+    for j in range(start + 1, k + 1):
         counts = _step_counts(p, counts)
-    _check_word_cap(p, k, sum(counts))
+        _check_word_cap(p, k, sum(counts), j)
     level = levels[start]
     for j in range(start, k):
         level = levels[j + 1] = _next_level(p, level, j)
@@ -371,9 +377,7 @@ def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
     level appends the successors of a word's last symbol; successors are
     ascending, so lexicographic order carries over from level to level."""
     tables = p._word_tables
-    start = k - 1
-    while start not in tables:
-        start -= 1
+    start = max(j for j in tables if j < k)
     succ = p._successors
     level = tables[start]
     for _ in range(start, k):
@@ -385,7 +389,7 @@ def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
 def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
     """All admissible words of length k, in frozen lexicographic order."""
     if k < 0:
-        raise ValueError("word length must be nonnegative")
+        raise FormatError(f"word length must be nonnegative, got {k}")
     if k == 0:
         _check_word_cap(p, 0, 1)
     else:
@@ -445,10 +449,10 @@ class EventuallyPeriodicPoint:
 
 def _primitive_root(word: Word) -> Word:
     n = len(word)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         if n % d == 0 and word == word[:d] * (n // d):
             return word[:d]
-    raise AssertionError("unreachable")
+    return word
 
 
 def periodic_point(p: SftPresentation, preperiod, period,
@@ -538,7 +542,7 @@ def higher_block(p: SftPresentation, k: int) -> HigherBlockRecoding:
     """Graph on B_k with edges B_{k+1}; overlap determines adjacency.  The
     recoding inherits the caps of p."""
     if k < 1:
-        raise ValueError("block length must be at least 1")
+        raise FormatError("block length must be at least 1")
     verts = words(p, k)
     adj = [[0] * len(verts) for _ in verts]
     for u, v in zip(*block_edges(p, k + 1)):

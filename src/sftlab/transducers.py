@@ -65,8 +65,11 @@ class Transducer:
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        """One rule per (state, symbol), completeness, productivity, and
-        output admissibility."""
+        """An initial state in range, one rule per (state, symbol),
+        completeness, productivity, and output admissibility."""
+        if not (0 <= self.initial < self.n_states):
+            raise FormatError(
+                f"initial state {self.initial} out of range for {self.n_states} states")
         table = self.table
         if len(table) != len(self.rules):
             seen = set()
@@ -328,7 +331,7 @@ class OrbitData:
             if f.ring != coh.RING_INT:
                 raise RationalNotSupported("cocycle exponents are integers")
             if f.min_value() < 0:
-                raise ValueError("cocycle exponents must be nonnegative")
+                raise FormatError("cocycle exponents must be nonnegative")
 
 
 def conjugacy_data(p: SftPresentation) -> OrbitData:
@@ -516,7 +519,7 @@ def is_eventual_conjugacy(h: Transducer, data: OrbitData,
     c1_back = None
     if h_back is not None:
         if data_back is None:
-            raise ValueError("inverse machine needs its own cocycle data")
+            raise FormatError("inverse machine needs its own cocycle data")
         c1_back = transfer_psi(h_back, data_back, coh.unit(h_back.codomain))
         ok = ok and coh.subtract(c1_back, coh.unit(h_back.domain)).is_zero()
     return ConjugacyVerdict(ok, c1, c1_back)
@@ -602,8 +605,6 @@ def parse_transducer_text(text: str, domain: SftPresentation,
         initial = int(head[4][len("initial="):])
     except ValueError:
         raise FormatError(f"bad numbers in header {lines[0]!r}") from None
-    if not (0 <= initial < n_states):
-        raise FormatError("initial state out of range")
     rules = []
     for line in lines[1:]:
         parts = line.split()

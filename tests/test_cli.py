@@ -74,6 +74,15 @@ class TestWordsAndSnf:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", [10**5, 10**9])
+    def test_words_far_over_the_cap(self, capsys, fixture_dir, k):
+        """Refused at the first level over the cap: one short line, no
+        count of B_k and no traceback."""
+        code, out, err = cli(capsys, "words", fixture_dir / "fib.mat", k)
+        assert code == 2 and out == ""
+        assert err == (f"error: EnvelopeExceeded: |B_{k}| exceeds the word cap "
+                       "1000000: |B_29| = 1346269 already does\n")
+
     def test_snf_square(self, capsys, fixture_dir):
         code, out, _ = cli(capsys, "snf", fixture_dir / "fib.mat")
         assert code == 0
@@ -90,6 +99,40 @@ class TestWordsAndSnf:
 
 class TestMalformedInput:
     """Each is refused with exit 2 and one error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("words", "fib.mat", "x"), "argument k: invalid int value: 'x'"),
+        ((), "the following arguments are required: command"),
+        (("cohom", "orbit-sum", "fib.mat", "g2.f", "-1:2"),
+         "the following arguments are required: cycle"),
+        (("selftest", "--count", "-1"), "argument --count: must be nonnegative, got -1"),
+        (("selftest", "--threads", "x"), "argument --threads: invalid int value: 'x'"),
+        (("cohom", "nope"), "argument mode: invalid choice: 'nope'"),
+        (("nope",), "argument command: invalid choice: 'nope'"),
+        (("validate", "fib.mat", "extra"), "unrecognized arguments: extra"),
+    ], ids=["int", "no-command", "leading-dash", "bound", "option-int", "mode",
+            "command", "extra"])
+    def test_parser_refusal(self, capsys, fixture_dir, argv, message):
+        """argparse refusals take the same path as every other refusal:
+        run returns 2 and prints one FormatError line, raising nothing."""
+        argv = [fixture_dir / a if a.endswith((".mat", ".f")) else a for a in argv]
+        try:
+            code, out, err = cli(capsys, *argv)
+        except SystemExit as exc:
+            pytest.fail(f"run raised SystemExit({exc.code})")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: FormatError: {message}") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sftlab")
+
+    def test_leading_dash_token_after_double_dash(self, capsys, fixture_dir):
+        code, out, _ = cli(capsys, "cohom", "orbit-sum", fixture_dir / "fib.mat",
+                           fixture_dir / "g2.f", "--", "12")
+        assert code == 0 and "orbit-sum: 3" in out
 
     @pytest.mark.parametrize("argv", [
         ("transducer", "equiv", "fib.mat", "fib.mat", "ident.t", "ident.t",

@@ -1,10 +1,12 @@
-"""Fuzz the CLI in-process: mutated input files and token arguments, under
-every kind of SFTLAB_MAX_WORDS.  Each run exits 0 or 2, a refusal is one
-``error:`` line on stderr, and no exception escapes ``run``.
+"""Fuzz the CLI in-process: mutated input files and arguments, under every
+kind of SFTLAB_MAX_WORDS.  Each run exits 0 or 2, a refusal is one
+``error:`` line on stderr, and no exception, SystemExit included, escapes
+``run``.
 
-The mutations reach what sftlab itself parses: file contents, and the
-string arguments (words, points, t, vertex labels, paths).  Integer options
-and command words are left as they are, since argparse checks those."""
+The mutations reach what sftlab parses itself (file contents, and the
+string arguments: words, points, t, vertex labels, paths) and what argparse
+parses for it (command and mode words, integer arguments, tokens that start
+with ``-``)."""
 from __future__ import annotations
 
 import contextlib
@@ -28,7 +30,7 @@ EXTRA_FILES = {
 }
 
 # Every command but the slow sse-search and selftest.  Names ending in
-# .mat, .f or .t are files; ints are argparse-typed and not mutated.
+# .mat, .f or .t are files; ints are argparse-typed.
 COMMANDS = [
     ("validate", "fib.mat"),
     ("words", "fib.mat", 2),
@@ -56,10 +58,11 @@ COMMANDS = [
     ("transfer", "psi-eta", "fib.mat", "g2.f"),
 ]
 WITH_MODE = ("cohom", "action", "transducer", "transfer")
+NAMES = sorted({c[0] for c in COMMANDS} | {c[1] for c in COMMANDS if c[0] in WITH_MODE})
 FILE_SUFFIXES = (".mat", ".f", ".t")
-# a mutated token never starts with "-", which argparse would take for a flag
-TOKEN_TEXT = st.text(alphabet="0123456789:/.>~ab-é", max_size=6).filter(
-    lambda t: not t.startswith("-"))
+TOKEN_TEXT = st.text(alphabet="0123456789:/.>~ab-é", max_size=6)
+# integer arguments: none of these prints a large table (|B_3| of fib is 5)
+INTS = st.sampled_from([-1, 0, 3, 10**5, 10**9])
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +102,16 @@ def _mutate_file(data, text: str) -> bytes:
 
 
 def _argv(data, root, command) -> list[str]:
-    """command with one file, one token or a pair of arguments mutated."""
+    """command with one file, one token, one integer, its command or mode
+    word, or a pair of arguments mutated."""
     argv = [str(root / a) if str(a).endswith(FILE_SUFFIXES) else str(a)
             for a in command]
     fixed = 2 if command[0] in WITH_MODE else 1
     free = [i for i in range(fixed, len(argv))
             if isinstance(command[i], str) and not command[i].startswith("--")]
-    kind = data.draw(st.sampled_from(["file", "swap", "token"]))
+    ints = [i for i, a in enumerate(command) if isinstance(a, int)]
+    kind = data.draw(st.sampled_from(
+        ["file", "swap", "token", "name"] + ["int"] * bool(ints)))
     if kind == "file":
         path = pathlib.Path(argv[data.draw(st.sampled_from(
             [i for i in free if argv[i].endswith(FILE_SUFFIXES)]))])
@@ -115,8 +121,13 @@ def _argv(data, root, command) -> list[str]:
     elif kind == "swap":
         i, j = (data.draw(st.sampled_from(free)) for _ in range(2))
         argv[i], argv[j] = argv[j], argv[i]
-    else:
+    elif kind == "token":
         argv[data.draw(st.sampled_from(free))] = data.draw(TOKEN_TEXT)
+    elif kind == "name":
+        argv[data.draw(st.integers(0, fixed - 1))] = data.draw(
+            st.one_of(st.sampled_from(NAMES), TOKEN_TEXT))
+    else:
+        argv[data.draw(st.sampled_from(ints))] = str(data.draw(INTS))
     return argv
 
 
@@ -132,7 +143,10 @@ def test_cli_fuzz(cap, fuzz_dir, data):
         else:
             mp.setenv(MAX_WORDS_ENV, cap)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(argv)
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                pytest.fail(f"run raised SystemExit({exc.code}) on {argv}")
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2), (argv, code, err)
     if code:

@@ -74,6 +74,21 @@ class TestAlgebra:
         g = coh.indicator(fib, (0,))
         assert coh.multiply(f, g).table == (2, 0)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, "3", Fraction(1, 2), None])
+    def test_ring_z_refuses_what_is_not_an_integer(self, fib, value):
+        """Ring Z takes ints and integral Fractions; it truncates nothing."""
+        with pytest.raises(FormatError, match="is not an integer"):
+            coh.function(fib, 1, [value, 1])
+        if not isinstance(value, Fraction):      # 1/2 scales into ring Q
+            with pytest.raises(FormatError, match="is not an integer"):
+                coh.scale(coh.unit(fib), value)
+
+    def test_ring_z_takes_integral_fractions(self, fib):
+        f = coh.function(fib, 1, [Fraction(4, 2), True])
+        assert f.table == (2, 1) and set(map(type, f.table)) == {int}
+        assert coh.scale(coh.unit(fib), Fraction(3)).table == (3, 3)
+        assert coh.scale(coh.unit(fib), Fraction(1, 2)).ring == coh.RING_RAT
+
     def test_presentation_mismatch(self, fib, full2):
         with pytest.raises(PresentationMismatch):
             coh.add(coh.unit(fib), coh.unit(full2))

@@ -256,6 +256,20 @@ class TestWordLevels:
         with pytest.raises(ValueError):
             word_level(fib, 0)
 
+    @pytest.mark.parametrize("k", [13, 10**5, 10**9])
+    def test_refusal_stops_at_the_first_level_over_the_cap(self, k):
+        """|B_j| grows with j, so the stepping stops at the first level over
+        the cap and names it; a huge k is refused at once, and no level is
+        built."""
+        p = validate(((1, 1), (1, 0)), "vertex", limits=Limits(max_words=100))
+        first = next(j for j in range(1, 20) if count_words(p, j) > 100)
+        msg = rf"^\|B_{k}\| exceeds the word cap 100: \|B_{first}\| = 144 already does$"
+        with pytest.raises(EnvelopeExceeded, match=msg):
+            word_level(p, k)
+        with pytest.raises(EnvelopeExceeded, match=msg):
+            words(p, k)
+        assert list(p._word_levels) == [1]
+
 
 def _ref_block_edges(p, d):
     """The block graph built from words: each edge's prefix and suffix

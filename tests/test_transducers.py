@@ -97,6 +97,18 @@ class TestConstruction:
             tr.Transducer(fib, fib, 1, 0,
                           ((0, 0, 0, (1,)), (0, 0, 0, (0,)), (0, 1, 0, (0,))))
 
+    @pytest.mark.parametrize("initial", [-1, 1])
+    def test_initial_state_out_of_range(self, fib, initial):
+        """The machine owns the range check, so a hand-built one and a
+        parsed file are refused with the same message."""
+        rules = ((0, 0, 0, (0,)), (0, 1, 0, (1,)))
+        msg = f"initial state {initial} out of range for 1 states"
+        with pytest.raises(FormatError, match=msg):
+            tr.Transducer(fib, fib, 1, initial, rules)
+        text = f"transducer a b states=1 initial={initial}\n0 1 -> 0 1\n0 2 -> 0 2\n"
+        with pytest.raises(FormatError, match=msg):
+            tr.parse_transducer_text(text, fib, fib)
+
     @BUILDERS
     def test_incomplete_rejected(self, full2, build):
         with pytest.raises(IncompleteTransducer, match="no rule for state 0 on symbol 2"):
