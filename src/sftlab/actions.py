@@ -21,38 +21,41 @@ from .shifts import EventuallyPeriodicPoint, SftPresentation, Word
 
 @dataclass(frozen=True)
 class CircleAction:
-    presentation: SftPresentation
+    """A circle action, held as its integer classifier alone."""
+
     classifier: coh.LocallyConstantFunction
 
     def __post_init__(self):
-        if self.classifier.presentation != self.presentation:
-            raise PresentationMismatch("classifier lives on a different presentation")
         if self.classifier.ring != coh.RING_INT:
             raise RationalNotSupported("classifiers are integer-valued")
 
+    @property
+    def presentation(self) -> SftPresentation:
+        return self.classifier.presentation
+
 
 def action(f: coh.LocallyConstantFunction) -> CircleAction:
-    return CircleAction(f.presentation, f)
+    return CircleAction(f)
 
 
 def gauge_action(p: SftPresentation) -> CircleAction:
     """The gauge action: classifier constant 1."""
-    return CircleAction(p, coh.unit(p))
+    return CircleAction(coh.unit(p))
 
 
 def trivial_action(p: SftPresentation) -> CircleAction:
-    return CircleAction(p, coh.zero(p))
+    return CircleAction(coh.zero(p))
 
 
 def compose(a: CircleAction, b: CircleAction) -> CircleAction:
     """Pointwise composition of the two actions; classifiers add."""
     if a.presentation != b.presentation:
         raise PresentationMismatch("actions live on different presentations")
-    return CircleAction(a.presentation, coh.add(a.classifier, b.classifier))
+    return CircleAction(coh.add(a.classifier, b.classifier))
 
 
 def inverse(a: CircleAction) -> CircleAction:
-    return CircleAction(a.presentation, coh.negate(a.classifier))
+    return CircleAction(coh.negate(a.classifier))
 
 
 def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:

@@ -26,7 +26,6 @@ from .errors import (
     require,
 )
 from .linalg import (
-    CokernelPresentation,
     FgAbelianGroup,
     PointedGroup,
     PointedIsoResult,
@@ -50,7 +49,6 @@ def _identity_minus(m: Matrix) -> Matrix:
 class InvariantReport:
     presentation: SftPresentation
     bf_group: FgAbelianGroup                      # coker(I - A)
-    bf_cokernel: CokernelPresentation
     k0_pointed: PointedGroup                      # coker(I - A^T), class of 1
     det_sign: int
     spectral_radius_bounds: tuple[Fraction, Fraction]
@@ -78,7 +76,6 @@ def invariants(p: SftPresentation) -> InvariantReport:
     return InvariantReport(
         presentation=p,
         bf_group=bf_cok.group,
-        bf_cokernel=bf_cok,
         k0_pointed=PointedGroup(k0_cok.group, marked),
         det_sign=sign,
         spectral_radius_bounds=bounds)
@@ -191,11 +188,9 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
         raise ContradictionDetected(
             "verified orbit-equivalence witness against a 'no' verdict: "
             + verdict.reason)
-    unit_a, unit_b = coh.unit(pa), coh.unit(pb)
-    c1_fwd = tr.transfer_psi(witness.forward, witness.forward_data, unit_b)
-    c1_bwd = tr.transfer_psi(witness.backward, witness.backward_data, unit_a)
-    eventual = (coh.subtract(c1_fwd, unit_a).is_zero()
-                and coh.subtract(c1_bwd, unit_b).is_zero())
-    strong = (coh.class_equal(c1_fwd, unit_a).is_coboundary
-              and coh.class_equal(c1_bwd, unit_b).is_coboundary)
-    return ConsistencyReport(verdict, True, c1_fwd, c1_bwd, eventual, strong)
+    conj = tr.is_eventual_conjugacy(witness.forward, witness.forward_data,
+                                    witness.backward, witness.backward_data)
+    c1_fwd, c1_bwd = conj.forward_unit_image, conj.backward_unit_image
+    strong = (coh.class_equal(c1_fwd, coh.unit(pa)).is_coboundary
+              and coh.class_equal(c1_bwd, coh.unit(pb)).is_coboundary)
+    return ConsistencyReport(verdict, True, c1_fwd, c1_bwd, conj.verdict, strong)

@@ -91,9 +91,12 @@ class LocallyConstantFunction:
 
 
 def _coerce(value, ring: str):
-    """value in the ring; ring Z takes only ints and integral Fractions."""
+    """value in the ring; ring Z takes only ints and integral Fractions,
+    ring Q only ints and Fractions."""
     if ring == RING_RAT:
-        return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        raise FormatError(f"value {value!r} is not an int or a Fraction")
     if isinstance(value, int):
         return int(value)
     if isinstance(value, Fraction) and value.denominator == 1:
@@ -356,10 +359,6 @@ class CoboundaryResult:
     potential: LocallyConstantFunction | None   # b with coboundary(b) == f
     cycle: Word | None                          # cyclic word with nonzero sum
 
-    def __iter__(self):
-        yield self.is_coboundary
-        yield self.potential if self.is_coboundary else self.cycle
-
     def __bool__(self):
         return self.is_coboundary
 
@@ -419,10 +418,6 @@ class PositivityResult:
     representative: LocallyConstantFunction | None  # cohomologous to f, >= 0
     potential: LocallyConstantFunction | None       # b with f + coboundary(b) >= 0
     cycle: Word | None                              # cycle with negative sum
-
-    def __iter__(self):
-        yield self.nonnegative
-        yield self.representative if self.nonnegative else self.cycle
 
     def __bool__(self):
         return self.nonnegative

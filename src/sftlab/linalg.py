@@ -288,10 +288,6 @@ class LatticeMembership:
     coefficients: tuple[int, ...] | None          # c with c @ G == v
     separating: tuple[Fraction, ...] | None       # w with w.g integral, w.v not
 
-    def __iter__(self):
-        yield self.member
-        yield self.coefficients if self.member else self.separating
-
 
 def lattice_member(vector, generators) -> LatticeMembership:
     """Decide v in the integer row span of the generators.

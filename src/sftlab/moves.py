@@ -28,7 +28,7 @@ from .errors import (
     PresentationMismatch,
 )
 from .graphs import path
-from .linalg import mat_mul
+from .linalg import freeze, mat_mul
 from .shifts import Matrix, SftPresentation, Word, validate, word_level, words
 from .transducers import OrbitData, Transducer, make_transducer
 
@@ -173,8 +173,8 @@ def _enumerate_bipartite(m: Matrix) -> tuple[tuple[int, int, int], ...]:
 
 
 def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
-    c = tuple(tuple(int(v) for v in row) for row in c)
-    d = tuple(tuple(int(v) for v in row) for row in d)
+    c = freeze(c)
+    d = freeze(d)
     n = len(c)
     m = len(d)
     if n == 0 or m == 0 or any(len(row) != m for row in c) \
@@ -356,8 +356,8 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
     the bounds yields the neighbour D C.  Exponential in the bounds.  A cap
     of ``limits`` that refuses a candidate, or a malformed environment cap,
     is raised, not skipped."""
-    start = tuple(tuple(int(v) for v in row) for row in a_matrix)
-    goal = tuple(tuple(int(v) for v in row) for row in b_matrix)
+    start = freeze(a_matrix)
+    goal = freeze(b_matrix)
     parents: dict[Matrix, tuple[Matrix, ElementaryEquivalence] | None] = {start: None}
     frontier = [start]
     depth = 0

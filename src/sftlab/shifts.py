@@ -43,6 +43,10 @@ A presentation carries the ``Limits`` its builder was given, or else
 ``default_limits()`` read once by ``validate``, never on a table request.
 Presentations derived from it inherit these caps.  The caps take no part
 in equality or hashing.
+
+The recodings ``higher_block`` and ``to_edge_form`` return presentations
+indexed by the word tables of p; a caller that needs the words reads them
+from p.
 """
 from __future__ import annotations
 
@@ -520,27 +524,15 @@ def enumerate_points(p: SftPresentation, max_preperiod: int,
 
 # --------------------------------------------------------------- recodings
 
-@dataclass(frozen=True)
-class HigherBlockRecoding:
-    """Edge-kind presentation on the k-block graph plus its vertex and edge words.
-
-    Vertices of the new graph are the admissible k-words, edges are the
-    (k+1)-words; edge symbol i corresponds to word_of_symbol[i].
-    """
-
-    presentation: SftPresentation
-    block_length: int                      # k
-    vertex_words: tuple[Word, ...]         # B_k, lex order
-    word_of_symbol: tuple[Word, ...]       # B_{k+1}, lex order
-
-
 def _bracket_label(p: SftPresentation, w: Word) -> str:
     return "[" + p.word_label(w) + "]"
 
 
-def higher_block(p: SftPresentation, k: int) -> HigherBlockRecoding:
-    """Graph on B_k with edges B_{k+1}; overlap determines adjacency.  The
-    recoding inherits the caps of p."""
+def higher_block(p: SftPresentation, k: int) -> SftPresentation:
+    """The edge-kind presentation on the graph with vertices B_k and edges
+    B_{k+1}, the edge w running from w[:-1] to w[1:]: vertex i is
+    ``words(p, k)[i]`` and symbol s is ``words(p, k + 1)[s]``, each labelled
+    by its word in brackets.  The recoding inherits the caps of p."""
     if k < 1:
         raise FormatError("block length must be at least 1")
     verts = words(p, k)
@@ -553,31 +545,17 @@ def higher_block(p: SftPresentation, k: int) -> HigherBlockRecoding:
     # validate() enumerates edges in lex (src, tgt) order, which coincides
     # with the lex order on the underlying (k+1)-words
     require(pres.alphabet_size == len(blocks), "higher_block: edges miscounted")
-    relabeled = replace(pres, symbols=tuple(_bracket_label(p, w) for w in blocks))
-    return HigherBlockRecoding(
-        presentation=relabeled, block_length=k, vertex_words=verts,
-        word_of_symbol=blocks)
+    return replace(pres, symbols=tuple(_bracket_label(p, w) for w in blocks))
 
 
-@dataclass(frozen=True)
-class EdgeForm:
-    """Edge-kind presentation of a vertex-kind shift, with the symbol map."""
-
-    presentation: SftPresentation
-    pair_of_symbol: tuple[Word, ...]       # new symbol -> (i, j) vertex pair
-    symbol_of_pair: dict[Word, int]
-
-
-def to_edge_form(p: SftPresentation) -> EdgeForm:
-    """Recode a vertex-kind presentation over its edges, with the caps of p;
-    identity on edge kind."""
+def to_edge_form(p: SftPresentation) -> SftPresentation:
+    """The edge-kind presentation of a vertex-kind p, with the caps of p:
+    symbol s is the edge from vertex ``edges[s][0]`` to ``edges[s][1]``.
+    An edge-kind p is returned itself."""
     if p.kind == "edge":
-        idents = tuple((s,) for s in range(p.alphabet_size))
-        return EdgeForm(p, idents, {w: i for i, w in enumerate(idents)})
-    pres = validate(p.adjacency, kind="edge", vertex_labels=p.vertex_labels,
+        return p
+    return validate(p.adjacency, kind="edge", vertex_labels=p.vertex_labels,
                     limits=p.limits)
-    pairs = tuple((src, tgt) for (src, tgt, _par) in pres.edges)
-    return EdgeForm(pres, pairs, {pair: i for i, pair in enumerate(pairs)})
 
 
 # ------------------------------------------------------------------ file I/O

@@ -556,20 +556,19 @@ class BlockConjugacy:
 def block_conjugacy(p: SftPresentation, k: int) -> BlockConjugacy:
     """Conjugacy onto the higher-block presentation with block length k:
     the i-th output symbol is the (k+1)-block starting at position i."""
-    hb = higher_block(p, k)
-    target = hb.presentation
+    target = higher_block(p, k)
 
     # states after the buffer hold the last k symbols; each edge u -> v of
     # the block graph, a (k+1)-block, reads its last symbol and emits itself
-    full_index = {w: i for i, w in enumerate(hb.vertex_words)}
+    full_index = {w: i for i, w in enumerate(words(p, k))}
     base, rules = _buffer(p, k, lambda full: (full_index[full], ()))
     rules.extend((base + u, a, base + v, (e,)) for e, ((u, v, _par), a)
                  in enumerate(zip(target.edges, word_level(p, k + 1).last)))
     forward = make_transducer(p, target, rules, initial=0,
                               n_states=base + len(full_index))
 
-    back_rules = [(0, s, 0, (hb.word_of_symbol[s][0],))
-                  for s in range(target.alphabet_size)]
+    back_rules = [(0, s, 0, (block[0],))
+                  for s, block in enumerate(words(p, k + 1))]
     backward = make_transducer(target, p, back_rules)
 
     return BlockConjugacy(

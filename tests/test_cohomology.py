@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -88,6 +89,12 @@ class TestAlgebra:
         assert f.table == (2, 1) and set(map(type, f.table)) == {int}
         assert coh.scale(coh.unit(fib), Fraction(3)).table == (3, 3)
         assert coh.scale(coh.unit(fib), Fraction(1, 2)).ring == coh.RING_RAT
+
+    @pytest.mark.parametrize("value", ["x", None, float("inf"), 0.1, "1/3"])
+    def test_ring_q_refuses_what_is_not_exact(self, fib, value):
+        """Ring Q takes ints and Fractions; it converts no float or string."""
+        with pytest.raises(FormatError, match=re.escape(f"value {value!r} ")):
+            coh.function(fib, 1, [value, 1], coh.RING_RAT)
 
     def test_presentation_mismatch(self, fib, full2):
         with pytest.raises(PresentationMismatch):

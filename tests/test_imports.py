@@ -1,4 +1,5 @@
-"""Every module-level import in the package and its tests is used in its file."""
+"""Every module-level import in the package, its tests and its scripts is
+used in its file."""
 from __future__ import annotations
 
 import ast
@@ -7,7 +8,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FILES = sorted([*(ROOT / "src" / "sftlab").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+FILES = sorted([*(ROOT / "src" / "sftlab").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "scripts").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

@@ -76,7 +76,7 @@ def test_later_environment_cap_leaves_built_presentations_alone(monkeypatch):
     monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
     fib = _fib(None)
     monkeypatch.setenv(MAX_WORDS_ENV, "2")
-    for p in (fib, sh.higher_block(fib, 1).presentation, mv.expand(fib, 0).expanded):
+    for p in (fib, sh.higher_block(fib, 1), mv.expand(fib, 0).expanded):
         assert p.limits == Limits()
         assert len(sh.words(p, 2)) == sh.count_words(p, 2) > 2
 
@@ -331,8 +331,8 @@ BUILT = {
     "moves.sse_search":
         lambda c, lim: mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=lim).found[0].a,
     "moves.expand": lambda c, lim: mv.expand(_fib(lim), 0).expanded,
-    "shifts.higher_block": lambda c, lim: sh.higher_block(_fib(lim), 1).presentation,
-    "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(_fib(lim)).presentation,
+    "shifts.higher_block": lambda c, lim: sh.higher_block(_fib(lim), 1),
+    "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(_fib(lim)),
     "transducers.block_conjugacy":
         lambda c, lim: tr.block_conjugacy(_fib(lim), 1).forward.codomain,
     "randgen.random_irreducible":

@@ -47,8 +47,7 @@ seeds = st.integers(0, 10**6)
 FRESH = {
     "vertex": lambda: validate(((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
     "edge": lambda: validate(((1, 2), (1, 0)), "edge"),
-    "higher_block": lambda: higher_block(validate(((1, 1), (1, 0)), "vertex"),
-                                         2).presentation,
+    "higher_block": lambda: higher_block(validate(((1, 1), (1, 0)), "vertex"), 2),
 }
 
 
@@ -354,49 +353,65 @@ class TestPoints:
 class TestHigherBlock:
     def test_fibonacci_two_block(self, fib):
         hb = higher_block(fib, 2)
-        assert hb.presentation.n_vertices == 3
-        assert hb.presentation.alphabet_size == 5
-        assert hb.vertex_words == words(fib, 2)
-        assert hb.word_of_symbol == words(fib, 3)
+        assert hb.n_vertices == 3
+        assert hb.alphabet_size == 5
+        # vertex i is words(fib, 2)[i] and symbol s is words(fib, 3)[s]
+        assert hb.vertex_labels == tuple(f"[{fib.word_label(w)}]"
+                                         for w in words(fib, 2))
+        assert hb.symbols == tuple(f"[{fib.word_label(w)}]" for w in words(fib, 3))
 
     def test_fibonacci_one_block(self, fib):
         hb = higher_block(fib, 1)
-        assert hb.presentation.n_vertices == 2
-        assert hb.presentation.alphabet_size == 3
+        assert hb.n_vertices == 2
+        assert hb.alphabet_size == 3
 
     def test_full2_one_block(self, full2):
         hb = higher_block(full2, 1)
-        assert hb.presentation.n_vertices == 2
-        assert hb.presentation.alphabet_size == 4
+        assert hb.n_vertices == 2
+        assert hb.alphabet_size == 4
 
     def test_edges_overlap(self, fib):
         hb = higher_block(fib, 2)
-        vidx = {w: i for i, w in enumerate(hb.vertex_words)}
-        for sym, w in enumerate(hb.word_of_symbol):
-            src, tgt, _par = hb.presentation.edges[sym]
+        vidx = {w: i for i, w in enumerate(words(fib, 2))}
+        for sym, w in enumerate(words(fib, 3)):
+            src, tgt, _par = hb.edges[sym]
             assert src == vidx[w[:-1]]
             assert tgt == vidx[w[1:]]
 
     def test_labels_bracketed(self, fib):
         hb = higher_block(fib, 2)
-        assert hb.presentation.vertex_labels == ("[11]", "[12]", "[21]")
+        assert hb.vertex_labels == ("[11]", "[12]", "[21]")
+
+    @given(seeds, st.integers(1, 3))
+    def test_symbols_run_from_prefix_to_suffix(self, seed, k):
+        """Vertex kind (even seed) and edge kind, parallel edges allowed:
+        symbol s of the recoding runs from the position of
+        words(p, k + 1)[s][:-1] in words(p, k) to that of its [1:], and the
+        edge form of a vertex-kind p has one symbol per word of B_2."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        while count_words(p, k) > 64:          # the block graph's vertex cap
+            k -= 1
+        position = {w: i for i, w in enumerate(words(p, k))}
+        assert [e[:2] for e in higher_block(p, k).edges] == [
+            (position[w[:-1]], position[w[1:]]) for w in words(p, k + 1)]
+        if p.kind == "vertex":
+            assert to_edge_form(p).alphabet_size == count_words(p, 2)
 
 
 class TestEdgeForm:
     def test_fibonacci(self, fib):
         ef = to_edge_form(fib)
-        assert ef.presentation.kind == "edge"
-        assert ef.presentation.alphabet_size == 3
-        assert ef.pair_of_symbol == ((0, 0), (0, 1), (1, 0))
+        assert ef.kind == "edge"
+        assert ef.alphabet_size == 3
+        assert tuple(e[:2] for e in ef.edges) == ((0, 0), (0, 1), (1, 0))
 
     def test_full2(self, full2):
-        assert to_edge_form(full2).presentation.alphabet_size == 4
+        assert to_edge_form(full2).alphabet_size == 4
 
     def test_edge_kind_identity(self):
         p = validate(((2,),), "edge")
-        ef = to_edge_form(p)
-        assert ef.presentation is p
-        assert ef.pair_of_symbol == ((0,), (1,))
+        assert to_edge_form(p) is p
 
     @given(seeds)
     def test_word_counts_preserved(self, seed):
@@ -406,7 +421,7 @@ class TestEdgeForm:
         p = random_irreducible(rng, 4)
         ef = to_edge_form(p)
         for k in range(1, 4):
-            assert count_words(ef.presentation, k) == count_words(p, k + 1)
+            assert count_words(ef, k) == count_words(p, k + 1)
 
 
 class TestMatrixText:

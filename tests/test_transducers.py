@@ -427,12 +427,11 @@ class TestBlockConjugacy:
     def test_image_symbols_decode_to_blocks(self, fib):
         k = 2
         bc = tr.block_conjugacy(fib, k)
-        hb = higher_block(fib, k)
         x = parse_point(fib, "1:12")
         y = tr.apply(bc.forward, x)
         for i in range(6):
             sym = y.prefix(i + 1)[i]
-            assert hb.word_of_symbol[sym] == x.prefix(i + k + 1)[i:i + k + 1]
+            assert words(fib, k + 1)[sym] == x.prefix(i + k + 1)[i:i + k + 1]
 
 
     @given(seeds, st.integers(1, 3))
