@@ -49,8 +49,6 @@ def trivial_action(p: SftPresentation) -> CircleAction:
 
 def compose(a: CircleAction, b: CircleAction) -> CircleAction:
     """Pointwise composition of the two actions; classifiers add."""
-    if a.presentation != b.presentation:
-        raise PresentationMismatch("actions live on different presentations")
     return CircleAction(coh.add(a.classifier, b.classifier))
 
 
@@ -63,8 +61,6 @@ def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:
     cohomologous?  The witness potential generates the intertwining
     one-parameter unitary family; it is oriented so that its coboundary is
     the second classifier minus the first."""
-    if a.presentation != b.presentation:
-        raise PresentationMismatch("actions live on different presentations")
     return coh.class_equal(b.classifier, a.classifier)
 
 

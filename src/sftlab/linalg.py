@@ -288,6 +288,9 @@ class LatticeMembership:
     coefficients: tuple[int, ...] | None          # c with c @ G == v
     separating: tuple[Fraction, ...] | None       # w with w.g integral, w.v not
 
+    def __bool__(self):
+        return self.member
+
 
 def lattice_member(vector, generators) -> LatticeMembership:
     """Decide v in the integer row span of the generators.

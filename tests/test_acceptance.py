@@ -262,9 +262,3 @@ def test_criterion_10_cli_determinism(fixture_dir, capsys):
     first = collect()
     second = collect()
     assert first == second
-
-    run(["selftest", "--count", "2", "--threads", "1"])
-    seq = capsys.readouterr().out
-    run(["selftest", "--count", "2", "--threads", "3"])
-    par = capsys.readouterr().out
-    assert seq == par

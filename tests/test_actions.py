@@ -52,6 +52,8 @@ class TestGroupLaw:
     def test_presentation_mismatch(self, fib, full2):
         with pytest.raises(PresentationMismatch):
             act.compose(act.gauge_action(fib), act.gauge_action(full2))
+        with pytest.raises(PresentationMismatch):
+            act.equivalent(act.gauge_action(fib), act.gauge_action(full2))
 
     def test_distinct_classifiers_distinct_actions(self, fib):
         a = act.action(coh.indicator(fib, (0,)))

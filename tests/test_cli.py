@@ -106,7 +106,7 @@ class TestMalformedInput:
         (("cohom", "orbit-sum", "fib.mat", "g2.f", "-1:2"),
          "the following arguments are required: cycle"),
         (("selftest", "--count", "-1"), "argument --count: must be nonnegative, got -1"),
-        (("selftest", "--threads", "x"), "argument --threads: invalid int value: 'x'"),
+        (("selftest", "--count", "x"), "argument --count: invalid int value: 'x'"),
         (("cohom", "nope"), "argument mode: invalid choice: 'nope'"),
         (("nope",), "argument command: invalid choice: 'nope'"),
         (("validate", "fib.mat", "extra"), "unrecognized arguments: extra"),
@@ -141,8 +141,7 @@ class TestMalformedInput:
         ("sse-search", "two.mat", "full2.mat", "--entry-bound", "-2"),
         ("sse-search", "two.mat", "full2.mat", "--chain-bound", "-3"),
         ("selftest", "--count", "-1"),
-        ("selftest", "--threads", "0"),
-    ], ids=["delay", "inner-dim", "entry-bound", "chain-bound", "count", "threads"])
+    ], ids=["delay", "inner-dim", "entry-bound", "chain-bound", "count"])
     def test_negative_count_or_bound(self, capsys, fixture_dir, argv):
         argv = [fixture_dir / a if a.endswith((".mat", ".t")) else a for a in argv]
         code, out, err = cli(capsys, *argv)
@@ -183,6 +182,82 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("error: FormatError: ") and err.count("\n") == 1
         assert "non-ASCII" in err
+
+
+def _help(capsys, monkeypatch, *path):
+    """The --help page of a command path, wrapped at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([*path, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParserShape:
+    """The commands, modes, positionals and options the parser accepts."""
+
+    @pytest.mark.parametrize("path, usage", [
+        ("validate", "validate [-h] matrix"),
+        ("words", "words [-h] matrix k"),
+        ("snf", "snf [-h] matrix"),
+        ("invariants", "invariants [-h] matrix"),
+        ("flow-equiv", "flow-equiv [-h] matrix_a matrix_b"),
+        ("coe", "coe [-h] matrix_a matrix_b"),
+        ("cohom", "cohom [-h] {class-equal,positive,orbit-sum} ..."),
+        ("cohom class-equal", "cohom class-equal [-h] matrix f g"),
+        ("cohom positive", "cohom positive [-h] matrix f"),
+        ("cohom orbit-sum", "cohom orbit-sum [-h] matrix f cycle"),
+        ("action", "action [-h] {compose,equivalent,positive,phase} ..."),
+        ("action compose", "action compose [-h] matrix f g"),
+        ("action equivalent", "action equivalent [-h] matrix f g"),
+        ("action positive", "action positive [-h] matrix f"),
+        ("action phase", "action phase [-h] matrix f word t point"),
+        ("transducer", "transducer [-h] {apply,compose,equiv,verify-coe,psi} ..."),
+        ("transducer apply", "transducer apply [-h] domain codomain machine point"),
+        ("transducer compose",
+         "transducer compose [-h] matrix_a matrix_b matrix_c outer inner"),
+        ("transducer equiv", "transducer equiv [-h] [--delay DELAY]\n"
+                             "                               domain codomain first second"),
+        ("transducer verify-coe",
+         "transducer verify-coe [-h] domain codomain machine k1 l1"),
+        ("transducer psi",
+         "transducer psi [-h] domain codomain machine k1 l1 function"),
+        ("expand", "expand [-h] [--vertex VERTEX] matrix"),
+        ("elementary", "elementary [-h] c_file d_file"),
+        ("transfer", "transfer [-h] {phi,psi,psi-xi,psi-eta} ..."),
+        ("transfer phi", "transfer phi [-h] c_file d_file function"),
+        ("transfer psi", "transfer psi [-h] c_file d_file function"),
+        ("transfer psi-xi", "transfer psi-xi [-h] [--vertex VERTEX] matrix function"),
+        ("transfer psi-eta", "transfer psi-eta [-h] [--vertex VERTEX] matrix function"),
+        ("sse-search", "sse-search [-h] [--inner-dim INNER_DIM]\n"
+                       "                         [--entry-bound ENTRY_BOUND]\n"
+                       "                         [--chain-bound CHAIN_BOUND]\n"
+                       "                         matrix_a matrix_b"),
+        ("selftest", "selftest [-h] [--count COUNT]"),
+    ])
+    def test_usage(self, capsys, monkeypatch, path, usage):
+        page = _help(capsys, monkeypatch, *path.split())
+        assert page.split("\n\n")[0] == f"usage: sftlab {usage}"
+
+    def test_command_listing(self, capsys, monkeypatch):
+        page = _help(capsys, monkeypatch)
+        listing = page.split("positional arguments:\n")[1].split("\n\n")[0]
+        assert listing.splitlines()[1:] == [
+            "    validate            validate a matrix file",
+            "    words               enumerate admissible words",
+            "    snf                 Smith normal form of a matrix file",
+            "    invariants          classification invariants",
+            "    flow-equiv          flow equivalence verdict",
+            "    coe                 continuous orbit equivalence verdict",
+            "    cohom               cohomology class decisions",
+            "    action              circle action operations",
+            "    transducer          machine operations",
+            "    expand              vertex expansion with machines",
+            "    elementary          elementary equivalence A=CD, B=DC",
+            "    transfer            function transfer along moves",
+            "    sse-search          bounded strong shift equivalence search",
+            "    selftest            run the embedded identity suite",
+        ]
 
 
 class TestVerdicts:
@@ -451,11 +526,6 @@ class TestDeterminism:
         code, out, err = cli(capsys, "selftest", "--count", "2")
         assert code == 0, err
         assert "passed: 10/10" in out
-
-    def test_selftest_thread_equality(self, capsys):
-        _, seq, _ = cli(capsys, "selftest", "--count", "2", "--threads", "1")
-        _, par, _ = cli(capsys, "selftest", "--count", "2", "--threads", "2")
-        assert seq == par
 
     def test_selftest_seed_changes_instances(self, capsys):
         code, out, _ = cli(capsys, "--seed", "7", "selftest", "--count", "2")

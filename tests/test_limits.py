@@ -588,7 +588,6 @@ BUILDING_COMMANDS = {
     "elementary": ("elementary", "c.mat", "d.mat"),
     "transfer-phi": ("transfer", "phi", "c.mat", "d.mat", "a.f"),
     "selftest": ("selftest", "--count", "1"),
-    "selftest-threads": ("selftest", "--count", "1", "--threads", "2"),
 }
 
 

@@ -183,6 +183,7 @@ class TestLatticeMember:
     def test_odd_vector_outside_even_lattice(self):
         res = lattice_member((1, 1), [(2, 0), (0, 2)])
         assert not res.member
+        assert not res
         assert res.separating is not None
 
     def test_zero_vector(self):
