@@ -10,14 +10,13 @@ continuous orbit equivalence by pointed isomorphism plus determinant sign
 (Matsumoto-Matui, Kyoto J. Math. 54, 2014), which `linalg.pointed_iso`
 decides outright, so both verdicts are yes or no.  A consistency check
 cross-validates verdicts against explicit two-sided machine witnesses and
-raises on any contradiction."""
+raises on any contradiction; it alone imports the machine layers
+(``transducers``, ``cohomology``), so the verdicts load neither."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import cohomology as coh
-from . import transducers as tr
 from .errors import (
     ContradictionDetected,
     InsufficientLookahead,
@@ -148,6 +147,7 @@ class ConsistencyReport:
 
 def _check_witness(pa: SftPresentation, pb: SftPresentation,
                    witness: CoeWitness) -> None:
+    from . import transducers as tr
     fwd, bwd = witness.forward, witness.backward
     if fwd.domain != pa or fwd.codomain != pb:
         raise PresentationMismatch("forward witness does not map A to B")
@@ -180,6 +180,7 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
     A witness is accepted only if its orbit relations verify and the two
     machines invert each other; an accepted witness together with a `no`
     verdict trips ContradictionDetected."""
+    from . import cohomology as coh, transducers as tr
     verdict = coe_verdict(pa, pb)
     if witness is None:
         return ConsistencyReport(verdict, False, None, None, None, None)

@@ -4,22 +4,18 @@ Reports are stable line-oriented ``key: value`` text; multi-line values
 (matrices, functions, machines) are emitted as an indented block under the
 key.  ``--json`` mirrors the same ordered key/value pairs.  Exit codes:
 0 success, 1 internal contradiction, 2 malformed input or failed validation.
+
+Each handler imports the layers it calls, so a command loads only those.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import re
 import sys
 from pathlib import Path
 
-from . import actions
-from . import classify
-from . import cohomology as coh
-from . import moves
-from . import randgen
-from . import transducers as tr
+from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM
 from .errors import ContradictionDetected, FormatError, SftError
 from .linalg import smith
 from .shifts import (
@@ -53,6 +49,7 @@ class Report:
         return "\n".join(out) + "\n"
 
     def render_json(self, command: str) -> str:
+        import json
         return json.dumps({"command": command, "report": self.lines},
                           indent=2) + "\n"
 
@@ -67,25 +64,30 @@ def _load_rect(path: str) -> tuple:
 
 
 def _load_function(path: str, p: SftPresentation, matrix_id):
+    from . import cohomology as coh
     return coh.parse_function_text(read_text(path), p, matrix_id)
 
 
 def _load_transducer(path: str, dom: SftPresentation, cod: SftPresentation,
                      dom_id, cod_id):
+    from . import transducers as tr
     return tr.parse_transducer_text(read_text(path), dom, cod, dom_id, cod_id)
 
 
 def _load_orbit_data(args, dom: SftPresentation, dom_id) -> tr.OrbitData:
+    from . import transducers as tr
     k1 = _load_function(args.k1, dom, dom_id)
     l1 = _load_function(args.l1, dom, dom_id)
     return tr.OrbitData(k1, l1)
 
 
 def _function_text(f, matrix_id: str) -> str:
+    from . import cohomology as coh
     return coh.format_function_text(f, matrix_id).rstrip("\n")
 
 
 def _machine_text(t, dom_id: str, cod_id: str) -> str:
+    from . import transducers as tr
     return tr.format_transducer_text(t, dom_id, cod_id).rstrip("\n")
 
 
@@ -100,6 +102,7 @@ def _add_invariants(rep: Report, prefix: str, inv) -> None:
 
 
 def _add_coboundary(rep: Report, res, f, name: str, matrix_id: str) -> None:
+    from . import cohomology as coh
     if res.is_coboundary:
         rep.add(f"{name}", "yes")
         rep.add("witness", _function_text(res.potential, matrix_id))
@@ -149,6 +152,7 @@ def cmd_snf(args) -> Report:
 
 
 def cmd_invariants(args) -> Report:
+    from . import classify
     name, p = _load_presentation(args.matrix)
     inv = classify.invariants(p)
     rep = Report()
@@ -158,6 +162,7 @@ def cmd_invariants(args) -> Report:
 
 
 def cmd_flow_equiv(args) -> Report:
+    from . import classify
     name_a, pa = _load_presentation(args.matrix_a)
     name_b, pb = _load_presentation(args.matrix_b)
     res = classify.flow_equivalent(pa, pb)
@@ -170,6 +175,7 @@ def cmd_flow_equiv(args) -> Report:
 
 
 def cmd_coe(args) -> Report:
+    from . import classify
     name_a, pa = _load_presentation(args.matrix_a)
     name_b, pb = _load_presentation(args.matrix_b)
     res = classify.coe_verdict(pa, pb)
@@ -187,6 +193,7 @@ def cmd_coe(args) -> Report:
 
 
 def cmd_cohom(args) -> Report:
+    from . import cohomology as coh
     name, p = _load_presentation(args.matrix)
     rep = Report()
     rep.add("matrix", name)
@@ -216,6 +223,7 @@ def cmd_cohom(args) -> Report:
 
 
 def cmd_action(args) -> Report:
+    from . import actions, cohomology as coh
     name, p = _load_presentation(args.matrix)
     rep = Report()
     rep.add("matrix", name)
@@ -254,6 +262,7 @@ def cmd_action(args) -> Report:
 
 
 def cmd_transducer(args) -> Report:
+    from . import transducers as tr
     rep = Report()
     if args.mode == "apply":
         dom_id, dom = _load_presentation(args.domain)
@@ -311,6 +320,7 @@ def _resolve_vertex(p: SftPresentation, label: str | None) -> int:
 
 
 def cmd_expand(args) -> Report:
+    from . import moves
     name, p = _load_presentation(args.matrix)
     e = moves.expand(p, _resolve_vertex(p, args.vertex))
     exp_id = f"{name}.expanded"
@@ -328,6 +338,7 @@ def cmd_expand(args) -> Report:
 
 
 def cmd_elementary(args) -> Report:
+    from . import moves
     c = _load_rect(args.c_file)
     d = _load_rect(args.d_file)
     ee = moves.elementary(c, d)
@@ -345,6 +356,7 @@ def cmd_elementary(args) -> Report:
 
 
 def cmd_transfer(args) -> Report:
+    from . import moves
     rep = Report()
     if args.mode in ("phi", "psi"):
         c = _load_rect(args.c_file)
@@ -373,6 +385,7 @@ def cmd_transfer(args) -> Report:
 
 
 def cmd_sse_search(args) -> Report:
+    from . import moves
     _name_a, pa = _load_presentation(args.matrix_a)
     _name_b, pb = _load_presentation(args.matrix_b)
     res = moves.sse_search(pa.adjacency, pb.adjacency,
@@ -395,6 +408,7 @@ def cmd_sse_search(args) -> Report:
 # ------------------------------------------------------------- selftest
 
 def _selftest_coboundary(seed: int) -> bool:
+    from . import cohomology as coh, randgen
     rng = random.Random(seed)
     p = randgen.random_irreducible(rng, 6)
     b = randgen.random_function(rng, p, 3)
@@ -407,6 +421,7 @@ def _selftest_coboundary(seed: int) -> bool:
 
 
 def _selftest_action(seed: int) -> bool:
+    from . import actions, cohomology as coh, randgen
     rng = random.Random(seed)
     p = randgen.random_irreducible(rng, 5)
     f = randgen.random_function(rng, p, 2)
@@ -422,6 +437,7 @@ def _selftest_action(seed: int) -> bool:
 
 
 def _selftest_elementary(seed: int) -> bool:
+    from . import cohomology as coh, moves, randgen
     rng = random.Random(seed)
     ee = randgen.random_elementary(rng, 3, 3, 2)
     f = randgen.random_function(rng, ee.a, 2)
@@ -433,6 +449,7 @@ def _selftest_elementary(seed: int) -> bool:
 
 
 def _selftest_expansion(seed: int) -> bool:
+    from . import cohomology as coh, moves, randgen, transducers as tr
     rng = random.Random(seed)
     p = randgen.random_irreducible(rng, 4)
     e = moves.expand(p, rng.randrange(p.n_vertices))
@@ -450,6 +467,7 @@ def _selftest_expansion(seed: int) -> bool:
 
 
 def _selftest_invariance(seed: int) -> bool:
+    from . import classify, moves, randgen
     rng = random.Random(seed)
     p = randgen.random_irreducible(rng, 5)
     e = moves.expand(p, rng.randrange(p.n_vertices))
@@ -566,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
         }),
         "sse-search": ("bounded strong shift equivalence search", cmd_sse_search,
                        {None: ("matrix_a matrix_b", {
-                           "--inner-dim": count(moves.SSE_INNER_DIM),
-                           "--entry-bound": count(moves.SSE_ENTRY_BOUND),
-                           "--chain-bound": count(moves.SSE_CHAIN_BOUND)})}),
+                           "--inner-dim": count(SSE_INNER_DIM),
+                           "--entry-bound": count(SSE_ENTRY_BOUND),
+                           "--chain-bound": count(SSE_CHAIN_BOUND)})}),
         "selftest": ("run the embedded identity suite", cmd_selftest,
                      {None: ("", {"--count": count(25)})}),
     }

@@ -5,7 +5,8 @@ kept on it (``SftPresentation.limits``); presentations derived from it
 inherit them.  The word cap can be overridden with the SFTLAB_MAX_WORDS
 environment variable.  The bounds of the searches and checks (SSE attempt
 budget, delay slack, point-check bounds) are constants next to their one
-reader.
+reader.  The three default ``sse-search`` bounds have two readers,
+``moves.sse_search`` and the CLI parser, so they are held here.
 
 Limits are resolved in one place: ``shifts.validate`` stores the caller's
 Limits as given, or ``default_limits()`` when there are none, so every
@@ -23,6 +24,9 @@ from dataclasses import dataclass
 from .errors import FormatError
 
 MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
+
+# default inner dimension, entry and chain-length bounds of sse_search
+SSE_INNER_DIM, SSE_ENTRY_BOUND, SSE_CHAIN_BOUND = 3, 2, 3
 
 
 # slots: each presentation built without Limits holds its own instance

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import cohomology as coh
-from .config import Limits
+from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM, Limits
 from .errors import (
     ContradictionDetected,
     FormatError,
@@ -343,7 +343,6 @@ class SseSearchResult:
     attempts: int
 
 
-SSE_INNER_DIM, SSE_ENTRY_BOUND, SSE_CHAIN_BOUND = 3, 2, 3
 SSE_ATTEMPT_BUDGET = 20_000          # factorizations tried before "not-found"
 
 

@@ -2,6 +2,7 @@
 and byte-for-byte determinism."""
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import pytest
 import sftlab
 import sftlab.cohomology as coh
 import sftlab.moves as moves
-from sftlab.cli import run
+from sftlab.cli import build_parser, run
 from sftlab.shifts import load_matrix_file
 
 
@@ -193,48 +194,52 @@ def _help(capsys, monkeypatch, *path):
     return capsys.readouterr().out
 
 
+# every command and mode path with its usage line
+USAGES = [
+    ("validate", "validate [-h] matrix"),
+    ("words", "words [-h] matrix k"),
+    ("snf", "snf [-h] matrix"),
+    ("invariants", "invariants [-h] matrix"),
+    ("flow-equiv", "flow-equiv [-h] matrix_a matrix_b"),
+    ("coe", "coe [-h] matrix_a matrix_b"),
+    ("cohom", "cohom [-h] {class-equal,positive,orbit-sum} ..."),
+    ("cohom class-equal", "cohom class-equal [-h] matrix f g"),
+    ("cohom positive", "cohom positive [-h] matrix f"),
+    ("cohom orbit-sum", "cohom orbit-sum [-h] matrix f cycle"),
+    ("action", "action [-h] {compose,equivalent,positive,phase} ..."),
+    ("action compose", "action compose [-h] matrix f g"),
+    ("action equivalent", "action equivalent [-h] matrix f g"),
+    ("action positive", "action positive [-h] matrix f"),
+    ("action phase", "action phase [-h] matrix f word t point"),
+    ("transducer", "transducer [-h] {apply,compose,equiv,verify-coe,psi} ..."),
+    ("transducer apply", "transducer apply [-h] domain codomain machine point"),
+    ("transducer compose",
+     "transducer compose [-h] matrix_a matrix_b matrix_c outer inner"),
+    ("transducer equiv", "transducer equiv [-h] [--delay DELAY]\n"
+                         "                               domain codomain first second"),
+    ("transducer verify-coe",
+     "transducer verify-coe [-h] domain codomain machine k1 l1"),
+    ("transducer psi",
+     "transducer psi [-h] domain codomain machine k1 l1 function"),
+    ("expand", "expand [-h] [--vertex VERTEX] matrix"),
+    ("elementary", "elementary [-h] c_file d_file"),
+    ("transfer", "transfer [-h] {phi,psi,psi-xi,psi-eta} ..."),
+    ("transfer phi", "transfer phi [-h] c_file d_file function"),
+    ("transfer psi", "transfer psi [-h] c_file d_file function"),
+    ("transfer psi-xi", "transfer psi-xi [-h] [--vertex VERTEX] matrix function"),
+    ("transfer psi-eta", "transfer psi-eta [-h] [--vertex VERTEX] matrix function"),
+    ("sse-search", "sse-search [-h] [--inner-dim INNER_DIM]\n"
+                   "                         [--entry-bound ENTRY_BOUND]\n"
+                   "                         [--chain-bound CHAIN_BOUND]\n"
+                   "                         matrix_a matrix_b"),
+    ("selftest", "selftest [-h] [--count COUNT]"),
+]
+
+
 class TestParserShape:
     """The commands, modes, positionals and options the parser accepts."""
 
-    @pytest.mark.parametrize("path, usage", [
-        ("validate", "validate [-h] matrix"),
-        ("words", "words [-h] matrix k"),
-        ("snf", "snf [-h] matrix"),
-        ("invariants", "invariants [-h] matrix"),
-        ("flow-equiv", "flow-equiv [-h] matrix_a matrix_b"),
-        ("coe", "coe [-h] matrix_a matrix_b"),
-        ("cohom", "cohom [-h] {class-equal,positive,orbit-sum} ..."),
-        ("cohom class-equal", "cohom class-equal [-h] matrix f g"),
-        ("cohom positive", "cohom positive [-h] matrix f"),
-        ("cohom orbit-sum", "cohom orbit-sum [-h] matrix f cycle"),
-        ("action", "action [-h] {compose,equivalent,positive,phase} ..."),
-        ("action compose", "action compose [-h] matrix f g"),
-        ("action equivalent", "action equivalent [-h] matrix f g"),
-        ("action positive", "action positive [-h] matrix f"),
-        ("action phase", "action phase [-h] matrix f word t point"),
-        ("transducer", "transducer [-h] {apply,compose,equiv,verify-coe,psi} ..."),
-        ("transducer apply", "transducer apply [-h] domain codomain machine point"),
-        ("transducer compose",
-         "transducer compose [-h] matrix_a matrix_b matrix_c outer inner"),
-        ("transducer equiv", "transducer equiv [-h] [--delay DELAY]\n"
-                             "                               domain codomain first second"),
-        ("transducer verify-coe",
-         "transducer verify-coe [-h] domain codomain machine k1 l1"),
-        ("transducer psi",
-         "transducer psi [-h] domain codomain machine k1 l1 function"),
-        ("expand", "expand [-h] [--vertex VERTEX] matrix"),
-        ("elementary", "elementary [-h] c_file d_file"),
-        ("transfer", "transfer [-h] {phi,psi,psi-xi,psi-eta} ..."),
-        ("transfer phi", "transfer phi [-h] c_file d_file function"),
-        ("transfer psi", "transfer psi [-h] c_file d_file function"),
-        ("transfer psi-xi", "transfer psi-xi [-h] [--vertex VERTEX] matrix function"),
-        ("transfer psi-eta", "transfer psi-eta [-h] [--vertex VERTEX] matrix function"),
-        ("sse-search", "sse-search [-h] [--inner-dim INNER_DIM]\n"
-                       "                         [--entry-bound ENTRY_BOUND]\n"
-                       "                         [--chain-bound CHAIN_BOUND]\n"
-                       "                         matrix_a matrix_b"),
-        ("selftest", "selftest [-h] [--count COUNT]"),
-    ])
+    @pytest.mark.parametrize("path, usage", USAGES)
     def test_usage(self, capsys, monkeypatch, path, usage):
         page = _help(capsys, monkeypatch, *path.split())
         assert page.split("\n\n")[0] == f"usage: sftlab {usage}"
@@ -258,6 +263,14 @@ class TestParserShape:
             "    sse-search          bounded strong shift equivalence search",
             "    selftest            run the embedded identity suite",
         ]
+
+    def test_sse_defaults_have_one_holder(self):
+        args = build_parser().parse_args(["sse-search", "a", "b"])
+        parsed = (args.inner_dim, args.entry_bound, args.chain_bound)
+        signature = inspect.signature(moves.sse_search).parameters
+        assert parsed == (3, 2, 3)
+        assert parsed == tuple(signature[name].default for name in
+                               ("inner_dim_bound", "entry_bound", "chain_bound"))
 
 
 class TestVerdicts:
@@ -541,21 +554,27 @@ class TestDeterminism:
         assert ["irreducible", "yes"] in doc["report"]
 
 
+def _write_transfer_functions(fixture_dir, where) -> None:
+    """a.f and b.f on the two sides of c.mat/d.mat's elementary equivalence,
+    x.f on the expansion of fib."""
+    ee = moves.elementary(((1, 1),), ((1,), (1,)))
+    e = moves.expand(load_matrix_file(fixture_dir / "fib.mat"))
+    files = {
+        "a.f": coh.function(ee.a, 2, [3, -1, 4, 1]),
+        "b.f": coh.function(ee.b, 1, [5, -9, 2, 6]),
+        "x.f": coh.function(e.expanded, 2, [5, 3, -5, 8]),
+    }
+    for name, f in files.items():
+        (where / name).write_text(coh.format_function_text(f, "m"))
+
+
 class TestOptimizedInterpreter:
     """The transfers, the identity suite and a mixed-case coe report the
     same bytes when ``python -O`` strips the asserts."""
 
     def test_transfer_and_selftest_bytes(self, fixture_dir, tmp_path):
         fx = fixture_dir
-        ee = moves.elementary(((1, 1),), ((1,), (1,)))
-        e = moves.expand(load_matrix_file(fx / "fib.mat"))
-        files = {
-            "a.f": coh.function(ee.a, 2, [3, -1, 4, 1]),
-            "b.f": coh.function(ee.b, 1, [5, -9, 2, 6]),
-            "x.f": coh.function(e.expanded, 2, [5, 3, -5, 8]),
-        }
-        for name, f in files.items():
-            (tmp_path / name).write_text(coh.format_function_text(f, "m"))
+        _write_transfer_functions(fx, tmp_path)
         commands = [
             ["transfer", "phi", fx / "c.mat", fx / "d.mat", tmp_path / "a.f"],
             ["transfer", "psi", fx / "c.mat", fx / "d.mat", tmp_path / "b.f"],
@@ -591,3 +610,92 @@ class TestOptimizedInterpreter:
         assert plain.returncode == optimised.returncode == 0, plain.stderr
         assert plain.stdout.startswith("coe: yes\n")
         assert optimised.stdout == plain.stdout
+
+
+# the arguments of each command and mode path with no further modes; a bare
+# name is a fixture file, a name in TMP one that _write_transfer_functions
+# writes
+RUNS = {
+    "validate": "fib.mat",
+    "words": "fib.mat 3",
+    "snf": "fib.mat",
+    "invariants": "fib.mat",
+    "flow-equiv": "fib.mat full2.mat",
+    "coe": "fib.mat full2.mat",
+    "cohom class-equal": "fib.mat gauge.f zero.f",
+    "cohom positive": "fib.mat gauge.f",
+    "cohom orbit-sum": "fib.mat gauge.f 12",
+    "action compose": "fib.mat gauge.f one1.f",
+    "action equivalent": "fib.mat gauge.f one1.f",
+    "action positive": "fib.mat gauge.f",
+    "action phase": "fib.mat gauge.f 12 1/4 :12",
+    "transducer apply": "fib.mat fib.mat ident.t 1:12",
+    "transducer compose": "fib.mat fib.mat fib.mat ident.t ident.t",
+    "transducer equiv": "fib.mat fib.mat ident.t ident.t",
+    "transducer verify-coe": "fib.mat fib.mat ident.t zero.f gauge.f",
+    "transducer psi": "fib.mat fib.mat ident.t zero.f gauge.f g2.f",
+    "expand": "fib.mat",
+    "elementary": "c.mat d.mat",
+    "transfer phi": "c.mat d.mat a.f",
+    "transfer psi": "c.mat d.mat b.f",
+    "transfer psi-xi": "fib.mat x.f",
+    "transfer psi-eta": "fib.mat g2.f",
+    "sse-search": "two.mat full2.mat",
+    "selftest": "--count 1",
+}
+TMP = ("a.f", "b.f", "x.f")
+
+
+class TestEveryPath:
+    """Each command and mode runs once to exit 0, so a handler that lost an
+    import it needs fails here with the NameError that ``run`` lets through."""
+
+    def test_runs_cover_every_path(self):
+        assert set(RUNS) == {path for path, usage in USAGES
+                             if not usage.endswith(" ...")}
+
+    @pytest.mark.parametrize("path", RUNS)
+    def test_path_runs(self, capsys, fixture_dir, tmp_path, path):
+        _write_transfer_functions(fixture_dir, tmp_path)
+        args = [str((tmp_path if a in TMP else fixture_dir) / a)
+                if a.endswith((".mat", ".f", ".t")) else a
+                for a in RUNS[path].split()]
+        code, out, err = cli(capsys, *path.split(), *args)
+        assert code == 0, err
+        assert out and err == ""
+
+
+class TestLazyLayers:
+    """A fresh interpreter that runs one command loads only the layers its
+    handler calls, and ``json`` only for ``--json``."""
+
+    PROBE = ("import sys, sftlab.cli\n"
+             "code = sftlab.cli.run(sys.argv[1:])\n"
+             "print(code, *sorted(sys.modules))\n")
+
+    @staticmethod
+    def _modules(fixture_dir, argv) -> set[str]:
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", TestLazyLayers.PROBE, *argv],
+                              cwd=fixture_dir, capture_output=True, text=True,
+                              env=env, timeout=120, check=False)
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        return set(modules)
+
+    @pytest.mark.parametrize("path, absent", [
+        ("validate", "cohomology transducers moves classify actions randgen"),
+        ("cohom class-equal", "transducers moves classify actions randgen"),
+        ("invariants", "cohomology transducers moves actions randgen"),
+        ("coe", "cohomology transducers moves actions randgen"),
+        ("transducer verify-coe", "moves classify actions randgen"),
+    ])
+    def test_command_loads_only_its_layers(self, fixture_dir, path, absent):
+        loaded = self._modules(fixture_dir, [*path.split(), *RUNS[path].split()])
+        assert "sftlab.cli" in loaded
+        assert loaded.isdisjoint(f"sftlab.{name}" for name in absent.split())
+        assert "json" not in loaded
+
+    def test_json_loads_json(self, fixture_dir):
+        assert "json" in self._modules(fixture_dir, ["--json", "validate", "fib.mat"])

@@ -1,5 +1,6 @@
-"""Every module-level import in the package, its tests and its scripts is
-used in its file."""
+"""Every import in the package, its tests and its scripts is used: a
+module-level import in its file, an import inside a function in that
+function."""
 from __future__ import annotations
 
 import ast
@@ -12,26 +13,56 @@ FILES = sorted([*(ROOT / "src" / "sftlab").glob("*.py"), *(ROOT / "tests").glob(
                 *(ROOT / "scripts").glob("*.py")])
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by a module-level import and never read in the module;
-    names listed in ``__all__`` count as read."""
-    tree = ast.parse(source)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(nodes):
+    """The nodes and their descendants in source order, less those of the
+    functions, lambdas and classes nested in them."""
+    for node in nodes:
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
+            yield from _own_nodes(ast.iter_child_nodes(node))
+
+
+def _bound(nodes) -> dict[str, int]:
+    """The names the imports among nodes bind, with their lines."""
     bound: dict[str, int] = {}
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 bound[name] = node.lineno
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return bound
+
+
+def _names(nodes) -> set[str]:
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import and never read in its scope.  A module-level
+    import's scope is the module, where names listed in ``__all__`` count as
+    read; an import in a function's scope is that function's body, nested
+    functions included."""
+    tree = ast.parse(source)
+    used = _names([tree])
     for node in tree.body:
         if (isinstance(node, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             used.update(ast.literal_eval(node.value))
-    return [f"{name} (line {line})" for name, line in bound.items()
-            if name not in used]
+    found = [f"{name} (line {line})" for name, line in _bound(tree.body).items()
+             if name not in used]
+    for fn in ast.walk(tree):
+        if isinstance(fn, FUNCTIONS):
+            read = _names(fn.body)
+            found += [f"{name} (line {line})"
+                      for name, line in _bound(_own_nodes(fn.body)).items()
+                      if name not in read]
+    return found
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -42,3 +73,17 @@ def test_no_unused_module_imports(path):
 def test_guard_sees_an_unused_import():
     source = "import os\nimport sys\nfrom a import b as c, d\n__all__ = ['d']\nsys.exit()\n"
     assert unused_imports(source) == ["os (line 1)", "c (line 3)"]
+
+
+def test_guard_sees_an_unused_local_import():
+    source = ("import os\n"
+              "def f():\n"
+              "    import sys\n"
+              "    if os:\n"
+              "        from a import b, c\n"
+              "    def g():\n"
+              "        return b\n"
+              "    return g\n"
+              "def h():\n"
+              "    return sys, c\n")
+    assert unused_imports(source) == ["sys (line 3)", "c (line 5)"]
