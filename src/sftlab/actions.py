@@ -11,16 +11,15 @@ classifier 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cohomology as coh
 from .errors import Inadmissible, PresentationMismatch, RationalNotSupported
+from .record import Record
 from .shifts import EventuallyPeriodicPoint, SftPresentation, Word
 
 
-@dataclass(frozen=True)
-class CircleAction:
+class CircleAction(Record):
     """A circle action, held as its integer classifier alone."""
 
     classifier: coh.LocallyConstantFunction
@@ -73,8 +72,7 @@ def is_order_unit(a: CircleAction) -> bool:
     return coh.order_unit_check(a.classifier)
 
 
-@dataclass(frozen=True)
-class PhaseExponent:
+class PhaseExponent(Record):
     """Rotation exponent attached to the generator of an admissible word:
     the |word|-step partial sum of the classifier."""
 

@@ -14,7 +14,6 @@ raises on any contradiction; it alone imports the machine layers
 (``transducers``, ``cohomology``), so the verdicts load neither."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -34,6 +33,7 @@ from .linalg import (
     pointed_iso,
     transpose,
 )
+from .record import Record
 from .shifts import Matrix, SftPresentation
 
 
@@ -44,8 +44,7 @@ def _identity_minus(m: Matrix) -> Matrix:
         for i in range(n))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(Record):
     presentation: SftPresentation
     bf_group: FgAbelianGroup                      # coker(I - A)
     k0_pointed: PointedGroup                      # coker(I - A^T), class of 1
@@ -80,8 +79,7 @@ def invariants(p: SftPresentation) -> InvariantReport:
         spectral_radius_bounds=bounds)
 
 
-@dataclass(frozen=True)
-class FlowReport:
+class FlowReport(Record):
     verdict: bool
     reason: str
     a: InvariantReport
@@ -100,8 +98,7 @@ def flow_equivalent(pa: SftPresentation, pb: SftPresentation) -> FlowReport:
     return FlowReport(True, "groups isomorphic and signs equal", ra, rb)
 
 
-@dataclass(frozen=True)
-class CoeReport:
+class CoeReport(Record):
     verdict: str                         # yes / no
     reason: str
     iso: PointedIsoResult | None
@@ -124,8 +121,7 @@ def coe_verdict(pa: SftPresentation, pb: SftPresentation) -> CoeReport:
 
 # -------------------------------------------------------------- consistency
 
-@dataclass(frozen=True)
-class CoeWitness:
+class CoeWitness(Record):
     """Two-sided machine witness of a continuous orbit equivalence: mutually
     inverse transducers with verified cocycle data."""
 
@@ -135,8 +131,7 @@ class CoeWitness:
     backward_data: tr.OrbitData
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(Record):
     coe: CoeReport
     witness_verified: bool
     unit_image_forward: coh.LocallyConstantFunction | None

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, compress, repeat
 
@@ -47,6 +46,7 @@ from .errors import (
     require,
 )
 from .graphs import find_cycle
+from .record import Record
 from .shifts import (
     SftPresentation,
     Word,
@@ -61,8 +61,7 @@ RING_INT = "Z"
 RING_RAT = "Q"
 
 
-@dataclass(frozen=True)
-class LocallyConstantFunction:
+class LocallyConstantFunction(Record):
     """Depth-k table over B_k in frozen lexicographic order, normalized so
     that no smaller depth realizes the same function."""
 
@@ -353,8 +352,7 @@ def _cycle_word(p: SftPresentation, d: int, cycle_edges: list[int]) -> Word:
     return tuple(bisect_right(offsets, ei) - 1 for ei in cycle_edges)
 
 
-@dataclass(frozen=True)
-class CoboundaryResult:
+class CoboundaryResult(Record):
     is_coboundary: bool
     potential: LocallyConstantFunction | None   # b with coboundary(b) == f
     cycle: Word | None                          # cyclic word with nonzero sum
@@ -412,8 +410,7 @@ def class_equal(f: LocallyConstantFunction,
     return class_is_zero(subtract(f, g))
 
 
-@dataclass(frozen=True)
-class PositivityResult:
+class PositivityResult(Record):
     nonnegative: bool
     representative: LocallyConstantFunction | None  # cohomologous to f, >= 0
     potential: LocallyConstantFunction | None       # b with f + coboundary(b) >= 0

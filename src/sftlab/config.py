@@ -1,6 +1,6 @@
 """The two input-size caps: vertices of a presentation, words in a table.
 
-Both live in one frozen dataclass, given where a presentation is built and
+Both live in one record, ``Limits``, given where a presentation is built and
 kept on it (``SftPresentation.limits``); presentations derived from it
 inherit them.  The word cap can be overridden with the SFTLAB_MAX_WORDS
 environment variable.  The bounds of the searches and checks (SSE attempt
@@ -19,9 +19,9 @@ word cap, and every word table and word level goes through that one reader.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 from .errors import FormatError
+from .record import Record
 
 MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
 
@@ -29,9 +29,7 @@ MAX_WORDS_ENV = "SFTLAB_MAX_WORDS"
 SSE_INNER_DIM, SSE_ENTRY_BOUND, SSE_CHAIN_BOUND = 3, 2, 3
 
 
-# slots: each presentation built without Limits holds its own instance
-@dataclass(frozen=True, slots=True)
-class Limits:
+class Limits(Record):
     max_vertices: int = 64
     max_words: int = 1_000_000        # cap on any B_k enumeration
 

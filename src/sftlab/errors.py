@@ -5,6 +5,10 @@ offending data.  Every refusal is an SftError, raised by the code that owns
 the check, so ``cli.run`` alone turns it into one ``error:`` line (exit 1
 for ContradictionDetected, 2 otherwise).  FormatError is also a ValueError,
 for callers that catch the built-in.
+
+FrozenField and FieldMismatch are not SftErrors: they guard the package's
+own records (``sftlab.record``) against misuse by code, not against input,
+so like the built-in errors they subclass they end a run with a traceback.
 """
 
 
@@ -98,3 +102,13 @@ def require(cond: bool, message: str) -> None:
 
 class FormatError(SftError, ValueError):
     """Malformed input: a file, a token, or an argument out of range."""
+
+
+# ------------------------------------------------------------------ records
+
+class FrozenField(AttributeError):
+    """Assignment to or deletion of an attribute of a record."""
+
+
+class FieldMismatch(TypeError):
+    """A record built with a missing, unknown or repeated field."""

@@ -10,10 +10,10 @@ keeps) rather than returning a wrong answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormatError, require
+from .record import Record
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -73,8 +73,7 @@ def is_unimodular(m) -> bool:
 
 # ------------------------------------------------------------------- Smith
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U @ M @ V == D with U, V unimodular and D diagonal with a divisibility
     chain d1 | d2 | ... followed by zeros."""
 
@@ -193,8 +192,7 @@ def smith(m) -> SmithDecomposition:
 
 # ------------------------------------------------------------------ groups
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Canonical form of a finitely generated abelian group:
     free rank plus invariant factors (each >= 2, ascending divisibility)."""
 
@@ -231,8 +229,7 @@ def _reduce_coord(value: int, modulus: int) -> int:
     return value % modulus if modulus else value
 
 
-@dataclass(frozen=True)
-class PointedGroup:
+class PointedGroup(Record):
     """Group in canonical form with a marked element given in canonical
     coordinates (torsion coordinates first, reduced mod the factor)."""
 
@@ -252,8 +249,7 @@ class PointedGroup:
         return f"({self.group.describe()}; [{coords}])"
 
 
-@dataclass(frozen=True)
-class CokernelPresentation:
+class CokernelPresentation(Record):
     """Z^n / (M Z^n) with the coordinate map x -> U x onto the canonical form."""
 
     group: FgAbelianGroup
@@ -282,8 +278,7 @@ def cokernel(m) -> CokernelPresentation:
 
 # ------------------------------------------------------------ lattice tests
 
-@dataclass(frozen=True)
-class LatticeMembership:
+class LatticeMembership(Record):
     member: bool
     coefficients: tuple[int, ...] | None          # c with c @ G == v
     separating: tuple[Fraction, ...] | None       # w with w.g integral, w.v not
@@ -345,8 +340,7 @@ def _verified_no(v, gens, w) -> LatticeMembership:
 
 # --------------------------------------------------------- pointed isomorphy
 
-@dataclass(frozen=True)
-class PointedIsoResult:
+class PointedIsoResult(Record):
     """verdict "yes" or "no".  Yes carries a witness matrix in canonical
     coordinates (torsion block first), re-checked before it is returned; no
     carries a reason string."""

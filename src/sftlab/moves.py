@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import cohomology as coh
 from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM, Limits
@@ -29,14 +28,14 @@ from .errors import (
 )
 from .graphs import path
 from .linalg import freeze, mat_mul
+from .record import Record
 from .shifts import Matrix, SftPresentation, Word, validate, word_level, words
 from .transducers import OrbitData, Transducer, make_transducer
 
 
 # ------------------------------------------------------------- expansion
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(Record):
     """Vertex expansion of a 0-1 matrix.
 
     The expanded matrix has one extra vertex, listed first: its row is a copy
@@ -136,8 +135,7 @@ def psi_eta(e: Expansion,
 
 # --------------------------------------------------- elementary equivalence
 
-@dataclass(frozen=True)
-class ElementaryEquivalence:
+class ElementaryEquivalence(Record):
     """A = CD and B = DC with canonical edge bijections.
 
     Edges of the graph of A from i to j are matched with pairs
@@ -333,8 +331,7 @@ def _solve_factor_column(c: Matrix, target: tuple[int, ...], bound: int,
     return solutions
 
 
-@dataclass(frozen=True)
-class SseSearchResult:
+class SseSearchResult(Record):
     """found is None when no chain within the bounds was encountered; that
     outcome does not certify the absence of a strong shift equivalence."""
 

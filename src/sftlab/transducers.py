@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import cohomology as coh
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     Starvation,
 )
 from .graphs import bfs, find_cycle, path
+from .record import Record
 from .shifts import (
     EventuallyPeriodicPoint,
     SftPresentation,
@@ -56,8 +56,7 @@ from .shifts import (
 Rule = tuple[int, int, int, Word]          # state, input symbol, next state, output
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Record):
     domain: SftPresentation
     codomain: SftPresentation
     n_states: int
@@ -246,8 +245,7 @@ def compose(second: Transducer, first: Transducer) -> Transducer:
                            initial=0, n_states=len(pair_ids))
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(Record):
     """status in {"equal", "unequal", "inconclusive"}; unequal carries an
     admissible input word on which the outputs split."""
 
@@ -314,8 +312,7 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
 
 # ------------------------------------------------------------- orbit data
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(Record):
     """Cocycle exponents (k1, l1) for a continuous map h between shifts:
     shifting the image of the shifted point k1(x) times equals shifting the
     image of the point l1(x) times.  Both are nonnegative locally constant
@@ -404,8 +401,7 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
                            initial=0, n_states=base + len(run_ids))
 
 
-@dataclass(frozen=True)
-class OrbitRelationResult:
+class OrbitRelationResult(Record):
     holds: bool
     witness: Word | None              # input word separating the two sides
     machine_status: str
@@ -502,8 +498,7 @@ def transfer_psi(h: Transducer, data: OrbitData,
                         [g - loss for g, loss in zip(gains, losses)], f.ring)
 
 
-@dataclass(frozen=True)
-class ConjugacyVerdict:
+class ConjugacyVerdict(Record):
     verdict: bool
     forward_unit_image: coh.LocallyConstantFunction
     backward_unit_image: coh.LocallyConstantFunction | None
@@ -525,8 +520,7 @@ def is_eventual_conjugacy(h: Transducer, data: OrbitData,
     return ConjugacyVerdict(ok, c1, c1_back)
 
 
-@dataclass(frozen=True)
-class StrongCoeVerdict:
+class StrongCoeVerdict(Record):
     verdict: bool
     unit_image: coh.LocallyConstantFunction
     comparison: coh.CoboundaryResult
@@ -542,8 +536,7 @@ def is_strong_coe(h: Transducer, data: OrbitData) -> StrongCoeVerdict:
 
 # ------------------------------------------------------- block conjugacies
 
-@dataclass(frozen=True)
-class BlockConjugacy:
+class BlockConjugacy(Record):
     """Recoding of a shift over its (k+1)-blocks and its inverse, with the
     cocycle data of shift-commuting maps."""
 

@@ -699,3 +699,9 @@ class TestLazyLayers:
 
     def test_json_loads_json(self, fixture_dir):
         assert "json" in self._modules(fixture_dir, ["--json", "validate", "fib.mat"])
+
+    def test_records_load_no_code_generation(self, fixture_dir):
+        """The records of ``sftlab.record`` need neither ``dataclasses`` nor
+        the ``inspect`` it imports."""
+        loaded = self._modules(fixture_dir, ["validate", *RUNS["validate"].split()])
+        assert loaded.isdisjoint({"dataclasses", "inspect"})

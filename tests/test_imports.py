@@ -87,3 +87,45 @@ def test_guard_sees_an_unused_local_import():
               "def h():\n"
               "    return sys, c\n")
     assert unused_imports(source) == ["sys (line 3)", "c (line 5)"]
+
+
+GENERATORS = {"dataclasses", "inspect"}       # modules that build code at import
+EVALUATORS = {"exec", "eval", "compile"}
+
+
+def generated_code(source: str) -> list[str]:
+    """Imports of ``dataclasses`` or ``inspect`` and calls of the built-in
+    ``exec``, ``eval`` or ``compile``: each costs every process that imports
+    the module, so the package's records are built without them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name} (line {node.lineno})" for alias in node.names
+                      if alias.name.split(".")[0] in GENERATORS]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] in GENERATORS):
+            found.append(f"from {node.module} (line {node.lineno})")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in EVALUATORS):
+            found.append(f"{node.func.id}() (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sftlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_generated_code(path):
+    assert generated_code(path.read_text()) == []
+
+
+def test_guard_sees_generated_code():
+    source = ("import dataclasses\n"
+              "from inspect import signature\n"
+              "import re, os.path\n"
+              "from .inspect import x\n"
+              "re.compile('a')\n"
+              "exec('b = 1')\n"
+              "def f():\n"
+              "    return eval('2') + compile('3', '', 'eval')\n")
+    assert generated_code(source) == ["import dataclasses (line 1)",
+                                      "from inspect (line 2)", "exec() (line 6)",
+                                      "eval() (line 8)", "compile() (line 8)"]

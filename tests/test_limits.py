@@ -5,7 +5,6 @@ when a presentation is built without them."""
 from __future__ import annotations
 
 import ast
-import dataclasses
 import importlib
 import inspect
 import itertools
@@ -473,7 +472,7 @@ def test_environment_read_only_in_config():
 def _cap_readers() -> dict[str, set[str]]:
     """For each field of Limits, the qualified names of the innermost
     functions that read it as an attribute (``<module>`` outside any)."""
-    found: dict[str, set[str]] = {f.name: set() for f in dataclasses.fields(Limits)}
+    found: dict[str, set[str]] = {name: set() for name in Limits._fields}
     for path in pathlib.Path(sftlab.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text())
         scope_of = {}
@@ -500,7 +499,7 @@ def test_each_cap_has_one_reader():
 
 def test_limits_holds_only_the_input_size_caps():
     """Search and check bounds are constants at their reader, not knobs."""
-    assert [f.name for f in dataclasses.fields(Limits)] == ["max_vertices", "max_words"]
+    assert Limits._fields == ("max_vertices", "max_words")
 
 
 _REFUSED_BY_CAP = """

@@ -3,7 +3,6 @@ equivalence A = CD / B = DC with its function transfers, and the bounded
 strong-shift-equivalence search."""
 from __future__ import annotations
 
-import dataclasses
 import os
 import pathlib
 import random
@@ -344,8 +343,8 @@ class TestPhiPsi:
                     out[s] = v
             return tuple(out)
 
-        other = dataclasses.replace(
-            ee,
+        other = mv.ElementaryEquivalence(
+            ee.c, ee.d, ee.a, ee.b, ee.z, ee.c_edges, ee.d_edges,
             a_pairs=shuffle_within_groups(ee.a.edges, ee.a_pairs),
             b_pairs=shuffle_within_groups(ee.b.edges, ee.b_pairs))
         f = random_function(rng, ee.a, max_depth=1, low=-2, high=2)

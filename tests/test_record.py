@@ -1,0 +1,154 @@
+"""The records of every layer: frozen, compared and hashed by their fields,
+printed as ``Name(field=value, ...)``, and refused when a field is missing
+or unknown."""
+from __future__ import annotations
+
+import ast
+import importlib
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+import sftlab
+import sftlab.cohomology as coh
+from sftlab.config import Limits
+from sftlab.errors import FieldMismatch, FrozenField
+from sftlab.record import Record
+from sftlab.shifts import SftPresentation, periodic_point, validate
+
+SRC = pathlib.Path(sftlab.__file__).parent
+for _path in SRC.glob("*.py"):
+    importlib.import_module(f"sftlab.{_path.stem}")
+
+
+def _subclasses(cls) -> list[type]:
+    out = []
+    for sub in cls.__subclasses__():
+        out += [sub, *_subclasses(sub)]
+    return out
+
+
+RECORDS = sorted((cls for cls in _subclasses(Record) if cls.__module__.startswith("sftlab.")),
+                 key=lambda cls: (cls.__module__, cls.__name__))
+
+
+def test_every_record_class_is_found():
+    declared = {(f"sftlab.{path.stem}", node.name)
+                for path in SRC.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ClassDef)
+                and any(getattr(base, "id", None) == "Record" for base in node.bases)}
+    assert {(cls.__module__, cls.__name__) for cls in RECORDS} == declared
+    assert len(declared) >= 30
+
+
+def _values(cls, offset: int = 0) -> tuple:
+    return tuple(range(offset, offset + len(cls._fields)))
+
+
+def _build(cls, values) -> Record:
+    """A record holding the given values, without the class's value checks
+    (``__post_init__``), which dummy values would fail."""
+    record = object.__new__(cls)
+    for name, value in zip(cls._fields, values):
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _ids(cls) -> str:
+    return cls.__name__
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids)
+def test_fields_are_frozen(cls):
+    record = _build(cls, _values(cls))
+    for name in cls._fields:
+        with pytest.raises(FrozenField):
+            setattr(record, name, -1)
+        with pytest.raises(FrozenField):
+            delattr(record, name)
+        assert getattr(record, name) == cls._fields.index(name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    assert vars(record) == dict(zip(cls._fields, _values(cls)))
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids)
+def test_equal_fields_equal_records(cls):
+    a, b = _build(cls, _values(cls)), _build(cls, _values(cls))
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    if cls._shown:
+        c = _build(cls, _values(cls, offset=1))
+        assert a != c
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids)
+def test_another_class_with_the_same_fields_is_unequal(cls):
+    twin_class = type("Twin", (Record,), {"__annotations__": dict.fromkeys(cls._fields)})
+    record, twin = _build(cls, _values(cls)), _build(twin_class, _values(cls))
+    assert record.__eq__(twin) is NotImplemented
+    assert record != twin and twin != record
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=_ids)
+def test_missing_or_unknown_field_is_refused(cls):
+    named = dict(zip(cls._fields, _values(cls)))
+    for name in cls._fields:
+        if name not in cls._defaults:
+            with pytest.raises(TypeError):
+                cls(**{k: v for k, v in named.items() if k != name})
+    with pytest.raises(TypeError):
+        cls(**named, not_a_field=0)
+    with pytest.raises(TypeError):
+        cls(*_values(cls), 0)
+    first = cls._fields[0]
+    with pytest.raises(TypeError):
+        cls(named[first], **named)
+
+
+def test_generic_refusals_name_the_fields():
+    with pytest.raises(FieldMismatch, match=r"missing the fields \['ring'\]"):
+        coh.LocallyConstantFunction(None, 1, ())
+    with pytest.raises(FieldMismatch, match="'rings'"):
+        coh.LocallyConstantFunction(None, 1, (), ring="Z", rings="Z")
+    with pytest.raises(FieldMismatch, match="'depth'"):
+        coh.LocallyConstantFunction(None, 1, (), "Z", depth=1)
+
+
+def test_defaults_fill_missing_fields():
+    assert Limits() == Limits(64, 1_000_000) == Limits(max_words=1_000_000)
+    assert Limits(max_words=5).max_vertices == 64
+
+
+def test_frozen_field_is_an_attribute_error():
+    assert issubclass(FrozenField, AttributeError)
+    assert issubclass(FieldMismatch, TypeError)
+
+
+def test_post_init_checks_still_run(fib):
+    with pytest.raises(sftlab.errors.RationalNotSupported):
+        sftlab.actions.CircleAction(coh.function(fib, 1, [Fraction(1, 2), 1], "Q"))
+
+
+def test_presentation_hides_certificate_and_limits(fib):
+    other = SftPresentation(fib.kind, fib.adjacency, fib.vertex_labels, fib.symbols,
+                            fib.edges, certificate=None, limits=Limits(max_words=7))
+    assert other.certificate != fib.certificate and other.limits != fib.limits
+    assert other == fib and hash(other) == hash(fib)
+    assert repr(other) == repr(fib)
+    assert "certificate" not in repr(fib) and "limits" not in repr(fib)
+
+
+def test_repr_is_the_field_list():
+    p = validate(((1, 1), (1, 0)), "vertex")
+    fib = ("SftPresentation(kind='vertex', adjacency=((1, 1), (1, 0)), "
+           "vertex_labels=('1', '2'), symbols=('1', '2'), edges=None)")
+    assert repr(Limits()) == "Limits(max_vertices=64, max_words=1000000)"
+    assert repr(periodic_point(p, (0, 1), (0,))) == (
+        f"EventuallyPeriodicPoint(presentation={fib}, preperiod=(0, 1), period=(0,))")
+    result = coh.class_is_zero(coh.coboundary(coh.function(p, 1, [2, 5], "Z")))
+    assert repr(result) == (
+        "CoboundaryResult(is_coboundary=True, potential=LocallyConstantFunction("
+        f"presentation={fib}, depth=1, table=(0, 3), ring='Z'), cycle=None)")

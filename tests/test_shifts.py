@@ -1,7 +1,6 @@
 """Presentations, word enumeration, points, and recodings."""
 from __future__ import annotations
 
-import dataclasses
 import gc
 import itertools
 import random
@@ -98,7 +97,7 @@ class TestValidate:
             validate(((1, 1),), "vertex")
 
     def test_vertex_cap(self):
-        tight = dataclasses.replace(default_limits(), max_vertices=2)
+        tight = Limits(max_vertices=2, max_words=default_limits().max_words)
         with pytest.raises(EnvelopeExceeded):
             validate(((1,) * 3,) * 3, "vertex", limits=tight)
 
@@ -129,7 +128,7 @@ class TestWords:
             assert all(p.is_admissible(w) for w in ws)
 
     def test_envelope(self, full2):
-        tight = dataclasses.replace(default_limits(), max_words=4)
+        tight = Limits(max_vertices=default_limits().max_vertices, max_words=4)
         with pytest.raises(EnvelopeExceeded):
             words(validate(full2.adjacency, "vertex", limits=tight), 3)
 

@@ -46,7 +46,7 @@ def fib_exp(fib):
 
 
 def direct(domain, codomain, rules):
-    """A one-state machine built by the dataclass itself, without
+    """A one-state machine built by the ``Transducer`` record itself, without
     make_transducer."""
     return tr.Transducer(domain, codomain, 1, 0, tuple(rules))
 
@@ -92,7 +92,7 @@ class TestConstruction:
 
     def test_duplicate_rule_rejected_when_built_directly(self, fib):
         """Two rules for one (state, symbol) would format to a file that
-        parse_transducer_text refuses, so the dataclass refuses them too."""
+        parse_transducer_text refuses, so the record refuses them too."""
         with pytest.raises(FormatError, match="duplicate rule for state 0, symbol 0"):
             tr.Transducer(fib, fib, 1, 0,
                           ((0, 0, 0, (1,)), (0, 0, 0, (0,)), (0, 1, 0, (0,))))
