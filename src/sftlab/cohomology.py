@@ -21,14 +21,22 @@ the claim.
 the first n windows of a word: ``moves.psi_xi``/``psi_eta``,
 ``transducers.transfer_psi``, the n-step cocycle ``partial_sum``,
 ``orbit_sum`` and the action phase sums.  ``lift_table``,
-``pullback_sigma``, ``coboundary``, the normalisation in ``function`` and
+``pullback_sigma``, ``coboundary``, the normalisation and
 ``moves.phi``/``psi`` read no words: they copy slices of tables along the
 first-symbol blocks of the word levels (``shifts.word_level``) or gather
 from them by position.  The values of B_d on one word of B_k (k <= d) are a
 contiguous run, so a lift repeats each value once per extension (one level
 up, each word reads its parent), f(shift .) is one block of f's table per
-pair a, b of consecutive symbols, and a table falls to depth k-1 when its
-values at the first children, lifted back, give it back.
+pair a, b of consecutive symbols, and a table falls to depth k-1 when every
+word that is not a first child carries its previous sibling's value.
+
+Values are checked once, where they enter: ``function`` puts a caller's
+values in the ring, then hands them to ``_build``, which checks the length,
+normalises and constructs.  The table transforms, whose values are
+gathered, sliced or combined by + - x from tables already in the ring
+(``coboundary``, ``pullback_sigma``, ``add``/``subtract``/``multiply``,
+``moves.phi``/``psi``), build through ``_build`` directly; whatever makes
+new values (sums, constants, parsed tokens) goes through ``function``.
 """
 from __future__ import annotations
 
@@ -80,7 +88,7 @@ class LocallyConstantFunction(Record):
         return self.value_on_word(x.prefix(self.depth))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.table)
+        return not any(self.table)
 
     def min_value(self):
         return min(self.table)
@@ -106,7 +114,9 @@ def _coerce(value, ring: str):
 def function(p: SftPresentation, depth: int, values,
              ring: str = RING_INT) -> LocallyConstantFunction:
     """Build and normalize a locally constant function from a value table
-    aligned with words(p, depth)."""
+    aligned with words(p, depth).  The values come from the caller, so each
+    is checked and put in the ring here; the table transforms, whose values
+    are already in it, build through ``_build``."""
     if ring not in (RING_INT, RING_RAT):
         raise FormatError(f"unknown ring {ring!r}")
     if depth < 1:
@@ -114,6 +124,14 @@ def function(p: SftPresentation, depth: int, values,
     table = tuple(values)
     if ring != RING_INT or set(map(type, table)) != {int}:
         table = tuple(_coerce(v, ring) for v in table)
+    return _build(p, depth, table, ring)
+
+
+def _build(p: SftPresentation, depth: int, values,
+           ring: str) -> LocallyConstantFunction:
+    """``function`` without the value check, for values that are already in
+    the ring: exactly int in ring Z, Fraction in ring Q."""
+    table = tuple(values)
     expected = word_level(p, depth).offsets[-1]
     if len(table) != expected:
         raise MismatchedInput(
@@ -123,31 +141,47 @@ def function(p: SftPresentation, depth: int, values,
 
 
 def _lift(p: SftPresentation, table, depth: int, to: int):
-    """The values of a depth ``depth`` table on B_to, lazily: each word w is
-    followed in B_to by its extensions, as many as there are words of length
-    to - depth + 1 starting with the last symbol of w."""
+    """The values of a depth ``depth`` table on B_to (to >= depth): each
+    word w is followed in B_to by its extensions, as many as there are words
+    of length to - depth + 1 starting with the last symbol of w."""
+    if to == depth:
+        return table
     if to == depth + 1:
-        # one level: a gather by parent index, counted off the first-child
-        # mask, beats one repeat iterator per value (about 50 against 70 to
-        # 90 ms for 489,332 words); over more levels one repeat per value
-        # beats gathering level by level (9 to 13 against 36 to 43 ms for
-        # three levels up to 232,250 words)
+        # one level: one gather by parent index, counted off the first-child
+        # mask, beats one repeat iterator per value, and itemgetter gathers
+        # in one call faster than map(table.__getitem__) (37 to 39 against
+        # 42 to 56 ms for 489,332 words, medians of 7, 2-core x86_64,
+        # Python 3.11).  With one index itemgetter returns a scalar; B_to
+        # always has two words or more, since an irreducible presentation
+        # that is not a permutation matrix has at least two symbols.  Over
+        # more levels one repeat per value beats gathering level by level
+        # (9 to 13 against 36 to 43 ms for three levels up to 232,250 words).
         parents = accumulate(word_level(p, to).first_child[1:], initial=0)
-        return map(table.__getitem__, parents)
+        return operator.itemgetter(*parents)(table)
     extensions = word_level(p, to - depth + 1).counts
     reps = map(extensions.__getitem__, word_level(p, depth).last)
     return chain.from_iterable(map(repeat, table, reps))
 
 
+# swaps the 0 and 1 bytes of a first-child mask
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def _normalize(p: SftPresentation, depth: int, table: tuple) -> tuple[int, tuple]:
-    """Reduce the depth while the value depends only on a proper prefix: the
-    values at the first children, lifted back, must give the table."""
+    """Reduce the depth while the value depends only on a proper prefix:
+    every word that is not a first child must carry its previous sibling's
+    value.  Each test stops at the first mismatch, and the shorter table,
+    the values at the first children, is copied only once it is known to
+    be the function."""
     while depth > 1:
-        shorter = tuple(compress(table, word_level(p, depth).first_child))
-        if not all(map(operator.eq, _lift(p, shorter, depth - 1, depth), table)):
+        first_child = word_level(p, depth).first_child
+        later = first_child.translate(_FLIP)
+        # the first word is a first child, so the None is never compared
+        if not all(map(operator.eq, compress(table, later),
+                       compress(chain((None,), table), later))):
             break
         depth -= 1
-        table = shorter
+        table = tuple(compress(table, first_child))
     return depth, table
 
 
@@ -185,17 +219,18 @@ def lift_table(f: LocallyConstantFunction, depth: int) -> tuple:
     """Value table of f at a depth no smaller than its own."""
     if depth < f.depth:
         raise FormatError(f"cannot lift a depth-{f.depth} function to depth {depth}")
-    if depth == f.depth:
-        return f.table
     word_level(f.presentation, depth)          # checks the cap
     return tuple(_lift(f.presentation, f.table, f.depth, depth))
 
 
 def _pointwise(op, f: LocallyConstantFunction,
                g: LocallyConstantFunction) -> LocallyConstantFunction:
+    """op on the values of f and g at their common depth; int op int is an
+    int and int op Fraction a Fraction, so the result is in the ring."""
     depth, ring = _common(f, g)
-    ft, gt = lift_table(f, depth), lift_table(g, depth)
-    return function(f.presentation, depth, list(map(op, ft, gt)), ring)
+    p = f.presentation
+    return _build(p, depth, map(op, _lift(p, f.table, f.depth, depth),
+                                _lift(p, g.table, g.depth, depth)), ring)
 
 
 def add(f: LocallyConstantFunction,
@@ -239,7 +274,7 @@ def pullback_sigma(f: LocallyConstantFunction) -> LocallyConstantFunction:
     """f composed with the shift map; raises the depth by one."""
     p, k = f.presentation, f.depth
     word_level(p, k + 1)                        # checks the cap
-    return function(p, k + 1, _shifted(f), f.ring)
+    return _build(p, k + 1, _shifted(f), f.ring)
 
 
 def window_sums(f: LocallyConstantFunction, streams) -> list:
@@ -283,8 +318,8 @@ def coboundary(b: LocallyConstantFunction) -> LocallyConstantFunction:
     on B_{depth+1} in one pass, with no pulled-back function in between."""
     p, k = b.presentation, b.depth
     word_level(p, k + 1)                        # checks the cap
-    return function(p, k + 1, map(operator.sub, _lift(p, b.table, k, k + 1),
-                                  _shifted(b)), b.ring)
+    return _build(p, k + 1, map(operator.sub, _lift(p, b.table, k, k + 1),
+                                _shifted(b)), b.ring)
 
 
 def orbit_sum(f: LocallyConstantFunction, cycle: Word):
@@ -390,9 +425,10 @@ def class_is_zero(f: LocallyConstantFunction) -> CoboundaryResult:
         operator.sub, map(b.__getitem__, sources), map(b.__getitem__, targets))))
     if consistent:
         witness = function(p, d - 1, b, f.ring)
-        check = coboundary(witness)
-        diff = subtract(check, f)
-        require(diff.is_zero(), "is_coboundary: witness failed re-verification")
+        # normal forms (least depth, then the table) are unique, and both
+        # sides share presentation and ring: equal exactly as functions
+        require(coboundary(witness) == f,
+                "is_coboundary: witness failed re-verification")
         return CoboundaryResult(True, witness, None)
 
     cyc, _ = _bellman_ford(nverts, sources, targets, table)
@@ -441,8 +477,9 @@ def class_is_nonnegative(f: LocallyConstantFunction) -> PositivityResult:
     require(all(v >= 0 for v in rep_table), "nonnegative: negative representative")
     potential = function(p, d - 1, dist, RING_INT)
     rep = function(p, d, rep_table, RING_INT)
-    check = subtract(rep, add(f, coboundary(potential)))
-    require(check.is_zero(), "nonnegative representative is not cohomologous to f")
+    # equal normal forms, as in class_is_zero: equal as functions
+    require(rep == add(f, coboundary(potential)),
+            "nonnegative representative is not cohomologous to f")
     return PositivityResult(True, rep, potential, None)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 
 from . import cohomology as coh
 from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM, Limits
@@ -277,7 +278,9 @@ def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
                 map((source_starts[q] - source_offsets[s1]).__add__,
                     ranks[starts[e2]:starts[e2 + 1]])
                 for e2, q, s1 in blocks))
-    return coh.function(target, k + 1, map(f.table.__getitem__, ranks), f.ring)
+    # one itemgetter call, as in cohomology._lift (35 against 45 ms for
+    # 196,418 words); B_(k+1) has two words or more, so it returns a tuple
+    return coh._build(target, k + 1, operator.itemgetter(*ranks)(f.table), f.ring)
 
 
 def phi(ee: ElementaryEquivalence,

@@ -3,6 +3,7 @@ class equality, positivity, and order units.  Independent oracle: exhaustive
 simple-cycle enumeration on the potential graph (networkx)."""
 from __future__ import annotations
 
+import operator
 import os
 import pathlib
 import random
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import sftlab
 import sftlab.cohomology as coh
 from sftlab.errors import (
+    ContradictionDetected,
     FormatError,
     MismatchedInput,
     NotCyclicallyAdmissible,
@@ -251,19 +253,33 @@ def _level_case(seed, ring):
 rings = st.sampled_from([coh.RING_INT, coh.RING_RAT])
 
 
+def _assert_in_ring(table, ring):
+    """Every value has type exactly int in ring Z, Fraction in ring Q: a
+    tuple == cannot tell Fraction(2) from 2."""
+    want = int if ring == coh.RING_INT else Fraction
+    assert {type(v) for v in table} == {want}
+
+
 class TestLevelTablesMatchWordReference:
+    """The table transforms against word-built references.  They build
+    through the unchecked ``_build``, so each result must also be the one
+    the public ``function`` makes of the same values, in the same ring."""
+
     @given(seeds, rings)
     def test_function(self, seed, ring):
         p, depth, table = _level_case(seed, ring)
         f = coh.function(p, depth, table, ring)
         assert (f.depth, f.table) == _ref_normalize(p, depth, table)
+        _assert_in_ring(f.table, ring)
 
     @given(seeds, rings)
     def test_lift_table(self, seed, ring):
         p, depth, table = _level_case(seed, ring)
         f = coh.function(p, depth, table, ring)
         for to in range(f.depth, depth + 2):
-            assert coh.lift_table(f, to) == _ref_lift(f, to)
+            lifted = coh.lift_table(f, to)
+            assert lifted == _ref_lift(f, to)
+            _assert_in_ring(lifted, ring)
 
     @given(seeds, rings)
     def test_pullback_sigma(self, seed, ring):
@@ -272,6 +288,8 @@ class TestLevelTablesMatchWordReference:
         g = coh.pullback_sigma(f)
         assert g.ring == ring
         assert (g.depth, g.table) == _ref_normalize(p, f.depth + 1, _ref_pullback(f))
+        assert g == coh.function(p, f.depth + 1, _ref_pullback(f), ring)
+        _assert_in_ring(g.table, ring)
 
     @given(seeds, rings)
     def test_coboundary(self, seed, ring):
@@ -280,6 +298,97 @@ class TestLevelTablesMatchWordReference:
         diff = [x - y for x, y in zip(_ref_lift(b, b.depth + 1), _ref_pullback(b))]
         c = coh.coboundary(b)
         assert (c.depth, c.table) == _ref_normalize(p, b.depth + 1, diff)
+        assert c == coh.function(p, b.depth + 1, diff, ring)
+        _assert_in_ring(c.table, ring)
+
+    @given(seeds, rings, rings)
+    def test_pointwise(self, seed, ring_f, ring_g):
+        """add, subtract and multiply on every pairing of Z and Q, both
+        ways round, with g at a depth no larger than f's table."""
+        p, depth, table = _level_case(seed, ring_f)
+        f = coh.function(p, depth, table, ring_f)
+        rng = random.Random(seed + 1)
+        g_depth = rng.randint(1, depth)
+        g_table = [rng.randint(-3, 3) for _ in words(p, g_depth)]
+        if ring_g == coh.RING_RAT:
+            g_table = [Fraction(v, 2) for v in g_table]
+        g = coh.function(p, g_depth, g_table, ring_g)
+        ring = coh.RING_RAT if coh.RING_RAT in (ring_f, ring_g) else coh.RING_INT
+        d = max(f.depth, g.depth)
+        for op, combine in ((operator.add, coh.add), (operator.sub, coh.subtract),
+                            (operator.mul, coh.multiply)):
+            for x, y in ((f, g), (g, f)):
+                h = combine(x, y)
+                values = list(map(op, _ref_lift(x, d), _ref_lift(y, d)))
+                assert (h.depth, h.table) == _ref_normalize(p, d, values)
+                assert h == coh.function(p, d, values, ring)
+                _assert_in_ring(h.table, ring)
+
+
+def test_trusted_producers_do_not_recheck_values(monkeypatch, fib):
+    """coboundary, pullback_sigma, lift_table, negate, add, subtract,
+    multiply, phi and psi take values already in the ring: with every value
+    check made to fail, they still build from ring Q inputs made
+    beforehand."""
+    import sftlab.moves as mv
+
+    ee = mv.elementary(((1, 2), (1, 0)), ((1, 0), (1, 1)))
+    third = Fraction(1, 3)
+    f = coh.function(fib, 3, [Fraction(v, 3) for v in (1, 2, 2, 4, 5)],
+                     coh.RING_RAT)
+    g = coh.scale(coh.indicator(fib, (1,)), third)
+    z = coh.function(fib, 2, [1, -2, 3])
+    fa = coh.scale(coh.function(ee.a, 2, range(count_words(ee.a, 2))), third)
+    fb = coh.scale(coh.function(ee.b, 2, range(count_words(ee.b, 2))), third)
+
+    def refuse(value, ring):
+        raise AssertionError(f"value {value!r} re-checked")
+
+    monkeypatch.setattr(coh, "_coerce", refuse)
+    with pytest.raises(AssertionError, match="re-checked"):
+        coh.function(fib, 1, [1, 2], coh.RING_RAT)
+    results = [coh.coboundary(f), coh.pullback_sigma(f), coh.negate(f),
+               mv.phi(ee, fa), mv.psi(ee, fb)]
+    for x, y in ((f, g), (g, f), (f, z), (z, f)):
+        results += [coh.add(x, y), coh.subtract(x, y), coh.multiply(x, y)]
+    for h in results:
+        assert h.ring == coh.RING_RAT
+        _assert_in_ring(h.table, coh.RING_RAT)
+    _assert_in_ring(coh.lift_table(f, 5), coh.RING_RAT)
+
+
+class TestNormalize:
+    """Edge cases of the depth reduction, against the word-built
+    ``_ref_normalize``."""
+
+    @staticmethod
+    def _lifted(p, depth, table, to):
+        idx = word_index(p, depth)
+        return [table[idx[w[:depth]]] for w in words(p, to)]
+
+    def test_depth_one_lifted_to_five_comes_back(self, fib, full3):
+        for p in (fib, full3):
+            values = [7 * a - 3 for a in range(p.alphabet_size)]
+            table = self._lifted(p, 1, values, 5)
+            f = coh.function(p, 5, table)
+            assert (f.depth, f.table) == _ref_normalize(p, 5, table) == (1, tuple(values))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_last_word_alone_keeps_the_depth(self, full2, full3, k):
+        """The last word of B_k on a full shift has a previous sibling; a
+        change there alone keeps depth k."""
+        for p in (full2, full3):
+            table = self._lifted(p, k - 1, list(range(count_words(p, k - 1))), k)
+            table[-1] += 1
+            f = coh.function(p, k, table)
+            assert (f.depth, f.table) == _ref_normalize(p, k, table) == (k, tuple(table))
+
+    def test_drops_two_levels_and_stops(self, fib, full3):
+        for p in (fib, full3):
+            values = list(range(count_words(p, 2)))    # all distinct: depth 2
+            table = self._lifted(p, 2, values, 4)
+            f = coh.function(p, 4, table)
+            assert (f.depth, f.table) == _ref_normalize(p, 4, table) == (2, tuple(values))
 
 
 class TestLiftTable:
@@ -419,28 +528,54 @@ def test_decisions_build_no_word_tables(decide):
             assert p._word_indexes == {}
 
 
+_OFF_BY_ONE = (
+    "real = coh.coboundary\n"
+    "def off_by_one(b):\n"
+    "    g = real(b)\n"
+    "    table = (g.table[0] + 1,) + g.table[1:]\n"
+    "    return coh.function(g.presentation, g.depth, table, g.ring)\n"
+    "coh.coboundary = off_by_one\n")
+
+
+@pytest.mark.parametrize("decide, message", [
+    (coh.class_is_zero, "is_coboundary: witness failed re-verification"),
+    (coh.class_is_nonnegative, "nonnegative representative is not cohomologous to f"),
+], ids=["class_is_zero", "class_is_nonnegative"])
+def test_failed_witness_raises(decide, message, fib, monkeypatch):
+    """A coboundary that is off by one on one word fails both re-checks."""
+    f = coh.coboundary(coh.function(fib, 1, [2, 5]))
+    assert decide(f)
+    real = coh.coboundary
+
+    def off_by_one(b):
+        g = real(b)
+        table = (g.table[0] + 1,) + g.table[1:]
+        return coh.function(g.presentation, g.depth, table, g.ring)
+
+    monkeypatch.setattr(coh, "coboundary", off_by_one)
+    with pytest.raises(ContradictionDetected, match=message):
+        decide(f)
+
+
 def test_failed_witness_raises_under_optimisation():
-    """The re-check is no assert, so python -O keeps it."""
+    """The re-checks are no asserts, so python -O keeps them."""
     code = ("import sftlab.cohomology as coh\n"
             "from sftlab.errors import ContradictionDetected\n"
             "from sftlab.shifts import validate\n"
             "f = coh.coboundary(coh.function(validate(((1, 1), (1, 0))), 1, [2, 5]))\n"
-            "real = coh.coboundary\n"
-            "def off_by_one(b):\n"
-            "    g = real(b)\n"
-            "    table = (g.table[0] + 1,) + g.table[1:]\n"
-            "    return coh.function(g.presentation, g.depth, table, g.ring)\n"
-            "coh.coboundary = off_by_one\n"
-            "try:\n"
-            "    coh.class_is_zero(f)\n"
-            "except ContradictionDetected as exc:\n"
-            "    print(exc)\n")
+            + _OFF_BY_ONE +
+            "for decide in (coh.class_is_zero, coh.class_is_nonnegative):\n"
+            "    try:\n"
+            "        decide(f)\n"
+            "    except ContradictionDetected as exc:\n"
+            "        print(exc)\n")
     src = pathlib.Path(sftlab.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "is_coboundary: witness failed re-verification\n"
+    assert proc.stdout == ("is_coboundary: witness failed re-verification\n"
+                           "nonnegative representative is not cohomologous to f\n")
 
 
 class TestClassEqual:

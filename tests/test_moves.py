@@ -239,7 +239,9 @@ class TestPhiPsiMatchWordReference:
     """phi and psi rank image words arithmetically on the word levels; the
     reference builds the words.  Entries of C and D up to 2 give parallel
     edges, and the depth is 1 to 4 with |B_(depth+1)| of the target at most
-    2000."""
+    2000.  phi and psi build through the unchecked ``coh._build``, so their
+    values must keep the exact type of the ring: a tuple == cannot tell
+    Fraction(2) from 2."""
 
     @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]))
     def test_phi_and_psi(self, seed, ring):
@@ -259,6 +261,8 @@ class TestPhiPsiMatchWordReference:
             want = _ref_edge_transfer(f, target, target_pairs, source_index)
             assert (got.depth, got.table, got.ring) == \
                 (want.depth, want.table, want.ring)
+            exact = int if ring == coh.RING_INT else Fraction
+            assert {type(v) for v in got.table} == {exact}
 
 
 def test_level_transforms_build_no_word_tables(full3):
