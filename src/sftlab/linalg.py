@@ -83,11 +83,10 @@ class SmithDecomposition(Record):
     diagonal: tuple[int, ...]
 
 
-def _smallest_pivot(a, s: int):
-    """Nonzero entry of least absolute value in the block a[s:][s:];
+def _smallest_pivot(a, s: int, rows: int, cols: int):
+    """Nonzero entry of least absolute value in the block a[s:rows][s:cols];
     ties broken row-major.  None when the block is zero."""
     best = None
-    rows, cols = len(a), len(a[0])
     for i in range(s, rows):
         for j in range(s, cols):
             v = a[i][j]
@@ -100,47 +99,32 @@ def smith(m) -> SmithDecomposition:
     """Smith normal form with recorded transforms.
 
     Pivot rule: smallest nonzero absolute value in the remaining block,
-    row-major tie break.  The factorization U M V = D, unimodularity of the
-    transforms, and the divisibility chain are re-checked on every call.
+    row-major tie break.  The steps run on one matrix [[M, I], [I, 0]]:
+    a row step on M is recorded in U, the top right block, and a column step
+    in V, the bottom left one; D is the top left block.  The factorization
+    U M V = D, unimodularity of the transforms, and the divisibility chain
+    are re-checked on every call.
     """
     m = freeze(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    a = [list(r) for r in m]
-    u = identity(rows)
-    v = identity(cols)
+    a = [list(r) + e for r, e in zip(m, identity(rows))]
+    a += [e + [0] * rows for e in identity(cols)]
 
     def row_op(i, j, q):          # row_i -= q * row_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):          # col_i -= q * col_j
-        for r in a:
-            r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     limit = min(rows, cols)
     for s in range(limit):
         while True:
-            pos = _smallest_pivot(a, s)
+            pos = _smallest_pivot(a, s, rows, cols)
             if pos is None:
                 break
-            if pos != (s, s):
-                if pos[0] != s:
-                    swap_rows(s, pos[0])
-                if pos[1] != s:
-                    swap_cols(s, pos[1])
+            i, j = pos
+            a[s], a[i] = a[i], a[s]
+            if j != s:
+                for r in a:
+                    r[s], r[j] = r[j], r[s]
             pivot = a[s][s]
             dirty = False
             for i in range(s + 1, rows):
@@ -152,7 +136,8 @@ def smith(m) -> SmithDecomposition:
             for j in range(s + 1, cols):
                 if a[s][j] != 0:
                     q = a[s][j] // pivot
-                    col_op(j, s, q)
+                    for r in a:   # col_j -= q * col_s
+                        r[j] -= q * r[s]
                     if a[s][j] != 0:
                         dirty = True
             if dirty:
@@ -172,10 +157,10 @@ def smith(m) -> SmithDecomposition:
 
         if a[s][s] < 0:
             a[s] = [-x for x in a[s]]
-            u[s] = [-x for x in u[s]]
 
-    d = freeze(a)
-    uu, vv = freeze(u), freeze(v)
+    d = freeze(row[:cols] for row in a[:rows])
+    uu = freeze(row[cols:] for row in a[:rows])
+    vv = freeze(row[:cols] for row in a[rows:])
     diag = tuple(d[i][i] for i in range(limit))
 
     # re-verify the whole contract

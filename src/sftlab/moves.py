@@ -30,8 +30,8 @@ from .errors import (
 from .graphs import path
 from .linalg import freeze, mat_mul
 from .record import Record
-from .shifts import Matrix, SftPresentation, Word, validate, word_level, words
-from .transducers import OrbitData, Transducer, make_transducer
+from .shifts import Matrix, SftPresentation, validate, word_level, words
+from .transducers import OrbitData, Transducer, make_transducer, run_on_word
 
 
 # ------------------------------------------------------------- expansion
@@ -95,32 +95,26 @@ def expand(p: SftPresentation, vertex: int = 0) -> Expansion:
                      split_data=split_data, merge_data=merge_data)
 
 
-def _split_word(e: Expansion, w: Word) -> Word:
-    out: list[int] = []
-    for a in w:
-        out.append(a + 1)
-        if a == e.vertex:
-            out.append(0)
-    return tuple(out)
-
-
 def psi_xi(e: Expansion,
            f_exp: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Pull a function on the expanded shift back to the base shift along
     split: value at x is f(split x), plus f(shift(split x)) when x starts
-    with the expanded vertex (the split image spends two steps there)."""
+    with the expanded vertex (the split image spends two steps there).  The
+    split stream of each word is the output of the machine ``e.split``."""
     if f_exp.presentation != e.expanded:
         raise PresentationMismatch("function must live on the expanded shift")
     ws = words(e.base, f_exp.depth)
     values = coh.window_sums(
-        f_exp, ((_split_word(e, w), 2 if w[0] == e.vertex else 1) for w in ws))
+        f_exp, ((run_on_word(e.split, w)[1], 2 if w[0] == e.vertex else 1)
+                for w in ws))
     return coh.function(e.base, f_exp.depth, values, f_exp.ring)
 
 
 def psi_eta(e: Expansion,
             f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Push a function on the base shift to the expanded shift along merge:
-    zero on the cylinder of the new symbol, f(merge x) elsewhere.
+    zero on the cylinder of the new symbol, f(merge x) elsewhere, with the
+    merged stream of each word read off the machine ``e.merge``.
 
     The new symbol is never followed by itself, so a word of length 2k-1
     always leaves at least k symbols after erasure."""
@@ -129,7 +123,7 @@ def psi_eta(e: Expansion,
     depth = 2 * f.depth - 1
     ws = words(e.expanded, depth)
     values = coh.window_sums(
-        f, (((), 0) if w[0] == 0 else (tuple(a - 1 for a in w if a), 1)
+        f, (((), 0) if w[0] == 0 else (run_on_word(e.merge, w)[1], 1)
             for w in ws))
     return coh.function(e.expanded, depth, values, f.ring)
 
@@ -171,6 +165,28 @@ def _enumerate_bipartite(m: Matrix) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+def _factor_pairs(name: str, product: SftPresentation, first: Matrix,
+                  second: Matrix, first_index, second_index):
+    """For each edge (i, j, copy) of the product of first and second, the
+    copy-th pair (first edge i -> k, second edge k -> j), pairs in
+    lexicographic order of (k, first copy, second copy)."""
+    pairs = []
+    through: list[tuple[int, int]] = []
+    for (i, j, copy) in product.edges:
+        if copy == 0:
+            through = [
+                (first_index[(i, k, fi)], second_index[(k, j, si)])
+                for k in range(len(second))
+                for fi in range(first[i][k])
+                for si in range(second[k][j])]
+            if len(through) != product.adjacency[i][j]:
+                raise ContradictionDetected(
+                    f"{name} has {product.adjacency[i][j]} edges from {i + 1} "
+                    f"to {j + 1} but {len(through)} factor edge pairs")
+        pairs.append(through[copy])
+    return tuple(pairs)
+
+
 def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
     c = freeze(c)
     d = freeze(d)
@@ -198,39 +214,13 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
     c_index = {e: s for s, e in enumerate(c_edges)}
     d_index = {e: s for s, e in enumerate(d_edges)}
 
-    a_pairs = []
-    through: list[tuple[int, int]] = []
-    for (i, j, p) in a.edges:
-        if p == 0:
-            through = [
-                (c_index[(i, k, ci)], d_index[(k, j, di)])
-                for k in range(m)
-                for ci in range(c[i][k])
-                for di in range(d[k][j])]
-            if len(through) != a_mat[i][j]:
-                raise ContradictionDetected(
-                    f"A has {a_mat[i][j]} edges from {i + 1} to {j + 1} but "
-                    f"{len(through)} factor edge pairs")
-        a_pairs.append(through[p])
-    b_pairs = []
-    through = []
-    for (k, l, q) in b.edges:
-        if q == 0:
-            through = [
-                (d_index[(k, j, di)], c_index[(j, l, ci)])
-                for j in range(n)
-                for di in range(d[k][j])
-                for ci in range(c[j][l])]
-            if len(through) != b_mat[k][l]:
-                raise ContradictionDetected(
-                    f"B has {b_mat[k][l]} edges from {k + 1} to {l + 1} but "
-                    f"{len(through)} factor edge pairs")
-        b_pairs.append(through[q])
+    a_pairs = _factor_pairs("A", a, c, d, c_index, d_index)
+    b_pairs = _factor_pairs("B", b, d, c, d_index, c_index)
 
     return ElementaryEquivalence(
         c=c, d=d, a=a, b=b, z=z,
         c_edges=c_edges, d_edges=d_edges,
-        a_pairs=tuple(a_pairs), b_pairs=tuple(b_pairs))
+        a_pairs=a_pairs, b_pairs=b_pairs)
 
 
 def _pair_starts(p: SftPresentation, k: int) -> list[int]:

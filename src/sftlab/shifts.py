@@ -443,13 +443,9 @@ class EventuallyPeriodicPoint(Record):
 
     def prefix(self, m: int) -> Word:
         """First m symbols of the point."""
-        out = list(self.preperiod[:m])
-        i = 0
-        per = self.period
-        while len(out) < m:
-            out.append(per[i % len(per)])
-            i += 1
-        return tuple(out)
+        head, per = self.preperiod[:m], self.period
+        need = max(m - len(head), 0)
+        return head + (per * (need // len(per) + 1))[:need]
 
     def label(self) -> str:
         p = self.presentation
@@ -492,18 +488,21 @@ def parse_point(p: SftPresentation, token: str) -> EventuallyPeriodicPoint:
 
 def shift_point(x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     """Drop the first symbol."""
-    if x.preperiod:
-        return periodic_point(x.presentation, x.preperiod[1:], x.period,
-                              validate_word=False)
-    per = x.period
-    return periodic_point(x.presentation, (), per[1:] + per[:1],
-                          validate_word=False)
+    return shift_point_by(x, 1)
 
 
 def shift_point_by(x: EventuallyPeriodicPoint, n: int) -> EventuallyPeriodicPoint:
-    for _ in range(n):
-        x = shift_point(x)
-    return x
+    """Drop the first n symbols; x itself when n <= 0.
+
+    The result is canonical as it stands: a shorter preperiod keeps its last
+    symbol, which differs from the period's last, and a rotation of a
+    primitive period is primitive.  So no ``periodic_point`` is needed."""
+    if n <= 0:
+        return x
+    per = x.period
+    r = max(n - len(x.preperiod), 0) % len(per)      # the period's rotation
+    return EventuallyPeriodicPoint(x.presentation, x.preperiod[n:],
+                                   per[r:] + per[:r])
 
 
 def enumerate_points(p: SftPresentation, max_preperiod: int,

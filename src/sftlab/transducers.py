@@ -15,6 +15,10 @@ continuous map into the codomain shift:
 * output-admissible: concatenated outputs along admissible inputs are
   admissible in the codomain.
 
+All three are checked by one breadth-first search over the reachable
+(state, previous input, last output symbol) configurations, and refused in
+this order: a missing rule, a cycle of empty-output steps, a bad join.
+
 The rest of the module trusts these properties and does not re-check them.
 On top of the machines it implements: exact application to eventually
 periodic points, composition, bounded-delay equality of the presented maps,
@@ -64,8 +68,10 @@ class Transducer(Record):
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        """An initial state in range, one rule per (state, symbol),
-        completeness, productivity, and output admissibility."""
+        """An initial state in range, one rule per (state, symbol), rules in
+        range with admissible outputs.  Then one search refuses, in order: the
+        first missing rule it meets, a cycle of empty-output steps, and the
+        first output that cannot follow the output before it."""
         if not (0 <= self.initial < self.n_states):
             raise FormatError(
                 f"initial state {self.initial} out of range for {self.n_states} states")
@@ -89,33 +95,38 @@ class Transducer(Record):
                 raise InadmissibleOutput(
                     f"output {cod.word_label(out)} of rule ({q},{a}) is inadmissible")
 
-        configs = _configs(self)
-        cfg_index = {c: i for i, c in enumerate(configs)}
+        # the empty-output steps of each (state, previous input) pair, kept
+        # at its first visit, in the order the search reaches the pairs
+        silent: dict[tuple[int, int | None], list] = {}
+        bad_joins: list[str] = []
 
-        # productivity: no cycle among configs using only empty-output steps
-        empty_succ: list[list[int]] = [[] for _ in configs]
-        for i, (q, prev) in enumerate(configs):
+        def step(cfg):
+            q, prev, last = cfg
+            targets = [] if (q, prev) in silent else silent.setdefault((q, prev), [])
             for a in _inputs(dom, prev):
+                if (q, a) not in table:
+                    raise IncompleteTransducer(
+                        f"no rule for state {q} on symbol {dom.symbols[a]}")
                 q2, out = table[(q, a)]
                 if not out:
-                    empty_succ[i].append(cfg_index[(q2, a)])
-        starved = find_cycle(empty_succ)
-        if starved is not None:
-            raise Starvation(
-                f"cycle through state {configs[starved][0]} emits no output")
-
-        # output admissibility across steps: track the last emitted symbol
-        def joins(cfg):
-            q, prev, last = cfg
-            for a in _inputs(dom, prev):
-                q2, out = table[(q, a)]
-                if out and last is not None and not cod.follow(last, out[0]):
-                    raise InadmissibleOutput(
+                    targets.append((q2, a))
+                elif last is not None and not bad_joins \
+                        and not cod.follow(last, out[0]):
+                    bad_joins.append(
                         f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
                         f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
                 yield a, (q2, a, out[-1] if out else last)
 
-        bfs([(self.initial, None, None)], joins)
+        bfs([(self.initial, None, None)], step)
+
+        cfg_index = {c: i for i, c in enumerate(silent)}
+        starved = find_cycle([[cfg_index[c] for c in targets]
+                              for targets in silent.values()])
+        if starved is not None:
+            raise Starvation(
+                f"cycle through state {list(silent)[starved][0]} emits no output")
+        if bad_joins:
+            raise InadmissibleOutput(bad_joins[0])
 
     @functools.cached_property
     def table(self) -> dict[tuple[int, int], tuple[int, Word]]:
@@ -144,23 +155,6 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
 def _inputs(dom: SftPresentation, prev: int | None):
     """Input symbols admissible after ``prev``; every symbol at the start."""
     return range(dom.alphabet_size) if prev is None else dom.successors(prev)
-
-
-def _configs(t: Transducer):
-    """Reachable (state, previous input symbol) pairs; previous None only at
-    the start.  Completeness is enforced along the way."""
-    table = t.table
-    dom = t.domain
-
-    def step(cfg):
-        q, prev = cfg
-        for a in _inputs(dom, prev):
-            if (q, a) not in table:
-                raise IncompleteTransducer(
-                    f"no rule for state {q} on symbol {dom.symbols[a]}")
-            yield a, (table[(q, a)][0], a)
-
-    return list(bfs([(t.initial, None)], step))
 
 
 def run_on_word(t: Transducer, word: Word) -> tuple[int, Word]:
@@ -510,13 +504,13 @@ def is_eventual_conjugacy(h: Transducer, data: OrbitData,
     """Eventual conjugacy detector: the transfer of the constant 1 must be
     the constant 1 exactly, in both directions when an inverse is given."""
     c1 = transfer_psi(h, data, coh.unit(h.codomain))
-    ok = coh.subtract(c1, coh.unit(h.domain)).is_zero()
+    ok = c1 == coh.unit(h.domain)
     c1_back = None
     if h_back is not None:
         if data_back is None:
             raise FormatError("inverse machine needs its own cocycle data")
         c1_back = transfer_psi(h_back, data_back, coh.unit(h_back.codomain))
-        ok = ok and coh.subtract(c1_back, coh.unit(h_back.domain)).is_zero()
+        ok = ok and c1_back == coh.unit(h_back.domain)
     return ConjugacyVerdict(ok, c1, c1_back)
 
 

@@ -2,6 +2,7 @@
 and byte-for-byte determinism."""
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import os
@@ -646,13 +647,99 @@ RUNS = {
 TMP = ("a.f", "b.f", "x.f")
 
 
+# sha256 of the stdout of each RUNS path, plain and with --json
+REPORT_DIGESTS = {
+    "validate": (
+        "f90c17e3d41c5bcd492d568828dcc9d9a910d869853a1ff507485e5854767a40",
+        "c84f4ca0a2b31faab20981c4ff3c2766b7b8b17cad16e37ea506ddebb3f42544"),
+    "words": (
+        "7fc05fe321d8045445009cc7384b85cfd745b3b719439194fe32cdc529b45b8e",
+        "b0c07a8baa5335a508858da304897c3b78d31594953f78e5fd7f9d7cd8045946"),
+    "snf": (
+        "3ac853bf6c77eb91b14128190c90d5ac4f932477b5bb60f53c48e7a161962373",
+        "bc5ee5a1a91852a3de219dfe0021c70feb972965a9db682ac4f70d1dedf9f6bc"),
+    "invariants": (
+        "4b9588156ca5d7cfd5c1fa1f07aae751f83bdab3e33bdf3b6d0081f541a6e275",
+        "462705d1bcde8bb7107afc79a1020e2478e75ab3307a067851025ca0aa1a33b4"),
+    "flow-equiv": (
+        "3f8cf02700341071b90da7271c76bb92e1038b2e361fc8f482ed937326621c24",
+        "d6d9245d18c7b42bf8da9e20d08933ab2eb3170de6860f0e59f25e7406d23aa5"),
+    "coe": (
+        "f826684b766ebcd19017c3c177f9e6c9106734058f5cee101ede227c9dcd5177",
+        "571c86cc2ac658606525d719e2d7ce75e9020dbb1ba76f55b75c8a20a5fcc671"),
+    "cohom class-equal": (
+        "2fbd61cfe90f05f479bcd5e3f7ab62d620287f86226f2cc8b50e42828d25449d",
+        "141204e328ff4466076e220055fd48bda38b9ca264dbb818aad31ac12a302fdf"),
+    "cohom positive": (
+        "cbc7eced03e708719b863f27ab89ddd5d8ef38e946f469e9ada2ae19ef817ade",
+        "1093aa04dfecd034108f5325a474df4d99ea78c053b596567535ecab308dd752"),
+    "cohom orbit-sum": (
+        "2f2d6f61b793026ee8285f05a1a7e3cebf77dd48258d04d501e6086d26a36619",
+        "b70049c5b02e396433c77e9a4fba198c95c3452fcb8a3c049621409f9bdced29"),
+    "action compose": (
+        "8804e4ac454804d604c2b92dbf3e488ca1a93b9c9b9c3ef1958983424c116702",
+        "90560222f13f0d70024d36d26bdd36a222baaa9671fb5e1d3fd0db098f504c7a"),
+    "action equivalent": (
+        "597aa637da3519a4a22432bf2720e83dff067172858dd71c6b1965ea743727c5",
+        "90ff7b5e6c8dcd677cf71f94a98fcfaf2a4d901432e45a7b849e35ce98bc78e6"),
+    "action positive": (
+        "e5ef37e41fbfb30b647325ed6196603e05eda570ba53e9f38297487246c8780e",
+        "4200b3ebd79449ca0fb89297a1905aa8caa912430b3251c8230c5a0b1be7b6a6"),
+    "action phase": (
+        "009517f75a3f69b8a35ac527736a0574810cc09421cdf786903fd3d21bdd4216",
+        "0e462353821b93f6f25af3f683d7519e7729664e6115c13c983e23611ef37af8"),
+    "transducer apply": (
+        "e3cd512a8903e01f73bb5861894a5c216ab9125b1aa260e01239aabd8b0d0b22",
+        "c069a247cf07d0e399abfc4331cd93e2dc2bf29a0af123aacea0357f4fb57249"),
+    "transducer compose": (
+        "20b3534e51acd9f914c3e5c4c61602ab885bbe56bb2abd8931931a1e9604b033",
+        "18e1d74c08a65a17cad1a88dda57f9f1393e13a2ef8f9247d25f1acf08701972"),
+    "transducer equiv": (
+        "19e70e96dcf551b13c19ce973194dc23f899581f6066f3615e15c85ef87418d9",
+        "d7cd36a4c2ca499e2ebd92912d213e1725c9ca4becf468535a5fd9028a707876"),
+    "transducer verify-coe": (
+        "d4766589fdd101c0c9d82b9fb64a2d4a08f1e31f3d8a66a37ea0cbe5ecad1fc1",
+        "49f202ed8e7d12e17698e11d1d8ee4c344ca5376b724aa09fbe1475b2c152566"),
+    "transducer psi": (
+        "fe845d81e410f81cd638f6d19bab2cdbeef84664b89bdbde1254061a339ea625",
+        "fe3eb50ec44e1d950304e03069569dded811c221c0438d0b7799fc676ba0057e"),
+    "expand": (
+        "b0af282907e3441b058059c39ef7a1c3a540259e3198c1934d1f01cdbbb6d105",
+        "c5b8666b352cace57a63df20b7cf29d1207093dae0fd575481bf5951bf40a2b1"),
+    "elementary": (
+        "e1d638de7dfd1f567c277f24acca42371e05b507451015877acac30b25d41150",
+        "5c391268212d4d2bc44d992ac507f39642ef3bb500e6a119475541f01ac8b706"),
+    "transfer phi": (
+        "9e2c10caace214355df2f8c2367453ad0a5ee35f6e42731874da06e243bc031e",
+        "b88bd3da7eb79a064ff0e5290e4b93f4f79ca0ed0f6837269139192e65042bf2"),
+    "transfer psi": (
+        "5ee07eb3bdc92942f53f42d79aa82486544395dc4257eadfcace0ea22f789411",
+        "7c0036eb17f5fdbdc1243c5fd6ab302822bbb3abdebe84cb8745743a887dd1a8"),
+    "transfer psi-xi": (
+        "40d894646c8656c28b1cc992a3826f8ae6914944ac44324d6c3138ebb2917af9",
+        "28d36f4b1c1bc390acfa7370378a39fdde48eeba5e9e3d3f711fef25c235dedc"),
+    "transfer psi-eta": (
+        "49d3d0b03531edd298b92ee2c1817b5b3e056f432d83c3a054e0f35abcf4a839",
+        "ecfbf9579ac5e30c5adfe27cd31b6efffd3023a777d169be6b30585400642c77"),
+    "sse-search": (
+        "743b2fffaafd48781d8117b1730f90ae43010228ad6e17f9b50ebe6bc879163d",
+        "7a58b7714ade765f9a8c54e7f9d0d26a9b358c4189471f1bd580370976269457"),
+    "selftest": (
+        "f3d59f0b79dfbb6312131f40be52b02182bea53fd89054b24583f98bff4ee916",
+        "13e2062d34853175d4fbd74fb6be8585ba0be3383d9174b67c33eb7ab04339fe"),
+}
+
+
 class TestEveryPath:
-    """Each command and mode runs once to exit 0, so a handler that lost an
-    import it needs fails here with the NameError that ``run`` lets through."""
+    """Each command and mode runs to exit 0, plain and with --json, so a
+    handler that lost an import it needs fails here with the NameError that
+    ``run`` lets through; and each report's bytes are pinned, so a change
+    to what a path prints fails here too, showing the text it printed."""
 
     def test_runs_cover_every_path(self):
         assert set(RUNS) == {path for path, usage in USAGES
                              if not usage.endswith(" ...")}
+        assert set(REPORT_DIGESTS) == set(RUNS)
 
     @pytest.mark.parametrize("path", RUNS)
     def test_path_runs(self, capsys, fixture_dir, tmp_path, path):
@@ -660,9 +747,11 @@ class TestEveryPath:
         args = [str((tmp_path if a in TMP else fixture_dir) / a)
                 if a.endswith((".mat", ".f", ".t")) else a
                 for a in RUNS[path].split()]
-        code, out, err = cli(capsys, *path.split(), *args)
-        assert code == 0, err
-        assert out and err == ""
+        for flags, digest in zip(([], ["--json"]), REPORT_DIGESTS[path]):
+            code, out, err = cli(capsys, *flags, *path.split(), *args)
+            assert code == 0, err
+            assert out and err == ""
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 class TestLazyLayers:

@@ -78,6 +78,89 @@ def rand_matrix(rng, rows, cols, bound=4):
                  for _ in range(rows))
 
 
+def _ref_smallest_pivot(a, s: int):
+    best = None
+    rows, cols = len(a), len(a[0])
+    for i in range(s, rows):
+        for j in range(s, cols):
+            v = a[i][j]
+            if v != 0 and (best is None or abs(v) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+    return best
+
+
+def _ref_smith(m):
+    """Smith form with each step applied twice: a row step to the matrix and
+    to U, a column step to the matrix and to V.  Returns U, D and V."""
+    rows, cols = len(m), len(m[0])
+    a = [list(r) for r in m]
+    u = identity(rows)
+    v = identity(cols)
+
+    def row_op(i, j, q):          # row_i -= q * row_j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):          # col_i -= q * col_j
+        for r in a:
+            r[i] -= q * r[j]
+        for r in v:
+            r[i] -= q * r[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    for s in range(min(rows, cols)):
+        while True:
+            pos = _ref_smallest_pivot(a, s)
+            if pos is None:
+                break
+            if pos != (s, s):
+                if pos[0] != s:
+                    swap_rows(s, pos[0])
+                if pos[1] != s:
+                    swap_cols(s, pos[1])
+            pivot = a[s][s]
+            dirty = False
+            for i in range(s + 1, rows):
+                if a[i][s] != 0:
+                    q = a[i][s] // pivot
+                    row_op(i, s, q)
+                    if a[i][s] != 0:
+                        dirty = True
+            for j in range(s + 1, cols):
+                if a[s][j] != 0:
+                    q = a[s][j] // pivot
+                    col_op(j, s, q)
+                    if a[s][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            offender = None
+            for i in range(s + 1, rows):
+                for j in range(s + 1, cols):
+                    if a[i][j] % pivot != 0:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(s, offender, -1)
+
+        if a[s][s] < 0:
+            a[s] = [-x for x in a[s]]
+            u[s] = [-x for x in u[s]]
+    return tuple(tuple(tuple(r) for r in x) for x in (u, a, v))
+
+
 class TestSmith:
     def test_antidiagonal(self):
         assert smith(((0, -1), (-1, 0))).diagonal == (1, 1)
@@ -108,6 +191,13 @@ class TestSmith:
         rng = random.Random(seed)
         m = rand_matrix(rng, rows, cols)
         assert smith(m).diagonal == minor_gcd_diagonal(m)
+
+    @given(seeds, st.integers(1, 5), st.integers(1, 5))
+    def test_transforms_match_the_paired_update_reference(self, seed, rows, cols):
+        rng = random.Random(seed)
+        m = rand_matrix(rng, rows, cols, bound=5)
+        sd = smith(m)
+        assert (sd.u, sd.d, sd.v) == _ref_smith(m)
 
     @given(seeds)
     def test_transpose_invariance(self, seed):

@@ -136,6 +136,41 @@ class TestPsiXiEta:
         assert mv.psi_eta(e, f_base) == \
             tr.transfer_psi(e.merge, e.merge_data, f_base)
 
+    @given(seeds)
+    def test_machine_streams_match_the_word_maps(self, seed):
+        """The streams read off the split and merge machines are the words
+        the maps make: v becomes v 0, and the new symbol 0 is erased."""
+        rng = random.Random(seed)
+        p = random_irreducible(rng, 5)
+        e = mv.expand(p, rng.randrange(p.n_vertices))
+        f_exp = random_function(rng, e.expanded, max_depth=3)
+        f_base = random_function(rng, p, max_depth=3)
+        assert mv.psi_xi(e, f_exp) == _ref_psi_xi(e, f_exp)
+        assert mv.psi_eta(e, f_base) == _ref_psi_eta(e, f_base)
+
+
+def _ref_psi_xi(e, f_exp):
+    """psi_xi with the split map written out on words."""
+    streams = []
+    for w in words(e.base, f_exp.depth):
+        out = []
+        for a in w:
+            out.append(a + 1)
+            if a == e.vertex:
+                out.append(0)
+        streams.append((tuple(out), 2 if w[0] == e.vertex else 1))
+    return coh.function(e.base, f_exp.depth, coh.window_sums(f_exp, streams),
+                        f_exp.ring)
+
+
+def _ref_psi_eta(e, f):
+    """psi_eta with the merge map written out on words: erase symbol 0."""
+    depth = 2 * f.depth - 1
+    values = coh.window_sums(
+        f, (((), 0) if w[0] == 0 else (tuple(a - 1 for a in w if a), 1)
+            for w in words(e.expanded, depth)))
+    return coh.function(e.expanded, depth, values, f.ring)
+
 
 def _off_by_one(rows):
     rows = [list(row) for row in rows]

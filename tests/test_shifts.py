@@ -20,7 +20,7 @@ from sftlab.errors import (
     NotZeroOne,
     PermutationMatrix,
 )
-from sftlab.randgen import random_edge_presentation, random_irreducible
+from sftlab.randgen import random_edge_presentation, random_irreducible, random_point
 from sftlab.shifts import (
     block_edges,
     count_words,
@@ -296,6 +296,32 @@ class TestBlockEdges:
             block_edges(fib, 1)
 
 
+def _ref_shift_point(x):
+    """Drop the first symbol, then re-canonicalise through periodic_point."""
+    if x.preperiod:
+        return periodic_point(x.presentation, x.preperiod[1:], x.period,
+                              validate_word=False)
+    per = x.period
+    return periodic_point(x.presentation, (), per[1:] + per[:1],
+                          validate_word=False)
+
+
+def _ref_shift_point_by(x, n):
+    for _ in range(n):
+        x = _ref_shift_point(x)
+    return x
+
+
+def _ref_prefix(x, m):
+    """The first m symbols, one at a time."""
+    out = list(x.preperiod[:m])
+    i = 0
+    while len(out) < m:
+        out.append(x.period[i % len(x.period)])
+        i += 1
+    return tuple(out)
+
+
 class TestPoints:
     def test_parse_and_canonical_form(self, fib):
         x = parse_point(fib, "1:21")
@@ -343,10 +369,26 @@ class TestPoints:
     def test_shift_consistency_on_prefixes(self, seed):
         rng = random.Random(seed)
         p = random_irreducible(rng, 4)
-        from sftlab.randgen import random_point
-
         x = random_point(rng, p)
         assert shift_point(x).prefix(6) == x.prefix(7)[1:]
+
+    @given(seeds, st.data())
+    def test_shifts_and_prefixes_match_the_reference(self, seed, data):
+        """Shifts built directly are the re-canonicalised ones, and are
+        canonical; prefixes cut inside and beyond the preperiod."""
+        rng = random.Random(seed)
+        p = random_irreducible(rng, 4)
+        x = random_point(rng, p, 5, 5)
+        pre, per = len(x.preperiod), len(x.period)
+        n = data.draw(st.integers(0, pre + 2 * per))
+        r = shift_point_by(x, n)
+        assert r == _ref_shift_point_by(x, n)
+        assert periodic_point(p, r.preperiod, r.period) == r
+        assert shift_point(x) == _ref_shift_point(x)
+        assert shift_point_by(x, -n) is x
+        for m in (data.draw(st.integers(0, pre)),
+                  data.draw(st.integers(pre, pre + 2 * per + 1))):
+            assert x.prefix(m) == _ref_prefix(x, m)
 
 
 class TestHigherBlock:

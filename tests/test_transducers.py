@@ -78,6 +78,36 @@ def sigma_machine(p):
     return tr.make_transducer(p, p, rules, n_states=2)
 
 
+# Machines from the 2-shift to fib with two faults each: the rules, the
+# refusal, a rule that repairs the refused fault, and the refusal after it.
+TWO_FAULTS = {
+    # the search meets the bad join 2 then 2 at depth 1 and the missing rule
+    # at depth 2, and completeness is refused first
+    "missing rule and bad join": (
+        [(0, 0, 1, (1,)), (0, 1, 1, (1,)), (1, 0, 1, (1,)), (1, 1, 2, (0,)),
+         (2, 0, 2, (0,))],
+        (IncompleteTransducer, "no rule for state 2 on symbol 2"),
+        (2, 1, 2, (0,)),
+        (InadmissibleOutput,
+         r"outputs 2 then 2 cannot be concatenated \(state 1, input 1\)")),
+    # states 2 and 1 are both reached at depth 1, state 2 first
+    "two missing rules": (
+        [(0, 0, 2, (0,)), (0, 1, 1, (0,)), (1, 0, 1, (0,)), (2, 1, 2, (0,))],
+        (IncompleteTransducer, "no rule for state 2 on symbol 1"),
+        (2, 0, 2, (0,)),
+        (IncompleteTransducer, "no rule for state 1 on symbol 2")),
+    # the join at state 2 is met at depth 1, the one at state 1 at depth 2
+    "two bad joins": (
+        [(0, 0, 2, (1,)), (0, 1, 1, (0,)), (1, 0, 1, (1,)), (1, 1, 1, (1,)),
+         (2, 0, 2, (0,)), (2, 1, 2, (1,))],
+        (InadmissibleOutput,
+         r"outputs 2 then 2 cannot be concatenated \(state 2, input 2\)"),
+        (2, 1, 2, (0,)),
+        (InadmissibleOutput,
+         r"outputs 2 then 2 cannot be concatenated \(state 1, input 1\)")),
+}
+
+
 class TestConstruction:
     def test_identity(self, fib):
         t = tr.identity_transducer(fib)
@@ -137,6 +167,16 @@ class TestConstruction:
         with pytest.raises(InadmissibleOutput,
                            match=r"output 22 of rule \(0,0\) is inadmissible"):
             build(fib, fib, [(0, 0, 0, (1, 1)), (0, 1, 0, (0,))])
+
+    @pytest.mark.parametrize("case", TWO_FAULTS)
+    def test_first_of_two_faults_is_refused(self, fib, full2, case):
+        """The refusal names the fault that comes first in the order of
+        refusals and of the search; with it repaired, the other is refused."""
+        rules, first, repair, second = TWO_FAULTS[case]
+        repaired = [r for r in rules if r[:2] != repair[:2]] + [repair]
+        for machine, (error, message) in ((rules, first), (repaired, second)):
+            with pytest.raises(error, match=f"^{message}$"):
+                tr.make_transducer(full2, fib, machine)
 
     @settings(max_examples=10)
     @given(seeds)
