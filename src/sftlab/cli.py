@@ -195,16 +195,15 @@ def cmd_coe(args) -> Report:
 def cmd_cohom(args) -> Report:
     from . import cohomology as coh
     name, p = _load_presentation(args.matrix)
+    f = _load_function(args.f, p, name)
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "class-equal":
-        f = _load_function(args.f, p, name)
         g = _load_function(args.g, p, name)
         diff = coh.subtract(f, g)
         res = coh.class_is_zero(diff)
         _add_coboundary(rep, res, diff, "class-equal", name)
     elif args.mode == "positive":
-        f = _load_function(args.f, p, name)
         res = coh.class_is_nonnegative(f)
         if res.nonnegative:
             rep.add("class-nonnegative", "yes")
@@ -215,7 +214,6 @@ def cmd_cohom(args) -> Report:
             rep.add("cycle", p.word_label(res.cycle))
             rep.add("cycle-orbit-sum", coh.orbit_sum(f, res.cycle))
     else:
-        f = _load_function(args.f, p, name)
         cycle = p.parse_word(args.cycle)
         rep.add("cycle", p.word_label(cycle))
         rep.add("orbit-sum", coh.orbit_sum(f, cycle))
@@ -225,21 +223,21 @@ def cmd_cohom(args) -> Report:
 def cmd_action(args) -> Report:
     from . import actions, cohomology as coh
     name, p = _load_presentation(args.matrix)
+    a = actions.action(_load_function(args.f, p, name))
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "compose":
-        a = actions.action(_load_function(args.f, p, name))
         b = actions.action(_load_function(args.g, p, name))
         out = actions.compose(a, b)
         rep.add("classifier", _function_text(out.classifier, name))
     elif args.mode == "equivalent":
-        a = actions.action(_load_function(args.f, p, name))
         b = actions.action(_load_function(args.g, p, name))
         res = actions.equivalent(a, b)
-        diff = coh.subtract(a.classifier, b.classifier)
+        # the decided function: equivalent(a, b) asks whether b - a is a
+        # coboundary, and its witness is oriented the same way
+        diff = coh.subtract(b.classifier, a.classifier)
         _add_coboundary(rep, res, diff, "equivalent", name)
     elif args.mode == "positive":
-        a = actions.action(_load_function(args.f, p, name))
         res = actions.class_nonnegative(a)
         rep.add("class-nonnegative", "yes" if res.nonnegative else "no")
         if res.nonnegative:
@@ -247,7 +245,6 @@ def cmd_action(args) -> Report:
         else:
             rep.add("cycle", p.word_label(res.cycle))
     else:
-        a = actions.action(_load_function(args.f, p, name))
         mu = p.parse_word(args.word)
         t = coh.parse_value(args.t, coh.RING_RAT)
         x = parse_point(p, args.point)

@@ -27,10 +27,10 @@ from .errors import (
     PermutationMatrix,
     PresentationMismatch,
 )
-from .graphs import path
+from .graphs import bfs, path
 from .linalg import freeze, mat_mul
 from .record import Record
-from .shifts import Matrix, SftPresentation, validate, word_level, words
+from .shifts import Matrix, SftPresentation, edge_list, validate, word_level, words
 from .transducers import OrbitData, Transducer, make_transducer, run_on_word
 
 
@@ -156,15 +156,6 @@ class ElementaryEquivalence(Record):
         return {pair: s for s, pair in enumerate(self.b_pairs)}
 
 
-def _enumerate_bipartite(m: Matrix) -> tuple[tuple[int, int, int], ...]:
-    out = []
-    for i, row in enumerate(m):
-        for j, entry in enumerate(row):
-            for copy in range(entry):
-                out.append((i, j, copy))
-    return tuple(out)
-
-
 def _factor_pairs(name: str, product: SftPresentation, first: Matrix,
                   second: Matrix, first_index, second_index):
     """For each edge (i, j, copy) of the product of first and second, the
@@ -209,8 +200,8 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
     z = tuple(((0,) * n + c[i]) if i < n else (d[i - n] + (0,) * m)
               for i in range(n + m))
 
-    c_edges = _enumerate_bipartite(c)
-    d_edges = _enumerate_bipartite(d)
+    c_edges = edge_list(c)
+    d_edges = edge_list(d)
     c_index = {e: s for s, e in enumerate(c_edges)}
     d_index = {e: s for s, e in enumerate(d_edges)}
 
@@ -347,58 +338,47 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
     is raised, not skipped."""
     start = freeze(a_matrix)
     goal = freeze(b_matrix)
-    parents: dict[Matrix, tuple[Matrix, ElementaryEquivalence] | None] = {start: None}
-    frontier = [start]
-    depth = 0
-    nodes = 0
-    attempts = 0
+    depth = {start: 0}
+    nodes = attempts = 0
 
-    if start == goal:
-        return SseSearchResult((), 0, 0)
-
-    # not graphs.bfs: the depth bound and attempt budget stop it inside a level
-    while frontier and depth < chain_bound and attempts <= SSE_ATTEMPT_BUDGET:
-        nxt = []
-        for node in frontier:
-            nodes += 1
-            n = len(node)
-            for m in range(1, inner_dim_bound + 1):
-                for flat in itertools.product(range(entry_bound + 1), repeat=n * m):
-                    attempts += 1
-                    if attempts > SSE_ATTEMPT_BUDGET:
-                        return SseSearchResult(None, nodes, attempts)
-                    c = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
-                    if any(all(v == 0 for v in row) for row in c):
-                        continue
-                    per_column = []
-                    feasible = True
-                    for j in range(n):
-                        target = tuple(node[i][j] for i in range(n))
-                        sols = _solve_factor_column(c, target, entry_bound, 16)
-                        if not sols:
-                            feasible = False
-                            break
-                        per_column.append(sols)
-                    if not feasible:
-                        continue
+    def step(node):
+        """The neighbours of node, each with its elementary equivalence.  A
+        node at the chain bound, or met after the attempt budget is spent,
+        has none and is not counted."""
+        nonlocal nodes, attempts
+        if depth[node] >= chain_bound or attempts > SSE_ATTEMPT_BUDGET:
+            return
+        nodes += 1
+        n = len(node)
+        for m in range(1, inner_dim_bound + 1):
+            for flat in itertools.product(range(entry_bound + 1), repeat=n * m):
+                attempts += 1
+                if attempts > SSE_ATTEMPT_BUDGET:
+                    return
+                c = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
+                if any(all(v == 0 for v in row) for row in c):
+                    continue
+                per_column = []
+                for j in range(n):
+                    target = tuple(node[i][j] for i in range(n))
+                    sols = _solve_factor_column(c, target, entry_bound, 16)
+                    if not sols:
+                        break
+                    per_column.append(sols)
+                else:
                     for combo in itertools.product(*per_column):
                         attempts += 1
                         if attempts > SSE_ATTEMPT_BUDGET:
-                            return SseSearchResult(None, nodes, attempts)
+                            return
                         d = tuple(tuple(combo[j][i] for j in range(n))
                                   for i in range(m))
                         try:
                             ee = elementary(c, d, limits)
                         except InvalidResult:
                             continue
-                        neighbour = ee.b.adjacency
-                        if neighbour in parents:
-                            continue
-                        parents[neighbour] = (node, ee)
-                        if neighbour == goal:
-                            return SseSearchResult(path(parents, neighbour),
-                                                   nodes, attempts)
-                        nxt.append(neighbour)
-        frontier = nxt
-        depth += 1
-    return SseSearchResult(None, nodes, attempts)
+                        depth.setdefault(ee.b.adjacency, depth[node] + 1)
+                        yield ee, ee.b.adjacency
+
+    parents = bfs([start], step, goal)
+    return SseSearchResult(path(parents, goal) if goal in parents else None,
+                           nodes, attempts)

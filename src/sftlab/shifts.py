@@ -201,6 +201,13 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
         return tuple(word)
 
 
+def edge_list(m: Matrix) -> tuple[tuple[int, int, int], ...]:
+    """The edges (i, j, copy) of the multigraph of a nonnegative matrix m,
+    square or rectangular, copy in range(m[i][j]), in lexicographic order."""
+    return tuple((i, j, copy) for i, row in enumerate(m)
+                 for j, entry in enumerate(row) for copy in range(entry))
+
+
 def validate(matrix, kind: str = "vertex", vertex_labels=None,
              limits: Limits | None = None) -> SftPresentation:
     """Check a matrix presentation and build the symbol table.
@@ -265,16 +272,9 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
         symbols = vertex_labels
         edges = None
     else:
-        edge_list = []
-        labels = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(rows[i][j]):
-                    edge_list.append((i, j, k))
-                    base = f"{vertex_labels[i]}>{vertex_labels[j]}"
-                    labels.append(base if rows[i][j] == 1 else f"{base}~{k}")
-        edges = tuple(edge_list)
-        symbols = tuple(labels)
+        edges = edge_list(rows)
+        symbols = tuple(f"{vertex_labels[i]}>{vertex_labels[j]}"
+                        + (f"~{k}" if rows[i][j] > 1 else "") for i, j, k in edges)
 
     return SftPresentation(kind=kind, adjacency=rows, vertex_labels=vertex_labels,
                            symbols=symbols, edges=edges,
@@ -460,22 +460,27 @@ def _primitive_root(word: Word) -> Word:
     return word
 
 
-def periodic_point(p: SftPresentation, preperiod, period,
-                   validate_word: bool = True) -> EventuallyPeriodicPoint:
-    """Canonicalize u v^inf: primitive period, then absorb matching symbols
-    from the right end of the preperiod by rotating the period."""
-    pre = tuple(preperiod)
-    per = tuple(period)
-    if not per:
-        raise Inadmissible("period must be nonempty")
-    if validate_word:
-        p.check_admissible(pre + per + per)
+def _canonical(p: SftPresentation, pre: Word, per: Word) -> EventuallyPeriodicPoint:
+    """Canonicalize u v^inf, u v v taken as admissible and v as nonempty:
+    primitive period, then absorb matching symbols from the right end of the
+    preperiod by rotating the period."""
     per = _primitive_root(per)
     pre = list(pre)
     while pre and pre[-1] == per[-1]:
         pre.pop()
         per = per[-1:] + per[:-1]
     return EventuallyPeriodicPoint(p, tuple(pre), per)
+
+
+def periodic_point(p: SftPresentation, preperiod, period) -> EventuallyPeriodicPoint:
+    """The canonical form of u v^inf, after checking that v is nonempty and
+    that u v v is admissible."""
+    pre = tuple(preperiod)
+    per = tuple(period)
+    if not per:
+        raise Inadmissible("period must be nonempty")
+    p.check_admissible(pre + per + per)
+    return _canonical(p, pre, per)
 
 
 def parse_point(p: SftPresentation, token: str) -> EventuallyPeriodicPoint:
@@ -507,23 +512,21 @@ def shift_point_by(x: EventuallyPeriodicPoint, n: int) -> EventuallyPeriodicPoin
 
 def enumerate_points(p: SftPresentation, max_preperiod: int,
                      max_period: int) -> list[EventuallyPeriodicPoint]:
-    """All canonical eventually periodic points with preperiod length up to
-    max_preperiod and period length up to max_period, deduplicated, in a
-    deterministic order."""
-    seen: dict[tuple[Word, Word], EventuallyPeriodicPoint] = {}
+    """The canonical eventually periodic points with preperiod length up to
+    max_preperiod and period length up to max_period, sorted by (preperiod,
+    period).  They are listed, not canonicalized: a primitive period that
+    closes up, after a preperiod that joins it and does not end with its
+    last symbol.  Canonicalizing never lengthens either part, so these are
+    the canonical forms of all the pairs within the bounds."""
     prefixes: list[Word] = [()]
     for k in range(1, max_preperiod + 1):
         prefixes.extend(words(p, k))
-    for plen in range(1, max_period + 1):
-        for per in words(p, plen):
-            if not p.follow(per[-1], per[0]):
-                continue
-            for pre in prefixes:
-                if pre and not p.follow(pre[-1], per[0]):
-                    continue
-                x = periodic_point(p, pre, per, validate_word=False)
-                seen.setdefault((x.preperiod, x.period), x)
-    return [seen[key] for key in sorted(seen)]
+    pairs = sorted(
+        (pre, per) for plen in range(1, max_period + 1) for per in words(p, plen)
+        if p.follow(per[-1], per[0]) and _primitive_root(per) is per
+        for pre in prefixes
+        if not pre or (pre[-1] != per[-1] and p.follow(pre[-1], per[0])))
+    return [EventuallyPeriodicPoint(p, pre, per) for pre, per in pairs]
 
 
 # --------------------------------------------------------------- recodings
@@ -546,8 +549,8 @@ def higher_block(p: SftPresentation, k: int) -> SftPresentation:
     blocks = words(p, k + 1)
     labels = tuple(_bracket_label(p, w) for w in verts)
     pres = validate(adj, kind="edge", vertex_labels=labels, limits=p.limits)
-    # validate() enumerates edges in lex (src, tgt) order, which coincides
-    # with the lex order on the underlying (k+1)-words
+    # edge_list() orders edges by (src, tgt), which coincides with the lex
+    # order on the underlying (k+1)-words
     require(pres.alphabet_size == len(blocks), "higher_block: edges miscounted")
     return SftPresentation(pres.kind, pres.adjacency, pres.vertex_labels,
                            tuple(_bracket_label(p, w) for w in blocks), pres.edges,

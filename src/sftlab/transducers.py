@@ -44,12 +44,12 @@ from .errors import (
 from .graphs import bfs, find_cycle, path
 from .record import Record
 from .shifts import (
+    _canonical,
     EventuallyPeriodicPoint,
     SftPresentation,
     Word,
     content_lines,
     higher_block,
-    periodic_point,
     shift_point,
     shift_point_by,
     enumerate_points,
@@ -192,8 +192,8 @@ def apply(t: Transducer, x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
     # construction checked every join along admissible inputs, the wrap from
     # the period's end back to its start included, and productivity makes the
     # closed walk step_outputs[first:] emit at least one symbol
-    return periodic_point(t.codomain, head + tuple(cat(step_outputs[:first])),
-                          tuple(cat(step_outputs[first:])), validate_word=False)
+    return _canonical(t.codomain, head + tuple(cat(step_outputs[:first])),
+                      tuple(cat(step_outputs[first:])))
 
 
 def identity_transducer(p: SftPresentation) -> Transducer:

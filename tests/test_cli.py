@@ -387,6 +387,26 @@ class TestCohom:
         assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "cohom class-equal fib.mat - -", "cohom positive fib.mat -",
+    "cohom orbit-sum fib.mat - 33", "action compose fib.mat - -",
+    "action equivalent fib.mat - -", "action positive fib.mat -",
+    "action phase fib.mat - 33 abc 9:9"])
+def test_function_f_is_read_after_the_matrix_and_before_the_rest(
+        capsys, fixture_dir, tmp_path, argv):
+    """Every argument after the matrix is bad, a "-" a missing function
+    file; the refusal names f, and with the matrix missing too, the matrix."""
+    def run_with(matrix):
+        missing = iter([tmp_path / "f-missing.f", tmp_path / "g-missing.f"])
+        return cli(capsys, *[matrix if a == "fib.mat" else next(missing) if a == "-"
+                             else a for a in argv.split()])
+
+    code, out, err = run_with(fixture_dir / "fib.mat")
+    assert (code, out) == (2, "") and "f-missing.f" in err
+    code, out, err = run_with(tmp_path / "m-missing.mat")
+    assert (code, out) == (2, "") and "m-missing.mat" in err
+
+
 class TestAction:
     def test_compose(self, capsys, fixture_dir):
         code, out, _ = cli(capsys, "action", "compose", fixture_dir / "fib.mat",
@@ -406,6 +426,25 @@ class TestAction:
                            fixture_dir / "zero.f")
         assert code == 0
         assert "equivalent: no" in out
+
+    @pytest.mark.parametrize("f, g, cycle_sum", [("one1.f", "gauge.f", "1"),
+                                                 ("gauge.f", "one1.f", "-1")])
+    def test_equivalent_reports_the_decided_function(self, capsys, fixture_dir,
+                                                    f, g, cycle_sum):
+        """``equivalent f g`` decides whether g - f is a coboundary, and its
+        cycle sum is that of g - f in either argument order: the report of
+        ``cohom class-equal g f``."""
+        fib = fixture_dir / "fib.mat"
+        code, out, _ = cli(capsys, "action", "equivalent", fib,
+                           fixture_dir / f, fixture_dir / g)
+        assert code == 0
+        rep = _parse_report(out)
+        assert rep["equivalent"] == "no"
+        assert rep["cycle-orbit-sum"] == cycle_sum
+        code, out, _ = cli(capsys, "cohom", "class-equal", fib,
+                           fixture_dir / g, fixture_dir / f)
+        assert code == 0
+        assert _parse_report(out)["cycle-orbit-sum"] == cycle_sum
 
     def test_positive(self, capsys, fixture_dir):
         code, out, _ = cli(capsys, "action", "positive",
@@ -680,8 +719,8 @@ REPORT_DIGESTS = {
         "8804e4ac454804d604c2b92dbf3e488ca1a93b9c9b9c3ef1958983424c116702",
         "90560222f13f0d70024d36d26bdd36a222baaa9671fb5e1d3fd0db098f504c7a"),
     "action equivalent": (
-        "597aa637da3519a4a22432bf2720e83dff067172858dd71c6b1965ea743727c5",
-        "90ff7b5e6c8dcd677cf71f94a98fcfaf2a4d901432e45a7b849e35ce98bc78e6"),
+        "342fa13e9316f4b6ef7e9235e7d67b3e18e8fd58eb18481fdc1ec106cac2cd47",
+        "2833cda31b5b312319b6452d3372108a0d1f532327bf4b709c5df2ea53f99e2d"),
     "action positive": (
         "e5ef37e41fbfb30b647325ed6196603e05eda570ba53e9f38297487246c8780e",
         "4200b3ebd79449ca0fb89297a1905aa8caa912430b3251c8230c5a0b1be7b6a6"),

@@ -107,7 +107,7 @@ def test_unequal_witness_is_the_first_split(full2):
 
 
 # Loops that stay hand-written, each with its reason at the loop.
-_KEPT_WALKS = {"cohomology.class_is_zero", "moves.sse_search"}
+_KEPT_WALKS = {"cohomology.class_is_zero"}
 _WALK_PATTERNS = ("while frontier", "while pending", "color = [0]")
 
 

@@ -129,3 +129,48 @@ def test_guard_sees_generated_code():
     assert generated_code(source) == ["import dataclasses (line 1)",
                                       "from inspect (line 2)", "exec() (line 6)",
                                       "eval() (line 8)", "compile() (line 8)"]
+
+
+# the private names one module of the package may take from another
+SHARED_PRIVATE = {"cohomology._build", "shifts._canonical"}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def foreign_private_names(source: str) -> list[str]:
+    """The private names of other ``sftlab`` modules that a module of the
+    package imports or reads, as ``module._name (line n)``: a relative
+    ``from`` import of a name with one leading underscore, or such an
+    attribute read off a module bound by a relative import."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name: alias.name
+               for node in imports if node.module is None for alias in node.names}
+    found = [(node.lineno, f"{node.module}.{alias.name}")
+             for node in imports if node.module is not None
+             for alias in node.names if _is_private(alias.name)]
+    found += [(node.lineno, f"{modules[node.value.id]}.{node.attr}")
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and _is_private(node.attr)]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_only_the_shared_private_names_cross_modules():
+    found = {entry.split()[0] for path in (ROOT / "src" / "sftlab").glob("*.py")
+             for entry in foreign_private_names(path.read_text())}
+    assert found == SHARED_PRIVATE
+
+
+def test_guard_sees_a_foreign_private_name():
+    source = ("from . import cohomology as coh, shifts\n"
+              "from .moves import _factor_pairs, elementary\n"
+              "def f(p):\n"
+              "    from . import linalg as la\n"
+              "    return coh._build, shifts.words, la._pivot, coh.__name__, p._x\n")
+    assert foreign_private_names(source) == ["moves._factor_pairs (line 2)",
+                                             "cohomology._build (line 5)",
+                                             "linalg._pivot (line 5)"]

@@ -3,6 +3,7 @@ equivalence A = CD / B = DC with its function transfers, and the bounded
 strong-shift-equivalence search."""
 from __future__ import annotations
 
+import itertools
 import os
 import pathlib
 import random
@@ -25,7 +26,8 @@ from sftlab.errors import (
     NotVertexKind,
     PresentationMismatch,
 )
-from sftlab.linalg import cokernel, determinant, identity
+from sftlab.graphs import path
+from sftlab.linalg import cokernel, determinant, freeze, identity
 from sftlab.randgen import (
     random_elementary,
     random_function,
@@ -392,7 +394,81 @@ class TestPhiPsi:
         assert mv.phi(other, mv.psi(other, g)) == coh.pullback_sigma(g)
 
 
+def _ref_sse_search(a_matrix, b_matrix, inner_dim_bound, entry_bound, chain_bound):
+    """The search as a hand-written level loop: a level is expanded only
+    below the chain bound, and the search returns the moment the attempt
+    budget is exceeded."""
+    start, goal = freeze(a_matrix), freeze(b_matrix)
+    parents = {start: None}
+    frontier = [start]
+    depth = nodes = attempts = 0
+    if start == goal:
+        return (), 0, 0
+    while frontier and depth < chain_bound:
+        nxt = []
+        for node in frontier:
+            nodes += 1
+            n = len(node)
+            for m in range(1, inner_dim_bound + 1):
+                for flat in itertools.product(range(entry_bound + 1), repeat=n * m):
+                    attempts += 1
+                    if attempts > mv.SSE_ATTEMPT_BUDGET:
+                        return None, nodes, attempts
+                    c = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(n))
+                    if any(all(v == 0 for v in row) for row in c):
+                        continue
+                    per_column = []
+                    for j in range(n):
+                        target = tuple(node[i][j] for i in range(n))
+                        sols = mv._solve_factor_column(c, target, entry_bound, 16)
+                        if not sols:
+                            break
+                        per_column.append(sols)
+                    else:
+                        for combo in itertools.product(*per_column):
+                            attempts += 1
+                            if attempts > mv.SSE_ATTEMPT_BUDGET:
+                                return None, nodes, attempts
+                            d = tuple(tuple(combo[j][i] for j in range(n))
+                                      for i in range(m))
+                            try:
+                                ee = mv.elementary(c, d)
+                            except InvalidResult:
+                                continue
+                            if ee.b.adjacency in parents:
+                                continue
+                            parents[ee.b.adjacency] = (node, ee)
+                            if ee.b.adjacency == goal:
+                                return path(parents, goal), nodes, attempts
+                            nxt.append(ee.b.adjacency)
+        frontier = nxt
+        depth += 1
+    return None, nodes, attempts
+
+
+# (2) reaches TWO_STEPS through (1 1; 1 1) and no shorter way
+TWO_STEPS = ((0, 0, 1), (1, 1, 0), (1, 1, 1))
+
+
 class TestSseSearch:
+    @pytest.mark.parametrize("budget", [0, 1, 7, 37, 500])
+    @pytest.mark.parametrize("a, b", [
+        (((2,),), TWO_STEPS), (TWO_STEPS, ((2,),)), (((2,),), ((1, 1), (1, 1))),
+        (((1, 1), (1, 0)), ((1, 1), (1, 1))), (((2, 1), (1, 0)), ((2, 1), (1, 0)))])
+    @pytest.mark.parametrize("bounds", [(3, 1, 3), (3, 1, 1), (2, 2, 2), (2, 2, 0)])
+    def test_matches_the_level_loop(self, monkeypatch, budget, a, b, bounds):
+        """Chains, node counts and attempt counts, with the budget spent in
+        the middle of a level, after the goal, or not at all."""
+        monkeypatch.setattr(mv, "SSE_ATTEMPT_BUDGET", budget)
+        res = mv.sse_search(a, b, *bounds)
+        assert ((res.found, res.nodes_explored, res.attempts)
+                == _ref_sse_search(a, b, *bounds))
+
+    def test_two_step_chain(self):
+        res = mv.sse_search(((2,),), TWO_STEPS, 3, 1, 3)
+        assert [ee.b.adjacency for ee in res.found] == [((1, 1), (1, 1)), TWO_STEPS]
+        assert mv.sse_search(((2,),), TWO_STEPS, 3, 1, 1).found is None
+
     def test_same_matrix(self, fib):
         res = mv.sse_search(fib.adjacency, fib.adjacency)
         assert res.found == ()

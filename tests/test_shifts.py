@@ -24,6 +24,7 @@ from sftlab.randgen import random_edge_presentation, random_irreducible, random_
 from sftlab.shifts import (
     block_edges,
     count_words,
+    edge_list,
     enumerate_points,
     format_matrix_text,
     higher_block,
@@ -55,6 +56,16 @@ def brute_force_words(p, k):
                  if p.is_admissible(w))
 
 
+def _ref_edge_list(m):
+    """The edges (i, j, copy) of m, by nested loops."""
+    out = []
+    for i, row in enumerate(m):
+        for j, entry in enumerate(row):
+            for copy in range(entry):
+                out.append((i, j, copy))
+    return tuple(out)
+
+
 class TestValidate:
     def test_fibonacci(self, fib):
         assert fib.kind == "vertex"
@@ -75,6 +86,20 @@ class TestValidate:
         assert p.alphabet_size == 3
         assert p.edges == ((0, 1, 0), (0, 1, 1), (1, 0, 0))
         assert p.symbols == ("1>2~0", "1>2~1", "2>1")
+
+    @given(st.integers(1, 4).flatmap(lambda c: st.lists(
+        st.lists(st.integers(0, 3), min_size=c, max_size=c), min_size=1, max_size=4)))
+    def test_edge_list_matches_nested_loops(self, rows):
+        """Rectangular matrices, zero rows and entries included."""
+        assert edge_list(rows) == _ref_edge_list(rows)
+
+    @given(seeds)
+    def test_edge_labels_match_nested_loops(self, seed):
+        p = random_edge_presentation(random.Random(seed), 4, 3)
+        assert p.edges == _ref_edge_list(p.adjacency)
+        assert p.symbols == tuple(
+            f"{i + 1}>{j + 1}" if p.adjacency[i][j] == 1 else f"{i + 1}>{j + 1}~{k}"
+            for i, j, k in _ref_edge_list(p.adjacency))
 
     def test_negative_entry(self):
         with pytest.raises(NegativeEntry):
@@ -299,11 +324,9 @@ class TestBlockEdges:
 def _ref_shift_point(x):
     """Drop the first symbol, then re-canonicalise through periodic_point."""
     if x.preperiod:
-        return periodic_point(x.presentation, x.preperiod[1:], x.period,
-                              validate_word=False)
+        return periodic_point(x.presentation, x.preperiod[1:], x.period)
     per = x.period
-    return periodic_point(x.presentation, (), per[1:] + per[:1],
-                          validate_word=False)
+    return periodic_point(x.presentation, (), per[1:] + per[:1])
 
 
 def _ref_shift_point_by(x, n):
@@ -320,6 +343,25 @@ def _ref_prefix(x, m):
         out.append(x.period[i % len(x.period)])
         i += 1
     return tuple(out)
+
+
+def _ref_enumerate_points(p, max_preperiod, max_period):
+    """Every (prefix, period) pair within the bounds sent through
+    ``periodic_point``, deduplicated in a dict and sorted."""
+    seen = {}
+    prefixes = [()]
+    for k in range(1, max_preperiod + 1):
+        prefixes.extend(words(p, k))
+    for plen in range(1, max_period + 1):
+        for per in words(p, plen):
+            if not p.follow(per[-1], per[0]):
+                continue
+            for pre in prefixes:
+                if pre and not p.follow(pre[-1], per[0]):
+                    continue
+                x = periodic_point(p, pre, per)
+                seen.setdefault((x.preperiod, x.period), x)
+    return [seen[key] for key in sorted(seen)]
 
 
 class TestPoints:
@@ -364,6 +406,19 @@ class TestPoints:
         for x in pts:
             y = periodic_point(fib, x.preperiod, x.period)
             assert (y.preperiod, y.period) == (x.preperiod, x.period)
+
+    @given(seeds, st.integers(0, 4), st.integers(1, 5))
+    def test_enumerate_points_matches_the_reference(self, seed, max_pre, max_per):
+        """Vertex kind (even seed) and edge kind, parallel edges allowed."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 2) if seed % 2 else random_irreducible(rng, 3)
+        assert (enumerate_points(p, max_pre, max_per)
+                == _ref_enumerate_points(p, max_pre, max_per))
+
+    @pytest.mark.parametrize("kind", sorted(FRESH))
+    def test_enumerate_points_matches_the_reference_at_the_largest_bounds(self, kind):
+        p = FRESH[kind]()
+        assert enumerate_points(p, 4, 5) == _ref_enumerate_points(p, 4, 5)
 
     @given(seeds)
     def test_shift_consistency_on_prefixes(self, seed):
