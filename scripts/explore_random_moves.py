@@ -31,7 +31,9 @@ def check_expansion(rng) -> None:
     f = random_function(rng, p, max_depth=2)
     ft = random_function(rng, e.expanded, max_depth=2)
     assert moves.psi_xi(e, moves.psi_eta(e, f)) == f
-    assert moves.psi_xi(e, ft) == tr.transfer_psi(e.split, e.split_data, ft)
+    f0 = coh.multiply(ft, coh.indicator(e.expanded, (0,)))
+    assert coh.subtract(moves.psi_eta(e, moves.psi_xi(e, ft)), ft) == \
+        coh.subtract(coh.pullback_sigma(f0), f0)
     assert tr.verify_orbit_relation(e.split, e.split_data).holds
 
 

@@ -18,9 +18,10 @@ b == f, or an explicit cyclically admissible word whose orbit sum violates
 the claim.
 
 ``window_sums`` is the one kernel for stream transfers, which sum f over
-the first n windows of a word: ``moves.psi_xi``/``psi_eta``,
-``transducers.transfer_psi``, the n-step cocycle ``partial_sum``,
-``orbit_sum`` and the action phase sums.  ``lift_table``,
+the first n windows of a word: ``transducers.transfer_psi`` (and through
+it ``moves.psi_xi``/``psi_eta``), ``transducers.verify_orbit_relation``'s
+point values, the n-step cocycle ``partial_sum``, ``orbit_sum``,
+``value_on_word`` and the action phase sums.  ``lift_table``,
 ``pullback_sigma``, ``coboundary``, the normalisation and
 ``moves.phi``/``psi`` read no words: they copy slices of tables along the
 first-symbol blocks of the word levels (``shifts.word_level``) or gather

@@ -30,8 +30,8 @@ from .errors import (
 from .graphs import bfs, path
 from .linalg import freeze, mat_mul
 from .record import Record
-from .shifts import Matrix, SftPresentation, edge_list, validate, word_level, words
-from .transducers import OrbitData, Transducer, make_transducer, run_on_word
+from .shifts import Matrix, SftPresentation, edge_list, validate, word_level
+from .transducers import OrbitData, Transducer, make_transducer, transfer_psi
 
 
 # ------------------------------------------------------------- expansion
@@ -99,33 +99,24 @@ def psi_xi(e: Expansion,
            f_exp: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Pull a function on the expanded shift back to the base shift along
     split: value at x is f(split x), plus f(shift(split x)) when x starts
-    with the expanded vertex (the split image spends two steps there).  The
-    split stream of each word is the output of the machine ``e.split``."""
-    if f_exp.presentation != e.expanded:
-        raise PresentationMismatch("function must live on the expanded shift")
-    ws = words(e.base, f_exp.depth)
-    values = coh.window_sums(
-        f_exp, ((run_on_word(e.split, w)[1], 2 if w[0] == e.vertex else 1)
-                for w in ws))
-    return coh.function(e.base, f_exp.depth, values, f_exp.ring)
+    with the expanded vertex (the split image spends two steps there).
+
+    This is ``transfer_psi`` along the machine ``e.split`` with its data, at
+    the least depth that suffices; the split emits a symbol for each symbol
+    read, so f's own depth always does."""
+    return transfer_psi(e.split, e.split_data, f_exp)
 
 
 def psi_eta(e: Expansion,
             f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Push a function on the base shift to the expanded shift along merge:
-    zero on the cylinder of the new symbol, f(merge x) elsewhere, with the
-    merged stream of each word read off the machine ``e.merge``.
+    zero on the cylinder of the new symbol, f(merge x) elsewhere.
 
-    The new symbol is never followed by itself, so a word of length 2k-1
-    always leaves at least k symbols after erasure."""
-    if f.presentation != e.base:
-        raise PresentationMismatch("function must live on the base shift")
-    depth = 2 * f.depth - 1
-    ws = words(e.expanded, depth)
-    values = coh.window_sums(
-        f, (((), 0) if w[0] == 0 else (run_on_word(e.merge, w)[1], 1)
-            for w in ws))
-    return coh.function(e.expanded, depth, values, f.ring)
+    This is ``transfer_psi`` along the machine ``e.merge`` with its data, at
+    the least depth that suffices; the new symbol is never followed by
+    itself, so the merge keeps at least every other symbol and the depth
+    stays below twice f's."""
+    return transfer_psi(e.merge, e.merge_data, f)
 
 
 # --------------------------------------------------- elementary equivalence

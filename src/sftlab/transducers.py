@@ -48,6 +48,7 @@ from .shifts import (
     EventuallyPeriodicPoint,
     SftPresentation,
     Word,
+    block_edges,
     content_lines,
     higher_block,
     shift_point,
@@ -268,6 +269,8 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
         raise PresentationMismatch("machines must share domain and codomain")
     if delay_bound is None:
         delay_bound = default_delay_bound(t1, t2)
+    elif delay_bound < 0:
+        raise FormatError(f"delay bound must be nonnegative, got {delay_bound}")
     tab1, tab2 = t1.table, t2.table
     dom = t1.domain
     mismatch = object()               # goal node: the outputs split here
@@ -362,6 +365,8 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
         raise PresentationMismatch("shift amount must live on the machine's domain")
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
         raise RationalNotSupported("shift amounts are nonnegative integers")
+    if pre_shift < 0:
+        raise FormatError(f"pre-shift must be nonnegative, got {pre_shift}")
     depth = max(amount.depth, pre_shift, 1)
     amount_at = dict(zip(words(h.domain, depth),
                          coh.lift_table(amount, depth)))
@@ -439,57 +444,60 @@ def verify_orbit_relation(h: Transducer, data: OrbitData) -> OrbitRelationResult
 
 # ------------------------------------------------------------ transfer map
 
-def _min_output_lengths(h: Transducer):
-    """Generator of (input length m, min output length over admissible
-    m-words from the initial state)."""
-    table = h.table
-    dom = h.domain
-    # not graphs.bfs: a layered min-plus recurrence over every m, not a search
-    layer = {(h.initial, None): 0}
-    m = 0
-    while True:
-        m += 1
-        nxt: dict = {}
-        for (q, prev), best in layer.items():
-            for a in _inputs(dom, prev):
-                q2, out = table[(q, a)]
-                cfg = (q2, a)
-                cand = best + len(out)
-                if cfg not in nxt or cand < nxt[cfg]:
-                    nxt[cfg] = cand
-        layer = nxt
-        yield m, min(layer.values())
-
-
 def transfer_psi(h: Transducer, data: OrbitData,
                  f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
     """Transfer of a locally constant function on the codomain through the
     orbit map: at x, the sum of f over the first l1(x) shifts of h(x) minus
     the sum over the first k1(x) shifts of h(shift x).
 
-    The result is computed on cylinders of a depth D chosen so that every
-    admissible input of length D - 1 forces enough output symbols from h."""
+    The result is computed on the cylinders of the least depth D, no less
+    than the depths of k1 and l1, at which every word w of B_D forces the
+    windows it reads: the output of h on w holds at least l1(w) + f.depth - 1
+    symbols where l1(w) > 0, and its output on w[1:] at least
+    k1(w) + f.depth - 1 where k1(w) > 0.  Normal forms are unique, so every
+    depth that suffices gives the same function.  The climb in D ends unless
+    the word cap refuses a level first: h is productive, so among any C
+    consecutive input symbols, C the number of its reachable (state,
+    previous input) configurations, one emits output."""
     if f.presentation != h.codomain:
         raise PresentationMismatch("function must live on the machine's codomain")
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
-    need = data.l1.max_value() + data.k1.max_value() + f.depth
-    # h is productive on its C <= n_states * |alphabet| + 1 reachable
-    # configurations, so m input symbols force m // C outputs: the search ends
-    depth = next(m + 1 for m, shortest in _min_output_lengths(h)
-                 if shortest >= need)
-    depth = max(depth, data.k1.depth, data.l1.depth)
+    dom, table = h.domain, h.table
+    lowest, need = max(data.k1.depth, data.l1.depth), f.depth - 1
 
-    ws = words(h.domain, depth)
-    l1 = coh.lift_table(data.l1, depth)
-    k1 = coh.lift_table(data.k1, depth)
-    gains = coh.window_sums(
-        f, ((run_on_word(h, w)[1], lv) for w, lv in zip(ws, l1)))
-    losses = coh.window_sums(
-        f, ((run_on_word(h, w[1:])[1], kv) if kv else ((), 0)
-            for w, kv in zip(ws, k1)))
-    return coh.function(h.domain, depth,
-                        [g - loss for g, loss in zip(gains, losses)], f.ring)
+    def step(run, a):
+        q, out = run
+        q2, emitted = table[(q, a)]
+        return q2, out + emitted
+
+    # the run (state, output) of h on each word of B_depth, level by level:
+    # a word's run is its parent's and one step, and the run on its suffix
+    # w[1:] sits in the level below, where ``suffixes`` points.  Once lifted
+    # to B_depth, l1 and k1 are carried up the same way, by parent.
+    depth, below = 1, [(h.initial, ())]
+    runs = [step(below[0], a) for a in range(dom.alphabet_size)]
+    suffixes = [0] * len(runs)
+    while True:
+        if depth == lowest:
+            l1, k1 = coh.lift_table(data.l1, depth), coh.lift_table(data.k1, depth)
+        if depth >= lowest \
+                and all(len(out) >= n + need for (_q, out), n in zip(runs, l1) if n) \
+                and all(len(below[s][1]) >= n + need
+                        for s, n in zip(suffixes, k1) if n):
+            break
+        depth += 1
+        below, (parents, suffixes) = runs, block_edges(dom, depth)
+        runs = list(map(step, map(below.__getitem__, parents),
+                        word_level(dom, depth).last))
+        if depth > lowest:
+            l1, k1 = ([t[i] for i in parents] for t in (l1, k1))
+    values = coh.window_sums(f, ((out, n) for (_q, out), n in zip(runs, l1)))
+    if data.k1.max_value():      # k1 = 0 (conjugacies, split, merge) takes nothing
+        losses = coh.window_sums(
+            f, ((below[s][1], n) for s, n in zip(suffixes, k1)))
+        values = [g - loss for g, loss in zip(values, losses)]
+    return coh.function(h.domain, depth, values, f.ring)
 
 
 class ConjugacyVerdict(Record):

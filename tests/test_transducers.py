@@ -4,6 +4,7 @@ along them."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,8 @@ from sftlab.errors import (
     PresentationMismatch,
     Starvation,
 )
-from sftlab.moves import expand
+from sftlab.config import Limits
+from sftlab.moves import expand, psi_eta
 from sftlab.randgen import (
     random_edge_presentation,
     random_function,
@@ -76,6 +78,63 @@ def sigma_machine(p):
     rules = [(0, a, 1, ()) for a in range(p.alphabet_size)]
     rules += [(1, a, 1, (a,)) for a in range(p.alphabet_size)]
     return tr.make_transducer(p, p, rules, n_states=2)
+
+
+def random_orbit_data(rng, p):
+    """Nonnegative cocycle exponents: the transfer formula is defined for
+    any, whether or not they satisfy the cocycle relation."""
+    return tr.OrbitData(random_function(rng, p, max_depth=2, low=0, high=2),
+                        random_function(rng, p, max_depth=2, low=0, high=2))
+
+
+def random_transfer_case(rng):
+    """A machine and nonnegative cocycle data: a block conjugacy (k = 1-3,
+    either way), a split or a merge with their data, or a composite or a
+    shifted image of one of those with random data."""
+    kind = rng.choice(["block", "split", "merge", "compose", "shifted"])
+    bc = tr.block_conjugacy(random_irreducible(rng, 3), rng.randint(1, 3))
+    p = random_irreducible(rng, 4)
+    e = expand(p, rng.randrange(p.n_vertices))
+    if kind == "block":
+        return rng.choice([(bc.forward, bc.forward_data),
+                           (bc.backward, bc.backward_data)])
+    if kind == "split":
+        return e.split, e.split_data
+    if kind == "merge":
+        return e.merge, e.merge_data
+    h = rng.choice([tr.compose(e.merge, e.split), tr.compose(e.split, e.merge),
+                    tr.compose(bc.backward, bc.forward)])
+    if kind == "shifted":
+        amount = random_function(rng, h.domain, max_depth=2, low=0, high=2)
+        h = tr.shifted_image(h, amount, rng.randint(0, 1))
+    return h, random_orbit_data(rng, h.domain)
+
+
+def output_bound_transfer(h, data, f):
+    """transfer_psi at the depth of the bound it used before the least
+    depth: m + 1 for the first m at which the shortest output over all
+    admissible m-words, by a layered min-plus recurrence, holds
+    l1.max + k1.max + f.depth symbols; no less than the depths of k1, l1."""
+    need = data.l1.max_value() + data.k1.max_value() + f.depth
+    layer, m = {(h.initial, None): 0}, 0
+    while min(layer.values()) < need:
+        m += 1
+        nxt = {}
+        for (q, prev), best in layer.items():
+            for a in range(h.domain.alphabet_size) if prev is None \
+                    else h.domain.successors(prev):
+                q2, out = h.table[(q, a)]
+                nxt[(q2, a)] = min(nxt.get((q2, a), best + len(out)),
+                                   best + len(out))
+        layer = nxt
+    depth = max(m + 1, data.k1.depth, data.l1.depth)
+    ws = words(h.domain, depth)
+    gains = coh.window_sums(f, ((tr.run_on_word(h, w)[1], n)
+                                for w, n in zip(ws, coh.lift_table(data.l1, depth))))
+    losses = coh.window_sums(f, ((tr.run_on_word(h, w[1:])[1], n)
+                                 for w, n in zip(ws, coh.lift_table(data.k1, depth))))
+    return coh.function(h.domain, depth,
+                        [g - loss for g, loss in zip(gains, losses)], f.ring)
 
 
 # Machines from the 2-shift to fib with two faults each: the rules, the
@@ -277,6 +336,12 @@ class TestEquivalentMaps:
         res = tr.equivalent_maps(t, tr.identity_transducer(fib), delay_bound=1)
         assert res.status == "inconclusive"
 
+    def test_negative_delay_bound_refused(self, fib_exp):
+        """A negative bound would leave a machine against itself
+        inconclusive."""
+        with pytest.raises(FormatError, match="delay bound must be nonnegative, got -1"):
+            tr.equivalent_maps(fib_exp.split, fib_exp.split, -1)
+
     def test_unequal_witness_distinguishes_images(self, fib, fib_exp):
         shifted = tr.compose(sigma_machine(fib_exp.expanded), fib_exp.split)
         res = tr.equivalent_maps(fib_exp.split, shifted)
@@ -317,6 +382,13 @@ class TestVerifyOrbitRelation:
     def test_identity_conjugacy_data(self, fib):
         t = tr.identity_transducer(fib)
         assert tr.verify_orbit_relation(t, tr.conjugacy_data(fib)).holds
+
+    def test_negative_pre_shift_refused(self, fib):
+        """A pre-shift of -1 would be read as a shift of +1."""
+        h = tr.identity_transducer(fib)
+        amount = coh.function(fib, 2, [0, 1, 1])
+        with pytest.raises(FormatError, match="pre-shift must be nonnegative, got -1"):
+            tr.shifted_image(h, amount, -1)
 
     def test_split_with_wrong_data_fails(self, fib, fib_exp):
         bad = tr.OrbitData(coh.zero(fib), coh.unit(fib))
@@ -411,6 +483,31 @@ class TestTransferPsi:
         rhs = sum(f.value_at_point(shift_point_by(hsx, j))
                   for j in range(data.k1.value_at_point(x)))
         assert out.value_at_point(x) == lhs - rhs
+
+    @given(seeds)
+    def test_agrees_with_the_output_bound_depth(self, seed):
+        """The least depth gives the function that the depth of the old
+        output bound gave, in rings Z and Q."""
+        rng = random.Random(seed)
+        h, data = random_transfer_case(rng)
+        f = random_function(rng, h.codomain, max_depth=2)
+        if rng.random() < 0.5:
+            f = coh.function(h.codomain, f.depth,
+                             [Fraction(v, 3) for v in f.table], coh.RING_RAT)
+        assert tr.transfer_psi(h, data, f) == output_bound_transfer(h, data, f)
+
+    def test_least_depth_fits_the_word_cap(self):
+        """Under a cap of 5 words the merge transfer of a depth-2 function
+        on fib, expanded at its first vertex, reads B_3 of the expanded shift
+        (5 words); the output bound over all words asked for B_7."""
+        p = validate(((1, 1), (1, 0)), "vertex", limits=Limits(max_words=5))
+        e = expand(p, 0)
+        f = coh.function(p, 2, [1, 2, 3])
+        out = tr.transfer_psi(e.merge, e.merge_data, f)
+        # B_3 is 010 021 101 102 210: zero on the words that start with the
+        # new symbol 0, else f on the merged words 00, 01 and 10
+        assert out == coh.function(e.expanded, 3, [0, 0, 1, 2, 3])
+        assert out == psi_eta(e, f)
 
 
 class TestDetectors:
