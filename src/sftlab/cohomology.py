@@ -54,7 +54,6 @@ from .errors import (
     RationalNotSupported,
     require,
 )
-from .graphs import find_cycle
 from .record import Record
 from .shifts import (
     SftPresentation,
@@ -487,22 +486,15 @@ def class_is_nonnegative(f: LocallyConstantFunction) -> PositivityResult:
 def order_unit_check(f: LocallyConstantFunction) -> bool:
     """Order-unit test: every periodic orbit sum of f is strictly positive.
 
-    Decided exactly in two stages: no negative cycle (shortest-path
-    feasibility), then no zero-sum cycle.  The reduced weights under a
-    feasible potential are nonnegative and telescope around cycles, so a
-    zero-sum cycle uses reduced-weight-zero edges only; it remains to find a
-    cycle in that edge subset."""
+    Decided exactly by one negative-cycle search on the weights n f - 1, n
+    = |B_{d-1}| the number of vertices.  Every cycle splits into simple
+    cycles, and a simple cycle of length L <= n and integer sum S weighs
+    n S - L: at least 0 when S >= 1 and negative when S <= 0."""
     if f.ring != RING_INT:
         raise RationalNotSupported("order unit test needs integer values")
     _d, nverts, sources, targets, table = _potential_graph(f)
-    cyc, dist = _bellman_ford(nverts, sources, targets, table)
-    if cyc is not None:
-        return False
-    tight = [[] for _ in range(nverts)]
-    for u, v, w in zip(sources, targets, table):
-        if w + dist[u] - dist[v] == 0:
-            tight[u].append(v)
-    return find_cycle(tight) is None       # a tight cycle has orbit sum zero
+    weights = [nverts * v - 1 for v in table]
+    return _bellman_ford(nverts, sources, targets, weights)[0] is None
 
 
 # ------------------------------------------------------------------ file I/O

@@ -23,7 +23,9 @@ The rest of the module trusts these properties and does not re-check them.
 On top of the machines it implements: exact application to eventually
 periodic points, composition, bounded-delay equality of the presented maps,
 verification of continuous-orbit-equivalence cocycle data, and the induced
-transfer operator on locally constant functions.
+transfer operator on locally constant functions.  Words of B_k are read by
+position in the word levels of ``shifts``, and no word table is built: runs
+of a machine grow level by level, and buffer states are numbered by level.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ from .shifts import (
     shift_point_by,
     enumerate_points,
     word_level,
-    words,
 )
 
 Rule = tuple[int, int, int, Word]          # state, input symbol, next state, output
@@ -333,34 +334,54 @@ def conjugacy_data(p: SftPresentation) -> OrbitData:
     return OrbitData(coh.zero(p), coh.unit(p))
 
 
+def _runs(h: Transducer, pre_shift: int = 0):
+    """The runs (state, output) of h on the words of B_1, B_2, ... past
+    their first ``pre_shift`` symbols, one list a level in level order.  A
+    word's run is its parent's and one step, the parents counted off the
+    first-child mask; a word no longer than ``pre_shift`` runs on nothing."""
+    table = h.table
+
+    def step(run, a):
+        q, out = run
+        q2, emitted = table[(q, a)]
+        return q2, out + emitted
+
+    runs = [(h.initial, ())]
+    for k in itertools.count(1):
+        level = word_level(h.domain, k)
+        parents = itertools.accumulate(level.first_child[1:], initial=0)
+        move = step if k > pre_shift else lambda run, _a: run
+        runs = list(map(move, map(runs.__getitem__, parents), level.last))
+        yield runs
+
+
 def _buffer(p: SftPresentation, depth: int, on_full) -> tuple[int, list[Rule]]:
     """Input-buffer states: one per admissible word shorter than ``depth``,
-    numbered by length and then in enumeration order, so the empty word is
+    numbered by level, B_0 first, then by position, so the empty word is
     state 0, the initial state.  Each reads one more symbol with empty output
-    until the word reaches ``depth``; then ``on_full(word)`` gives the
-    (state, output) step, its state numbered from the end of the buffer.
-    Returns the number of buffer states and the rules."""
-    ids = {w: i for i, w in enumerate(itertools.chain.from_iterable(
-        words(p, length) for length in range(depth)))}
+    until the word reaches ``depth``; then ``on_full(c)``, c its position in
+    B_depth, gives the (state, output) step, its state numbered from the end
+    of the buffer.  Returns the number of buffer states and the rules."""
     rules: list[Rule] = []
-    for w, sid in ids.items():
-        for a in _inputs(p, w[-1] if w else None):
-            full = w + (a,)
-            if len(full) < depth:
-                rules.append((sid, a, ids[full], ()))
-            else:
-                q2, out = on_full(full)
-                rules.append((sid, a, len(ids) + q2, out))
-    return len(ids), rules
+    start, size = 0, 1                  # the first state of B_(j-1) and its size
+    for j in range(1, depth + 1):
+        level = word_level(p, j)
+        parents = itertools.accumulate(level.first_child[1:], initial=0)
+        for c, (i, a) in enumerate(zip(parents, level.last)):
+            q2, out = on_full(c) if j == depth else (c, ())
+            rules.append((start + i, a, start + size + q2, out))
+        start, size = start + size, len(level.last)
+    return start, rules
 
 
 def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
                   pre_shift: int) -> Transducer:
     """Machine for x -> shift^{amount(x)}( h( shift^{pre_shift}(x) ) ).
 
-    The input is buffered to the depth of the shift amount (cylinder
-    refinement); afterwards the machine replays h with a decreasing count of
-    output symbols to drop."""
+    The input is buffered to the depth D of the shift amount (cylinder
+    refinement); the word at position c of B_D takes h's run and the amount
+    at c, and then the machine replays h with a decreasing count of output
+    symbols to drop."""
     if amount.presentation != h.domain:
         raise PresentationMismatch("shift amount must live on the machine's domain")
     if amount.ring != coh.RING_INT or amount.min_value() < 0:
@@ -368,16 +389,16 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     if pre_shift < 0:
         raise FormatError(f"pre-shift must be nonnegative, got {pre_shift}")
     depth = max(amount.depth, pre_shift, 1)
-    amount_at = dict(zip(words(h.domain, depth),
-                         coh.lift_table(amount, depth)))
+    runs = next(itertools.islice(_runs(h, pre_shift), depth - 1, None))  # on B_depth
+    amounts = coh.lift_table(amount, depth)
     run_ids: dict[tuple[int, int], int] = {}     # (state of h, drops) -> id
 
     def run_state(qh: int, drops: int) -> int:
         return run_ids.setdefault((qh, drops), len(run_ids))
 
-    def on_full(full: Word) -> tuple[int, Word]:
-        qh, emitted = run_on_word(h, full[pre_shift:])
-        s = amount_at[full]
+    def on_full(c: int) -> tuple[int, Word]:
+        qh, emitted = runs[c]
+        s = amounts[c]
         return run_state(qh, max(s - len(emitted), 0)), emitted[s:]
 
     base, rules = _buffer(h.domain, depth, on_full)
@@ -463,41 +484,26 @@ def transfer_psi(h: Transducer, data: OrbitData,
         raise PresentationMismatch("function must live on the machine's codomain")
     if data.k1.presentation != h.domain:
         raise PresentationMismatch("cocycle data must live on the machine's domain")
-    dom, table = h.domain, h.table
-    lowest, need = max(data.k1.depth, data.l1.depth), f.depth - 1
-
-    def step(run, a):
-        q, out = run
-        q2, emitted = table[(q, a)]
-        return q2, out + emitted
-
-    # the run (state, output) of h on each word of B_depth, level by level:
-    # a word's run is its parent's and one step, and the run on its suffix
-    # w[1:] sits in the level below, where ``suffixes`` points.  Once lifted
-    # to B_depth, l1 and k1 are carried up the same way, by parent.
-    depth, below = 1, [(h.initial, ())]
-    runs = [step(below[0], a) for a in range(dom.alphabet_size)]
-    suffixes = [0] * len(runs)
-    while True:
-        if depth == lowest:
-            l1, k1 = coh.lift_table(data.l1, depth), coh.lift_table(data.k1, depth)
-        if depth >= lowest \
-                and all(len(out) >= n + need for (_q, out), n in zip(runs, l1) if n) \
-                and all(len(below[s][1]) >= n + need
-                        for s, n in zip(suffixes, k1) if n):
-            break
-        depth += 1
-        below, (parents, suffixes) = runs, block_edges(dom, depth)
-        runs = list(map(step, map(below.__getitem__, parents),
-                        word_level(dom, depth).last))
-        if depth > lowest:
-            l1, k1 = ([t[i] for i in parents] for t in (l1, k1))
+    # the run on the suffix of a word of B_1 is empty: k1 > 0 needs depth 2
+    shifts_back = data.k1.max_value() > 0
+    lowest = max(data.k1.depth, data.l1.depth, 1 + shifts_back)
+    dom, need = h.domain, f.depth - 1
+    k1 = suffixes = ()
+    for depth, runs in enumerate(_runs(h), 1):
+        if depth >= lowest:
+            l1 = coh.lift_table(data.l1, depth)
+            if shifts_back:            # the run on w[1:] is the level below's
+                k1, suffixes = coh.lift_table(data.k1, depth), block_edges(dom, depth)[1]
+            if all(len(out) >= n + need for (_q, out), n in zip(runs, l1) if n) and all(
+                    len(below[s][1]) >= n + need for s, n in zip(suffixes, k1) if n):
+                break
+        below = runs
     values = coh.window_sums(f, ((out, n) for (_q, out), n in zip(runs, l1)))
-    if data.k1.max_value():      # k1 = 0 (conjugacies, split, merge) takes nothing
+    if shifts_back:              # k1 = 0 (conjugacies, split, merge) takes nothing
         losses = coh.window_sums(
             f, ((below[s][1], n) for s, n in zip(suffixes, k1)))
         values = [g - loss for g, loss in zip(values, losses)]
-    return coh.function(h.domain, depth, values, f.ring)
+    return coh.function(dom, depth, values, f.ring)
 
 
 class ConjugacyVerdict(Record):
@@ -553,17 +559,18 @@ def block_conjugacy(p: SftPresentation, k: int) -> BlockConjugacy:
     the i-th output symbol is the (k+1)-block starting at position i."""
     target = higher_block(p, k)
 
-    # states after the buffer hold the last k symbols; each edge u -> v of
-    # the block graph, a (k+1)-block, reads its last symbol and emits itself
-    full_index = {w: i for i, w in enumerate(words(p, k))}
-    base, rules = _buffer(p, k, lambda full: (full_index[full], ()))
+    # states after the buffer hold the last k symbols, by position in B_k;
+    # each edge u -> v of the block graph, a (k+1)-block, reads its last
+    # symbol and emits itself
+    base, rules = _buffer(p, k, lambda c: (c, ()))
     rules.extend((base + u, a, base + v, (e,)) for e, ((u, v, _par), a)
                  in enumerate(zip(target.edges, word_level(p, k + 1).last)))
     forward = make_transducer(p, target, rules, initial=0,
-                              n_states=base + len(full_index))
+                              n_states=base + target.n_vertices)
 
-    back_rules = [(0, s, 0, (block[0],))
-                  for s, block in enumerate(words(p, k + 1))]
+    offsets = word_level(p, k + 1).offsets
+    back_rules = [(0, s, 0, (a,)) for a in range(p.alphabet_size)
+                  for s in range(offsets[a], offsets[a + 1])]
     backward = make_transducer(target, p, back_rules)
 
     return BlockConjugacy(

@@ -21,6 +21,7 @@ from sftlab.randgen import (
     random_function,
     random_irreducible,
 )
+from sftlab.shifts import enumerate_points, shift_point
 
 
 def _identity_minus(m):
@@ -117,6 +118,11 @@ def test_criterion_05_expansion_flow_invariants():
         assert ga.free_rank == gb.free_rank
 
 
+def _at(f, x):
+    """The value of f at the point x."""
+    return f.value_on_word(x.prefix(f.depth))
+
+
 def test_criterion_06_machine_formula_agreement():
     rng = random.Random(606)
     for _ in range(25):
@@ -124,8 +130,17 @@ def test_criterion_06_machine_formula_agreement():
         e = mv.expand(p, rng.randrange(p.n_vertices))
         ft = random_function(rng, e.expanded, max_depth=2)
         f = random_function(rng, p, max_depth=2)
-        assert tr.transfer_psi(e.split, e.split_data, ft) == mv.psi_xi(e, ft)
-        assert tr.transfer_psi(e.merge, e.merge_data, f) == mv.psi_eta(e, f)
+        # the formulas at points: f(split x), plus f(shift(split x)) on the
+        # expanded vertex v; 0 on the new symbol 0 and f(merge x) elsewhere
+        xi = tr.transfer_psi(e.split, e.split_data, ft)
+        for x in enumerate_points(p, 2, 3):
+            y = tr.apply(e.split, x)
+            on_v = x.prefix(1) == (e.vertex,)
+            assert _at(xi, x) == _at(ft, y) + (_at(ft, shift_point(y)) if on_v else 0)
+        eta = tr.transfer_psi(e.merge, e.merge_data, f)
+        for x in enumerate_points(e.expanded, 2, 3):
+            on_new = x.prefix(1) == (0,)
+            assert _at(eta, x) == (0 if on_new else _at(f, tr.apply(e.merge, x)))
         assert tr.verify_orbit_relation(e.split, e.split_data).holds
         assert tr.verify_orbit_relation(e.merge, e.merge_data).holds
         round_trip = tr.compose(e.merge, e.split)

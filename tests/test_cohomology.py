@@ -678,6 +678,14 @@ class TestOrderUnit:
         sums = all_cycle_sums(f)
         assert coh.order_unit_check(f) == all(s > 0 for s in sums)
 
+    def test_longest_simple_cycle_with_sum_one(self, full2):
+        """The boundary of the weights n f - 1, here with n = 2: the loops at
+        0 and 1 weigh 1, and the cycle 0 1, of length n and sum 1, weighs 0.
+        With f(01) = 0 that cycle has sum 0 and weighs -2."""
+        f = coh.function(full2, 2, [1, 1, 0, 1])     # f(00), f(01), f(10), f(11)
+        assert coh.order_unit_check(f)
+        assert not coh.order_unit_check(coh.function(full2, 2, [1, 0, 0, 1]))
+
 
 class TestWellDefinedness:
     @given(seeds)

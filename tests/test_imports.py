@@ -174,3 +174,44 @@ def test_guard_sees_a_foreign_private_name():
     assert foreign_private_names(source) == ["moves._factor_pairs (line 2)",
                                              "cohomology._build (line 5)",
                                              "linalg._pivot (line 5)"]
+
+
+# The machine layer reads B_k by position off the word levels of ``shifts``;
+# these modules take none of its word-table builders.
+_LEVEL_ONLY = ("transducers", "moves")
+_WORD_TABLES = {"words", "word_index"}
+
+
+def names_from_shifts(source: str) -> list[str]:
+    """The names a module of the package takes from ``shifts``, as ``name
+    (line n)``: by a relative ``from .shifts import``, or as attributes read
+    off ``shifts`` bound by ``from . import shifts``."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level]
+    bound = {alias.asname or alias.name for node in imports if node.module is None
+             for alias in node.names if alias.name == "shifts"}
+    found = [(node.lineno, alias.name)
+             for node in imports if node.module == "shifts" for alias in node.names]
+    found += [(node.lineno, node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in bound]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_machine_layer_builds_no_word_tables():
+    found = set()
+    for stem in _LEVEL_ONLY:
+        source = (ROOT / "src" / "sftlab" / f"{stem}.py").read_text()
+        found |= {f"{stem}: {entry}" for entry in names_from_shifts(source)
+                  if entry.split()[0] in _WORD_TABLES}
+    assert found == set()
+
+
+def test_guard_sees_a_word_table_import():
+    source = ("from .shifts import word_level, words\n"
+              "from . import cohomology, shifts as sh\n"
+              "def f(p):\n"
+              "    return sh.word_index(p, 2), cohomology.words\n")
+    assert names_from_shifts(source) == ["word_level (line 1)", "words (line 1)",
+                                         "word_index (line 4)"]

@@ -125,8 +125,9 @@ def test_expansion_transfers(big_fib, tiny_env_cap):
     e = mv.expand(big_fib, 0)
     f = coh.function(big_fib, 2, [1, 2, 3])
     assert mv.psi_xi(e, mv.psi_eta(e, f)) == f
+    # the split spends two steps on the expanded vertex 0 and one elsewhere
     ft = coh.unit(e.expanded)
-    assert tr.transfer_psi(e.split, e.split_data, ft) == mv.psi_xi(e, ft)
+    assert tr.transfer_psi(e.split, e.split_data, ft) == coh.function(big_fib, 1, [2, 1])
 
 
 def test_orbit_maps_and_detectors(big_fib, tiny_env_cap):

@@ -128,15 +128,15 @@ class TestPsiXiEta:
 
     @given(seeds)
     def test_agrees_with_machine_transfer(self, seed):
+        """The transfer along the split and merge machines, with their data,
+        is the transfer along the maps written out on words."""
         rng = random.Random(seed)
         p = random_irreducible(rng, 4)
         e = mv.expand(p, rng.randrange(p.n_vertices))
         f_exp = random_function(rng, e.expanded, max_depth=2)
         f_base = random_function(rng, p, max_depth=2)
-        assert mv.psi_xi(e, f_exp) == \
-            tr.transfer_psi(e.split, e.split_data, f_exp)
-        assert mv.psi_eta(e, f_base) == \
-            tr.transfer_psi(e.merge, e.merge_data, f_base)
+        assert tr.transfer_psi(e.split, e.split_data, f_exp) == _ref_psi_xi(e, f_exp)
+        assert tr.transfer_psi(e.merge, e.merge_data, f_base) == _ref_psi_eta(e, f_base)
 
     @given(seeds)
     def test_machine_streams_match_the_word_maps(self, seed):

@@ -3,6 +3,7 @@ composition, map equivalence, orbit relations, and the transfer of functions
 along them."""
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sftlab.errors import (
     Starvation,
 )
 from sftlab.config import Limits
+from sftlab.graphs import bfs
 from sftlab.moves import expand, psi_eta
 from sftlab.randgen import (
     random_edge_presentation,
@@ -36,6 +38,7 @@ from sftlab.shifts import (
     periodic_point,
     shift_point_by,
     validate,
+    word_index,
     words,
 )
 
@@ -603,6 +606,130 @@ class TestBlockConjugacy:
                 p = validate(rows, kind)
                 build(p, k)
                 assert p._word_indexes == {}
+
+
+# The word-keyed builders that the level-order machines replaced: the buffer
+# states keyed by word tuples, h rerun from the start on each full buffer,
+# and the block conjugacy's states and first symbols read off word tables.
+def _ref_buffer(p, depth, on_full):
+    ids = {w: i for i, w in enumerate(itertools.chain.from_iterable(
+        words(p, length) for length in range(depth)))}
+    rules = []
+    for w, sid in ids.items():
+        for a in p.successors(w[-1]) if w else range(p.alphabet_size):
+            full = w + (a,)
+            if len(full) < depth:
+                rules.append((sid, a, ids[full], ()))
+            else:
+                q2, out = on_full(full)
+                rules.append((sid, a, len(ids) + q2, out))
+    return len(ids), rules
+
+
+def _ref_shifted_image(h, amount, pre_shift):
+    depth = max(amount.depth, pre_shift, 1)
+    amount_at = dict(zip(words(h.domain, depth), coh.lift_table(amount, depth)))
+    run_ids = {}
+
+    def run_state(qh, drops):
+        return run_ids.setdefault((qh, drops), len(run_ids))
+
+    def on_full(full):
+        qh, emitted = tr.run_on_word(h, full[pre_shift:])
+        s = amount_at[full]
+        return run_state(qh, max(s - len(emitted), 0)), emitted[s:]
+
+    base, rules = _ref_buffer(h.domain, depth, on_full)
+
+    def replay(key):
+        qh, drops = key
+        for (q, a), (q2, out) in sorted(h.table.items()):
+            if q == qh:
+                cut = min(drops, len(out))
+                rules.append((base + run_ids[key], a,
+                              base + run_state(q2, drops - cut), out[cut:]))
+                yield a, (q2, drops - cut)
+
+    bfs(list(run_ids), replay)
+    return tr.make_transducer(h.domain, h.codomain, rules,
+                              initial=0, n_states=base + len(run_ids))
+
+
+def _ref_block_conjugacy(p, k):
+    target = higher_block(p, k)
+    full_index = {w: i for i, w in enumerate(words(p, k))}
+    base, rules = _ref_buffer(p, k, lambda full: (full_index[full], ()))
+    rules.extend((base + full_index[block[:-1]], block[-1],
+                  base + full_index[block[1:]], (e,))
+                 for e, block in enumerate(words(p, k + 1)))
+    forward = tr.make_transducer(p, target, rules, initial=0,
+                                 n_states=base + len(full_index))
+    backward = tr.make_transducer(target, p, [(0, s, 0, (block[0],)) for s, block
+                                              in enumerate(words(p, k + 1))])
+    return forward, backward
+
+
+def _machine(t):
+    return t.rules, t.initial, t.n_states
+
+
+def _level_machine_case(rng):
+    """A presentation of either kind, a block length k with |B_k| within the
+    block graph's vertex cap, and a machine on it or on its recoding: a block
+    conjugacy either way, a split, a merge (vertex kind), a composite or the
+    identity."""
+    kind = rng.choice(["forward", "backward", "split", "merge", "compose", "identity"])
+    edge = kind not in ("split", "merge") and rng.random() < 0.5
+    p = random_edge_presentation(rng, 3) if edge else random_irreducible(rng, 3)
+    k = rng.randint(1, 3)
+    while count_words(p, k) > 64:
+        k -= 1
+    bc = tr.block_conjugacy(p, k)
+    if kind in ("forward", "backward"):
+        return p, k, getattr(bc, kind)
+    if kind == "identity":
+        return p, k, tr.identity_transducer(p)
+    if kind == "compose" and edge:
+        return p, k, tr.compose(bc.backward, bc.forward)
+    e = expand(p, rng.randrange(p.n_vertices))
+    return p, k, {"split": e.split, "merge": e.merge,
+                  "compose": tr.compose(e.merge, e.split)}[kind]
+
+
+class TestLevelOrderMachines:
+    @given(seeds)
+    def test_match_the_word_keyed_builders(self, seed):
+        """Amount depths 1-3 and pre-shifts 0-3, cut back together while
+        B_D is over 400 words: the same rules, initial state and state count
+        as the builders keyed by words."""
+        rng = random.Random(seed)
+        p, k, h = _level_machine_case(rng)
+        ref_forward, ref_backward = _ref_block_conjugacy(p, k)
+        bc = tr.block_conjugacy(p, k)
+        assert _machine(bc.forward) == _machine(ref_forward)
+        assert _machine(bc.backward) == _machine(ref_backward)
+
+        depth, pre_shift = rng.randint(1, 3), rng.randint(0, 3)
+        while count_words(h.domain, max(depth, pre_shift)) > 400:
+            depth, pre_shift = max(depth - 1, 1), max(pre_shift - 1, 0)
+        amount = random_function(rng, h.domain, max_depth=depth, low=0, high=2)
+        assert _machine(tr.shifted_image(h, amount, pre_shift)) == \
+            _machine(_ref_shifted_image(h, amount, pre_shift))
+
+        index = word_index(h.domain, depth)
+        assert tr._buffer(h.domain, depth, lambda c: (c % 3, (c,))) == \
+            _ref_buffer(h.domain, depth, lambda w: (index[w] % 3, (index[w],)))
+
+    @pytest.mark.parametrize("pre_shift", [0, 1, 3])
+    def test_shifted_image_builds_no_word_tables(self, pre_shift):
+        """The buffer and h's runs are read off the word levels."""
+        for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
+                           (((1, 2), (1, 0)), "edge")):
+            p = validate(rows, kind)
+            amount = coh.function(p, 2, [i % 3 for i in range(count_words(p, 2))])
+            tr.shifted_image(sigma_machine(p), amount, pre_shift)
+            assert set(p._word_tables) == {0, 1}
+            assert p._word_indexes == {}
 
 
 class TestTransducerText:
