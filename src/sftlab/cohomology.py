@@ -20,16 +20,18 @@ the claim.
 ``window_sums`` is the one kernel for stream transfers, which sum f over
 the first n windows of a word: ``transducers.transfer_psi`` (and through
 it ``moves.psi_xi``/``psi_eta``), ``transducers.verify_orbit_relation``'s
-point values, the n-step cocycle ``partial_sum``, ``orbit_sum``,
-``value_on_word`` and the action phase sums.  ``lift_table``,
-``pullback_sigma``, ``coboundary``, the normalisation and
+point values, ``orbit_sum``, ``value_on_word`` and the action phase sums.
+It ranks windows off the word levels (``shifts.pair_constants``), as
+``indicator`` ranks its word.  ``lift_table``, ``pullback_sigma``,
+``coboundary``, ``partial_sum``, the normalisation and
 ``moves.phi``/``psi`` read no words: they copy slices of tables along the
 first-symbol blocks of the word levels (``shifts.word_level``) or gather
 from them by position.  The values of B_d on one word of B_k (k <= d) are a
 contiguous run, so a lift repeats each value once per extension (one level
 up, each word reads its parent), f(shift .) is one block of f's table per
 pair a, b of consecutive symbols, and a table falls to depth k-1 when every
-word that is not a first child carries its previous sibling's value.
+word that is not a first child carries its previous sibling's value.  Only
+the text format reads word tables (``shifts.words``).
 
 Values are checked once, where they enter: ``function`` puts a caller's
 values in the ring, then hands them to ``_build``, which checks the length,
@@ -60,7 +62,7 @@ from .shifts import (
     Word,
     block_edges,
     content_lines,
-    word_index,
+    pair_constants,
     word_level,
     words,
 )
@@ -201,9 +203,13 @@ def zero(p: SftPresentation) -> LocallyConstantFunction:
 
 def indicator(p: SftPresentation, word: Word) -> LocallyConstantFunction:
     """Indicator of the cylinder set of the given admissible word."""
-    p.check_admissible(tuple(word))
-    k = max(1, len(word))
-    table = [1 if w[: len(word)] == tuple(word) else 0 for w in words(p, k)]
+    word = tuple(word)
+    p.check_admissible(word)
+    if not word:
+        return unit(p)
+    k = len(word)
+    table = [0] * word_level(p, k).offsets[-1]
+    table[_rank(pair_constants(p, k), word)] = 1
     return function(p, k, table, RING_INT)
 
 
@@ -277,40 +283,77 @@ def pullback_sigma(f: LocallyConstantFunction) -> LocallyConstantFunction:
     return _build(p, k + 1, _shifted(f), f.ring)
 
 
+def _rank(consts, word) -> int:
+    """The position of the word in B_k, k = len(consts); KeyError or
+    IndexError when it is short or no word."""
+    r = consts[-1][word[len(consts) - 1]]
+    for c, a, b in zip(consts, word, word[1:]):
+        r += c[a][b]
+    return r
+
+
 def window_sums(f: LocallyConstantFunction, streams) -> list:
     """The stream transfer kernel: for each (stream, n), the sum of f over
-    the first n windows stream[i:i+depth], i < n.  Streams are tuples of
-    symbols; n = 0 gives 0.  A window that is short or inadmissible raises
-    MismatchedInput."""
-    k, table = f.depth, f.table
-    # hashed, not ranked off the levels: ranking was 2-4x slower on a 3-symbol
-    # shift (0.5 vs 0.2 ms at k = 3, 56.5 vs 13.5 ms for 27,162 windows at k = 8)
-    index = word_index(f.presentation, k)
-    sums = []
+    the first n windows stream[i:i+depth], i < n; n = 0 gives 0.  A window
+    that is short or inadmissible raises MismatchedInput.
+
+    No word is built: the last window is ranked by ``_rank``, and each one
+    before it in O(1) from the next, rank_k(a.b.v) = c_k[a][b] +
+    rank_{k-1}(b.v), b.v the next window's parent.  The parents, one int a
+    word of B_k, are built at the first stream of two windows or more."""
+    p, k, table = f.presentation, f.depth, f.table
+    level = word_level(p, k)                    # checks the cap
+    # ranked, not hashed into a word index: on a 4-symbol shift, 5,000
+    # streams of 40 windows at k = 8 took 54 against 98 ms with the index
+    # built, 10 at k = 6 22 against 26 ms, and one at k = 3 6.4 against 5.7 ms
+    # (medians of 21 interleaved runs, 2-core x86_64, Python 3.11)
+    consts = pair_constants(p, k)
+    c_k, parents, sums = consts[0], None, []
     for stream, n in streams:
+        total = 0
         try:
-            sums.append(sum([table[index[stream[i:i + k]]] for i in range(n)]))
-        except KeyError as exc:
-            window = exc.args[0]
-            if len(window) < k:
-                raise MismatchedInput(
-                    f"need at least {k} symbols, got {len(window)}") from None
-            raise MismatchedInput(
-                f"word {f.presentation.word_label(window)} not admissible") from None
+            if n > 0:
+                r = _rank(consts, stream[n - 1:n + k - 1])
+                total = table[r]
+            if n > 1 and k == 1:                # the windows are the symbols
+                total += sum(map(table.__getitem__,
+                                 map(c_k.__getitem__, stream[:n - 1])))
+            elif n > 1:
+                if parents is None:
+                    # 4.0 MiB, against 20.5 as a list, at 524,288 words; and
+                    # an import of 0.5 ms that need not be paid at start-up
+                    from array import array
+                    parents = array("q", accumulate(level.first_child[1:], initial=0))
+                for i in range(n - 2, -1, -1):
+                    r = c_k[stream[i]][stream[i + 1]] + parents[r]
+                    total += table[r]
+        except (KeyError, IndexError):
+            for i in range(n):                  # the first bad window raises
+                window = tuple(stream[i:i + k])
+                if len(window) < k:
+                    raise MismatchedInput(
+                        f"need at least {k} symbols, got {len(window)}") from None
+                if not p.is_admissible(window):
+                    raise MismatchedInput(
+                        f"word {p.any_word_label(window)} not admissible") from None
+            raise
+        sums.append(total)
     return sums
 
 
 def partial_sum(f: LocallyConstantFunction, n: int) -> LocallyConstantFunction:
-    """Sum of f over the first n shift iterates (the n-step cocycle)."""
+    """Sum of f over the first n shift iterates (the n-step cocycle), built
+    on the levels as S_{j+1} = f + S_j(shift .)."""
     if n < 0:
         raise FormatError("partial sums need n >= 0")
     p = f.presentation
-    if f.depth == 1 and len(set(f.table)) == 1:
-        # n times a constant needs no word table beyond B_1, however large n
+    if n == 0 or (f.depth == 1 and len(set(f.table)) == 1):
+        # no steps, or n times a constant: no level beyond B_1, however large n
         return constant(p, n * f.table[0], f.ring)
-    depth = max(f.depth + n - 1, 1)
-    ws = words(p, depth)
-    return function(p, depth, window_sums(f, ((w, n) for w in ws)), f.ring)
+    total = f
+    for _ in range(n - 1):
+        total = add(f, pullback_sigma(total))
+    return total
 
 
 def coboundary(b: LocallyConstantFunction) -> LocallyConstantFunction:
@@ -331,10 +374,7 @@ def orbit_sum(f: LocallyConstantFunction, cycle: Word):
     if not p.is_admissible(cyc) or not p.follow(cyc[-1], cyc[0]):
         raise NotCyclicallyAdmissible(
             f"word {p.word_label(cyc)} is not cyclically admissible")
-    reps = 1
-    while reps * len(cyc) < len(cyc) + f.depth:
-        reps += 1
-    return window_sums(f, [(cyc * reps, len(cyc))])[0]
+    return window_sums(f, [(cyc * (1 + -(-f.depth // len(cyc))), len(cyc))])[0]
 
 
 # ------------------------------------------------------ the potential graph

@@ -30,7 +30,8 @@ from .errors import (
 from .graphs import bfs, path
 from .linalg import freeze, mat_mul
 from .record import Record
-from .shifts import Matrix, SftPresentation, edge_list, validate, word_level
+from .shifts import (Matrix, SftPresentation, edge_list, pair_constants, pair_starts,
+                     validate, word_level)
 from .transducers import OrbitData, Transducer, make_transducer, transfer_psi
 
 
@@ -205,14 +206,6 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
         a_pairs=a_pairs, b_pairs=b_pairs)
 
 
-def _pair_starts(p: SftPresentation, k: int) -> list[int]:
-    """Where the words of B_k (k >= 2) that begin with each pair a, b of B_2
-    start, in B_2's order, with one more entry closing the last block."""
-    counts = word_level(p, k - 1).counts
-    return list(itertools.accumulate(
-        map(counts.__getitem__, word_level(p, 2).last), initial=0))
-
-
 def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
                    target_pairs, source_index) -> coh.LocallyConstantFunction:
     """Shared body of phi and psi.  Its value on x_0 ... x_k in B_{k+1} of the
@@ -220,12 +213,11 @@ def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
     source edge of the pair (second factor edge of x, first factor edge of
     y): the interleaved pairs reassembled one step later.
 
-    No word is built.  Positions are additive along a word: the rank in
-    B_j of s.v is the start of the block of (s, v_0) in B_j, minus the
-    offset of v_0 in B_{j-1}, plus the rank of v in B_{j-1}.  So the ranks
-    of the images of B_{j+1}, over each block x, y, z of it, are the ranks
-    of the images of B_j's block y, z plus one constant, and f's table is
-    read by one gather at the end."""
+    No word is built.  The rank of an image in B_j of the source is a pair
+    constant plus the rank of its tail (``shifts.pair_constants``).  So
+    the ranks of the images of B_{j+1}, over each block x, y, z of it, are
+    the ranks of the images of B_j's block y, z plus c_j[g(x, y)][g(y, z)],
+    and f's table is read by one gather at the end."""
     k, source = f.depth, f.presentation
     word_level(target, k + 1)                   # checks the cap
     # the images of B_2: one source edge each, its own rank in B_1
@@ -233,23 +225,16 @@ def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
                  for x in range(target.alphabet_size)
                  for y in target.successors(x)]
     if k > 1:
-        rank2 = [dict(zip(source.successors(a), itertools.count(lo)))
-                 for a, lo in enumerate(word_level(source, 2).offsets[:-1])]
-        level2 = word_level(target, 2)
-        # per block x, y, z of B_3: the pair y, z and the rank in B_2 of
-        # the image of x y z, whose last symbol is g(y, z)
-        blocks = [(e2, rank2[g[e]][g[e2]], g[e2])
-                  for e, y in enumerate(level2.last)
+        consts, level2 = pair_constants(source, k), word_level(target, 2)
+        blocks = [(e2, g[e], g[e2]) for e, y in enumerate(level2.last)
                   for e2 in range(level2.offsets[y], level2.offsets[y + 1])]
-        ranks = [q for _e2, q, _s1 in blocks]
+        # the images of B_3, per block x, y, z: c_2 plus the rank of g(y, z)
+        ranks = [consts[-2][s0][s1] + s1 for _e2, s0, s1 in blocks]
         for j in range(3, k + 1):
-            starts = _pair_starts(target, j)
-            source_starts = _pair_starts(source, j)
-            source_offsets = word_level(source, j - 1).offsets
+            starts, c = pair_starts(target, j), consts[k - j]
             ranks = list(itertools.chain.from_iterable(
-                map((source_starts[q] - source_offsets[s1]).__add__,
-                    ranks[starts[e2]:starts[e2 + 1]])
-                for e2, q, s1 in blocks))
+                map(c[s0][s1].__add__, ranks[starts[e2]:starts[e2 + 1]])
+                for e2, s0, s1 in blocks))
     # one itemgetter call, as in cohomology._lift (35 against 45 ms for
     # 196,418 words); B_(k+1) has two words or more, so it returns a tuple
     return coh._build(target, k + 1, operator.itemgetter(*ranks)(f.table), f.ring)

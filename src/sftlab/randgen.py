@@ -18,7 +18,7 @@ from .shifts import (
     SftPresentation,
     periodic_point,
     validate,
-    words,
+    word_level,
 )
 
 
@@ -64,7 +64,7 @@ def random_function(rng: random.Random, p: SftPresentation,
                     max_depth: int = 3, low: int = -5,
                     high: int = 5) -> coh.LocallyConstantFunction:
     depth = rng.randint(1, max_depth)
-    table = [rng.randint(low, high) for _ in words(p, depth)]
+    table = [rng.randint(low, high) for _ in range(word_level(p, depth).offsets[-1])]
     return coh.function(p, depth, table, coh.RING_INT)
 
 

@@ -18,18 +18,19 @@ words that start with each symbol, the per-symbol counts, the last symbol
 of each word and the first-child mask.  B_{k+1} is the concatenation, over
 a and then over b in succ(a), of a followed by B_k's block of b, so every
 array of level k+1 is built from level k by slice concatenation.  Tables of
-locally constant functions (``cohomology``) and the graph on B_{k-1} with
-edges B_k (``block_edges``) are read through the levels.  Word tables B_k
-are kept for the callers that need the words themselves, and the
-word-to-position index for ``cohomology.window_sums`` alone.
+locally constant functions (``cohomology``), the position of a word in B_k
+(``pair_constants``) and the graph on B_{k-1} with edges B_k
+(``block_edges``) are read through the levels.  Word tables B_k are kept
+for the callers that need the words themselves: text, the labels of
+``higher_block`` and the points of ``enumerate_points``.  No table maps
+words to positions.
 
-Levels, word tables and indexes are cached on the presentation itself, in
-dicts keyed by k that ``word_level``, ``words`` and ``word_index`` fill on
-demand.  They live exactly as long as their presentation; equal
-presentations built separately each hold their own.  A missing level is
-built, together with every level below it, from the longest shorter level
-already cached; a missing word table is built from the longest shorter
-word table.
+Levels and word tables are cached on the presentation itself, in dicts
+keyed by k that ``word_level`` and ``words`` fill on demand.  They live
+exactly as long as their presentation; equal presentations built
+separately each hold their own.  A missing level is built, together with
+every level below it, from the longest shorter level already cached; a
+missing word table is built from the longest shorter word table.
 
 The word cap is checked on every request, cached or not, and before
 anything is built: the size of a missing level is stepped up from the
@@ -140,11 +141,6 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
         return {0: ((),), 1: tuple((s,) for s in range(self.alphabet_size))}
 
     @functools.cached_property
-    def _word_indexes(self) -> dict[int, dict[Word, int]]:
-        """Position of each word in its B_k table, filled by ``word_index``."""
-        return {}
-
-    @functools.cached_property
     def _label_index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.symbols)}
 
@@ -163,7 +159,7 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
 
     def check_admissible(self, word: Word) -> None:
         if not self.is_admissible(word):
-            raise Inadmissible(f"word {self.word_label(word)} is not admissible")
+            raise Inadmissible(f"word {self.any_word_label(word)} is not admissible")
 
     def symbol_matrix(self) -> Matrix:
         """0-1 transition matrix over symbols (equals adjacency for vertex kind)."""
@@ -177,6 +173,11 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
         if all(len(lab) == 1 for lab in self.symbols):
             return "".join(labels)
         return ".".join(labels)
+
+    def any_word_label(self, word: Word) -> str:
+        """``word_label``, or the symbol indices when one is out of range."""
+        in_range = all(0 <= s < self.alphabet_size for s in word)
+        return self.word_label(word) if in_range else str(tuple(word))
 
     def parse_word(self, token: str) -> Word:
         """Parse a word token: one label, dot-separated labels, or, when every
@@ -401,15 +402,6 @@ def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
     return table
 
 
-def word_index(p: SftPresentation, k: int) -> dict[Word, int]:
-    """Position of each word of B_k in ``words(p, k)``; shared, do not mutate."""
-    table = words(p, k)      # envelope check
-    index = p._word_indexes.get(k)
-    if index is None:
-        index = p._word_indexes[k] = {w: i for i, w in enumerate(table)}
-    return index
-
-
 def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:
     """The graph on B_{d-1} (d >= 2) whose edge w of B_d runs from w[:-1]
     to w[1:], as the positions in B_{d-1} of the sources and the targets, in
@@ -420,6 +412,27 @@ def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:
     targets = list(chain.from_iterable(range(offsets[b], offsets[b + 1])
                                        for b in word_level(p, 2).last))
     return sources, targets
+
+
+def pair_starts(p: SftPresentation, k: int) -> list[int]:
+    """Where the words of B_k (k >= 2) that begin with each pair a, b of B_2
+    start, in B_2's order, with one more entry closing the last block."""
+    counts = word_level(p, k - 1).counts
+    return list(accumulate(map(counts.__getitem__, word_level(p, 2).last), initial=0))
+
+
+def pair_constants(p: SftPresentation, k: int) -> list[dict]:
+    """[c_k, ..., c_2, c_1] for ranking B_k off the levels: rank_1(a) =
+    c_1[a] = a and rank_j(a.b.v) = c_j[a][b] + rank_{j-1}(b.v), where
+    c_j[a][b] is the start of the block of a.b in B_j less the offset of b
+    in B_{j-1}.  Keyed by symbols, row a by the successors of a, so a symbol
+    out of range or a pair that is no word raises KeyError."""
+    consts = [{a: a for a in range(p.alphabet_size)}]
+    for j in range(2, k + 1):
+        starts, offsets = iter(pair_starts(p, j)), word_level(p, j - 1).offsets
+        consts.insert(0, {a: {b: next(starts) - offsets[b] for b in row}  # B_2's order
+                          for a, row in enumerate(p._successors)})
+    return consts
 
 
 # ------------------------------------------------------- eventually periodic

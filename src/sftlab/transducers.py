@@ -451,7 +451,7 @@ def verify_orbit_relation(h: Transducer, data: OrbitData) -> OrbitRelationResult
         raise InsufficientLookahead(
             f"delay bound {verdict.delay_bound} too small for the machine check")
     points = enumerate_points(h.domain, POINT_CHECK_PREPERIOD, POINT_CHECK_PERIOD)
-    # one kernel call per side: a word-table lookup per point would dominate
+    # one kernel call per side, not one per point
     k1, l1 = (coh.window_sums(f, ((x.prefix(f.depth), 1) for x in points))
               for f in (data.k1, data.l1))
     for x, kv, lv in zip(points, k1, l1):

@@ -22,6 +22,18 @@ FULL2 = ((1, 1), (1, 1))
 FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
 
 
+# The caches a presentation fills on demand.  None maps a word to its
+# position: B_k is ranked off the word levels.
+PRESENTATION_CACHES = frozenset({"_successors", "_successor_sets", "_word_levels",
+                                 "_word_tables", "_label_index"})
+
+
+@pytest.fixture(scope="session")
+def stray_caches():
+    """p -> the caches filled on p beyond ``PRESENTATION_CACHES``."""
+    return lambda p: set(vars(p)) - set(p._fields) - PRESENTATION_CACHES
+
+
 @pytest.fixture(scope="session")
 def fib():
     return validate(FIB, "vertex")

@@ -19,9 +19,12 @@ from hypothesis import strategies as st
 
 import sftlab
 import sftlab.cohomology as coh
+from sftlab.config import Limits
 from sftlab.errors import (
     ContradictionDetected,
+    EnvelopeExceeded,
     FormatError,
+    Inadmissible,
     MismatchedInput,
     NotCyclicallyAdmissible,
     PresentationMismatch,
@@ -33,7 +36,7 @@ from sftlab.randgen import (
     random_irreducible,
     random_point,
 )
-from sftlab.shifts import count_words, validate, word_index, words
+from sftlab.shifts import count_words, validate, words
 
 seeds = st.integers(0, 10**6)
 
@@ -126,6 +129,22 @@ class TestPullbackAndSums:
         # words 11, 12, 21: value tracks the second symbol
         assert g.table == (1, 0, 1)
 
+    @given(seeds)
+    def test_indicator_matches_brute_force(self, seed):
+        """[u] at depth len(u) is 1 exactly on the words that start with u;
+        the empty word gives the unit."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        u = random_point(rng, p).prefix(rng.randint(0, 5))
+        f = coh.indicator(p, u)
+        k = max(len(u), 1)
+        assert coh.lift_table(f, k) == tuple(int(w[:len(u)] == u) for w in words(p, k))
+
+    @pytest.mark.parametrize("u", [(1, 1), (0, 2), (-1,), (0, -1)])
+    def test_indicator_of_no_word_raises(self, fib, u):
+        with pytest.raises(Inadmissible):
+            coh.indicator(fib, u)
+
     def test_pullback_twice(self, fib):
         rng = random.Random(3)
         f = random_function(rng, fib, max_depth=2)
@@ -202,12 +221,17 @@ def _partial_sum_by_pullbacks(f, n):
     return acc
 
 
-# Reference bodies over words, by tuple slicing and word_index lookups; the
-# library reads the first-symbol blocks of the word levels instead.
+# Reference bodies over words, by tuple slicing and lookups in a word-keyed
+# dict; the library reads the first-symbol blocks of the word levels instead.
+
+def _index(p, k):
+    """The position of each word of B_k in ``words(p, k)``."""
+    return {w: i for i, w in enumerate(words(p, k))}
+
 
 def _ref_normalize(p, depth, table):
     while depth > 1:
-        sidx = word_index(p, depth - 1)
+        sidx = _index(p, depth - 1)
         shorter = [None] * len(sidx)
         for w, v in zip(words(p, depth), table):
             i = sidx[w[:-1]]
@@ -220,12 +244,12 @@ def _ref_normalize(p, depth, table):
 
 
 def _ref_lift(f, depth):
-    idx = word_index(f.presentation, f.depth)
+    idx = _index(f.presentation, f.depth)
     return tuple(f.table[idx[w[:f.depth]]] for w in words(f.presentation, depth))
 
 
 def _ref_pullback(f):
-    idx = word_index(f.presentation, f.depth)
+    idx = _index(f.presentation, f.depth)
     return tuple(f.table[idx[w[1:]]] for w in words(f.presentation, f.depth + 1))
 
 
@@ -241,7 +265,7 @@ def _level_case(seed, ring):
         depth -= 1
     shallow = rng.randint(1, depth)
     base = [rng.randint(-3, 3) for _ in words(p, shallow)]
-    idx = word_index(p, shallow)
+    idx = _index(p, shallow)
     table = [base[idx[w[:shallow]]] for w in words(p, depth)]
     if rng.randrange(3) == 0:
         table[rng.randrange(len(table))] += 1
@@ -363,7 +387,7 @@ class TestNormalize:
 
     @staticmethod
     def _lifted(p, depth, table, to):
-        idx = word_index(p, depth)
+        idx = _index(p, depth)
         return [table[idx[w[:depth]]] for w in words(p, to)]
 
     def test_depth_one_lifted_to_five_comes_back(self, fib, full3):
@@ -450,6 +474,84 @@ class TestWindowSums:
         with pytest.raises(MismatchedInput, match="need at least 2"):
             coh.window_sums(f, [((0, 1), 2)])
 
+    @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]))
+    def test_rolled_windows_match_brute_force(self, seed, ring):
+        """Long streams, so that most windows are rolled from the next one,
+        on vertex- and edge-kind shifts, depths 1-5."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        depth = rng.randint(1, 5)
+        while depth > 1 and count_words(p, depth) > 2000:
+            depth -= 1
+        table = [rng.randint(-5, 5) for _ in range(count_words(p, depth))]
+        f = _as_ring(coh.function(p, depth, table), ring)
+        value = dict(zip(words(p, f.depth), f.table))
+        rows = []
+        for _ in range(rng.randint(1, 8)):
+            n = rng.randint(0, 12)
+            length = n + f.depth - 1 + rng.randint(0, 2)
+            rows.append((random_point(rng, p).prefix(length), n))
+        want = [sum(value[s[i:i + f.depth]] for i in range(n)) for s, n in rows]
+        assert coh.window_sums(f, rows) == want
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("symbol", [-1, 2], ids=["minus-one", "alphabet-size"])
+    @pytest.mark.parametrize("at", [0, 3], ids=["last-window", "rolled-window"])
+    def test_symbol_out_of_range(self, fib, depth, symbol, at):
+        """A symbol outside 0..m-1 is no word, whether the window holding it
+        is ranked by its pairs or rolled; -1 is not read as the last row."""
+        f = coh.function(fib, depth, range(count_words(fib, depth)))
+        stream = [0] * (4 + depth - 1)
+        stream[at] = symbol
+        with pytest.raises(MismatchedInput, match=r"word \(.*\) not admissible"):
+            coh.window_sums(f, [(tuple(stream), 4)])
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_unread_symbols_are_not_checked(self, fib, depth):
+        """Only the first n windows are read: a bad symbol after them, and
+        consecutive symbols that are no word for depth 1, raise nothing."""
+        f = coh.function(fib, depth, range(count_words(fib, depth)))
+        assert coh.window_sums(f, [((0,) * (depth + 1) + (-1, 7), 2)]) == [0]
+        g = coh.function(fib, 1, [3, 4])
+        assert coh.window_sums(g, [((1, 1, 0), 3)]) == [11]
+
+    def test_first_bad_window_raises(self, full3):
+        """Windows are checked in order: an inadmissible window before a
+        short one raises first, and a short one before a bad symbol beyond
+        the stream's end."""
+        fib_like = validate(((1, 1, 0), (1, 0, 1), (1, 1, 1)))
+        f = coh.function(fib_like, 2, range(count_words(fib_like, 2)))
+        with pytest.raises(MismatchedInput, match="word 22 not admissible"):
+            coh.window_sums(f, [((0, 1, 1), 5)])
+        with pytest.raises(MismatchedInput, match="need at least 2 symbols, got 1"):
+            coh.window_sums(f, [((0, 1, 2), 3)])
+        with pytest.raises(MismatchedInput, match="need at least 3 symbols, got 2"):
+            coh.window_sums(coh.function(full3, 3, range(27)), [((0, 1), 1)])
+
+    def test_single_window_checks_the_word_cap(self, full3, monkeypatch):
+        """One window builds no per-word array, but the cap at f's depth
+        still holds, at depth 1 too."""
+        for depth in (1, 2):
+            f = coh.function(validate(full3.adjacency), depth,
+                             range(count_words(full3, depth)))
+            monkeypatch.setitem(vars(f.presentation), "limits",
+                                Limits(max_words=count_words(full3, depth) - 1))
+            with pytest.raises(EnvelopeExceeded):
+                f.value_on_word((0,) * depth)
+
+    def test_value_on_word_builds_no_word_table(self, stray_caches):
+        """A depth-16 function over a fresh presentation: one window ranked
+        off the levels leaves the seeded word tables and no other cache."""
+        p = validate(((1, 1), (1, 0)))
+        rng = random.Random(16)
+        f = coh.function(p, 16, [rng.randint(-9, 9) for _ in range(count_words(p, 16))])
+        assert f.depth == 16
+        w = (0, 1) * 8
+        rank = words(validate(p.adjacency), 16).index(w)       # another presentation
+        assert f.value_on_word(w + (0,)) == f.table[rank]
+        assert set(p._word_tables) == {0, 1}
+        assert stray_caches(p) == set()
+
     @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]),
            st.integers(0, 4))
     def test_partial_sum_matches_pullback_loop(self, seed, ring, n):
@@ -461,6 +563,30 @@ class TestWindowSums:
     def test_partial_sum_of_constant_stays_shallow(self, full2):
         # B_40 of the full 2-shift is far over the word cap
         assert coh.partial_sum(coh.unit(full2), 40) == coh.constant(full2, 40)
+
+    @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]),
+           st.integers(0, 5))
+    def test_partial_sum_matches_window_sums(self, seed, ring, n):
+        """S_n on each word w of its depth is the sum of f over the first n
+        windows of w, read off a word-keyed dict; constant f included."""
+        rng = random.Random(seed)
+        p = random_edge_presentation(rng, 3) if seed % 2 else random_irreducible(rng, 4)
+        f = random_function(rng, p, max_depth=2)
+        if seed % 5 == 0:
+            f = coh.constant(p, rng.randint(-3, 3))
+        f = _as_ring(f, ring)
+        s = coh.partial_sum(f, n)
+        assert s.ring == f.ring
+        depth = max(f.depth + n - 1, s.depth)
+        value = dict(zip(words(p, f.depth), f.table))
+        want = [sum(value[w[i:i + f.depth]] for i in range(n)) for w in words(p, depth)]
+        assert coh.lift_table(s, depth) == tuple(want)
+        assert coh.partial_sum(f, n) == coh.function(p, depth, want, f.ring)
+
+    def test_partial_sum_zero_steps_is_zero_in_the_ring(self, fib):
+        f = coh.scale(coh.function(fib, 2, [1, 2, 3]), Fraction(1, 3))
+        assert coh.partial_sum(f, 0) == coh.constant(fib, 0, coh.RING_RAT)
+        assert {type(v) for v in coh.partial_sum(f, 0).table} == {Fraction}
 
 
 class TestClassIsZero:
@@ -513,10 +639,10 @@ class TestClassIsZero:
     lambda f, cob: coh.class_is_nonnegative(f).nonnegative,
     lambda f, cob: coh.order_unit_check(f),
 ], ids=["class_is_zero", "class_is_nonnegative", "order_unit_check"])
-def test_decisions_build_no_word_tables(decide):
+def test_decisions_build_no_word_tables(decide, stray_caches):
     """The decisions read the potential graph off the word levels: a yes
-    leaves no word table beyond the seeded B_0, B_1 and no word index.  (A
-    no re-checks its cycle with orbit_sum, which indexes f's own depth.)"""
+    leaves no word table beyond the seeded B_0, B_1 and no cache beyond the
+    presentation's own."""
     for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
                        (((1, 2), (1, 0)), "edge")):
         for depth in (1, 3):
@@ -525,7 +651,25 @@ def test_decisions_build_no_word_tables(decide):
             cob = coh.coboundary(b)
             assert decide(coh.add(coh.unit(p), cob), cob)
             assert set(p._word_tables) == {0, 1}
-            assert p._word_indexes == {}
+            assert stray_caches(p) == set()
+
+
+@pytest.mark.parametrize("decide", [
+    lambda g: coh.class_is_zero(g).is_coboundary,
+    lambda g: coh.class_is_nonnegative(coh.negate(g)).nonnegative,
+], ids=["class_is_zero", "class_is_nonnegative"])
+def test_refusals_build_no_word_tables(decide, stray_caches):
+    """A no re-checks its cycle with orbit_sum, whose windows are ranked
+    off the word levels too: no word table, no cache beyond the
+    presentation's own."""
+    for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
+                       (((1, 2), (1, 0)), "edge")):
+        for depth in (1, 3):
+            p = validate(rows, kind)
+            b = coh.function(p, depth, range(count_words(p, depth)))
+            assert not decide(coh.add(coh.unit(p), coh.coboundary(b)))
+            assert set(p._word_tables) == {0, 1}
+            assert stray_caches(p) == set()
 
 
 _OFF_BY_ONE = (

@@ -179,7 +179,11 @@ def test_guard_sees_a_foreign_private_name():
 # The machine layer reads B_k by position off the word levels of ``shifts``;
 # these modules take none of its word-table builders.
 _LEVEL_ONLY = ("transducers", "moves")
-_WORD_TABLES = {"words", "word_index"}
+_WORD_TABLES = {"words"}
+# The function layer does too, but for its text boundary: the file format
+# lists each word of B_k.
+_FUNCTION_LAYER = ("cohomology", "actions")
+_TEXT_BOUNDARY = {"parse_function_text", "format_function_text"}
 
 
 def names_from_shifts(source: str) -> list[str]:
@@ -199,12 +203,49 @@ def names_from_shifts(source: str) -> list[str]:
     return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
+def word_table_uses(source: str) -> list[str]:
+    """The reads of a word-table builder of ``shifts`` in the functions and
+    methods of a module, as ``function: name (line n)``, nested functions
+    and lambdas counted under the outermost: a name taken by a relative
+    ``from .shifts import``, or an attribute read off ``shifts`` bound by
+    ``from . import shifts``."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level]
+    taken = {alias.asname or alias.name: alias.name for node in imports
+             if node.module == "shifts" for alias in node.names}
+    bound = {alias.asname or alias.name for node in imports if node.module is None
+             for alias in node.names if alias.name == "shifts"}
+    functions = [node for top in tree.body
+                 for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+                 if isinstance(node, FUNCTIONS)]
+    found = []
+    for fn in functions:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id in taken:
+                name = taken[node.id]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in bound):
+                name = node.attr
+            else:
+                continue
+            if name in _WORD_TABLES:
+                found.append((node.lineno, f"{fn.name}: {name} (line {node.lineno})"))
+    return [entry for _line, entry in sorted(found)]
+
+
 def test_machine_layer_builds_no_word_tables():
+    """transducers and moves take no word-table builder; the compute
+    functions of cohomology and actions call none."""
     found = set()
     for stem in _LEVEL_ONLY:
         source = (ROOT / "src" / "sftlab" / f"{stem}.py").read_text()
         found |= {f"{stem}: {entry}" for entry in names_from_shifts(source)
                   if entry.split()[0] in _WORD_TABLES}
+    for stem in _FUNCTION_LAYER:
+        source = (ROOT / "src" / "sftlab" / f"{stem}.py").read_text()
+        found |= {f"{stem}.{use}" for use in word_table_uses(source)
+                  if use.split(":")[0] not in _TEXT_BOUNDARY}
     assert found == set()
 
 
@@ -212,6 +253,18 @@ def test_guard_sees_a_word_table_import():
     source = ("from .shifts import word_level, words\n"
               "from . import cohomology, shifts as sh\n"
               "def f(p):\n"
-              "    return sh.word_index(p, 2), cohomology.words\n")
+              "    return sh.block_edges(p, 2), cohomology.words\n")
     assert names_from_shifts(source) == ["word_level (line 1)", "words (line 1)",
-                                         "word_index (line 4)"]
+                                         "block_edges (line 4)"]
+
+
+def test_guard_sees_a_word_table_use():
+    source = ("from .shifts import word_level, words as table\n"
+              "from . import shifts as sh\n"
+              "def f(p):\n"
+              "    return word_level(p, 2), other.words(p, 1)\n"
+              "class C:\n"
+              "    def g(self, p):\n"
+              "        return [lambda: table(p, 3)], sh.words(p, 1)\n"
+              "outside = table\n")
+    assert word_table_uses(source) == ["g: words (line 7)", "g: words (line 7)"]

@@ -197,7 +197,6 @@ CONSTRUCTORS = {
 # reads the caps of the presentations it is given.  qualified name -> call(ctx)
 CASES = {
     "shifts.words": lambda c: sh.words(c.fib, 2),
-    "shifts.word_index": lambda c: sh.word_index(c.fib, 2),
     "shifts.enumerate_points": lambda c: sh.enumerate_points(c.fib, 0, 2),
     "shifts.higher_block": lambda c: sh.higher_block(c.fib, 1),
     "shifts.block_edges": lambda c: sh.block_edges(c.fib, 2),

@@ -38,7 +38,6 @@ from sftlab.shifts import (
     periodic_point,
     shift_point_by,
     validate,
-    word_index,
     words,
 )
 
@@ -598,14 +597,14 @@ class TestBlockConjugacy:
 
     @pytest.mark.parametrize("build", [higher_block, tr.block_conjugacy],
                              ids=["higher_block", "block_conjugacy"])
-    def test_recodings_build_no_word_index(self, build):
+    def test_recodings_build_no_word_index(self, build, stray_caches):
         """The block graph is read off the word levels."""
         for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
                            (((1, 2), (1, 0)), "edge")):
             for k in (1, 3):
                 p = validate(rows, kind)
                 build(p, k)
-                assert p._word_indexes == {}
+                assert stray_caches(p) == set()
 
 
 # The word-keyed builders that the level-order machines replaced: the buffer
@@ -716,12 +715,12 @@ class TestLevelOrderMachines:
         assert _machine(tr.shifted_image(h, amount, pre_shift)) == \
             _machine(_ref_shifted_image(h, amount, pre_shift))
 
-        index = word_index(h.domain, depth)
+        index = {w: i for i, w in enumerate(words(h.domain, depth))}
         assert tr._buffer(h.domain, depth, lambda c: (c % 3, (c,))) == \
             _ref_buffer(h.domain, depth, lambda w: (index[w] % 3, (index[w],)))
 
     @pytest.mark.parametrize("pre_shift", [0, 1, 3])
-    def test_shifted_image_builds_no_word_tables(self, pre_shift):
+    def test_shifted_image_builds_no_word_tables(self, pre_shift, stray_caches):
         """The buffer and h's runs are read off the word levels."""
         for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
                            (((1, 2), (1, 0)), "edge")):
@@ -729,7 +728,7 @@ class TestLevelOrderMachines:
             amount = coh.function(p, 2, [i % 3 for i in range(count_words(p, 2))])
             tr.shifted_image(sigma_machine(p), amount, pre_shift)
             assert set(p._word_tables) == {0, 1}
-            assert p._word_indexes == {}
+            assert stray_caches(p) == set()
 
 
 class TestTransducerText:
