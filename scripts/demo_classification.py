@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 
 from sftlab import classify, moves
+from sftlab.errors import require
 from sftlab.shifts import validate
 
 FAMILY = (
@@ -56,7 +57,7 @@ def main() -> None:
             continue
         e = moves.expand(p)
         flow = classify.flow_equivalent(p, e.expanded)
-        assert flow.verdict
+        require(flow.verdict, f"{name}: expansion moved the flow invariants")
         print(f"  {name}: {p.n_vertices} -> {e.expanded.n_vertices} vertices,"
               f" still {flow.a.bf_group.describe()} /"
               f" sign {flow.a.det_sign}")

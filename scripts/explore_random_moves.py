@@ -14,6 +14,7 @@ import random
 from sftlab import cohomology as coh
 from sftlab import moves
 from sftlab import transducers as tr
+from sftlab.errors import require
 from sftlab.randgen import random_elementary, random_function, random_irreducible
 
 
@@ -21,8 +22,10 @@ def check_elementary(rng) -> None:
     ee = random_elementary(rng, outer_max=3, inner_max=2, entry_max=2)
     f = random_function(rng, ee.a, max_depth=2, low=-3, high=3)
     g = random_function(rng, ee.b, max_depth=2, low=-3, high=3)
-    assert moves.psi(ee, moves.phi(ee, f)) == coh.pullback_sigma(f)
-    assert moves.phi(ee, moves.psi(ee, g)) == coh.pullback_sigma(g)
+    require(moves.psi(ee, moves.phi(ee, f)) == coh.pullback_sigma(f),
+            "psi(phi(f)) is not f(shift .)")
+    require(moves.phi(ee, moves.psi(ee, g)) == coh.pullback_sigma(g),
+            "phi(psi(g)) is not g(shift .)")
 
 
 def check_expansion(rng) -> None:
@@ -30,11 +33,13 @@ def check_expansion(rng) -> None:
     e = moves.expand(p, rng.randrange(p.n_vertices))
     f = random_function(rng, p, max_depth=2)
     ft = random_function(rng, e.expanded, max_depth=2)
-    assert moves.psi_xi(e, moves.psi_eta(e, f)) == f
+    require(moves.psi_xi(e, moves.psi_eta(e, f)) == f, "psi_xi(psi_eta(f)) is not f")
     f0 = coh.multiply(ft, coh.indicator(e.expanded, (0,)))
-    assert coh.subtract(moves.psi_eta(e, moves.psi_xi(e, ft)), ft) == \
-        coh.subtract(coh.pullback_sigma(f0), f0)
-    assert tr.verify_orbit_relation(e.split, e.split_data).holds
+    require(coh.subtract(moves.psi_eta(e, moves.psi_xi(e, ft)), ft) ==
+            coh.subtract(coh.pullback_sigma(f0), f0),
+            "psi_eta(psi_xi(f)) - f is not f0(shift .) - f0")
+    require(tr.verify_orbit_relation(e.split, e.split_data).holds,
+            "the split map fails its orbit relation")
 
 
 def search_small_pairs(rng, count) -> tuple[int, int]:

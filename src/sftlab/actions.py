@@ -59,17 +59,14 @@ def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:
     """Unitary equivalence of the two actions: are the classifiers
     cohomologous?  The witness potential generates the intertwining
     one-parameter unitary family; it is oriented so that its coboundary is
-    the second classifier minus the first."""
+    the second classifier minus the first, and a no's ``cycle_sum`` is the
+    orbit sum of that difference."""
     return coh.class_equal(b.classifier, a.classifier)
 
 
 def class_nonnegative(a: CircleAction) -> coh.PositivityResult:
     """Order relation against the trivial action."""
     return coh.class_is_nonnegative(a.classifier)
-
-
-def is_order_unit(a: CircleAction) -> bool:
-    return coh.order_unit_check(a.classifier)
 
 
 class PhaseExponent(Record):

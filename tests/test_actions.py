@@ -113,12 +113,12 @@ class TestOrder:
         for p in (fib, full2, full3):
             g = act.gauge_action(p)
             assert act.class_nonnegative(g)
-            assert act.is_order_unit(g)
+            assert coh.order_unit_check(g.classifier)
             assert not act.class_nonnegative(act.inverse(g))
 
     def test_trivial_action_nonnegative(self, fib):
         assert act.class_nonnegative(act.trivial_action(fib))
-        assert not act.is_order_unit(act.trivial_action(fib))
+        assert not coh.order_unit_check(act.trivial_action(fib).classifier)
 
 
 class TestPhase:

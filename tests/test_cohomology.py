@@ -539,17 +539,16 @@ class TestWindowSums:
             with pytest.raises(EnvelopeExceeded):
                 f.value_on_word((0,) * depth)
 
-    def test_value_on_word_builds_no_word_table(self, stray_caches):
+    def test_value_on_word_builds_no_word_table(self, stray_caches, no_word_tables):
         """A depth-16 function over a fresh presentation: one window ranked
-        off the levels leaves the seeded word tables and no other cache."""
+        off the levels asks for no word table and leaves no other cache."""
         p = validate(((1, 1), (1, 0)))
         rng = random.Random(16)
         f = coh.function(p, 16, [rng.randint(-9, 9) for _ in range(count_words(p, 16))])
         assert f.depth == 16
         w = (0, 1) * 8
-        rank = words(validate(p.adjacency), 16).index(w)       # another presentation
+        rank = words(validate(p.adjacency), 16).index(w)       # the test's own binding
         assert f.value_on_word(w + (0,)) == f.table[rank]
-        assert set(p._word_tables) == {0, 1}
         assert stray_caches(p) == set()
 
     @given(seeds, st.sampled_from([coh.RING_INT, coh.RING_RAT]),
@@ -639,10 +638,10 @@ class TestClassIsZero:
     lambda f, cob: coh.class_is_nonnegative(f).nonnegative,
     lambda f, cob: coh.order_unit_check(f),
 ], ids=["class_is_zero", "class_is_nonnegative", "order_unit_check"])
-def test_decisions_build_no_word_tables(decide, stray_caches):
+def test_decisions_build_no_word_tables(decide, stray_caches, no_word_tables):
     """The decisions read the potential graph off the word levels: a yes
-    leaves no word table beyond the seeded B_0, B_1 and no cache beyond the
-    presentation's own."""
+    asks for no word table and leaves no cache beyond the presentation's
+    own."""
     for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
                        (((1, 2), (1, 0)), "edge")):
         for depth in (1, 3):
@@ -650,7 +649,6 @@ def test_decisions_build_no_word_tables(decide, stray_caches):
             b = coh.function(p, depth, range(count_words(p, depth)))
             cob = coh.coboundary(b)
             assert decide(coh.add(coh.unit(p), cob), cob)
-            assert set(p._word_tables) == {0, 1}
             assert stray_caches(p) == set()
 
 
@@ -658,7 +656,7 @@ def test_decisions_build_no_word_tables(decide, stray_caches):
     lambda g: coh.class_is_zero(g).is_coboundary,
     lambda g: coh.class_is_nonnegative(coh.negate(g)).nonnegative,
 ], ids=["class_is_zero", "class_is_nonnegative"])
-def test_refusals_build_no_word_tables(decide, stray_caches):
+def test_refusals_build_no_word_tables(decide, stray_caches, no_word_tables):
     """A no re-checks its cycle with orbit_sum, whose windows are ranked
     off the word levels too: no word table, no cache beyond the
     presentation's own."""
@@ -668,7 +666,6 @@ def test_refusals_build_no_word_tables(decide, stray_caches):
             p = validate(rows, kind)
             b = coh.function(p, depth, range(count_words(p, depth)))
             assert not decide(coh.add(coh.unit(p), coh.coboundary(b)))
-            assert set(p._word_tables) == {0, 1}
             assert stray_caches(p) == set()
 
 
@@ -800,6 +797,32 @@ class TestClassIsNonnegative:
         f = random_function(rng, p, max_depth=2, low=-2, high=2)
         assert coh.class_is_nonnegative(f).nonnegative == \
             coh.class_is_nonnegative(coh.pullback_sigma(f)).nonnegative
+
+
+@pytest.mark.parametrize("decide, ring", [
+    (coh.class_is_zero, coh.RING_INT),
+    (coh.class_is_zero, coh.RING_RAT),
+    (coh.class_is_nonnegative, coh.RING_INT),
+], ids=["class_is_zero-Z", "class_is_zero-Q", "class_is_nonnegative-Z"])
+@given(seeds)
+def test_a_no_carries_its_orbit_sum(decide, ring, seed):
+    """Every no carries orbit_sum(f, cycle) as its cycle_sum, every yes None.
+    A coboundary less 1, itself and plus 1 give each decision both answers."""
+    rng = random.Random(seed)
+    p = random_irreducible(rng, 4)
+    cob = coh.coboundary(random_function(rng, p, max_depth=2, low=-2, high=2))
+    fs = [coh.add(cob, coh.constant(p, c)) for c in (-1, 0, 1)]
+    fs.append(random_function(rng, p, max_depth=2, low=-2, high=2))
+    answers = set()
+    for f in map(_as_ring, fs, [ring] * len(fs)):
+        res = decide(f)
+        answers.add(bool(res))
+        if res:
+            assert res.cycle_sum is None
+        else:
+            want = coh.orbit_sum(f, res.cycle)
+            assert res.cycle_sum == want and type(res.cycle_sum) is type(want)
+    assert answers == {True, False}
 
 
 class TestOrderUnit:

@@ -231,7 +231,6 @@ CASES = {
     "actions.compose": lambda c: act.compose(c.a, c.a),
     "actions.equivalent": lambda c: act.equivalent(c.a, c.a),
     "actions.class_nonnegative": lambda c: act.class_nonnegative(c.a),
-    "actions.is_order_unit": lambda c: act.is_order_unit(c.a),
     "actions.phase_on_word": lambda c: act.phase_on_word(c.a, (0, 1)),
     "actions.evaluate_phase":
         lambda c: act.evaluate_phase(c.a, (0, 1), Fraction(1, 7), c.x),

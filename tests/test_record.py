@@ -151,4 +151,5 @@ def test_repr_is_the_field_list():
     result = coh.class_is_zero(coh.coboundary(coh.function(p, 1, [2, 5], "Z")))
     assert repr(result) == (
         "CoboundaryResult(is_coboundary=True, potential=LocallyConstantFunction("
-        f"presentation={fib}, depth=1, table=(0, 3), ring='Z'), cycle=None)")
+        f"presentation={fib}, depth=1, table=(0, 3), ring='Z'), cycle=None, "
+        "cycle_sum=None)")

@@ -1,6 +1,8 @@
-"""The example scripts run to completion against the current library."""
+"""The example scripts run to completion against the current library, and
+check what they claim in code that ``python -O`` keeps."""
 from __future__ import annotations
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -24,3 +26,23 @@ def test_script_exits_cleanly(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def assert_lines(source: str) -> list[int]:
+    """The lines of the ``assert`` statements, which ``python -O`` strips."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_script_checks_survive_optimisation(path):
+    assert assert_lines(path.read_text()) == []
+
+
+def test_guard_sees_an_assert():
+    source = ("def check(x):\n"
+              "    require(x, 'kept')\n"
+              "    if x:\n"
+              "        assert x > 0, 'stripped'\n")
+    assert assert_lines(source) == [4]

@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import itertools
+import pkgutil
 import random
 import weakref
 
 import pytest
+from conftest import WORDS_BINDINGS
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sftlab
+import sftlab.cohomology as coh
 from sftlab.config import Limits, default_limits
 from sftlab.errors import (
     EnvelopeExceeded,
@@ -42,7 +47,7 @@ from sftlab.shifts import (
 
 seeds = st.integers(0, 10**6)
 
-# Each call builds a new presentation, so its word tables start cold.
+# Each call builds a new presentation, so its word levels start cold.
 FRESH = {
     "vertex": lambda: validate(((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
     "edge": lambda: validate(((1, 2), (1, 0)), "edge"),
@@ -172,12 +177,14 @@ class TestWords:
             assert words(p, k) == brute_force_words(p, k)
 
     def test_cached_table_still_checks_the_cap(self, full2, monkeypatch):
+        """The level of a table once built stays cached, and the cap is
+        read again on the next request."""
         table = words(full2, 4)
         monkeypatch.setitem(vars(full2), "limits", Limits(max_words=len(table) - 1))
         with pytest.raises(EnvelopeExceeded):
             words(full2, 4)
         monkeypatch.undo()
-        assert words(full2, 4) is table
+        assert words(full2, 4) == table
 
     def test_equal_presentations_give_equal_tables(self):
         a, b = FRESH["edge"](), FRESH["edge"]()
@@ -192,6 +199,27 @@ class TestWords:
         assert stray_caches(p) == set()
         vars(p)["_word_indexes"] = {3: {w: i for i, w in enumerate(words(p, 3))}}
         assert stray_caches(p) == {"_word_indexes"}
+
+    def test_no_word_tables_sees_a_table(self, no_word_tables):
+        """The guard of the compute-path tests fails a deliberate word table
+        at the text boundary and in the point listing."""
+        p = FRESH["vertex"]()
+        f = coh.function(p, 2, range(count_words(p, 2)))
+        with pytest.raises(pytest.fail.Exception, match="word table B_2"):
+            coh.format_function_text(f, "m")
+        with pytest.raises(pytest.fail.Exception, match="word table B_1"):
+            enumerate_points(p, 0, 1)
+        with pytest.raises(pytest.fail.Exception, match="word table B_0"):
+            sftlab.words(p, 0)
+
+    def test_no_word_tables_covers_every_binding(self):
+        """Every module of the package that binds ``words`` is one the guard
+        replaces."""
+        for info in pkgutil.iter_modules(sftlab.__path__):
+            module = importlib.import_module(f"sftlab.{info.name}")
+            if getattr(module, "words", None) is words:
+                assert module in WORDS_BINDINGS, module.__name__
+        assert sftlab.words is words
 
     def test_tables_die_with_their_presentation(self):
         p = FRESH["vertex"]()

@@ -720,14 +720,14 @@ class TestLevelOrderMachines:
             _ref_buffer(h.domain, depth, lambda w: (index[w] % 3, (index[w],)))
 
     @pytest.mark.parametrize("pre_shift", [0, 1, 3])
-    def test_shifted_image_builds_no_word_tables(self, pre_shift, stray_caches):
+    def test_shifted_image_builds_no_word_tables(self, pre_shift, stray_caches,
+                                                 no_word_tables):
         """The buffer and h's runs are read off the word levels."""
         for rows, kind in ((((1, 1, 0), (0, 0, 1), (1, 1, 1)), "vertex"),
                            (((1, 2), (1, 0)), "edge")):
             p = validate(rows, kind)
             amount = coh.function(p, 2, [i % 3 for i in range(count_words(p, 2))])
             tr.shifted_image(sigma_machine(p), amount, pre_shift)
-            assert set(p._word_tables) == {0, 1}
             assert stray_caches(p) == set()
 
 
