@@ -31,7 +31,9 @@ longest shorter level already cached.  Word tables B_k are not cached:
 ``words`` builds one on each request, for the callers at the text boundary
 that need the words themselves (function files, ``sftlab words``), the
 labels of ``higher_block`` and the points of ``enumerate_points``, each of
-which asks for a given table once.
+which asks for a given table once.  It joins each word of B_j, j = k // 2,
+to the words of B_{k-j} that may follow it; no other word it builds is
+longer than k - j.
 
 The word cap is checked on every request, cached or not, and before
 anything is built: the size of a missing level is stepped up from the
@@ -370,27 +372,39 @@ def word_level(p: SftPresentation, k: int) -> WordLevel:
     return level
 
 
+def _walk(p: SftPresentation, k: int) -> list[Word]:
+    """B_k (k >= 1) in order, each word extended by its last symbol's successors."""
+    succ = p._successors
+    table = [(s,) for s in range(p.alphabet_size)]
+    for _ in range(1, k):
+        table = [w + (s,) for w in table for s in succ[w[-1]]]
+    return table
+
+
 def words(p: SftPresentation, k: int) -> tuple[Word, ...]:
     """All admissible words of length k, in frozen lexicographic order.
 
     The cap is checked first, through ``word_level``, which keeps the level
-    of B_k on p.  The table is built anew on each request and not kept:
-    each step appends to every word the successors of its last symbol, in
-    ascending order, so lexicographic order carries over from B_1 to B_k.
-    Read off the level instead (a word is its parent's plus its last
-    symbol), the ``cohom-transfer`` benchmark peaked at 176.1 MB against
-    172.0 (seed 1, 2-core x86_64, Python 3.11)."""
+    of B_k on p.  The table is built anew on each request and not kept.
+    From k = 2 it is split at j = k // 2: each u of B_j is followed by the
+    words of B_{k-j} that start in succ(u[-1]), in order, one concatenation
+    a word, and no other word built is longer than k - j.  The
+    ``cohom-transfer`` benchmark, whose check asks for B_17, peaks at 133.9
+    MB against 172.5 by the walk alone (2-core x86_64, Python 3.11)."""
     if k < 0:
         raise FormatError(f"word length must be nonnegative, got {k}")
     if k == 0:
         _check_word_cap(p, 0, 1)
         return ((),)
     word_level(p, k)                     # checks the cap
-    succ = p._successors
-    table = [(s,) for s in range(p.alphabet_size)]
-    for _ in range(1, k):
-        table = [w + (s,) for w in table for s in succ[w[-1]]]
-    return tuple(table)
+    if k == 1:
+        return tuple(_walk(p, 1))
+    j = k // 2
+    offsets = word_level(p, k - j).offsets
+    tails = _walk(p, k - j)
+    after = [[v for b in row for v in tails[offsets[b]:offsets[b + 1]]]
+             for row in p._successors]
+    return tuple([u + v for u in _walk(p, j) for v in after[u[-1]]])
 
 
 def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:

@@ -176,14 +176,18 @@ def test_guard_sees_a_foreign_private_name():
                                              "linalg._pivot (line 5)"]
 
 
-# The machine layer reads B_k by position off the word levels of ``shifts``;
-# these modules take none of its word-table builders.
-_LEVEL_ONLY = ("transducers", "moves")
+# The machine layer, the verdicts and the random instances read B_k by
+# position off the word levels of ``shifts``; these modules take none of its
+# word-table builders.
+_LEVEL_ONLY = ("transducers", "moves", "classify", "randgen")
 _WORD_TABLES = {"words"}
 # The function layer does too, but for its text boundary: the file format
 # lists each word of B_k.
 _FUNCTION_LAYER = ("cohomology", "actions")
 _TEXT_BOUNDARY = {"parse_function_text", "format_function_text"}
+# The modules that print or re-export word tables: ``sftlab words`` and the
+# package namespace.
+_TEXT_MODULES = ("cli", "__init__")
 
 
 def names_from_shifts(source: str) -> list[str]:
@@ -234,17 +238,26 @@ def word_table_uses(source: str) -> list[str]:
     return [entry for _line, entry in sorted(found)]
 
 
+def word_table_imports(source: str) -> list[str]:
+    """The word-table builders among the names a module takes from
+    ``shifts``, as ``name (line n)``."""
+    return [entry for entry in names_from_shifts(source)
+            if entry.split()[0] in _WORD_TABLES]
+
+
 def test_machine_layer_builds_no_word_tables():
-    """transducers and moves take no word-table builder; the compute
-    functions of cohomology and actions call none."""
+    """transducers, moves, classify and randgen take no word-table builder;
+    the compute functions of cohomology and actions call none.  Every other
+    module that takes a name from ``shifts`` is one of the text modules."""
+    modules = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "sftlab").glob("*.py")}
+    takers = {stem for stem, source in modules.items() if names_from_shifts(source)}
+    assert takers <= {*_LEVEL_ONLY, *_FUNCTION_LAYER, *_TEXT_MODULES}
     found = set()
     for stem in _LEVEL_ONLY:
-        source = (ROOT / "src" / "sftlab" / f"{stem}.py").read_text()
-        found |= {f"{stem}: {entry}" for entry in names_from_shifts(source)
-                  if entry.split()[0] in _WORD_TABLES}
+        found |= {f"{stem}: {entry}" for entry in word_table_imports(modules[stem])}
     for stem in _FUNCTION_LAYER:
-        source = (ROOT / "src" / "sftlab" / f"{stem}.py").read_text()
-        found |= {f"{stem}.{use}" for use in word_table_uses(source)
+        found |= {f"{stem}.{use}" for use in word_table_uses(modules[stem])
                   if use.split(":")[0] not in _TEXT_BOUNDARY}
     assert found == set()
 
@@ -256,6 +269,15 @@ def test_guard_sees_a_word_table_import():
               "    return sh.block_edges(p, 2), cohomology.words\n")
     assert names_from_shifts(source) == ["word_level (line 1)", "words (line 1)",
                                          "block_edges (line 4)"]
+
+
+def test_guard_sees_words_taken_by_a_level_only_module():
+    """An aliased import and an attribute read off ``shifts`` both count."""
+    source = ("from .shifts import SftPresentation, words as table\n"
+              "from . import shifts\n"
+              "def f(p):\n"
+              "    return table(p, 2), shifts.word_level(p, 2), shifts.words(p, 3)\n")
+    assert word_table_imports(source) == ["words (line 1)", "words (line 4)"]
 
 
 def test_guard_sees_a_word_table_use():

@@ -6,10 +6,12 @@ import importlib
 import itertools
 import pkgutil
 import random
+import sys
+import tracemalloc
 import weakref
 
 import pytest
-from conftest import WORDS_BINDINGS
+from conftest import FIB, FULL2, WORDS_BINDINGS
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,6 +60,37 @@ FRESH = {
 def brute_force_words(p, k):
     return tuple(w for w in itertools.product(range(p.alphabet_size), repeat=k)
                  if p.is_admissible(w))
+
+
+def _successor_walk(p, k):
+    """B_k built the way ``words`` built it before the split: from B_1,
+    each step appends to every word the successors of its last symbol."""
+    if k == 0:
+        return ((),)
+    table = [(s,) for s in range(p.alphabet_size)]
+    for _ in range(1, k):
+        table = [w + (s,) for w in table for s in p.successors(w[-1])]
+    return tuple(table)
+
+
+def _random_shift(rng, kind, dense):
+    """A random irreducible presentation with at most 2 * 3^9 words of
+    length 9: a sparse one from ``randgen``, or a dense one whose entries
+    off a random cycle are drawn from 0 and 1 (three vertices of a vertex
+    shift, two of an edge shift whose cycle may carry two edges)."""
+    if not dense:
+        return (random_irreducible(rng, 4) if kind == "vertex"
+                else random_edge_presentation(rng, 3, entry_max=1))
+    n, top = (3, 1) if kind == "vertex" else (2, 2)
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        cycle = rng.sample(range(n), n)
+        for i in range(n):
+            rows[cycle[i]][cycle[(i + 1) % n]] = rng.randint(1, top)
+        try:
+            return validate(rows, kind)
+        except PermutationMatrix:
+            continue
 
 
 def _ref_edge_list(m):
@@ -175,6 +208,49 @@ class TestWords:
             p = FRESH[kind]()
             words(p, shorter)
             assert words(p, k) == brute_force_words(p, k)
+
+    @given(seeds, st.sampled_from(["vertex", "edge"]), st.booleans())
+    def test_split_matches_the_successor_walk(self, seed, kind, dense):
+        """For k = 0-9, on both sides of the split point k // 2, the table
+        is the successor walk's and, where the alphabet allows, the brute
+        force's; a cap one word short of |B_k| is refused with the same
+        text on a cold presentation and on a warm one."""
+        p = _random_shift(random.Random(seed), kind, dense)
+        for k in range(10):
+            table = words(p, k)
+            assert table == _successor_walk(p, k)
+            if p.alphabet_size ** k <= 3 ** 9:
+                assert table == brute_force_words(p, k)
+            n = len(table)
+            text = f"|B_{k}| = {n} exceeds the word cap {n - 1}"
+            cold = validate(p.adjacency, p.kind, limits=Limits(max_words=n - 1))
+            with pytest.raises(EnvelopeExceeded) as refused:
+                words(cold, k)
+            assert str(refused.value) == text
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(vars(p), "limits", Limits(max_words=n - 1))
+                with pytest.raises(EnvelopeExceeded) as refused:
+                    words(p, k)
+            assert str(refused.value) == text
+
+    @pytest.mark.parametrize("rows, k", [(FIB, 20), (FULL2, 14)],
+                             ids=["golden-mean-20", "full-2-shift-14"])
+    def test_no_second_table_while_building(self, rows, k):
+        """The memory traced while ``words`` builds B_k peaks at most 15%
+        above what the returned table keeps: no table of B_{k-1} lives
+        beside it.  The levels are built first, since p keeps them, and a
+        full collection empties the tuple free lists."""
+        p = validate(rows, "vertex")
+        word_level(p, k)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            table = words(p, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sys.getsizeof(table) + sum(map(sys.getsizeof, table))
+        assert peak <= 1.15 * kept
 
     def test_cached_table_still_checks_the_cap(self, full2, monkeypatch):
         """The level of a table once built stays cached, and the cap is
