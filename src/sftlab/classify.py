@@ -54,10 +54,11 @@ class InvariantReport(Record):
 def invariants(p: SftPresentation) -> InvariantReport:
     a = p.adjacency
     n = len(a)
-    bf_cok = cokernel(_identity_minus(a))
+    i_minus_a = _identity_minus(a)
+    bf_cok = cokernel(i_minus_a)
     k0_cok = cokernel(_identity_minus(transpose(a)))
     marked = k0_cok.project((1,) * n)
-    det = determinant(_identity_minus(a))
+    det = determinant(i_minus_a)
     sign = (det > 0) - (det < 0)
     # det(I - A) = +-(product of invariant factors), so sign 0 means free rank
     require((sign == 0) == (bf_cok.group.free_rank > 0),

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM
 from .errors import ContradictionDetected, FormatError, SftError
-from .linalg import smith
 from .shifts import (
     SftPresentation,
     load_matrix_file,
@@ -138,6 +137,7 @@ def cmd_words(args) -> Report:
 
 
 def cmd_snf(args) -> Report:
+    from .linalg import smith
     rows = _load_rect(args.matrix)
     dec = smith(rows)
     rep = Report()

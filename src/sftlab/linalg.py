@@ -13,13 +13,9 @@ import math
 from fractions import Fraction
 
 from .errors import FormatError, require
-from .record import Record
+from .record import Record, freeze
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-def freeze(rows) -> IntMatrix:
-    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 def identity(n: int) -> list[list[int]]:
@@ -193,12 +189,8 @@ class FgAbelianGroup(Record):
                 raise FormatError("invariant factors must form a divisibility chain")
 
     @property
-    def torsion_rank(self) -> int:
-        return len(self.invariant_factors)
-
-    @property
     def rank(self) -> int:
-        return self.free_rank + self.torsion_rank
+        return self.free_rank + len(self.invariant_factors)
 
     def moduli(self) -> tuple[int, ...]:
         """Per-coordinate moduli: invariant factors then 0s for free coords."""

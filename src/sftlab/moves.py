@@ -28,8 +28,8 @@ from .errors import (
     PresentationMismatch,
 )
 from .graphs import bfs, path
-from .linalg import freeze, mat_mul
-from .record import Record
+from .linalg import mat_mul
+from .record import Record, freeze
 from .shifts import (Matrix, SftPresentation, edge_list, pair_constants, pair_starts,
                      validate, word_level)
 from .transducers import OrbitData, Transducer, make_transducer, transfer_psi

@@ -18,12 +18,19 @@ from what it read: nothing is generated by ``exec``.  A record
 
 Fields named in the class keyword ``hidden`` are kept on the instance but
 take no part in ``==``, ``hash`` or ``repr``.
+
+``freeze`` turns a matrix given as rows of numbers into the tuple of int
+tuples that records hold.
 """
 from __future__ import annotations
 
 from operator import attrgetter
 
 from .errors import FieldMismatch, FrozenField
+
+
+def freeze(rows) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in row) for row in rows)
 
 
 class Record:

@@ -7,6 +7,10 @@ A presentation is a square nonnegative integer matrix read in one of two ways:
 * ``edge`` kind: arbitrary nonnegative integer entries; symbols are the
   edges of the multigraph and a word is a sequence of composable edges.
 
+``validate`` checks the matrix, irreducibility included, and keeps only
+what is read later: the matrix, the labels, the symbols, the edges and the
+caps.  Nothing of the check is stored.
+
 Symbols are handled as 0-based indices everywhere; human-readable labels are
 kept alongside for parsing and printing.  Word enumeration order is the
 lexicographic order on symbol indices and is frozen: function tables index
@@ -70,8 +74,7 @@ from .errors import (
     require,
 )
 from .graphs import bfs
-from .linalg import freeze, mat_mul
-from .record import Record
+from .record import Record, freeze
 
 Matrix = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
@@ -92,7 +95,7 @@ class WordLevel(Record):
     first_child: bytes
 
 
-class SftPresentation(Record, hidden=("certificate", "limits")):
+class SftPresentation(Record, hidden=("limits",)):
     """A validated matrix presentation of a one-sided shift of finite type."""
 
     kind: str                              # "vertex" | "edge"
@@ -100,8 +103,6 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
     vertex_labels: tuple[str, ...]
     symbols: tuple[str, ...]               # alphabet labels, one per symbol
     edges: tuple[tuple[int, int, int], ...] | None = None  # edge kind: (src, tgt, par)
-    # spanning in/out trees from vertex 0, recorded by the irreducibility check
-    certificate: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     # the caps resolved by ``validate``, read by ``word_level`` and ``words``
     limits: Limits
 
@@ -159,13 +160,6 @@ class SftPresentation(Record, hidden=("certificate", "limits")):
         if not self.is_admissible(word):
             raise Inadmissible(f"word {self.any_word_label(word)} is not admissible")
 
-    def symbol_matrix(self) -> Matrix:
-        """0-1 transition matrix over symbols (equals adjacency for vertex kind)."""
-        m = self.alphabet_size
-        return tuple(
-            tuple(1 if self.follow(a, b) else 0 for b in range(m))
-            for a in range(m))
-
     def word_label(self, word: Word) -> str:
         labels = [self.symbols[s] for s in word]
         if all(len(lab) == 1 for lab in self.symbols):
@@ -212,9 +206,10 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
     """Check a matrix presentation and build the symbol table.
 
     Requirements: square, nonnegative, irreducible, not a permutation matrix;
-    vertex kind additionally 0-1.  The irreducibility certificate (spanning
-    in/out trees from vertex 0) is stored on the result, with the caller's
-    ``limits`` as given or else ``default_limits()``, read now and only now.
+    vertex kind additionally 0-1.  Irreducibility is checked by two searches
+    from vertex 0, along and against the edges; what they reach is not kept.
+    The result carries the caller's ``limits`` as given or else
+    ``default_limits()``, read now and only now.
     """
     limits = limits or default_limits()
     if kind not in ("vertex", "edge"):
@@ -251,14 +246,12 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
     def into(u):
         return [(None, v) for v in range(n) if rows[v][u] > 0]
 
-    trees = []
     for succ, message in ((out, "vertex {} unreachable from vertex 1"),
                           (into, "vertex 1 unreachable from vertex {}")):
-        tree = bfs([0], succ)
-        if len(tree) < n:
-            bad = min(v for v in range(n) if v not in tree)
+        reached = bfs([0], succ)
+        if len(reached) < n:
+            bad = min(v for v in range(n) if v not in reached)
             raise NotIrreducible(message.format(bad + 1))
-        trees.append(tuple(-1 if tree[v] is None else tree[v][0] for v in range(n)))
 
     if vertex_labels is None:
         vertex_labels = tuple(str(i + 1) for i in range(n))
@@ -276,14 +269,14 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
                         + (f"~{k}" if rows[i][j] > 1 else "") for i, j, k in edges)
 
     return SftPresentation(kind=kind, adjacency=rows, vertex_labels=vertex_labels,
-                           symbols=symbols, edges=edges,
-                           certificate=tuple(trees), limits=limits)
+                           symbols=symbols, edges=edges, limits=limits)
 
 
 # ------------------------------------------------------------------ counting
 
 def _mat_pow_sum(m: Matrix, e: int) -> int:
     """Sum of all entries of m**e, exact."""
+    from .linalg import mat_mul
     n = len(m)
     acc: Matrix = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     base = m
@@ -574,7 +567,7 @@ def higher_block(p: SftPresentation, k: int) -> SftPresentation:
     require(pres.alphabet_size == len(blocks), "higher_block: edges miscounted")
     return SftPresentation(pres.kind, pres.adjacency, pres.vertex_labels,
                            tuple(_bracket_label(p, w) for w in blocks), pres.edges,
-                           pres.certificate, limits=pres.limits)
+                           limits=pres.limits)
 
 
 def to_edge_form(p: SftPresentation) -> SftPresentation:

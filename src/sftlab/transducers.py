@@ -134,9 +134,6 @@ class Transducer(Record):
     def table(self) -> dict[tuple[int, int], tuple[int, Word]]:
         return {(q, a): (q2, out) for (q, a, q2, out) in self.rules}
 
-    def max_output_len(self) -> int:
-        return max((len(out) for (_q, _a, _q2, out) in self.rules), default=0)
-
 
 def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                     rules, initial: int = 0,
@@ -253,11 +250,6 @@ class EquivalenceResult(Record):
 DELAY_SLACK = 8          # added to the product-size delay default
 
 
-def default_delay_bound(t1: Transducer, t2: Transducer) -> int:
-    maxlen = max(t1.max_output_len(), t2.max_output_len(), 1)
-    return t1.n_states * t2.n_states * maxlen + DELAY_SLACK
-
-
 def equivalent_maps(t1: Transducer, t2: Transducer,
                     delay_bound: int | None = None) -> EquivalenceResult:
     """Do the two machines present the same map?
@@ -265,11 +257,15 @@ def equivalent_maps(t1: Transducer, t2: Transducer,
     Synchronized product with output-buffer cancellation.  No reachable
     mismatch and all buffers within the delay bound means the presented maps
     agree on every point; a mismatch gives a finite input witness; a buffer
-    overflow leaves the question inconclusive at this bound."""
+    overflow leaves the question inconclusive at this bound.  The default
+    bound is the product of the state counts times the longest output (at
+    least 1), plus ``DELAY_SLACK``."""
     if t1.domain != t2.domain or t1.codomain != t2.codomain:
         raise PresentationMismatch("machines must share domain and codomain")
     if delay_bound is None:
-        delay_bound = default_delay_bound(t1, t2)
+        maxlen = max((len(out) for (_q, _a, _q2, out) in (*t1.rules, *t2.rules)),
+                     default=0)
+        delay_bound = t1.n_states * t2.n_states * max(maxlen, 1) + DELAY_SLACK
     elif delay_bound < 0:
         raise FormatError(f"delay bound must be nonnegative, got {delay_bound}")
     tab1, tab2 = t1.table, t2.table

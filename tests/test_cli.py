@@ -813,11 +813,11 @@ class TestLazyLayers:
         return set(modules)
 
     @pytest.mark.parametrize("path, absent", [
-        ("validate", "cohomology transducers moves classify actions randgen"),
-        ("cohom class-equal", "transducers moves classify actions randgen"),
+        ("validate", "cohomology transducers moves classify actions randgen linalg"),
+        ("cohom class-equal", "transducers moves classify actions randgen linalg"),
         ("invariants", "cohomology transducers moves actions randgen"),
         ("coe", "cohomology transducers moves actions randgen"),
-        ("transducer verify-coe", "moves classify actions randgen"),
+        ("transducer verify-coe", "moves classify actions randgen linalg"),
     ])
     def test_command_loads_only_its_layers(self, fixture_dir, path, absent):
         loaded = self._modules(fixture_dir, [*path.split(), *RUNS[path].split()])

@@ -290,3 +290,43 @@ def test_guard_sees_a_word_table_use():
               "        return [lambda: table(p, 3)], sh.words(p, 1)\n"
               "outside = table\n")
     assert word_table_uses(source) == ["g: words (line 7)", "g: words (line 7)"]
+
+
+# The word layer, the function layer and the machine layer load no linear
+# algebra when imported: ``shifts`` takes ``mat_mul`` inside the one function
+# that calls it, and ``freeze`` comes from ``record``.
+_NO_LINEAR_ALGEBRA = ("shifts", "cohomology", "transducers", "actions")
+
+
+def module_level_linalg_names(source: str) -> list[str]:
+    """The names a module takes from ``linalg`` outside its functions and
+    classes, as ``name (line n)``: by a relative ``from .linalg import``, or
+    the module itself by ``from . import linalg``."""
+    found = [(node.lineno, alias.name) for node in _own_nodes(ast.parse(source).body)
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names
+             if node.module == "linalg" or (node.module is None
+                                            and alias.name == "linalg")]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_lower_layers_load_no_linear_algebra():
+    found = {f"{stem}: {entry}" for stem in _NO_LINEAR_ALGEBRA
+             for entry in module_level_linalg_names(
+                 (ROOT / "src" / "sftlab" / f"{stem}.py").read_text())}
+    assert found == set()
+
+
+def test_guard_sees_a_module_level_linalg_import():
+    source = ("from .linalg import freeze, mat_mul as mm\n"
+              "from . import cohomology, linalg as la\n"
+              "if True:\n"
+              "    from .linalg import smith\n"
+              "from .record import freeze\n"
+              "def f():\n"
+              "    from .linalg import cokernel\n"
+              "    return cokernel\n"
+              "class C:\n"
+              "    from . import linalg\n")
+    assert module_level_linalg_names(source) == ["freeze (line 1)", "mat_mul (line 1)",
+                                                 "linalg (line 2)", "smith (line 4)"]

@@ -132,13 +132,15 @@ def test_post_init_checks_still_run(fib):
         sftlab.actions.CircleAction(coh.function(fib, 1, [Fraction(1, 2), 1], "Q"))
 
 
-def test_presentation_hides_certificate_and_limits(fib):
+def test_presentation_hides_limits(fib):
+    assert SftPresentation._fields == ("kind", "adjacency", "vertex_labels", "symbols",
+                                       "edges", "limits")
     other = SftPresentation(fib.kind, fib.adjacency, fib.vertex_labels, fib.symbols,
-                            fib.edges, certificate=None, limits=Limits(max_words=7))
-    assert other.certificate != fib.certificate and other.limits != fib.limits
+                            fib.edges, limits=Limits(max_words=7))
+    assert other.limits != fib.limits
     assert other == fib and hash(other) == hash(fib)
     assert repr(other) == repr(fib)
-    assert "certificate" not in repr(fib) and "limits" not in repr(fib)
+    assert "limits" not in repr(fib)
 
 
 def test_repr_is_the_field_list():
