@@ -29,10 +29,11 @@ It ranks windows off the word levels (``shifts.pair_constants``), as
 first-symbol blocks of the word levels (``shifts.word_level``) or gather
 from them by position.  The values of B_d on one word of B_k (k <= d) are a
 contiguous run, so a lift repeats each value once per extension (one level
-up, each word reads its parent), f(shift .) is one block of f's table per
-pair a, b of consecutive symbols, and a table falls to depth k-1 when every
-word that is not a first child carries its previous sibling's value.  Only
-the text format reads word tables (``shifts.words``).
+up, each word reads its parent; on a large level, one gather per symbol a
+serves the runs of all the first halves that end in a), f(shift .) is one
+block of f's table per pair a, b of consecutive symbols, and a table falls
+to depth k-1 when every word that is not a first child carries its previous
+sibling's value.  Only the text format reads word tables (``shifts.words``).
 
 Values are checked once, where they enter: ``function`` puts a caller's
 values in the ring, then hands them to ``_build``, which checks the length,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 
 from .errors import (
     FormatError,
@@ -150,20 +151,54 @@ def _lift(p: SftPresentation, table, depth: int, to: int):
     if to == depth:
         return table
     if to == depth + 1:
-        # one level: one gather by parent index, counted off the first-child
-        # mask, beats one repeat iterator per value, and itemgetter gathers
-        # in one call faster than map(table.__getitem__) (37 to 39 against
-        # 42 to 56 ms for 489,332 words, medians of 7, 2-core x86_64,
-        # Python 3.11).  With one index itemgetter returns a scalar; B_to
-        # always has two words or more, since an irreducible presentation
-        # that is not a permutation matrix has at least two symbols.  Over
-        # more levels one repeat per value beats gathering level by level
-        # (9 to 13 against 36 to 43 ms for three levels up to 232,250 words).
-        parents = accumulate(word_level(p, to).first_child[1:], initial=0)
-        return operator.itemgetter(*parents)(table)
+        level = word_level(p, to)
+        if level.offsets[-1] < _SPLIT_WORDS:
+            # one gather by parent index, counted off the first-child mask.
+            # With one index itemgetter returns a scalar; B_to always has
+            # two words or more, since an irreducible presentation that is
+            # not a permutation matrix has at least two symbols.
+            parents = accumulate(level.first_child[1:], initial=0)
+            return operator.itemgetter(*parents)(table)
+        if depth > 1:
+            return _split_gather(p, table, depth)
+    # Over more levels one repeat per value beats gathering level by level
+    # (9 to 13 against 36 to 43 ms for three levels up to 232,250 words),
+    # and from depth 1 the single gather (96 against 206 us at 4,900 words).
     extensions = word_level(p, to - depth + 1).counts
     reps = map(extensions.__getitem__, word_level(p, depth).last)
     return chain.from_iterable(map(repeat, table, reps))
+
+
+# The size of B_{depth+1} from which a one-level lift gathers run by run.
+# The set-up of ``_split_gather``, one itemgetter a symbol, makes it tie
+# with the single gather at 1,000 to 2,900 words on five shifts, and win by
+# 10 to 25% from 4,096 words up (min of 9).  At 489,332 words ``lift_table``
+# takes 10.2 against 26.8 ms (medians of 7 alternating runs), and at 262,144
+# the traced peak of ``coboundary`` falls from 6.0 to 1.5 times its result
+# (2-core x86_64, Python 3.11).
+_SPLIT_WORDS = 4096
+
+
+def _split_gather(p: SftPresentation, table, depth: int):
+    """The values of a depth ``depth`` table (depth >= 2) on B_{depth+1},
+    with no index as long as it.  A word u.v of B_{depth+1}, u in B_i and
+    i = ceil(depth / 2), reads its parent u.v[:-1].  The words that extend
+    u are one run of B_depth, and which word of the run each of them reads
+    depends only on a = u[-1]: for a.v in B_j, j = depth + 2 - i, it is the
+    parent of a.v less the offset of a in B_{j-1}.  So one itemgetter a
+    symbol gathers every run."""
+    i = (depth + 1) // 2
+    tails, runs = word_level(p, depth + 2 - i), word_level(p, depth + 1 - i)
+    parents = accumulate(tails.first_child[1:], initial=0)
+    gathers = []
+    for count, start in zip(tails.counts, runs.offsets):
+        index = [r - start for r in islice(parents, count)]
+        # one index would give a scalar, and a run of one word is kept whole
+        gathers.append(operator.itemgetter(*index) if count > 1 else tuple)
+    last = word_level(p, i).last
+    bounds = list(accumulate(map(runs.counts.__getitem__, last), initial=0))
+    return chain.from_iterable(map(lambda a, lo, hi: gathers[a](table[lo:hi]),
+                                   last, bounds, bounds[1:]))
 
 
 # swaps the 0 and 1 bytes of a first-child mask

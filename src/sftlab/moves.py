@@ -235,8 +235,9 @@ def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
             ranks = list(itertools.chain.from_iterable(
                 map(c[s0][s1].__add__, ranks[starts[e2]:starts[e2 + 1]])
                 for e2, s0, s1 in blocks))
-    # one itemgetter call, as in cohomology._lift (35 against 45 ms for
-    # 196,418 words); B_(k+1) has two words or more, so it returns a tuple
+    # one itemgetter call, as in cohomology._lift's single gather (35
+    # against 45 ms for 196,418 words); B_(k+1) has two words or more, so
+    # it returns a tuple
     return coh._build(target, k + 1, operator.itemgetter(*ranks)(f.table), f.ring)
 
 

@@ -3,6 +3,7 @@ class equality, positivity, and order units.  Independent oracle: exhaustive
 simple-cycle enumeration on the potential graph (networkx)."""
 from __future__ import annotations
 
+import gc
 import operator
 import os
 import pathlib
@@ -10,10 +11,12 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import networkx as nx
 import pytest
+from conftest import FIB, FULL2
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,7 +39,7 @@ from sftlab.randgen import (
     random_irreducible,
     random_point,
 )
-from sftlab.shifts import count_words, validate, words
+from sftlab.shifts import count_words, validate, word_level, words
 
 seeds = st.integers(0, 10**6)
 
@@ -347,6 +350,91 @@ class TestLevelTablesMatchWordReference:
                 assert (h.depth, h.table) == _ref_normalize(p, d, values)
                 assert h == coh.function(p, d, values, ring)
                 _assert_in_ring(h.table, ring)
+
+
+def _forced_chain(full, chain):
+    """Vertex rows: symbols 0 .. full-1 may follow each other and lead to
+    ``full``, whose path full -> full+1 -> ... -> 0 is forced for ``chain``
+    steps."""
+    n = full + chain
+    return tuple(tuple(int(b <= full) for b in range(n)) if a < full
+                 else tuple(int(b == (a + 1) % n) for b in range(n))
+                 for a in range(n))
+
+
+# The words of B_k (k <= 9) that start with symbol 3 of the chain matrix are
+# one word, so some symbol's tails are a single word wherever a lift splits.
+SPLIT_CASES = [(FIB, "vertex"), (_forced_chain(3, 8), "vertex"),
+               (((2, 1), (1, 1)), "edge")]
+
+
+class TestSplitLift:
+    """One-level lifts at 10^4 words or more, where ``_lift`` gathers run
+    by run (``_split_gather``), against the word-built references, with f
+    at depth d and g at d + 1."""
+
+    @pytest.mark.parametrize("ring", [coh.RING_INT, coh.RING_RAT])
+    @pytest.mark.parametrize("rows, kind", SPLIT_CASES,
+                             ids=["golden-mean", "forced-chain", "edge"])
+    def test_one_level_transforms(self, rows, kind, ring):
+        p = validate(rows, kind)
+        d = next(d for d in range(2, 40) if count_words(p, d + 1) >= 10**4)
+        assert count_words(p, d + 1) >= coh._SPLIT_WORDS
+        rng = random.Random(d)
+
+        def values(k):
+            table = [rng.randint(-3, 3) for _ in range(count_words(p, k))]
+            return [Fraction(v, 3) for v in table] if ring == coh.RING_RAT else table
+
+        f = coh.function(p, d, values(d), ring)
+        g = coh.function(p, d + 1, values(d + 1), ring)
+        assert (f.depth, g.depth) == (d, d + 1)
+        lifted = coh.lift_table(f, d + 1)
+        assert lifted == _ref_lift(f, d + 1)
+        _assert_in_ring(lifted, ring)
+        c = coh.coboundary(f)
+        diff = map(operator.sub, _ref_lift(f, d + 1), _ref_pullback(f))
+        assert c == coh.function(p, d + 1, diff, ring)
+        _assert_in_ring(c.table, ring)
+        for op, combine in ((operator.add, coh.add), (operator.sub, coh.subtract)):
+            for x, y in ((f, g), (g, f)):
+                h = combine(x, y)
+                want = map(op, _ref_lift(x, d + 1), _ref_lift(y, d + 1))
+                assert h == coh.function(p, d + 1, want, ring)
+                _assert_in_ring(h.table, ring)
+
+    def test_depth_one_repeats(self):
+        """From depth 1 a large one-level lift is one repeat per symbol."""
+        p = validate(((70,),), "edge")
+        assert count_words(p, 2) >= coh._SPLIT_WORDS
+        f = coh.function(p, 1, range(70))
+        assert coh.lift_table(f, 2) == _ref_lift(f, 2)
+        diff = map(operator.sub, _ref_lift(f, 2), _ref_pullback(f))
+        assert coh.coboundary(f) == coh.function(p, 2, diff)
+
+    def test_chain_tails_are_single_words(self):
+        p = validate(SPLIT_CASES[1][0])
+        assert [word_level(p, k).counts[3] for k in range(1, 10)] == [1] * 9
+
+    def test_coboundary_keeps_no_parent_index(self):
+        """The memory traced while ``coboundary`` runs on the full 2-shift
+        at depth 17 peaks at most 2.5 times the result's table: no index of
+        one int a word of B_18 is built (6.0 times when one was).  Values
+        in -3..3 keep the differences among the cached small ints, and the
+        levels are built first, since p keeps them."""
+        p = validate(FULL2)
+        rng = random.Random(17)
+        b = coh.function(p, 17, [rng.randint(-3, 3) for _ in range(2**17)])
+        word_level(p, 18)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            c = coh.coboundary(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c.depth == 18
+        assert peak <= 2.5 * sys.getsizeof(c.table)
 
 
 def test_trusted_producers_do_not_recheck_values(monkeypatch, fib):

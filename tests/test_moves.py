@@ -305,7 +305,7 @@ class TestPhiPsiMatchWordReference:
 def test_level_transforms_build_no_word_tables(full3, stray_caches, no_word_tables):
     """phi, psi, coboundary, pullback_sigma and lift_table read word levels:
     they ask for no word table and leave no cache beyond the presentation's
-    own."""
+    own, below and above the size from which one-level lifts split."""
     ee = mv.elementary(((1, 2), (1, 0)), ((1, 0), (1, 1)))
     p = validate(full3.adjacency)
     for depth in (1, 3):
@@ -318,6 +318,12 @@ def test_level_transforms_build_no_word_tables(full3, stray_caches, no_word_tabl
             coh.coboundary(fn)
             coh.pullback_sigma(fn)
             coh.lift_table(fn, depth + 2)
+    # one level up from B_7 of the full 3-shift, lifts gather run by run
+    assert count_words(p, 8) >= coh._SPLIT_WORDS
+    h = coh.function(p, 7, [v % 5 for v in range(count_words(p, 7))])
+    assert h.depth == 7
+    coh.coboundary(h)
+    coh.lift_table(h, 8)
     for q in (ee.a, ee.b, p):
         assert stray_caches(q) == set()
 
