@@ -19,7 +19,6 @@ from .shifts import (
     higher_block,
     parse_point,
     periodic_point,
-    to_edge_form,
     validate,
     words,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "higher_block",
     "parse_point",
     "periodic_point",
-    "to_edge_form",
     "validate",
     "words",
     "__version__",

@@ -51,10 +51,6 @@ def compose(a: CircleAction, b: CircleAction) -> CircleAction:
     return CircleAction(coh.add(a.classifier, b.classifier))
 
 
-def inverse(a: CircleAction) -> CircleAction:
-    return CircleAction(coh.negate(a.classifier))
-
-
 def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:
     """Unitary equivalence of the two actions: are the classifiers
     cohomologous?  The witness potential generates the intertwining

@@ -134,7 +134,6 @@ class ConsistencyReport(Record):
     coe: CoeReport
     witness_verified: bool
     unit_image_forward: coh.LocallyConstantFunction | None
-    unit_image_backward: coh.LocallyConstantFunction | None
     eventual_conjugacy: bool | None
     strong_coe: bool | None
 
@@ -173,19 +172,21 @@ def consistency_check(pa: SftPresentation, pb: SftPresentation,
 
     A witness is accepted only if its orbit relations verify and the two
     machines invert each other; an accepted witness together with a `no`
-    verdict trips ContradictionDetected."""
+    verdict trips ContradictionDetected.  Both flags read the image of the
+    constant 1 along each machine, from one ``is_strong_coe`` per side:
+    strong COE when both images are cohomologous to 1, eventual conjugacy
+    when both equal 1."""
     from . import cohomology as coh, transducers as tr
     verdict = coe_verdict(pa, pb)
     if witness is None:
-        return ConsistencyReport(verdict, False, None, None, None, None)
+        return ConsistencyReport(verdict, False, None, None, None)
     _check_witness(pa, pb, witness)
     if verdict.verdict == "no":
         raise ContradictionDetected(
             "verified orbit-equivalence witness against a 'no' verdict: "
             + verdict.reason)
-    conj = tr.is_eventual_conjugacy(witness.forward, witness.forward_data,
-                                    witness.backward, witness.backward_data)
-    c1_fwd, c1_bwd = conj.forward_unit_image, conj.backward_unit_image
-    strong = (coh.class_equal(c1_fwd, coh.unit(pa)).is_coboundary
-              and coh.class_equal(c1_bwd, coh.unit(pb)).is_coboundary)
-    return ConsistencyReport(verdict, True, c1_fwd, c1_bwd, conj.verdict, strong)
+    fwd = tr.is_strong_coe(witness.forward, witness.forward_data)
+    bwd = tr.is_strong_coe(witness.backward, witness.backward_data)
+    conj = fwd.unit_image == coh.unit(pa) and bwd.unit_image == coh.unit(pb)
+    return ConsistencyReport(verdict, True, fwd.unit_image, conj,
+                             fwd.verdict and bwd.verdict)

@@ -292,17 +292,6 @@ def multiply(f: LocallyConstantFunction,
     return _pointwise(operator.mul, f, g)
 
 
-def negate(f: LocallyConstantFunction) -> LocallyConstantFunction:
-    return LocallyConstantFunction(f.presentation, f.depth,
-                                   tuple(-v for v in f.table), f.ring)
-
-
-def scale(f: LocallyConstantFunction, c) -> LocallyConstantFunction:
-    ring = RING_RAT if isinstance(c, Fraction) and c.denominator != 1 else f.ring
-    c = _coerce(c, ring)
-    return function(f.presentation, f.depth, [c * v for v in f.table], ring)
-
-
 def _shifted(f: LocallyConstantFunction):
     """The values of f(shift .) on B_{depth+1}, lazily: on the words a.w
     with w starting with b, for each pair a, b in B_2's order, f's block of

@@ -1,4 +1,6 @@
-"""Seeded random instances for property tests and the self-test suite.
+"""Seeded random instances for ``sftlab selftest`` and
+``scripts/explore_random_moves.py``: irreducible presentations, functions
+on them and elementary equivalences.
 
 Everything takes an explicit random.Random so runs are reproducible from a
 single seed.  Generators retry until validation passes; the constructions
@@ -11,15 +13,9 @@ import random
 
 from . import cohomology as coh
 from .config import Limits
-from .errors import InvalidResult, NotIrreducible, PermutationMatrix
+from .errors import InvalidResult, PermutationMatrix
 from .moves import ElementaryEquivalence, elementary
-from .shifts import (
-    EventuallyPeriodicPoint,
-    SftPresentation,
-    periodic_point,
-    validate,
-    word_level,
-)
+from .shifts import SftPresentation, validate, word_level
 
 
 def random_irreducible(rng: random.Random, n_max: int = 6,
@@ -38,25 +34,6 @@ def random_irreducible(rng: random.Random, n_max: int = 6,
         try:
             return validate(tuple(tuple(r) for r in rows), "vertex", None, limits)
         except PermutationMatrix:
-            continue
-
-
-def random_edge_presentation(rng: random.Random, n_max: int = 4,
-                             entry_max: int = 2,
-                             limits: Limits | None = None) -> SftPresentation:
-    """Random irreducible nonnegative integer matrix as an edge shift."""
-    while True:
-        n = rng.randint(1, n_max)
-        rows = [[0] * n for _ in range(n)]
-        cycle = list(range(n))
-        rng.shuffle(cycle)
-        for i in range(n):
-            rows[cycle[i]][cycle[(i + 1) % n]] = rng.randint(1, entry_max)
-        for _ in range(rng.randint(0, n)):
-            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(0, entry_max)
-        try:
-            return validate(tuple(tuple(r) for r in rows), "edge", None, limits)
-        except (NotIrreducible, PermutationMatrix):
             continue
 
 
@@ -81,27 +58,3 @@ def random_elementary(rng: random.Random, outer_max: int = 4,
             return elementary(c, d, limits)
         except InvalidResult:
             continue
-
-
-def random_point(rng: random.Random, p: SftPresentation,
-                 max_preperiod: int = 3,
-                 max_period: int = 4) -> EventuallyPeriodicPoint:
-    """Random eventually periodic point via a random admissible walk."""
-    while True:
-        total = rng.randint(1, max_preperiod + max_period)
-        walk = [rng.randrange(p.alphabet_size)]
-        ok = True
-        for _ in range(total - 1):
-            succ = p.successors(walk[-1])
-            if not succ:
-                ok = False
-                break
-            walk.append(rng.choice(succ))
-        if not ok:
-            continue
-        # close a period over some suffix of the walk
-        starts = [s for s in range(len(walk))
-                  if len(walk) - s <= max_period and p.follow(walk[-1], walk[s])]
-        if starts:
-            start = rng.choice(starts)
-            return periodic_point(p, tuple(walk[:start]), tuple(walk[start:]))

@@ -52,9 +52,8 @@ A presentation carries the ``Limits`` its builder was given, or else
 Presentations derived from it inherit these caps.  The caps take no part
 in equality or hashing.
 
-The recodings ``higher_block`` and ``to_edge_form`` return presentations
-indexed by the word tables of p; a caller that needs the words reads them
-from p.
+The recoding ``higher_block`` returns a presentation indexed by the word
+tables of p; a caller that needs the words reads them from p.
 """
 from __future__ import annotations
 
@@ -502,11 +501,6 @@ def parse_point(p: SftPresentation, token: str) -> EventuallyPeriodicPoint:
     return periodic_point(p, p.parse_word(pre_txt), p.parse_word(per_txt))
 
 
-def shift_point(x: EventuallyPeriodicPoint) -> EventuallyPeriodicPoint:
-    """Drop the first symbol."""
-    return shift_point_by(x, 1)
-
-
 def shift_point_by(x: EventuallyPeriodicPoint, n: int) -> EventuallyPeriodicPoint:
     """Drop the first n symbols; x itself when n <= 0.
 
@@ -568,16 +562,6 @@ def higher_block(p: SftPresentation, k: int) -> SftPresentation:
     return SftPresentation(pres.kind, pres.adjacency, pres.vertex_labels,
                            tuple(_bracket_label(p, w) for w in blocks), pres.edges,
                            limits=pres.limits)
-
-
-def to_edge_form(p: SftPresentation) -> SftPresentation:
-    """The edge-kind presentation of a vertex-kind p, with the caps of p:
-    symbol s is the edge from vertex ``edges[s][0]`` to ``edges[s][1]``.
-    An edge-kind p is returned itself."""
-    if p.kind == "edge":
-        return p
-    return validate(p.adjacency, kind="edge", vertex_labels=p.vertex_labels,
-                    limits=p.limits)
 
 
 # ------------------------------------------------------------------ file I/O

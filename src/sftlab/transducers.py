@@ -53,7 +53,6 @@ from .shifts import (
     block_edges,
     content_lines,
     higher_block,
-    shift_point,
     shift_point_by,
     enumerate_points,
     word_level,
@@ -451,7 +450,7 @@ def verify_orbit_relation(h: Transducer, data: OrbitData) -> OrbitRelationResult
     k1, l1 = (coh.window_sums(f, ((x.prefix(f.depth), 1) for x in points))
               for f in (data.k1, data.l1))
     for x, kv, lv in zip(points, k1, l1):
-        left = shift_point_by(apply(h, shift_point(x)), kv)
+        left = shift_point_by(apply(h, shift_point_by(x, 1)), kv)
         right = shift_point_by(apply(h, x), lv)
         if left != right:
             raise ContradictionDetected(

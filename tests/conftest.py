@@ -1,8 +1,11 @@
 """Shared fixtures: the three standing example shifts and a fixture file set
-for CLI tests."""
+for CLI tests, the random instances only tests draw, and the function
+algebra the package leaves out."""
 from __future__ import annotations
 
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -11,7 +14,8 @@ import sftlab
 import sftlab.cli
 import sftlab.cohomology
 import sftlab.shifts
-from sftlab.shifts import validate
+from sftlab.errors import NotIrreducible, PermutationMatrix
+from sftlab.shifts import periodic_point, validate
 
 settings.register_profile(
     "suite",
@@ -24,6 +28,59 @@ settings.load_profile("suite")
 FIB = ((1, 1), (1, 0))
 FULL2 = ((1, 1), (1, 1))
 FULL3 = ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+
+
+def random_edge_presentation(rng: random.Random, n_max: int = 4,
+                             entry_max: int = 2):
+    """Random irreducible nonnegative integer matrix as an edge shift."""
+    while True:
+        n = rng.randint(1, n_max)
+        rows = [[0] * n for _ in range(n)]
+        cycle = list(range(n))
+        rng.shuffle(cycle)
+        for i in range(n):
+            rows[cycle[i]][cycle[(i + 1) % n]] = rng.randint(1, entry_max)
+        for _ in range(rng.randint(0, n)):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(0, entry_max)
+        try:
+            return validate(tuple(tuple(r) for r in rows), "edge")
+        except (NotIrreducible, PermutationMatrix):
+            continue
+
+
+def random_point(rng: random.Random, p, max_preperiod: int = 3,
+                 max_period: int = 4):
+    """Random eventually periodic point via a random admissible walk."""
+    while True:
+        total = rng.randint(1, max_preperiod + max_period)
+        walk = [rng.randrange(p.alphabet_size)]
+        ok = True
+        for _ in range(total - 1):
+            succ = p.successors(walk[-1])
+            if not succ:
+                ok = False
+                break
+            walk.append(rng.choice(succ))
+        if not ok:
+            continue
+        # close a period over some suffix of the walk
+        starts = [s for s in range(len(walk))
+                  if len(walk) - s <= max_period and p.follow(walk[-1], walk[s])]
+        if starts:
+            start = rng.choice(starts)
+            return periodic_point(p, tuple(walk[:start]), tuple(walk[start:]))
+
+
+def negate(f):
+    """-f, as 0 - f."""
+    return sftlab.cohomology.subtract(sftlab.cohomology.zero(f.presentation), f)
+
+
+def scale(f, c):
+    """c·f, in ring Q when c is a Fraction that is not an integer."""
+    coh = sftlab.cohomology
+    ring = coh.RING_RAT if isinstance(c, Fraction) and c.denominator != 1 else f.ring
+    return coh.function(f.presentation, f.depth, [c * v for v in f.table], ring)
 
 
 # The caches a presentation fills on demand.  None maps a word to its

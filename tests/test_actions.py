@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import negate, random_point
 from hypothesis import given
 from hypothesis import strategies as st
 
 import sftlab.actions as act
 import sftlab.cohomology as coh
 from sftlab.errors import Inadmissible, PresentationMismatch
-from sftlab.randgen import random_function, random_irreducible, random_point
+from sftlab.randgen import random_function, random_irreducible
 from sftlab.shifts import parse_point, shift_point_by
 
 seeds = st.integers(0, 10**6)
@@ -26,7 +27,8 @@ class TestGroupLaw:
     def test_inverse(self, fib):
         rng = random.Random(1)
         a = act.action(random_function(rng, fib))
-        assert act.compose(a, act.inverse(a)).classifier == coh.zero(fib)
+        minus_a = act.action(negate(a.classifier))
+        assert act.compose(a, minus_a).classifier == coh.zero(fib)
 
     def test_classifier_adds(self, fib):
         rng = random.Random(2)
@@ -114,7 +116,7 @@ class TestOrder:
             g = act.gauge_action(p)
             assert act.class_nonnegative(g)
             assert coh.order_unit_check(g.classifier)
-            assert not act.class_nonnegative(act.inverse(g))
+            assert not act.class_nonnegative(act.action(negate(g.classifier)))
 
     def test_trivial_action_nonnegative(self, fib):
         assert act.class_nonnegative(act.trivial_action(fib))

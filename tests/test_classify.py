@@ -35,6 +35,19 @@ def sigma_machine(p):
     return tr.make_transducer(p, p, rules, n_states=2)
 
 
+def _two_detector_report(pa, pb, witness):
+    """consistency_check on a witness it accepts, with eventual conjugacy
+    from ``is_eventual_conjugacy`` and strong COE from two ``class_equal``
+    calls of its own, and the backward unit image left out of the report."""
+    verdict = cl.coe_verdict(pa, pb)
+    conj = tr.is_eventual_conjugacy(witness.forward, witness.forward_data,
+                                    witness.backward, witness.backward_data)
+    c1_fwd, c1_bwd = conj.forward_unit_image, conj.backward_unit_image
+    strong = (coh.class_equal(c1_fwd, coh.unit(pa)).is_coboundary
+              and coh.class_equal(c1_bwd, coh.unit(pb)).is_coboundary)
+    return cl.ConsistencyReport(verdict, True, c1_fwd, conj.verdict, strong)
+
+
 def identity_witness(p):
     ident = tr.identity_transducer(p)
     data = tr.conjugacy_data(p)
@@ -214,3 +227,34 @@ class TestConsistencyCheck:
         monkeypatch.setattr(cl, "coe_verdict", lambda *a, **k: fake)
         with pytest.raises(ContradictionDetected):
             cl.consistency_check(fib, fib, identity_witness(fib))
+
+    @pytest.mark.parametrize("shift", ["fib", "full2", "full3"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3],
+                             ids=lambda k: f"block{k}" if k else "identity")
+    def test_matches_the_two_detector_body(self, shift, k, request, monkeypatch):
+        """The report, and the transfers and class comparisons made, are
+        those of a body that asks ``is_eventual_conjugacy`` and then
+        compares each unit image with 1 by ``class_equal``."""
+        p = request.getfixturevalue(shift)
+        # the machine check decides each orbit relation; fewer cross-checked
+        # points keep the full 3-shift's cases fast
+        monkeypatch.setattr(tr, "POINT_CHECK_PERIOD", 3)
+        if k:
+            bc = tr.block_conjugacy(p, k)
+            q = bc.forward.codomain
+            witness = cl.CoeWitness(bc.forward, bc.forward_data,
+                                    bc.backward, bc.backward_data)
+        else:
+            q, witness = p, identity_witness(p)
+        calls = {"transfer_psi": [], "class_equal": []}
+        for module, name in ((tr, "transfer_psi"), (coh, "class_equal")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, log=calls[name]:
+                                log.append(a) or real(*a))
+        report = cl.consistency_check(p, q, witness)
+        made = {name: log[:] for name, log in calls.items()}
+        for log in calls.values():
+            log.clear()
+        assert report == _two_detector_report(p, q, witness)
+        assert made == calls
+        assert report.eventual_conjugacy is report.strong_coe is True

@@ -330,3 +330,129 @@ def test_guard_sees_a_module_level_linalg_import():
               "    from . import linalg\n")
     assert module_level_linalg_names(source) == ["freeze (line 1)", "mat_mul (line 1)",
                                                  "linalg (line 2)", "smith (line 4)"]
+
+
+# Public names of the package that nothing in ``src/`` or ``scripts/`` reads,
+# each with the reason it stays.  The tests and the benchmark are not readers,
+# and neither are the re-exports of ``__init__``.
+UNREAD_ALLOWED = {
+    # ROADMAP item 4: the flow and orbit-equivalence certificates check their
+    # claims by lattice membership
+    "linalg.lattice_member",
+    # item 8: the last decision that returns a bare bool, and the printer of
+    # the matrix round trip
+    "cohomology.order_unit_check",
+    "shifts.format_matrix_text",
+    # item 11: the gauge-action verdicts, to be reached from a command
+    "classify.consistency_check",
+    "transducers.block_conjugacy",
+    "transducers.is_eventual_conjugacy",
+    # perfbench/layertrace.py counts its calls, and the tests size tables by
+    # it, their count of |B_k| independent of the word levels
+    "shifts.count_words",
+}
+
+
+def _module_bindings(tree, modules: set[str], exports: dict[str, str]):
+    """(names bound to package modules, names bound to package members) by
+    the imports anywhere in a file: relative ones, and absolute ones from
+    ``sftlab``, whose re-exports resolve through ``exports``."""
+    mods: dict[str, str] = {}
+    members: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "sftlab" and len(parts) == 2 and alias.asname:
+                    mods[alias.asname] = parts[1]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "sftlab":
+                continue
+            module = module.removeprefix("sftlab").lstrip(".")
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if module:
+                    members[bound] = f"{module}.{alias.name}"
+                elif alias.name in modules:
+                    mods[bound] = alias.name
+                elif alias.name in exports:
+                    members[bound] = exports[alias.name]
+    return mods, members
+
+
+def _reads(tree, stem, modules: set[str], exports: dict[str, str]):
+    """(qualified name, reader) for every read of a package member in a
+    file: a name imported from the package, an attribute of a package
+    module, or, in module ``stem``, a name defined at its top level.  The
+    reader is ``stem.name`` inside a top-level definition, else None."""
+    mods, members = _module_bindings(tree, modules, exports)
+    if stem is not None:
+        members.update({node.name: f"{stem}.{node.name}" for node in tree.body
+                        if isinstance(node, (*FUNCTIONS, ast.ClassDef))})
+    for top in tree.body:
+        owner = (f"{stem}.{top.name}"
+                 if stem and isinstance(top, (*FUNCTIONS, ast.ClassDef)) else None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in members:
+                yield members[node.id], owner
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in mods):
+                yield f"{mods[node.value.id]}.{node.attr}", owner
+
+
+def unread_public_names(package: dict[str, str], scripts=()) -> set[str]:
+    """The public functions and classes defined at the top level of the
+    package's modules (stem -> source) that no module and no script reads
+    outside their own definition, as ``module.name``.  ``__init__`` reads
+    nothing: its names are re-exports."""
+    trees = {stem: ast.parse(source) for stem, source in package.items()}
+    exports = {}
+    if "__init__" in trees:
+        exports = _module_bindings(trees.pop("__init__"), set(trees), {})[1]
+    defined = {f"{stem}.{node.name}" for stem, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (*FUNCTIONS, ast.ClassDef))
+               and not node.name.startswith("_")}
+    read = {name for stem, tree in trees.items()
+            for name, owner in _reads(tree, stem, set(trees), exports) if name != owner}
+    read |= {name for source in scripts
+             for name, _owner in _reads(ast.parse(source), None, set(trees), exports)}
+    return defined - read
+
+
+def unread_name_drift(found: set[str], allowed: set[str]) -> list[str]:
+    """The unread names missing from the allow-list, and its stale entries."""
+    return ([f"unread: {name}" for name in sorted(found - allowed)]
+            + [f"stale: {name}" for name in sorted(allowed - found)])
+
+
+def test_every_public_name_has_a_reader():
+    package = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "sftlab").glob("*.py")}
+    scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
+    assert unread_name_drift(unread_public_names(package, scripts),
+                             UNREAD_ALLOWED) == []
+
+
+def test_guard_sees_an_unread_name_and_a_stale_entry():
+    """A re-export and a call from its own body are no readers; a
+    module alias, a script's import through the package and a call from
+    another top-level function of the module are."""
+    package = {
+        "__init__": "from .a import exported, used\n__all__ = ['exported', 'used']\n",
+        "a": ("def used():\n    pass\n"
+              "def exported():\n    pass\n"
+              "def recursive(n):\n    return recursive(n - 1)\n"
+              "def helper():\n    pass\n"
+              "def user():\n    return helper()\n"
+              "class Kept:\n    pass\n"
+              "def _private():\n    pass\n"),
+        "b": ("from . import a as m\n"
+              "def caller():\n    return m.user()\n"),
+    }
+    scripts = ["from sftlab import used\nfrom sftlab.a import Kept\nused(), Kept\n"]
+    found = unread_public_names(package, scripts)
+    assert found == {"a.exported", "a.recursive", "b.caller"}
+    assert unread_name_drift(found, {"b.caller", "a.gone"}) == [
+        "unread: a.exported", "unread: a.recursive", "stale: a.gone"]

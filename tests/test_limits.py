@@ -187,8 +187,6 @@ CONSTRUCTORS = {
         lambda c, lim: mv.sse_search(((2,),), ((1, 1), (1, 1)), 2, 1, 1, lim),
     "randgen.random_irreducible":
         lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
-    "randgen.random_edge_presentation":
-        lambda c, lim: rg.random_edge_presentation(random.Random(1), 3, 2, lim),
     "randgen.random_elementary":
         lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim),
 }
@@ -200,7 +198,6 @@ CASES = {
     "shifts.enumerate_points": lambda c: sh.enumerate_points(c.fib, 0, 2),
     "shifts.higher_block": lambda c: sh.higher_block(c.fib, 1),
     "shifts.block_edges": lambda c: sh.block_edges(c.fib, 2),
-    "shifts.to_edge_form": lambda c: sh.to_edge_form(c.fib),
     "cohomology.LocallyConstantFunction.value_on_word":
         lambda c: c.f2.value_on_word((1, 0)),
     "cohomology.LocallyConstantFunction.value_at_point":
@@ -214,7 +211,6 @@ CASES = {
     "cohomology.add": lambda c: coh.add(c.f2, c.f2),
     "cohomology.subtract": lambda c: coh.subtract(c.f2, c.g1),
     "cohomology.multiply": lambda c: coh.multiply(c.f2, c.f2),
-    "cohomology.scale": lambda c: coh.scale(c.f2, 2),
     "cohomology.pullback_sigma": lambda c: coh.pullback_sigma(c.f2),
     "cohomology.window_sums": lambda c: coh.window_sums(c.f2, [((0, 1, 0), 2)]),
     "cohomology.partial_sum": lambda c: coh.partial_sum(c.f2, 2),
@@ -255,9 +251,6 @@ CASES = {
 }
 
 ENTRY_POINTS = sorted(CONSTRUCTORS.keys() | CASES.keys())
-
-# Calls that build no word table (they read the vertex cap only).
-NO_TABLE = set(CONSTRUCTORS) | {"shifts.to_edge_form"}
 
 
 def _call(name, c, lim):
@@ -310,7 +303,7 @@ def small_ctx(ctx, monkeypatch):
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_caller_word_cap_reaches_every_table(name, small_ctx):
-    if name in NO_TABLE:
+    if name in CONSTRUCTORS:         # they read the vertex cap and build no word table
         _call(name, small_ctx, SMALL)
     else:
         with pytest.raises(EnvelopeExceeded):
@@ -330,13 +323,10 @@ BUILT = {
         lambda c, lim: mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=lim).found[0].a,
     "moves.expand": lambda c, lim: mv.expand(_fib(lim), 0).expanded,
     "shifts.higher_block": lambda c, lim: sh.higher_block(_fib(lim), 1),
-    "shifts.to_edge_form": lambda c, lim: sh.to_edge_form(_fib(lim)),
     "transducers.block_conjugacy":
         lambda c, lim: tr.block_conjugacy(_fib(lim), 1).forward.codomain,
     "randgen.random_irreducible":
         lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
-    "randgen.random_edge_presentation":
-        lambda c, lim: rg.random_edge_presentation(random.Random(1), 3, 2, lim),
     "randgen.random_elementary":
         lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim).a,
 }
@@ -508,8 +498,7 @@ from sftlab.errors import EnvelopeExceeded
 import sftlab.moves as mv
 import sftlab.randgen as rg
 lim = Limits(max_vertices=0)
-for make in (rg.random_irreducible, rg.random_edge_presentation,
-             rg.random_elementary):
+for make in (rg.random_irreducible, rg.random_elementary):
     try:
         make(random.Random(1), limits=lim)
     except EnvelopeExceeded:
@@ -565,9 +554,8 @@ def test_refusing_cap_propagates():
                           capture_output=True, text=True, timeout=30,
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["random_irreducible", "random_edge_presentation",
-                                   "random_elementary", "elementary",
-                                   "sse_search"]
+    assert proc.stdout.split() == ["random_irreducible", "random_elementary",
+                                   "elementary", "sse_search"]
 
 
 # --------------------------------------------------------------------- CLI

@@ -11,7 +11,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from conftest import FIB, FULL2, WORDS_BINDINGS
+from conftest import FIB, FULL2, WORDS_BINDINGS, random_edge_presentation, random_point
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,7 +27,7 @@ from sftlab.errors import (
     NotZeroOne,
     PermutationMatrix,
 )
-from sftlab.randgen import random_edge_presentation, random_irreducible, random_point
+from sftlab.randgen import random_irreducible
 from sftlab.shifts import (
     block_edges,
     count_words,
@@ -39,9 +39,7 @@ from sftlab.shifts import (
     parse_matrix_text,
     parse_point,
     periodic_point,
-    shift_point,
     shift_point_by,
-    to_edge_form,
     validate,
     word_level,
     words,
@@ -478,9 +476,9 @@ class TestPoints:
         assert x.period == (0, 1)
 
     def test_shift(self, fib, full2):
-        assert shift_point(parse_point(fib, ":12")).label() == ":21"
-        assert shift_point(parse_point(full2, ":1")).label() == ":1"
-        assert shift_point(parse_point(fib, "21:12")).label() == "1:12"
+        assert shift_point_by(parse_point(fib, ":12"), 1).label() == ":21"
+        assert shift_point_by(parse_point(full2, ":1"), 1).label() == ":1"
+        assert shift_point_by(parse_point(fib, "21:12"), 1).label() == "1:12"
 
     def test_shift_by(self, fib):
         x = parse_point(fib, "211:21")
@@ -528,7 +526,7 @@ class TestPoints:
         rng = random.Random(seed)
         p = random_irreducible(rng, 4)
         x = random_point(rng, p)
-        assert shift_point(x).prefix(6) == x.prefix(7)[1:]
+        assert shift_point_by(x, 1).prefix(6) == x.prefix(7)[1:]
 
     @given(seeds, st.data())
     def test_shifts_and_prefixes_match_the_reference(self, seed, data):
@@ -542,7 +540,7 @@ class TestPoints:
         r = shift_point_by(x, n)
         assert r == _ref_shift_point_by(x, n)
         assert periodic_point(p, r.preperiod, r.period) == r
-        assert shift_point(x) == _ref_shift_point(x)
+        assert shift_point_by(x, 1) == _ref_shift_point(x)
         assert shift_point_by(x, -n) is x
         for m in (data.draw(st.integers(0, pre)),
                   data.draw(st.integers(pre, pre + 2 * per + 1))):
@@ -595,22 +593,20 @@ class TestHigherBlock:
         assert [e[:2] for e in higher_block(p, k).edges] == [
             (position[w[:-1]], position[w[1:]]) for w in words(p, k + 1)]
         if p.kind == "vertex":
-            assert to_edge_form(p).alphabet_size == count_words(p, 2)
+            assert validate(p.adjacency, "edge").alphabet_size == count_words(p, 2)
 
 
 class TestEdgeForm:
+    """The edge form of a vertex-kind p: its matrix read as an edge shift."""
+
     def test_fibonacci(self, fib):
-        ef = to_edge_form(fib)
+        ef = validate(fib.adjacency, "edge")
         assert ef.kind == "edge"
         assert ef.alphabet_size == 3
         assert tuple(e[:2] for e in ef.edges) == ((0, 0), (0, 1), (1, 0))
 
     def test_full2(self, full2):
-        assert to_edge_form(full2).alphabet_size == 4
-
-    def test_edge_kind_identity(self):
-        p = validate(((2,),), "edge")
-        assert to_edge_form(p) is p
+        assert validate(full2.adjacency, "edge").alphabet_size == 4
 
     @given(seeds)
     def test_word_counts_preserved(self, seed):
@@ -618,7 +614,7 @@ class TestEdgeForm:
         corresponds to B_k of the edge shift."""
         rng = random.Random(seed)
         p = random_irreducible(rng, 4)
-        ef = to_edge_form(p)
+        ef = validate(p.adjacency, "edge")
         for k in range(1, 4):
             assert count_words(ef, k) == count_words(p, k + 1)
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import random_edge_presentation, random_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,12 +25,7 @@ from sftlab.errors import (
 from sftlab.config import Limits
 from sftlab.graphs import bfs
 from sftlab.moves import expand, psi_eta
-from sftlab.randgen import (
-    random_edge_presentation,
-    random_function,
-    random_irreducible,
-    random_point,
-)
+from sftlab.randgen import random_function, random_irreducible
 from sftlab.shifts import (
     count_words,
     enumerate_points,
