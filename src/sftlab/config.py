@@ -1,20 +1,20 @@
 """The two input-size caps: vertices of a presentation, words in a table.
 
-Both live in one record, ``Limits``, given where a presentation is built and
-kept on it (``SftPresentation.limits``); presentations derived from it
-inherit them.  The word cap can be overridden with the SFTLAB_MAX_WORDS
-environment variable.  The bounds of the searches and checks (SSE attempt
-budget, delay slack, point-check bounds) are constants next to their one
-reader.  The three default ``sse-search`` bounds have two readers,
-``moves.sse_search`` and the CLI parser, so they are held here.
+Both live in one record, ``Limits``, kept on each presentation
+(``SftPresentation.limits``); presentations derived from it inherit them.
+The word cap can be overridden with the SFTLAB_MAX_WORDS environment
+variable.  The bounds of the searches and checks (SSE attempt budget, delay
+slack, point-check bounds) are constants next to their one reader.  The
+three default ``sse-search`` bounds have two readers, ``moves.sse_search``
+and the CLI parser, so they are held here.
 
-Limits are resolved in one place: ``shifts.validate`` stores the caller's
-Limits as given, or ``default_limits()`` when there are none, so every
-presentation carries concrete caps.  The environment is read when a
-presentation is built without Limits, not on each word-table request;
-changing it later affects only presentations built later.
-``shifts.validate`` reads the vertex cap and ``shifts._check_word_cap`` the
-word cap, and every word table and word level goes through that one reader.
+Limits are resolved in one place: ``shifts.validate``, the one function that
+takes them, stores the caller's Limits as given, or else ``default_limits()``,
+which every other builder from raw matrices gets.  The environment is read
+when a presentation is built, not on each word-table request; changing it
+later affects only presentations built later.  ``shifts.validate`` reads the
+vertex cap and ``shifts._check_word_cap`` the word cap, and every word table
+and word level goes through that one reader.
 """
 from __future__ import annotations
 

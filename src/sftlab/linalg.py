@@ -40,10 +40,10 @@ def transpose(a) -> IntMatrix:
 
 def determinant(m) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
+    a = [list(row) for row in freeze(m)]
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(map(int, row)) for row in m]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -271,7 +271,7 @@ def lattice_member(vector, generators) -> LatticeMembership:
     functional that is integral on every generator but not on v.
     """
     gens = freeze(generators)
-    v = tuple(int(x) for x in vector)
+    v, = freeze([vector])
     if not gens:
         # the zero lattice: membership means v = 0
         if all(x == 0 for x in v):

@@ -17,7 +17,7 @@ import itertools
 import operator
 
 from . import cohomology as coh
-from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM, Limits
+from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM
 from .errors import (
     ContradictionDetected,
     FormatError,
@@ -170,7 +170,7 @@ def _factor_pairs(name: str, product: SftPresentation, first: Matrix,
     return tuple(pairs)
 
 
-def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
+def elementary(c, d) -> ElementaryEquivalence:
     c = freeze(c)
     d = freeze(d)
     n = len(c)
@@ -184,8 +184,8 @@ def elementary(c, d, limits: Limits | None = None) -> ElementaryEquivalence:
     b_mat = mat_mul(d, c)
     # only what a product can fail is wrapped; errors of the caps propagate
     try:
-        a = validate(a_mat, "edge", None, limits)
-        b = validate(b_mat, "edge", None, limits)
+        a = validate(a_mat, "edge")
+        b = validate(b_mat, "edge")
     except (NotIrreducible, PermutationMatrix) as exc:
         raise InvalidResult(f"product is not a valid presentation: {exc}") from exc
 
@@ -306,13 +306,12 @@ SSE_ATTEMPT_BUDGET = 20_000          # factorizations tried before "not-found"
 
 def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
                entry_bound: int = SSE_ENTRY_BOUND,
-               chain_bound: int = SSE_CHAIN_BOUND,
-               limits: Limits | None = None) -> SseSearchResult:
+               chain_bound: int = SSE_CHAIN_BOUND) -> SseSearchResult:
     """Breadth-first search for a chain of elementary equivalences from A to
     B.  Every factorization A' = C D with inner dimension and entries within
-    the bounds yields the neighbour D C.  Exponential in the bounds.  A cap
-    of ``limits`` that refuses a candidate, or a malformed environment cap,
-    is raised, not skipped."""
+    the bounds yields the neighbour D C.  Exponential in the bounds.  Each
+    candidate is built under the environment's caps; a cap that refuses it,
+    or a malformed environment cap, is raised, not skipped."""
     start = freeze(a_matrix)
     goal = freeze(b_matrix)
     depth = {start: 0}
@@ -350,7 +349,7 @@ def sse_search(a_matrix, b_matrix, inner_dim_bound: int = SSE_INNER_DIM,
                         d = tuple(tuple(combo[j][i] for j in range(n))
                                   for i in range(m))
                         try:
-                            ee = elementary(c, d, limits)
+                            ee = elementary(c, d)
                         except InvalidResult:
                             continue
                         depth.setdefault(ee.b.adjacency, depth[node] + 1)

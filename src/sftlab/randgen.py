@@ -5,21 +5,19 @@ on them and elementary equivalences.
 Everything takes an explicit random.Random so runs are reproducible from a
 single seed.  Generators retry until validation passes; the constructions
 make failure rare (a random full cycle guarantees irreducibility).  Only the
-rejections a random candidate can hit are retried: a cap in ``limits`` that
-refuses every candidate raises EnvelopeExceeded instead of looping."""
+rejections a random candidate can hit are retried: a cap of the environment
+that refuses a candidate, or a malformed one, is raised instead of looping."""
 from __future__ import annotations
 
 import random
 
 from . import cohomology as coh
-from .config import Limits
 from .errors import InvalidResult, PermutationMatrix
 from .moves import ElementaryEquivalence, elementary
 from .shifts import SftPresentation, validate, word_level
 
 
-def random_irreducible(rng: random.Random, n_max: int = 6,
-                       limits: Limits | None = None) -> SftPresentation:
+def random_irreducible(rng: random.Random, n_max: int = 6) -> SftPresentation:
     """Random 0-1 irreducible non-permutation presentation."""
     while True:
         n = rng.randint(2, n_max)
@@ -32,7 +30,7 @@ def random_irreducible(rng: random.Random, n_max: int = 6,
         for _ in range(extra):
             rows[rng.randrange(n)][rng.randrange(n)] = 1
         try:
-            return validate(tuple(tuple(r) for r in rows), "vertex", None, limits)
+            return validate(tuple(tuple(r) for r in rows), "vertex")
         except PermutationMatrix:
             continue
 
@@ -45,9 +43,8 @@ def random_function(rng: random.Random, p: SftPresentation,
     return coh.function(p, depth, table, coh.RING_INT)
 
 
-def random_elementary(rng: random.Random, outer_max: int = 4,
-                      inner_max: int = 4, entry_max: int = 2,
-                      limits: Limits | None = None) -> ElementaryEquivalence:
+def random_elementary(rng: random.Random, outer_max: int = 4, inner_max: int = 4,
+                      entry_max: int = 2) -> ElementaryEquivalence:
     """Random valid elementary equivalence A = CD, B = DC."""
     while True:
         n = rng.randint(1, outer_max)
@@ -55,6 +52,6 @@ def random_elementary(rng: random.Random, outer_max: int = 4,
         c = [[rng.randint(0, entry_max) for _ in range(m)] for _ in range(n)]
         d = [[rng.randint(0, entry_max) for _ in range(n)] for _ in range(m)]
         try:
-            return elementary(c, d, limits)
+            return elementary(c, d)
         except InvalidResult:
             continue

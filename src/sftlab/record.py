@@ -19,18 +19,26 @@ from what it read: nothing is generated by ``exec``.  A record
 Fields named in the class keyword ``hidden`` are kept on the instance but
 take no part in ``==``, ``hash`` or ``repr``.
 
-``freeze`` turns a matrix given as rows of numbers into the tuple of int
-tuples that records hold.
+``freeze`` turns a matrix given as rows of integers into the tuple of int
+tuples that records hold, each entry converted by ``integer``.
 """
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, index
 
-from .errors import FieldMismatch, FrozenField
+from .errors import FieldMismatch, FormatError, FrozenField
+
+
+def integer(v) -> int:
+    """v by ``operator.index``: a float, string or fraction is a FormatError."""
+    try:
+        return index(v)
+    except TypeError:
+        raise FormatError(f"expected an integer, got {v!r}") from None
 
 
 def freeze(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+    return tuple(tuple(map(integer, row)) for row in rows)
 
 
 class Record:

@@ -47,10 +47,9 @@ behind.  |B_k| grows with k, so the stepping stops at the first level over
 the cap, however large k is.  ``_check_word_cap`` is the one reader of the
 cap; ``count_words`` is the independent count by matrix powers.
 
-A presentation carries the ``Limits`` its builder was given, or else
-``default_limits()`` read once by ``validate``, never on a table request.
-Presentations derived from it inherit these caps.  The caps take no part
-in equality or hashing.
+A presentation carries the ``Limits`` given to ``validate``, or else
+``default_limits()`` read once by it, never on a table request; derived
+presentations inherit them, and they take no part in equality or hashing.
 
 The recoding ``higher_block`` returns a presentation indexed by the word
 tables of p; a caller that needs the words reads them from p.
@@ -636,9 +635,9 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 
 
-def load_matrix_file(path, limits: Limits | None = None) -> SftPresentation:
+def load_matrix_file(path) -> SftPresentation:
     """Read, parse and validate a vertex or edge matrix file."""
     kind, rows = parse_matrix_text(read_text(path))
     if kind == "rect":
         raise FormatError(f"{path}: rectangular matrices cannot present a shift")
-    return validate(rows, kind, None, limits)
+    return validate(rows, kind)

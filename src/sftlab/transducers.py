@@ -44,7 +44,7 @@ from .errors import (
     Starvation,
 )
 from .graphs import bfs, find_cycle, path
-from .record import Record
+from .record import Record, integer
 from .shifts import (
     _canonical,
     EventuallyPeriodicPoint,
@@ -138,15 +138,12 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                     rules, initial: int = 0,
                     n_states: int | None = None) -> Transducer:
     """Normalize the rule set (sorted, frozen) and build the machine."""
-    normalized = sorted((int(q), int(a), int(q2), tuple(int(s) for s in out))
-                        for q, a, q2, out in rules)
+    normalized = sorted((integer(q), integer(a), integer(q2),
+                         tuple(map(integer, out))) for q, a, q2, out in rules)
+    initial = integer(initial)
     if n_states is None:
-        n_states = 1 + max(
-            itertools.chain((q for q, _a, _q2, _o in normalized),
-                            (q2 for _q, _a, q2, _o in normalized)),
-            default=-1)
-        n_states = max(n_states, initial + 1)
-    return Transducer(domain=domain, codomain=codomain, n_states=n_states,
+        n_states = 1 + max(-1, initial, *(max(q, q2) for q, _a, q2, _o in normalized))
+    return Transducer(domain=domain, codomain=codomain, n_states=integer(n_states),
                       initial=initial, rules=tuple(normalized))
 
 

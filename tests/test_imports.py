@@ -381,24 +381,38 @@ def _module_bindings(tree, modules: set[str], exports: dict[str, str]):
     return mods, members
 
 
-def _reads(tree, stem, modules: set[str], exports: dict[str, str]):
-    """(qualified name, reader) for every read of a package member in a
-    file: a name imported from the package, an attribute of a package
-    module, or, in module ``stem``, a name defined at its top level.  The
-    reader is ``stem.name`` inside a top-level definition, else None."""
+def _resolver(tree, stem, modules: set[str], exports: dict[str, str]):
+    """A function from a node of the file to the package member it reads,
+    as ``module.name``, or None: a name imported from the package, an
+    attribute of a package module, or, in module ``stem``, a name defined at
+    its top level."""
     mods, members = _module_bindings(tree, modules, exports)
     if stem is not None:
         members.update({node.name: f"{stem}.{node.name}" for node in tree.body
                         if isinstance(node, (*FUNCTIONS, ast.ClassDef))})
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return members.get(node.id)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in mods):
+            return f"{mods[node.value.id]}.{node.attr}"
+        return None
+    return resolve
+
+
+def _reads(tree, stem, modules: set[str], exports: dict[str, str]):
+    """(qualified name, reader) for every read of a package member in a
+    file, resolved by ``_resolver``.  The reader is ``stem.name`` inside a
+    top-level definition, else None."""
+    resolve = _resolver(tree, stem, modules, exports)
     for top in tree.body:
         owner = (f"{stem}.{top.name}"
                  if stem and isinstance(top, (*FUNCTIONS, ast.ClassDef)) else None)
         for node in ast.walk(top):
-            if isinstance(node, ast.Name) and node.id in members:
-                yield members[node.id], owner
-            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in mods):
-                yield f"{mods[node.value.id]}.{node.attr}", owner
+            name = resolve(node)
+            if name is not None:
+                yield name, owner
 
 
 def unread_public_names(package: dict[str, str], scripts=()) -> set[str]:
@@ -421,9 +435,10 @@ def unread_public_names(package: dict[str, str], scripts=()) -> set[str]:
     return defined - read
 
 
-def unread_name_drift(found: set[str], allowed: set[str]) -> list[str]:
-    """The unread names missing from the allow-list, and its stale entries."""
-    return ([f"unread: {name}" for name in sorted(found - allowed)]
+def allow_list_drift(found: set[str], allowed: set[str]) -> list[str]:
+    """The names found and missing from the allow-list, and its stale
+    entries."""
+    return ([f"unlisted: {name}" for name in sorted(found - allowed)]
             + [f"stale: {name}" for name in sorted(allowed - found)])
 
 
@@ -431,7 +446,7 @@ def test_every_public_name_has_a_reader():
     package = {path.stem: path.read_text()
                for path in (ROOT / "src" / "sftlab").glob("*.py")}
     scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
-    assert unread_name_drift(unread_public_names(package, scripts),
+    assert allow_list_drift(unread_public_names(package, scripts),
                              UNREAD_ALLOWED) == []
 
 
@@ -454,5 +469,86 @@ def test_guard_sees_an_unread_name_and_a_stale_entry():
     scripts = ["from sftlab import used\nfrom sftlab.a import Kept\nused(), Kept\n"]
     found = unread_public_names(package, scripts)
     assert found == {"a.exported", "a.recursive", "b.caller"}
-    assert unread_name_drift(found, {"b.caller", "a.gone"}) == [
-        "unread: a.exported", "unread: a.recursive", "stale: a.gone"]
+    assert allow_list_drift(found, {"b.caller", "a.gone"}) == [
+        "unlisted: a.exported", "unlisted: a.recursive", "stale: a.gone"]
+
+
+# Parameters with a default, on public functions of the package, that no call
+# in ``src/`` or ``scripts/`` sets, each with the reason it stays.  A
+# parameter that only the tests set is a constant in disguise.
+UNSET_ALLOWED = {
+    "cli.run.argv": "the tests and the benchmark drive the CLI in-process",
+    "classify.consistency_check.witness": "item 11, to be set by orbit-verify",
+    "transducers.is_eventual_conjugacy.h_back": "item 11, to be set by orbit-verify",
+    "transducers.is_eventual_conjugacy.data_back": "item 11, to be set by orbit-verify",
+}
+
+
+def _optional_parameters(fn) -> tuple[list[str], list[str]]:
+    """(the positional parameters of fn in order, those of its parameters
+    that have a default)."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    optional = positional[len(positional) - len(args.defaults):]
+    optional += [a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                 if default is not None]
+    return positional, optional
+
+
+def unset_parameters(package: dict[str, str], scripts=()) -> set[str]:
+    """The parameters with a default, on the public functions defined at the
+    top level of the package's modules (stem -> source), that no call in a
+    module or a script passes by position or by keyword, as
+    ``module.function.parameter``; callees are resolved by ``_resolver``.  A
+    call with ``*args`` or ``**kwargs`` sets every parameter it could
+    reach."""
+    trees = {stem: ast.parse(source) for stem, source in package.items()}
+    exports = {}
+    if "__init__" in trees:
+        exports = _module_bindings(trees.pop("__init__"), set(trees), {})[1]
+    signatures = {f"{stem}.{node.name}": _optional_parameters(node)
+                  for stem, tree in trees.items() for node in tree.body
+                  if isinstance(node, FUNCTIONS) and not node.name.startswith("_")}
+    unset = {f"{name}.{param}" for name, (_pos, optional) in signatures.items()
+             for param in optional}
+    files = [*((tree, stem) for stem, tree in trees.items()),
+             *((ast.parse(source), None) for source in scripts)]
+    for tree, stem in files:
+        resolve = _resolver(tree, stem, set(trees), exports)
+        for call in ast.walk(tree):
+            name = isinstance(call, ast.Call) and resolve(call.func)
+            if name not in signatures:
+                continue
+            positional, optional = signatures[name]
+            given = {*positional[:len(call.args)], *(kw.arg for kw in call.keywords)}
+            if None in given or any(isinstance(a, ast.Starred) for a in call.args):
+                given = set(optional)
+            unset -= {f"{name}.{param}" for param in given}
+    return unset
+
+
+def test_every_optional_parameter_has_a_setter():
+    package = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "sftlab").glob("*.py")}
+    scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
+    assert allow_list_drift(unset_parameters(package, scripts),
+                             set(UNSET_ALLOWED)) == []
+
+
+def test_guard_sees_an_unset_parameter_and_a_stale_entry():
+    """A parameter set by position, by keyword, by a script through a
+    re-export or by ``**kwargs`` has a setter; a private function's is not
+    listed."""
+    package = {
+        "__init__": "from .a import build\n__all__ = ['build']\n",
+        "a": ("def build(m, limits=None, *, kind='v'):\n    pass\n"
+              "def search(a, b, bound=3, budget=9):\n    return build(a, None)\n"
+              "def _helper(x=1):\n    pass\n"),
+        "b": ("from . import a\n"
+              "def run(opts):\n    return a.search(1, 2, budget=4), a.build(**opts)\n"),
+    }
+    scripts = ["from sftlab import build\nbuild(1, kind='e')\n"]
+    found = unset_parameters(package, scripts)
+    assert found == {"a.search.bound"}
+    assert allow_list_drift(found, {"a.gone.x"}) == ["unlisted: a.search.bound",
+                                                     "stale: a.gone.x"]

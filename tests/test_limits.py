@@ -1,7 +1,8 @@
-"""A Limits object passed by the caller is honoured on every code path,
-also when the environment sets a smaller word cap.  The caps are given where
-a presentation is built and travel with it; the environment is read only
-when a presentation is built without them."""
+"""A Limits object passed to ``shifts.validate``, the one function that
+takes one, is honoured on every code path, also when the environment sets a
+smaller word cap.  The caps travel with the presentation built; the
+environment is read only when a presentation is built without them, which is
+how every other builder from raw matrices builds."""
 from __future__ import annotations
 
 import ast
@@ -113,8 +114,10 @@ def test_phase(big_fib, tiny_env_cap):
     assert act.evaluate_phase(a, (0, 1), Fraction(1, 7), x) == Fraction(5, 7)
 
 
-def test_elementary_transfers(tiny_env_cap):
-    ee = mv.elementary(((1, 1),), ((1,), (1,)), Limits())    # B = DC has 4 edges
+def test_elementary_transfers(monkeypatch):
+    monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
+    ee = mv.elementary(((1, 1),), ((1,), (1,)))    # B = DC has 4 edges
+    monkeypatch.setenv(MAX_WORDS_ENV, "2")
     f = coh.function(ee.a, 2, [1, 2, 3, 4])
     g = coh.function(ee.b, 1, [1, 2, 3, 4])
     assert mv.psi(ee, mv.phi(ee, f)) == coh.pullback_sigma(f)
@@ -149,14 +152,17 @@ LAYERS = ("shifts", "linalg", "cohomology", "actions", "transducers", "moves",
 @pytest.fixture(scope="module")
 def ctx(tmp_path_factory):
     """Inputs built under the default Limits while the environment allows
-    two words.  |B_2| of fib is 3 and |B_1| of full3 is 3, both above it."""
+    two words.  |B_2| of fib is 3 and |B_1| of full3 is 3, both above it.
+    The elementary equivalence takes no Limits, so it is built first, with
+    the environment cleared."""
     big = Limits()
     with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(MAX_WORDS_ENV, raising=False)
+        ee = mv.elementary(((1, 1),), ((1,), (1,)))
         mp.setenv(MAX_WORDS_ENV, "2")
         fib = _fib(big)
         full3 = sh.validate(FULL3, "vertex", None, big)
         f2 = coh.function(fib, 2, [1, 2, 3])
-        ee = mv.elementary(((1, 1),), ((1,), (1,)), big)
         e = mv.expand(fib, 0)
         h, h3 = tr.identity_transducer(fib), tr.identity_transducer(full3)
         data, data3 = tr.conjugacy_data(fib), tr.conjugacy_data(full3)
@@ -176,19 +182,10 @@ def ctx(tmp_path_factory):
             path=path)
 
 
-# The public functions of the layers that take `limits`: each builds a
-# presentation from raw matrices (test_every_limits_taker_has_a_case).
-# qualified name -> call(ctx, limits)
+# The public functions of the layers that take `limits`: validate alone
+# (test_every_limits_taker_has_a_case).  qualified name -> call(ctx, limits)
 CONSTRUCTORS = {
     "shifts.validate": lambda c, lim: _fib(lim),
-    "shifts.load_matrix_file": lambda c, lim: sh.load_matrix_file(c.path, lim),
-    "moves.elementary": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim),
-    "moves.sse_search":
-        lambda c, lim: mv.sse_search(((2,),), ((1, 1), (1, 1)), 2, 1, 1, lim),
-    "randgen.random_irreducible":
-        lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
-    "randgen.random_elementary":
-        lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim),
 }
 
 # Every other entry point that once took `limits` and passed it on; it now
@@ -303,7 +300,7 @@ def small_ctx(ctx, monkeypatch):
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_caller_word_cap_reaches_every_table(name, small_ctx):
-    if name in CONSTRUCTORS:         # they read the vertex cap and build no word table
+    if name in CONSTRUCTORS:         # it reads the vertex cap and builds no word table
         _call(name, small_ctx, SMALL)
     else:
         with pytest.raises(EnvelopeExceeded):
@@ -316,19 +313,10 @@ def test_caller_word_cap_reaches_every_table(name, small_ctx):
 # either by a constructor or derived from one built under limits
 BUILT = {
     "shifts.validate": lambda c, lim: _fib(lim),
-    "shifts.load_matrix_file": lambda c, lim: sh.load_matrix_file(c.path, lim),
-    "moves.elementary.a": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim).a,
-    "moves.elementary.b": lambda c, lim: mv.elementary(((1, 1),), ((1,), (1,)), lim).b,
-    "moves.sse_search":
-        lambda c, lim: mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=lim).found[0].a,
     "moves.expand": lambda c, lim: mv.expand(_fib(lim), 0).expanded,
     "shifts.higher_block": lambda c, lim: sh.higher_block(_fib(lim), 1),
     "transducers.block_conjugacy":
         lambda c, lim: tr.block_conjugacy(_fib(lim), 1).forward.codomain,
-    "randgen.random_irreducible":
-        lambda c, lim: rg.random_irreducible(random.Random(1), 3, lim),
-    "randgen.random_elementary":
-        lambda c, lim: rg.random_elementary(random.Random(1), 2, 2, 2, lim).a,
 }
 
 # expand, higher_block and block_conjugacy build B_2 of fib (3 words) or
@@ -336,15 +324,50 @@ BUILT = {
 TIGHT = Limits(max_words=3)
 
 
+def _refuses_over_the_cap(p, cap):
+    """words(p, k) is built up to the last k with |B_k| within cap and
+    refused at the first k over it."""
+    k = next(k for k in itertools.count() if sh.count_words(p, k) > cap)
+    sh.words(p, k - 1)
+    with pytest.raises(EnvelopeExceeded, match=f"word cap {cap}"):
+        sh.words(p, k)
+
+
 @pytest.mark.parametrize("name", sorted(BUILT))
 def test_built_presentation_carries_the_cap(name, ctx, monkeypatch):
     monkeypatch.delenv(MAX_WORDS_ENV, raising=False)
     p = BUILT[name](ctx, TIGHT)
     assert p.limits is TIGHT
-    k = next(k for k in itertools.count() if sh.count_words(p, k) > TIGHT.max_words)
-    sh.words(p, k - 1)
-    with pytest.raises(EnvelopeExceeded, match=f"word cap {TIGHT.max_words}"):
-        sh.words(p, k)
+    _refuses_over_the_cap(p, TIGHT.max_words)
+
+
+def _sides(ee):
+    return [ee.a, ee.b]
+
+
+# The builders from raw matrices that take no Limits: qualified name ->
+# build(ctx), the presentations built, under the environment's caps
+ENV_BUILT = {
+    "shifts.load_matrix_file": lambda c: [sh.load_matrix_file(c.path)],
+    "moves.elementary": lambda c: _sides(mv.elementary(((1, 1),), ((1,), (1,)))),
+    "moves.sse_search":
+        lambda c: _sides(mv.sse_search(((1, 1), (1, 1)), ((2,),)).found[0]),
+    "randgen.random_irreducible": lambda c: [rg.random_irreducible(random.Random(1), 3)],
+    "randgen.random_elementary":
+        lambda c: _sides(rg.random_elementary(random.Random(1), 2, 2, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_BUILT))
+def test_environment_cap_travels_from_every_builder(name, ctx, monkeypatch):
+    """Built while the environment allows three words, each presentation
+    keeps that cap after the variable is unset."""
+    monkeypatch.setenv(MAX_WORDS_ENV, str(TIGHT.max_words))
+    built = ENV_BUILT[name](ctx)
+    monkeypatch.delenv(MAX_WORDS_ENV)
+    for p in built:
+        assert p.limits == TIGHT
+        _refuses_over_the_cap(p, TIGHT.max_words)
 
 
 # C = (1 2), D = (1 1)^T: A = (3), B = ((1, 1), (2, 2)).  Both ways |B_k| of
@@ -356,10 +379,12 @@ def _refused_call(name, k):
     """(cap, target, f, call): a depth-k f and a call that builds B_(k+1) of
     the target, whose cap is one word below |B_(k+1)|."""
     if name in ("phi", "psi"):
-        plain = mv.elementary(*C_D)
         side = {"phi": lambda ee: (ee.a, ee.b), "psi": lambda ee: (ee.b, ee.a)}[name]
-        cap = sh.count_words(side(plain)[1], k + 1) - 1
-        ee = mv.elementary(*C_D, Limits(max_words=cap))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv(MAX_WORDS_ENV, raising=False)
+            cap = sh.count_words(side(mv.elementary(*C_D))[1], k + 1) - 1
+            mp.setenv(MAX_WORDS_ENV, str(cap))
+            ee = mv.elementary(*C_D)
         source, target = side(ee)
         f = coh.function(source, k, list(range(sh.count_words(source, k))))
         return cap, target, f, lambda: getattr(mv, name)(ee, f)
@@ -491,30 +516,6 @@ def test_limits_holds_only_the_input_size_caps():
     assert Limits._fields == ("max_vertices", "max_words")
 
 
-_REFUSED_BY_CAP = """
-import random
-from sftlab import Limits
-from sftlab.errors import EnvelopeExceeded
-import sftlab.moves as mv
-import sftlab.randgen as rg
-lim = Limits(max_vertices=0)
-for make in (rg.random_irreducible, rg.random_elementary):
-    try:
-        make(random.Random(1), limits=lim)
-    except EnvelopeExceeded:
-        print(make.__name__)
-try:
-    mv.elementary(((1, 1),), ((1,), (1,)), lim)
-except EnvelopeExceeded:
-    print("elementary")
-try:
-    mv.sse_search(((1, 1), (1, 1)), ((2,),), limits=Limits(max_vertices=1))
-except EnvelopeExceeded as exc:
-    assert "supported maximum is 1" in str(exc), exc
-    print("sse_search")
-"""
-
-
 _MALFORMED_ENV_CAP = """
 import random
 from sftlab.errors import FormatError
@@ -523,6 +524,7 @@ import sftlab.randgen as rg
 calls = {
     "elementary": lambda: mv.elementary(((1, 1),), ((1,), (1,))),
     "sse_search": lambda: mv.sse_search(((1, 1), (1, 1)), ((2,),)),
+    "random_irreducible": lambda: rg.random_irreducible(random.Random(1)),
     "random_elementary": lambda: rg.random_elementary(random.Random(1)),
 }
 for name, call in calls.items():
@@ -535,27 +537,27 @@ for name, call in calls.items():
 
 
 def test_malformed_environment_cap_propagates():
-    """A malformed environment cap is raised by elementary, not taken for a
-    rejected product that the search skips and the generator retries."""
+    """A malformed environment cap is raised by elementary and validate,
+    not taken for a rejected product that the search skips or a candidate
+    that a generator retries.  The subprocess and its timeout keep a
+    regression from hanging the suite."""
     src = pathlib.Path(sftlab.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", _MALFORMED_ENV_CAP],
                           capture_output=True, text=True, timeout=30,
                           env=dict(os.environ, PYTHONPATH=str(src),
                                    **{MAX_WORDS_ENV: "abc"}))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["elementary", "sse_search", "random_elementary"]
+    assert proc.stdout.split() == ["elementary", "sse_search", "random_irreducible",
+                                   "random_elementary"]
 
 
-def test_refusing_cap_propagates():
-    """A cap that refuses every candidate is raised, not retried forever.
-    The subprocess and its timeout keep a regression from hanging the suite."""
-    src = pathlib.Path(sftlab.__file__).resolve().parents[1]
-    proc = subprocess.run([sys.executable, "-c", _REFUSED_BY_CAP],
-                          capture_output=True, text=True, timeout=30,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["random_irreducible", "random_elementary",
-                                   "elementary", "sse_search"]
+def test_vertex_cap_is_raised_not_taken_for_a_bad_product():
+    """A = CD has 65 vertices, one over the cap: elementary raises
+    EnvelopeExceeded, which the search and the generator do not catch, not
+    InvalidResult, which they skip."""
+    ones = ((1,),) * 65
+    with pytest.raises(EnvelopeExceeded, match="65 vertices, supported maximum is 64"):
+        mv.elementary(ones, ((1,) * 65,))
 
 
 # --------------------------------------------------------------------- CLI

@@ -1,19 +1,24 @@
 """The records of every layer: frozen, compared and hashed by their fields,
 printed as ``Name(field=value, ...)``, and refused when a field is missing
-or unknown."""
+or unknown.  The integers they hold are converted by ``operator.index``, so
+a float, a string or a fraction is refused, not truncated."""
 from __future__ import annotations
 
 import ast
 import importlib
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
 
 import sftlab
 import sftlab.cohomology as coh
+import sftlab.linalg as la
+import sftlab.moves as mv
+import sftlab.transducers as tr
 from sftlab.config import Limits
-from sftlab.errors import FieldMismatch, FrozenField
+from sftlab.errors import FieldMismatch, FormatError, FrozenField
 from sftlab.record import Record
 from sftlab.shifts import SftPresentation, periodic_point, validate
 
@@ -155,3 +160,38 @@ def test_repr_is_the_field_list():
         "CoboundaryResult(is_coboundary=True, potential=LocallyConstantFunction("
         f"presentation={fib}, depth=1, table=(0, 3), ring='Z'), cycle=None, "
         "cycle_sum=None)")
+
+
+def _machine(p, x):
+    """From state 0 into state x and staying there, copying each symbol,
+    with x as a state, an input symbol and an output symbol."""
+    return tr.make_transducer(p, p, [(q, a, x, (a,)) for q in (0, x) for a in (0, x)])
+
+
+# Entry points that take integers from the caller: name -> call(fib, x), an
+# integer input that is fine for x = 1
+TAKES_INTEGERS = {
+    "validate": lambda p, x: validate([[x, 1], [1, 0]]),
+    "elementary": lambda p, x: mv.elementary([[x, 1]], [[1], [1]]),
+    "smith": lambda p, x: la.smith([[x, 0], [0, 3]]),
+    "determinant": lambda p, x: la.determinant([[x, 1], [1, 0]]),
+    "lattice_member": lambda p, x: la.lattice_member([x, 0], [[2, 0], [0, 1]]),
+    "make_transducer": _machine,
+    "make_transducer.initial": lambda p, x: tr.make_transducer(
+        p, p, [(q, a, q, (a,)) for q in (0, 1) for a in (0, 1)], initial=x),
+    "make_transducer.n_states":
+        lambda p, x: tr.make_transducer(p, p, [(0, 0, 0, (0,)), (0, 1, 0, (1,))],
+                                        n_states=x),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", Fraction(3, 2)],
+                         ids=["float", "str", "Fraction"])
+@pytest.mark.parametrize("name", TAKES_INTEGERS)
+def test_integer_input_is_refused_not_truncated(name, bad, fib):
+    """Each bad value would read as 1 under int(); ints and bools pass."""
+    call = TAKES_INTEGERS[name]
+    call(fib, 1)
+    call(fib, True)
+    with pytest.raises(FormatError, match=re.escape(repr(bad))):
+        call(fib, bad)
