@@ -349,7 +349,8 @@ def _sides(ee):
 # build(ctx), the presentations built, under the environment's caps
 ENV_BUILT = {
     "shifts.load_matrix_file": lambda c: [sh.load_matrix_file(c.path)],
-    "moves.elementary": lambda c: _sides(mv.elementary(((1, 1),), ((1,), (1,)))),
+    "moves.elementary.a": lambda c: [mv.elementary(((1, 1),), ((1,), (1,))).a],
+    "moves.elementary.b": lambda c: [mv.elementary(((1, 1),), ((1,), (1,))).b],
     "moves.sse_search":
         lambda c: _sides(mv.sse_search(((1, 1), (1, 1)), ((2,),)).found[0]),
     "randgen.random_irreducible": lambda c: [rg.random_irreducible(random.Random(1), 3)],
