@@ -42,6 +42,8 @@ def determinant(m) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     a = [list(row) for row in freeze(m)]
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise FormatError("matrix is not square")
     if n == 0:
         return 1
     sign = 1
@@ -104,6 +106,8 @@ def smith(m) -> SmithDecomposition:
     m = freeze(m)
     rows = len(m)
     cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
+        raise FormatError("matrix rows differ in length")
     a = [list(r) + e for r, e in zip(m, identity(rows))]
     a += [e + [0] * rows for e in identity(cols)]
 

@@ -20,7 +20,8 @@ Fields named in the class keyword ``hidden`` are kept on the instance but
 take no part in ``==``, ``hash`` or ``repr``.
 
 ``freeze`` turns a matrix given as rows of integers into the tuple of int
-tuples that records hold, each entry converted by ``integer``.
+tuples that records hold, each entry converted by ``integer``; rows, or a
+row, that cannot be iterated are a ``FormatError`` too.
 """
 from __future__ import annotations
 
@@ -37,8 +38,18 @@ def integer(v) -> int:
         raise FormatError(f"expected an integer, got {v!r}") from None
 
 
+def _entries(values, what: str):
+    """An iterator over values; a value that is not iterable, such as an
+    integer where a row is expected, is a FormatError."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise FormatError(f"expected {what}, got {values!r}") from None
+
+
 def freeze(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(map(integer, row)) for row in rows)
+    return tuple(tuple(map(integer, _entries(row, "a row of integers")))
+                 for row in _entries(rows, "rows of integers"))
 
 
 class Record:

@@ -19,13 +19,14 @@ into it.
 Each word length k >= 1 has a level, a ``WordLevel``: B_k described by
 integer arrays rather than words.  It holds the offsets of the block of
 words that start with each symbol, the per-symbol counts, the last symbol
-of each word and the first-child mask.  B_{k+1} is the concatenation, over
-a and then over b in succ(a), of a followed by B_k's block of b, so every
-array of level k+1 is built from level k by slice concatenation.  Tables of
-locally constant functions (``cohomology``), the position of a word in B_k
-(``pair_constants``) and the graph on B_{k-1} with edges B_k
-(``block_edges``) are read through the levels.  No table maps words to
-positions.
+of each word (a flat ``array("I")``) and the first-child mask (``bytes``).
+B_{k+1} is the concatenation, over a and then over b in succ(a), of a
+followed by B_k's block of b, so the two per-word buffers of level k+1 are
+joined from slices of level k's, and its counts are those the cap check
+has already stepped.  Tables of locally constant functions
+(``cohomology``), the position of a word in B_k (``pair_constants``) and
+the graph on B_{k-1} with edges B_k (``block_edges``) are read through the
+levels.  No table maps words to positions.
 
 Levels are cached on the presentation itself, in a dict keyed by k that
 ``word_level`` fills on demand.  They live exactly as long as their
@@ -83,13 +84,13 @@ class WordLevel(Record):
 
     The words that start with symbol a sit at positions offsets[a] up to
     offsets[a + 1], and counts[a] is their number.  ``last`` holds the last
-    symbol of each word.  ``first_child`` is 1 at the first of the words
-    that extend one word of B_{k-1}; the words extending it follow it in
-    order."""
+    symbol of each word, 4 bytes a word in an ``array("I")`` whatever the
+    alphabet.  ``first_child`` is 1 at the first of the words that extend
+    one word of B_{k-1}; the words extending it follow it in order."""
 
     offsets: tuple[int, ...]               # m + 1 entries
     counts: tuple[int, ...]                # m entries
-    last: list[int]
+    last: array                            # array("I"), one entry a word
     first_child: bytes
 
 
@@ -132,9 +133,12 @@ class SftPresentation(Record, hidden=("limits",)):
     @functools.cached_property
     def _word_levels(self) -> dict[int, WordLevel]:
         """Levels by length k, filled by ``word_level``; level 1 is seeded."""
+        # imported here, not at the top: ``validate``, ``invariants`` and
+        # ``coe`` build no level and need not load it
+        from array import array
         m = self.alphabet_size
         return {1: WordLevel(offsets=tuple(range(m + 1)), counts=(1,) * m,
-                             last=list(range(m)),
+                             last=array("I", range(m)),
                              first_child=bytes([1]) + bytes(m - 1))}
 
     @functools.cached_property
@@ -319,23 +323,27 @@ def _step_counts(p: SftPresentation, counts: tuple[int, ...]) -> tuple[int, ...]
     return tuple(sum(map(counts.__getitem__, row)) for row in p._successors)
 
 
-def _next_level(p: SftPresentation, level: WordLevel, k: int) -> WordLevel:
-    """Level k + 1 from level k: for each a and then each b in succ(a), the
-    block of level k of b.  A word a.w keeps the last symbol of w, and for
-    k >= 2 it is a first child exactly when w is one.  The second symbols
-    of B_2, in order, are the last symbols of level 2."""
+def _next_level(p: SftPresentation, level: WordLevel, k: int,
+                counts: tuple[int, ...]) -> WordLevel:
+    """Level k + 1 from level k and the per-symbol ``counts`` of level
+    k + 1, which the cap walk of ``word_level`` has already stepped: for
+    each a and then each b in succ(a), the block of level k of b.  A word
+    a.w keeps the last symbol of w, and for k >= 2 it is a first child
+    exactly when w is one.  The second symbols of B_2, in order, are the
+    last symbols of level 2."""
+    from array import array
     succ = p._successors
-    counts = _step_counts(p, level.counts)
     if k == 1:
-        last = [b for row in succ for b in row]
+        last = array("I", [b for row in succ for b in row])
         first = bytes(b == row[0] for row in succ for b in row)
     else:
+        # slices of memoryviews copy nothing: each block is copied by the join
         offs = level.offsets
         spans = [slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
         seconds = p._word_levels[2].last
-        last_of = [level.last[s] for s in spans]
-        first_of = [level.first_child[s] for s in spans]
-        last = list(chain.from_iterable(map(last_of.__getitem__, seconds)))
+        last_of = list(map(memoryview(level.last).__getitem__, spans))
+        first_of = list(map(memoryview(level.first_child).__getitem__, spans))
+        last = array("I", b"".join(map(last_of.__getitem__, seconds)))
         first = b"".join(map(first_of.__getitem__, seconds))
     return WordLevel(tuple(accumulate(counts, initial=0)), counts, last, first)
 
@@ -344,7 +352,8 @@ def word_level(p: SftPresentation, k: int) -> WordLevel:
     """B_k (k >= 1) as a ``WordLevel``; shared, do not mutate.  A missing
     level is built with all the levels below it, but only after its size,
     stepped up from the counts of the longest cached shorter level, has
-    passed the word cap."""
+    passed the word cap.  The counts of each level are stepped once, by
+    that walk, and handed to ``_next_level``."""
     if k < 1:
         raise FormatError("word levels start at length 1")
     levels = p._word_levels
@@ -353,13 +362,13 @@ def word_level(p: SftPresentation, k: int) -> WordLevel:
         _check_word_cap(p, k, level.offsets[-1])
         return level
     start = max(j for j in levels if j < k)          # level 1 is seeded
-    counts = levels[start].counts
-    for j in range(start + 1, k + 1):
-        counts = _step_counts(p, counts)
-        _check_word_cap(p, k, sum(counts), j)
     level = levels[start]
-    for j in range(start, k):
-        level = levels[j + 1] = _next_level(p, level, j)
+    stepped = [level.counts]
+    for j in range(start + 1, k + 1):
+        stepped.append(_step_counts(p, stepped[-1]))
+        _check_word_cap(p, k, sum(stepped[-1]), j)
+    for j, counts in enumerate(stepped[1:], start):
+        level = levels[j + 1] = _next_level(p, level, j, counts)
     return level
 
 

@@ -4,7 +4,11 @@ function."""
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -330,6 +334,43 @@ def test_guard_sees_a_module_level_linalg_import():
               "    from . import linalg\n")
     assert module_level_linalg_names(source) == ["freeze (line 1)", "mat_mul (line 1)",
                                                  "linalg (line 2)", "smith (line 4)"]
+
+
+# Commands that build no word level load no ``array``: ``shifts`` imports it
+# where it builds level 1, not at the top.  Checked in a fresh interpreter,
+# which also sees a module-level import in any module a command loads.
+_PROBE = ("import sys, sftlab.cli\n"
+          "code = sftlab.cli.run(sys.argv[1:])\n"
+          "print(code, 'array' in sys.modules)\n")
+
+
+def loads_array(src: pathlib.Path, cwd: pathlib.Path, argv: list[str]) -> bool:
+    """Whether ``sftlab`` from ``src`` loads ``array`` to run argv in cwd."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=120,
+                          check=False)
+    code, loaded = proc.stdout.split()[-2:]
+    assert code == "0", proc.stderr
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("command", ["validate fib.mat", "invariants fib.mat",
+                                     "coe fib.mat full2.mat"])
+def test_commands_without_levels_load_no_array(fixture_dir, command):
+    assert not loads_array(ROOT / "src", fixture_dir, command.split())
+
+
+def test_guard_sees_a_module_level_array_import(fixture_dir, tmp_path):
+    shutil.copytree(ROOT / "src" / "sftlab", tmp_path / "sftlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    shifts = tmp_path / "sftlab" / "shifts.py"
+    source = shifts.read_text()
+    patched = source.replace("\nimport functools\n",
+                             "\nimport functools\nfrom array import array\n", 1)
+    assert patched != source
+    shifts.write_text(patched)
+    assert loads_array(tmp_path, fixture_dir, ["validate", "fib.mat"])
 
 
 # Public names of the package that nothing in ``src/`` or ``scripts/`` reads,

@@ -15,10 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import sftlab
+from sftlab.errors import FormatError
 from sftlab.linalg import (
     FgAbelianGroup,
     PointedGroup,
@@ -176,6 +178,11 @@ class TestSmith:
     def test_rectangular(self):
         assert smith(((2, 4, 4),)).diagonal == (2,)
 
+    @pytest.mark.parametrize("m", [((1, 2), (3,)), ((1,), (2, 3))], ids=["short", "long"])
+    def test_rows_of_unequal_length_are_refused(self, m):
+        with pytest.raises(FormatError, match=r"^matrix rows differ in length$"):
+            smith(m)
+
     def test_factorization_and_unimodularity(self):
         m = ((6, 4), (2, 8))
         sd = smith(m)
@@ -210,6 +217,13 @@ class TestDeterminant:
     def test_fixtures(self):
         assert determinant(((0, -1), (-1, 1))) == -1       # I - Fibonacci
         assert determinant(((0, -1, -1), (-1, 0, -1), (-1, -1, 0))) == -2
+
+    @pytest.mark.parametrize("m", [((1, 2), (3,)), ((1, 2),), ((1,), (2,))],
+                             ids=["ragged", "wide", "tall"])
+    def test_non_square_is_refused(self, m):
+        """The text ``validate`` gives for the same shapes."""
+        with pytest.raises(FormatError, match=r"^matrix is not square$"):
+            determinant(m)
 
     @given(seeds, st.integers(1, 4))
     def test_against_cofactor_oracle(self, seed, n):

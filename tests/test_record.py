@@ -195,3 +195,26 @@ def test_integer_input_is_refused_not_truncated(name, bad, fib):
     call(fib, True)
     with pytest.raises(FormatError, match=re.escape(repr(bad))):
         call(fib, bad)
+
+
+# Entry points that take a matrix or a list of vectors from the caller
+TAKES_ROWS = {
+    "validate": validate,
+    "elementary": lambda rows: mv.elementary(rows, [[1], [1]]),
+    "smith": la.smith,
+    "determinant": la.determinant,
+    "lattice_member": lambda rows: la.lattice_member([0, 0], rows),
+}
+
+
+@pytest.mark.parametrize("bad, text", [
+    ([1, 2], "a row of integers, got 1"),
+    ([[1, 0], 2], "a row of integers, got 2"),
+    (5, "rows of integers, got 5"),
+], ids=["flat", "one-row-an-int", "an-int"])
+@pytest.mark.parametrize("name", TAKES_ROWS)
+def test_row_that_is_not_iterable_is_refused(name, bad, text):
+    """An integer where a row, or the rows, are expected is a FormatError
+    naming it, not the TypeError of iterating over an int."""
+    with pytest.raises(FormatError, match=rf"^expected {text}$"):
+        TAKES_ROWS[name](bad)
