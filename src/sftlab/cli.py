@@ -6,14 +6,19 @@ key.  ``--json`` mirrors the same ordered key/value pairs.  Exit codes:
 0 success, 1 internal contradiction, 2 malformed input or failed validation.
 
 Each handler imports the layers it calls, so a command loads only those.
+The parser is built per run, and of the commands only the chosen one gets
+its parser: every command's name and help line are registered, so usage
+lines, help pages and refusals read as if all were built.  The command table
+is read when the parser is built, not at import, so a handler rebound after
+import is the one that runs.
 """
 from __future__ import annotations
 
 import argparse
-import random
+import functools
+import os
 import re
 import sys
-from pathlib import Path
 
 from .config import SSE_CHAIN_BOUND, SSE_ENTRY_BOUND, SSE_INNER_DIM
 from .errors import ContradictionDetected, FormatError, SftError
@@ -54,7 +59,12 @@ class Report:
 
 
 def _load_presentation(path: str) -> tuple[str, SftPresentation]:
-    return Path(path).stem, load_matrix_file(path)
+    """The file's stem, as ``pathlib`` takes it (a name ending in a dot
+    keeps it), and the presentation it holds."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    return stem, load_matrix_file(path)
 
 
 def _load_rect(path: str) -> tuple:
@@ -459,6 +469,7 @@ _SELFTEST_FAMILIES = (
 
 
 def cmd_selftest(args) -> Report:
+    import random
     rep = Report()
     rep.add("seed", args.seed)
     rep.add("count", args.count)
@@ -489,6 +500,27 @@ class _Parser(argparse.ArgumentParser):
         raise FormatError(message)
 
 
+class _Chosen(argparse._SubParsersAction):
+    """Subparsers built when chosen.  ``add`` registers a name, its help
+    line if it has one, and the function that fills in its parser; the
+    usage line, the help page and the invalid-choice refusal read only the
+    names and help lines, so they are as if every parser were built."""
+
+    def add(self, name: str, build, help: str | None = None) -> None:
+        if help is not None:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]                 # one of the choices: argparse checked it
+        build = self._name_parser_map[name]
+        if not isinstance(build, argparse.ArgumentParser):
+            chosen = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            build(chosen)
+            self._name_parser_map[name] = chosen
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Nonnegative(argparse.Action):
     """Stores an int option, refusing a negative one: the parser owns the
     bounds on counts and search depths."""
@@ -509,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit the report as JSON")
     top.add_argument("--seed", type=int, default=0,
                      help="seed for randomized subcommands")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, action=_Chosen)
 
     def count(default):
         return {"type": int, "default": default, "action": _Nonnegative}
@@ -517,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     # command: (help, handler, {mode: (positional names, {further argument:
     # add_argument keywords})}); a command without modes has the one mode
     # None.  Built per call, not at import, so a handler wrapped after import
-    # (as perfbench's layer trace does) is the one the parser calls.
+    # (as perfbench's layer trace does) is the one the parser calls; only
+    # the chosen command's parser, and its chosen mode's, is built.
     commands = {
         "validate": ("validate a matrix file", cmd_validate, {None: ("matrix", {})}),
         "words": ("enumerate admissible words", cmd_words,
@@ -566,21 +599,31 @@ def build_parser() -> argparse.ArgumentParser:
                      {None: ("", {"--count": count(25)})}),
     }
     for command, (text, handler, modes) in commands.items():
-        s = sub.add_parser(command, help=text)
-        s.set_defaults(fn=handler)
-        mode_parsers = (None if None in modes
-                        else s.add_subparsers(dest="mode", required=True))
-        for mode, (names, options) in modes.items():
-            m = s if mode is None else mode_parsers.add_parser(mode)
-            if mode == "phase":
-                # argparse takes only integers and decimals for negative numbers
-                # and reads a negative rational t such as -1/3 as an option
-                m._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-            for name in names.split():
-                m.add_argument(name)
-            for name, keywords in options.items():
-                m.add_argument(name, **keywords)
+        sub.add(command, functools.partial(_build_command, handler=handler,
+                                           modes=modes), help=text)
     return top
+
+
+def _build_command(s: argparse.ArgumentParser, handler, modes: dict) -> None:
+    s.set_defaults(fn=handler)
+    if None in modes:
+        _build_mode(s, None, *modes[None])
+        return
+    mode_parsers = s.add_subparsers(dest="mode", required=True, action=_Chosen)
+    for mode, (names, options) in modes.items():
+        mode_parsers.add(mode, functools.partial(_build_mode, mode=mode, names=names,
+                                                 options=options))
+
+
+def _build_mode(m: argparse.ArgumentParser, mode, names: str, options: dict) -> None:
+    if mode == "phase":
+        # argparse takes only integers and decimals for negative numbers
+        # and reads a negative rational t such as -1/3 as an option
+        m._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+    for name in names.split():
+        m.add_argument(name)
+    for name, keywords in options.items():
+        m.add_argument(name, **keywords)
 
 
 def run(argv=None) -> int:

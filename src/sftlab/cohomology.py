@@ -46,8 +46,8 @@ new values (sums, constants, parsed tokens) goes through ``function``.
 from __future__ import annotations
 
 import operator
+import sys
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate, chain, compress, islice, repeat
 
 from .errors import (
@@ -101,18 +101,23 @@ class LocallyConstantFunction(Record):
         return max(self.table)
 
 
-def _coerce(value, ring: str):
-    """value in the ring; ring Z takes only ints and integral Fractions,
-    ring Q only ints and Fractions."""
+def _coerce(table: tuple, ring: str) -> tuple:
+    """The values of table in the ring; ring Z takes only ints and integral
+    Fractions, ring Q only ints and Fractions.  Only ring Q imports
+    ``fractions``: ring Z can meet a Fraction only once a caller has loaded
+    the module, so it looks the class up in ``sys.modules``."""
     if ring == RING_RAT:
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
-        raise FormatError(f"value {value!r} is not an int or a Fraction")
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    raise FormatError(f"value {value!r} is not an integer")
+        from fractions import Fraction
+        for value in table:
+            if not isinstance(value, (int, Fraction)):
+                raise FormatError(f"value {value!r} is not an int or a Fraction")
+        return tuple(map(Fraction, table))
+    fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
+    for value in table:
+        if not (isinstance(value, int)
+                or isinstance(value, fraction) and value.denominator == 1):
+            raise FormatError(f"value {value!r} is not an integer")
+    return tuple(map(int, table))
 
 
 def function(p: SftPresentation, depth: int, values,
@@ -127,7 +132,7 @@ def function(p: SftPresentation, depth: int, values,
         raise FormatError("depth must be at least 1")
     table = tuple(values)
     if ring != RING_INT or set(map(type, table)) != {int}:
-        table = tuple(_coerce(v, ring) for v in table)
+        table = _coerce(table, ring)
     return _build(p, depth, table, ring)
 
 
@@ -572,6 +577,7 @@ def parse_value(token: str, ring: str):
     try:
         if ring == RING_INT:
             return int(token)
+        from fractions import Fraction
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise FormatError(f"bad {ring} value {token!r}") from None

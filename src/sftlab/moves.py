@@ -28,7 +28,6 @@ from .errors import (
     PresentationMismatch,
 )
 from .graphs import bfs, path
-from .linalg import mat_mul
 from .record import Record, freeze
 from .shifts import (Matrix, SftPresentation, edge_list, pair_constants, pair_starts,
                      validate, word_level)
@@ -180,6 +179,9 @@ def elementary(c, d) -> ElementaryEquivalence:
         raise FormatError("need C of shape n x m and D of shape m x n")
     if any(v < 0 for row in itertools.chain(c, d) for v in row):
         raise InvalidResult("factor matrices must be nonnegative")
+    # imported here, as in ``shifts._mat_pow_sum``: ``expand`` and the
+    # transfers along it run without linear algebra
+    from .linalg import mat_mul
     a_mat = mat_mul(c, d)
     b_mat = mat_mul(d, c)
     # only what a product can fail is wrapped; errors of the caps propagate

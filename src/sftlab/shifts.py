@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate, chain
-from pathlib import Path
 
 from .config import Limits, default_limits
 from .errors import (
@@ -639,7 +638,8 @@ def format_matrix_text(kind: str, rows: Matrix) -> str:
 def read_text(path) -> str:
     """The ASCII text of an input file; a non-ASCII byte is a FormatError."""
     try:
-        return Path(path).read_text(encoding="ascii")
+        with open(path, encoding="ascii") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: non-ASCII byte at offset {exc.start}") from None
 

@@ -125,6 +125,19 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith(f"error: FormatError: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, line", [
+        (("nope",), "argument command: invalid choice: 'nope' (choose from "
+                    "'validate', 'words', 'snf', 'invariants', 'flow-equiv', 'coe', "
+                    "'cohom', 'action', 'transducer', 'expand', 'elementary', "
+                    "'transfer', 'sse-search', 'selftest')"),
+        (("cohom", "nope"), "argument mode: invalid choice: 'nope' (choose from "
+                            "'class-equal', 'positive', 'orbit-sum')"),
+    ], ids=["command", "mode"])
+    def test_invalid_choice_lists_every_choice(self, capsys, argv, line):
+        """The choices of a refusal are every command, or every mode of the
+        command, whether or not its parser was built."""
+        assert cli(capsys, *argv) == (2, "", f"error: FormatError: {line}\n")
+
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["--help"])
@@ -264,6 +277,39 @@ class TestParserShape:
             "    sse-search          bounded strong shift equivalence search",
             "    selftest            run the embedded identity suite",
         ]
+
+    @pytest.mark.parametrize("argv, json_flag, seed", [
+        (["--js", "validate", "fib.mat"], True, 0),
+        (["--se", "3", "validate", "fib.mat"], False, 3),
+        (["--seed", "7", "validate", "fib.mat"], False, 7),
+    ])
+    def test_top_options_before_the_command(self, argv, json_flag, seed):
+        """argparse reads a unique prefix of a top-level option, and the
+        value after ``--seed`` is no command."""
+        args = build_parser().parse_args(argv)
+        assert (args.command, args.matrix, args.json, args.seed) == (
+            "validate", "fib.mat", json_flag, seed)
+
+    @pytest.mark.parametrize("path, built", [
+        ("validate", ["sftlab", "sftlab validate"]),
+        ("cohom class-equal", ["sftlab", "sftlab cohom", "sftlab cohom class-equal"]),
+    ])
+    def test_only_the_chosen_parsers_are_built(self, capsys, monkeypatch,
+                                               fixture_dir, path, built):
+        """A run builds the top parser, its command's and its mode's, and
+        no other."""
+        progs = []
+
+        class Counted(sftlab.cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                progs.append(self.prog)
+
+        monkeypatch.setattr(sftlab.cli, "_Parser", Counted)
+        argv = [str(fixture_dir / a) for a in RUNS[path].split()]
+        code, _out, err = cli(capsys, *path.split(), *argv)
+        assert code == 0, err
+        assert progs == built
 
     def test_sse_defaults_have_one_holder(self):
         args = build_parser().parse_args(["sse-search", "a", "b"])

@@ -296,10 +296,10 @@ def test_guard_sees_a_word_table_use():
     assert word_table_uses(source) == ["g: words (line 7)", "g: words (line 7)"]
 
 
-# The word layer, the function layer and the machine layer load no linear
-# algebra when imported: ``shifts`` takes ``mat_mul`` inside the one function
-# that calls it, and ``freeze`` comes from ``record``.
-_NO_LINEAR_ALGEBRA = ("shifts", "cohomology", "transducers", "actions")
+# The word layer, the function layer, the machine layer and the moves load
+# no linear algebra when imported: ``shifts`` and ``moves`` take ``mat_mul``
+# inside the one function that calls it, and ``freeze`` comes from ``record``.
+_NO_LINEAR_ALGEBRA = ("shifts", "cohomology", "transducers", "actions", "moves")
 
 
 def module_level_linalg_names(source: str) -> list[str]:
@@ -336,41 +336,122 @@ def test_guard_sees_a_module_level_linalg_import():
                                                  "linalg (line 2)", "smith (line 4)"]
 
 
-# Commands that build no word level load no ``array``: ``shifts`` imports it
-# where it builds level 1, not at the top.  Checked in a fresh interpreter,
-# which also sees a module-level import in any module a command loads.
+# Of these, all but ``actions`` load no ``fractions`` (nor the ``decimal`` it
+# imports) when imported: ``cohomology`` imports it where ring Q makes or
+# parses a value.
+_NO_FRACTIONS = ("shifts", "cohomology", "transducers", "moves")
+
+
+def module_level_imports(source: str, module: str) -> list[str]:
+    """The imports of the top-level module ``module`` outside the functions
+    and classes of a module, as ``module (line n)``."""
+    lines = [node.lineno for node in _own_nodes(ast.parse(source).body)
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == module for alias in node.names)
+             or isinstance(node, ast.ImportFrom) and not node.level
+             and node.module.split(".")[0] == module]
+    return [f"{module} (line {line})" for line in lines]
+
+
+def test_lower_layers_load_no_fractions():
+    found = {f"{stem}: {entry}" for stem in _NO_FRACTIONS
+             for entry in module_level_imports(
+                 (ROOT / "src" / "sftlab" / f"{stem}.py").read_text(), "fractions")}
+    assert found == set()
+
+
+def test_guard_sees_a_module_level_fractions_import():
+    source = ("import os, fractions as fr\n"
+              "from fractions import Fraction\n"
+              "try:\n"
+              "    from fractions import Fraction as F\n"
+              "except ImportError:\n"
+              "    pass\n"
+              "from .fractions import x\n"
+              "def f():\n"
+              "    from fractions import Fraction\n"
+              "    return Fraction\n")
+    assert module_level_imports(source, "fractions") == [
+        "fractions (line 1)", "fractions (line 2)", "fractions (line 4)"]
+
+
+# What a command loads, seen in a fresh interpreter, which also sees a
+# module-level import in any module the command loads.  It runs without
+# ``site`` (``-S``), whose ``.pth`` files may load modules of their own.  No
+# command loads ``pathlib`` or ``random``: under ``python -S -X importtime``
+# (Python 3.11) they cost 14-16 and 3-4.5 ms on their own, and only
+# ``selftest`` draws at random, importing ``random`` when it runs.
+_NEVER_LOADED = ("pathlib", "random")
 _PROBE = ("import sys, sftlab.cli\n"
           "code = sftlab.cli.run(sys.argv[1:])\n"
-          "print(code, 'array' in sys.modules)\n")
+          "print(code, *sys.modules)\n")
 
 
-def loads_array(src: pathlib.Path, cwd: pathlib.Path, argv: list[str]) -> bool:
-    """Whether ``sftlab`` from ``src`` loads ``array`` to run argv in cwd."""
+def loaded_modules(src: pathlib.Path, cwd: pathlib.Path, argv: list[str]) -> set[str]:
+    """The modules loaded once ``sftlab`` from ``src`` has run argv in cwd."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *argv], cwd=cwd,
+    proc = subprocess.run([sys.executable, "-S", "-c", _PROBE, *argv], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=120,
                           check=False)
-    code, loaded = proc.stdout.split()[-2:]
+    code, *loaded = proc.stdout.splitlines()[-1].split()
     assert code == "0", proc.stderr
-    return loaded == "True"
+    return set(loaded)
 
 
-@pytest.mark.parametrize("command", ["validate fib.mat", "invariants fib.mat",
-                                     "coe fib.mat full2.mat"])
-def test_commands_without_levels_load_no_array(fixture_dir, command):
-    assert not loads_array(ROOT / "src", fixture_dir, command.split())
+def unwanted_modules(src: pathlib.Path, cwd: pathlib.Path, argv: list[str],
+                     absent: str) -> list[str]:
+    """The modules named in ``absent``, or loaded by no command, that argv
+    loads."""
+    return sorted(loaded_modules(src, cwd, argv) & {*absent.split(), *_NEVER_LOADED})
 
 
-def test_guard_sees_a_module_level_array_import(fixture_dir, tmp_path):
+def _planted(tmp_path: pathlib.Path, imports: str) -> pathlib.Path:
+    """A copy of the package under tmp_path whose ``shifts`` makes the given
+    imports at module level."""
     shutil.copytree(ROOT / "src" / "sftlab", tmp_path / "sftlab",
                     ignore=shutil.ignore_patterns("__pycache__"))
     shifts = tmp_path / "sftlab" / "shifts.py"
     source = shifts.read_text()
-    patched = source.replace("\nimport functools\n",
-                             "\nimport functools\nfrom array import array\n", 1)
+    patched = source.replace("\nimport functools\n", f"\nimport functools\n{imports}", 1)
     assert patched != source
     shifts.write_text(patched)
-    assert loads_array(tmp_path, fixture_dir, ["validate", "fib.mat"])
+    return tmp_path
+
+
+# Commands that build no word level load no ``array``: ``shifts`` imports it
+# where it builds level 1, not at the top.
+@pytest.mark.parametrize("command", ["validate fib.mat", "invariants fib.mat",
+                                     "coe fib.mat full2.mat"])
+def test_commands_without_levels_load_no_array(fixture_dir, command):
+    assert unwanted_modules(ROOT / "src", fixture_dir, command.split(), "array") == []
+
+
+def test_guard_sees_a_module_level_array_import(fixture_dir, tmp_path):
+    src = _planted(tmp_path, "from array import array\n")
+    assert unwanted_modules(src, fixture_dir, ["validate", "fib.mat"],
+                            "array") == ["array"]
+
+
+# Commands that make no rational load no ``fractions``, and the transfers
+# along an expansion no ``linalg``.
+@pytest.mark.parametrize("command, absent", [
+    ("cohom class-equal fib.mat gauge.f zero.f", "fractions"),
+    ("transducer verify-coe fib.mat fib.mat ident.t zero.f gauge.f", "fractions"),
+    ("transfer psi-xi fib.mat x.f", "fractions sftlab.linalg"),
+])
+def test_commands_without_rationals_load_no_fractions(fixture_dir, tmp_path, command,
+                                                      absent):
+    (tmp_path / "x.f").write_text("function x depth=1 ring=Z\n0 1\n1 1\n2 1\n")
+    argv = [str(tmp_path / a) if a == "x.f" else a for a in command.split()]
+    assert unwanted_modules(ROOT / "src", fixture_dir, argv, absent) == []
+
+
+def test_guard_sees_module_level_fractions_linalg_pathlib_and_random(fixture_dir,
+                                                                     tmp_path):
+    src = _planted(tmp_path, "import fractions, pathlib, random\nfrom . import linalg\n")
+    assert unwanted_modules(src, fixture_dir, ["validate", "fib.mat"],
+                            "fractions sftlab.linalg") == [
+        "fractions", "pathlib", "random", "sftlab.linalg"]
 
 
 # Public names of the package that nothing in ``src/`` or ``scripts/`` reads,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import sftlab
 import sftlab.cohomology as coh
+import sftlab.linalg as la
 import sftlab.moves as mv
 import sftlab.transducers as tr
 from sftlab.errors import (
@@ -213,23 +214,24 @@ class TestElementary:
 
     def test_miscounted_product_raises(self, monkeypatch):
         """A product whose entry disagrees with the factor edge pairs between
-        its ends is a contradiction, not a pair table to gather through."""
-        real = mv.mat_mul
-        monkeypatch.setattr(mv, "mat_mul", lambda x, y: _off_by_one(real(x, y)))
+        its ends is a contradiction, not a pair table to gather through.
+        ``elementary`` takes ``mat_mul`` from ``linalg`` when it runs."""
+        real = la.mat_mul
+        monkeypatch.setattr(la, "mat_mul", lambda x, y: _off_by_one(real(x, y)))
         with pytest.raises(ContradictionDetected,
                            match="A has 3 edges from 1 to 1 but 2 factor edge pairs"):
             mv.elementary(((1, 1),), ((1,), (1,)))
 
     def test_miscounted_product_raises_under_optimisation(self):
         """The check is no assert, so python -O keeps it."""
-        code = ("import sftlab.moves as mv\n"
+        code = ("import sftlab.linalg as la, sftlab.moves as mv\n"
                 "from sftlab.errors import ContradictionDetected\n"
-                "real = mv.mat_mul\n"
+                "real = la.mat_mul\n"
                 "def off_by_one(x, y):\n"
                 "    rows = [list(row) for row in real(x, y)]\n"
                 "    rows[0][0] += 1\n"
                 "    return tuple(map(tuple, rows))\n"
-                "mv.mat_mul = off_by_one\n"
+                "la.mat_mul = off_by_one\n"
                 "try:\n"
                 "    mv.elementary(((1, 1),), ((1,), (1,)))\n"
                 "except ContradictionDetected as exc:\n"
