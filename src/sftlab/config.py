@@ -34,12 +34,16 @@ class Limits(Record):
     max_words: int = 1_000_000        # cap on any B_k enumeration
 
 
+# the caps without an override; a record is frozen, so one serves every call
+_DEFAULTS = Limits()
+
+
 def default_limits() -> Limits:
     """Limits with the environment override applied.  Re-read on each call;
     a malformed value raises FormatError."""
     cap = os.environ.get(MAX_WORDS_ENV)
     if cap is None:
-        return Limits()
+        return _DEFAULTS
     try:
         value = int(cap)
     except ValueError:

@@ -28,10 +28,10 @@ from .errors import (
     PresentationMismatch,
 )
 from .graphs import bfs, path
-from .record import Record, freeze
+from .record import Record, freeze, integer
 from .shifts import (Matrix, SftPresentation, edge_list, pair_constants, pair_starts,
                      validate, word_level)
-from .transducers import OrbitData, Transducer, make_transducer, transfer_psi
+from .transducers import OrbitData, Transducer, transfer_psi
 
 
 # ------------------------------------------------------------- expansion
@@ -58,41 +58,31 @@ def expand(p: SftPresentation, vertex: int = 0) -> Expansion:
     """Expand p at vertex; the expanded presentation inherits the caps of p."""
     if p.kind != "vertex":
         raise NotVertexKind("expansion needs a 0-1 vertex presentation")
+    vertex = integer(vertex)
     n = p.n_vertices
     if not (0 <= vertex < n):
         raise FormatError(f"vertex index {vertex} out of range")
-    old = p.adjacency
-    rows = [(0,) + old[vertex]]
-    for i in range(n):
-        if i == vertex:
-            rows.append((1,) + (0,) * n)
-        else:
-            rows.append((0,) + old[i])
+    rows = ((0,) + p.adjacency[vertex],
+            *((1,) + (0,) * n if i == vertex else (0,) + row
+              for i, row in enumerate(p.adjacency)))
     fresh = "0"
     while fresh in p.vertex_labels:
         fresh = fresh + "'"
     labels = (fresh,) + p.vertex_labels
-    expanded = validate(tuple(rows), "vertex", labels, p.limits)
+    expanded = validate(rows, "vertex", labels, p.limits)
 
-    split_rules = []
-    for a in range(n):
-        out = (a + 1, 0) if a == vertex else (a + 1,)
-        split_rules.append((0, a, 0, out))
-    split = make_transducer(p, expanded, split_rules)
-
-    merge_rules = [(0, 0, 0, ())]
-    merge_rules += [(0, a + 1, 0, (a,)) for a in range(n)]
-    merge = make_transducer(expanded, p, merge_rules)
+    # one state each, the rules already in ``make_transducer``'s form (int
+    # tuples, sorted), so the machines are built, and checked, directly
+    split = Transducer(p, expanded, 1, 0, tuple(
+        (0, a, 0, (a + 1, 0) if a == vertex else (a + 1,)) for a in range(n)))
+    merge = Transducer(expanded, p, 1, 0, (
+        (0, 0, 0, ()), *((0, a + 1, 0, (a,)) for a in range(n))))
 
     split_data = OrbitData(
-        k1=coh.zero(p),
-        l1=coh.function(p, 1, [2 if a == vertex else 1 for a in range(n)]))
+        coh.zero(p), coh.function(p, 1, [2 if a == vertex else 1 for a in range(n)]))
     merge_data = OrbitData(
-        k1=coh.zero(expanded),
-        l1=coh.function(expanded, 1, [0] + [1] * n))
-    return Expansion(base=p, expanded=expanded, vertex=vertex,
-                     split=split, merge=merge,
-                     split_data=split_data, merge_data=merge_data)
+        coh.zero(expanded), coh.function(expanded, 1, [0] + [1] * n))
+    return Expansion(p, expanded, vertex, split, merge, split_data, merge_data)
 
 
 def psi_xi(e: Expansion,
@@ -233,7 +223,8 @@ def _edge_transfer(f: coh.LocallyConstantFunction, target: SftPresentation,
         # the images of B_3, per block x, y, z: c_2 plus the rank of g(y, z)
         ranks = [consts[-2][s0][s1] + s1 for _e2, s0, s1 in blocks]
         for j in range(3, k + 1):
-            starts, c = pair_starts(target, j), consts[k - j]
+            starts = pair_starts(word_level(target, j - 1), level2.last)
+            c = consts[k - j]
             ranks = list(itertools.chain.from_iterable(
                 map(c[s0][s1].__add__, ranks[starts[e2]:starts[e2 + 1]])
                 for e2, s0, s1 in blocks))

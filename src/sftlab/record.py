@@ -21,10 +21,12 @@ take no part in ``==``, ``hash`` or ``repr``.
 
 ``freeze`` turns a matrix given as rows of integers into the tuple of int
 tuples that records hold, each entry converted by ``integer``; rows, or a
-row, that cannot be iterated are a ``FormatError`` too.
+row, that cannot be iterated are a ``FormatError`` too.  Rows that are
+already int tuples, in a tuple or a list, are kept as they are.
 """
 from __future__ import annotations
 
+from itertools import chain
 from operator import attrgetter, index
 
 from .errors import FieldMismatch, FormatError, FrozenField
@@ -47,7 +49,16 @@ def _entries(values, what: str):
         raise FormatError(f"expected {what}, got {values!r}") from None
 
 
+_INT, _TUPLE = frozenset((int,)), frozenset((tuple,))
+
+
 def freeze(rows) -> tuple[tuple[int, ...], ...]:
+    # a tuple or list of int tuples is kept after two type tests at C speed;
+    # any other rows (bools, generators, floats) go entry by entry through
+    # ``integer``, which gives the same ints and refuses with the same text
+    if type(rows) in (tuple, list) and _TUPLE.issuperset(map(type, rows)) \
+            and _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return tuple(rows)
     return tuple(tuple(map(integer, _entries(row, "a row of integers")))
                  for row in _entries(rows, "rows of integers"))
 

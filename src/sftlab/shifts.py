@@ -58,7 +58,7 @@ tables of p; a caller that needs the words reads them from p.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
 
 from .config import Limits, default_limits
 from .errors import (
@@ -116,10 +116,8 @@ class SftPresentation(Record, hidden=("limits",)):
     def _successors(self) -> tuple[tuple[int, ...], ...]:
         """For each symbol, the symbols allowed to follow it (ascending)."""
         if self.kind == "vertex":
-            n = self.n_vertices
-            return tuple(
-                tuple(j for j in range(n) if self.adjacency[i][j])
-                for i in range(n))
+            vertices = range(self.n_vertices)
+            return tuple(tuple(compress(vertices, row)) for row in self.adjacency)
         out_of: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for s, (src, _tgt, _par) in enumerate(self.edges):
             out_of[src].append(s)
@@ -127,7 +125,7 @@ class SftPresentation(Record, hidden=("limits",)):
 
     @functools.cached_property
     def _successor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(row) for row in self._successors)
+        return tuple(map(frozenset, self._successors))
 
     @functools.cached_property
     def _word_levels(self) -> dict[int, WordLevel]:
@@ -136,9 +134,9 @@ class SftPresentation(Record, hidden=("limits",)):
         # ``coe`` build no level and need not load it
         from array import array
         m = self.alphabet_size
-        return {1: WordLevel(offsets=tuple(range(m + 1)), counts=(1,) * m,
-                             last=array("I", range(m)),
-                             first_child=bytes([1]) + bytes(m - 1))}
+        # offsets, counts, last symbols, first-child mask
+        return {1: WordLevel(tuple(range(m + 1)), (1,) * m, array("I", range(m)),
+                             bytes([1]) + bytes(m - 1))}
 
     @functools.cached_property
     def _label_index(self) -> dict[str, int]:
@@ -211,6 +209,10 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
     from vertex 0, along and against the edges; what they reach is not kept.
     The result carries the caller's ``limits`` as given or else
     ``default_limits()``, read now and only now.
+
+    Each check tests the whole matrix, or a whole row or column, at C speed
+    first; only a matrix that fails one is walked entry by entry, to name
+    the first bad entry in row-major order.
     """
     limits = limits or default_limits()
     if kind not in ("vertex", "edge"):
@@ -219,45 +221,47 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
     n = len(rows)
     if n == 0:
         raise FormatError("empty matrix")
-    if any(len(row) != n for row in rows):
+    if set(map(len, rows)) != {n}:
         raise FormatError("matrix is not square")
     if n > limits.max_vertices:
         raise EnvelopeExceeded(
             f"matrix has {n} vertices, supported maximum is {limits.max_vertices}")
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v < 0:
-                raise NegativeEntry(f"entry ({i + 1},{j + 1}) = {v} is negative")
-            if kind == "vertex" and v not in (0, 1):
-                raise NotZeroOne(f"entry ({i + 1},{j + 1}) = {v}; vertex kind needs 0-1")
+    entries = set(chain.from_iterable(rows))
+    if min(entries) < 0 or kind == "vertex" and not entries <= {0, 1}:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v < 0:
+                    raise NegativeEntry(f"entry ({i + 1},{j + 1}) = {v} is negative")
+                if kind == "vertex" and v not in (0, 1):
+                    raise NotZeroOne(
+                        f"entry ({i + 1},{j + 1}) = {v}; vertex kind needs 0-1")
 
-    for i in range(n):
-        if all(v == 0 for v in rows[i]):
-            raise NotIrreducible(f"row {i + 1} is zero")
-        if all(rows[j][i] == 0 for j in range(n)):
-            raise NotIrreducible(f"column {i + 1} is zero")
+    columns = tuple(zip(*rows))
+    if not (all(map(any, rows)) and all(map(any, columns))):
+        for i in range(n):
+            if not any(rows[i]):
+                raise NotIrreducible(f"row {i + 1} is zero")
+            if not any(columns[i]):
+                raise NotIrreducible(f"column {i + 1} is zero")
 
-    if all(sum(row) == 1 for row in rows) and \
-            all(sum(rows[i][j] for i in range(n)) == 1 for j in range(n)):
+    if set(map(sum, rows)) == {1} == set(map(sum, columns)):
         raise PermutationMatrix("matrix is a permutation matrix")
 
-    def out(u):
-        return [(None, v) for v in range(n) if rows[u][v] > 0]
-
-    def into(u):
-        return [(None, v) for v in range(n) if rows[v][u] > 0]
-
-    for succ, message in ((out, "vertex {} unreachable from vertex 1"),
-                          (into, "vertex 1 unreachable from vertex {}")):
-        reached = bfs([0], succ)
+    vertices = range(n)
+    for lines, message in ((rows, "vertex {} unreachable from vertex 1"),
+                           (columns, "vertex 1 unreachable from vertex {}")):
+        # a vertex leads to the nonzero entries of its line, row or column,
+        # each labelled by its count; bfs fetches these steps at C speed
+        steps = list(map(enumerate, map(compress, repeat(vertices), lines)))
+        reached = bfs([0], steps.__getitem__)
         if len(reached) < n:
             bad = min(v for v in range(n) if v not in reached)
             raise NotIrreducible(message.format(bad + 1))
 
     if vertex_labels is None:
-        vertex_labels = tuple(str(i + 1) for i in range(n))
+        vertex_labels = tuple(map(str, range(1, n + 1)))
     else:
-        vertex_labels = tuple(str(lab) for lab in vertex_labels)
+        vertex_labels = tuple(map(str, vertex_labels))
         if len(vertex_labels) != n or len(set(vertex_labels)) != n:
             raise FormatError("vertex labels must be distinct and match the size")
 
@@ -269,8 +273,7 @@ def validate(matrix, kind: str = "vertex", vertex_labels=None,
         symbols = tuple(f"{vertex_labels[i]}>{vertex_labels[j]}"
                         + (f"~{k}" if rows[i][j] > 1 else "") for i, j, k in edges)
 
-    return SftPresentation(kind=kind, adjacency=rows, vertex_labels=vertex_labels,
-                           symbols=symbols, edges=edges, limits=limits)
+    return SftPresentation(kind, rows, vertex_labels, symbols, edges, limits)
 
 
 # ------------------------------------------------------------------ counting
@@ -418,11 +421,11 @@ def block_edges(p: SftPresentation, d: int) -> tuple[list[int], list[int]]:
     return sources, targets
 
 
-def pair_starts(p: SftPresentation, k: int) -> list[int]:
+def pair_starts(below: WordLevel, seconds) -> list[int]:
     """Where the words of B_k (k >= 2) that begin with each pair a, b of B_2
-    start, in B_2's order, with one more entry closing the last block."""
-    counts = word_level(p, k - 1).counts
-    return list(accumulate(map(counts.__getitem__, word_level(p, 2).last), initial=0))
+    start, in B_2's order, with one more entry closing the last block, from
+    ``below``, the level of B_{k-1}, and ``seconds``, B_2's last symbols."""
+    return list(accumulate(map(below.counts.__getitem__, seconds), initial=0))
 
 
 def pair_constants(p: SftPresentation, k: int) -> list[dict]:
@@ -430,10 +433,15 @@ def pair_constants(p: SftPresentation, k: int) -> list[dict]:
     c_1[a] = a and rank_j(a.b.v) = c_j[a][b] + rank_{j-1}(b.v), where
     c_j[a][b] is the start of the block of a.b in B_j less the offset of b
     in B_{j-1}.  Keyed by symbols, row a by the successors of a, so a symbol
-    out of range or a pair that is no word raises KeyError."""
+    out of range or a pair that is no word raises KeyError.  Each level it
+    reads, B_1 up to B_(k-1) and B_2, is fetched once."""
     consts = [{a: a for a in range(p.alphabet_size)}]
-    for j in range(2, k + 1):
-        starts, offsets = iter(pair_starts(p, j)), word_level(p, j - 1).offsets
+    if k == 1:
+        return consts
+    levels = [word_level(p, j) for j in range(1, max(k, 3))]
+    seconds = levels[1].last
+    for below in levels[:k - 1]:
+        starts, offsets = iter(pair_starts(below, seconds)), below.offsets
         consts.insert(0, {a: {b: next(starts) - offsets[b] for b in row}  # B_2's order
                           for a, row in enumerate(p._successors)})
     return consts

@@ -4,9 +4,10 @@ maps between one-sided shifts of finite type.
 A machine reads the input point symbol by symbol from a fixed initial state
 and emits a (possibly empty) output word per step.  Every ``Transducer`` is
 checked when it is constructed, by ``make_transducer``, by a direct call or
-by any other route.  It must hold one rule per (state, input symbol), and
-it must have the three properties that make the machine a genuine
-continuous map into the codomain shift:
+by any other route.  Its states, symbols and outputs must be integers, as
+``record.integer`` takes them; it must hold one rule per (state, input
+symbol), and it must have the three properties that make the machine a
+genuine continuous map into the codomain shift:
 
 * complete: a transition exists for every reachable state and admissible
   next input symbol;
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from operator import is_not
 
 from . import cohomology as coh
 from .errors import (
@@ -44,7 +46,7 @@ from .errors import (
     Starvation,
 )
 from .graphs import bfs, find_cycle, path
-from .record import Record, integer
+from .record import Record, freeze, integer
 from .shifts import (
     _canonical,
     EventuallyPeriodicPoint,
@@ -69,10 +71,21 @@ class Transducer(Record):
     rules: tuple[Rule, ...]
 
     def __post_init__(self):
-        """An initial state in range, one rule per (state, symbol), rules in
-        range with admissible outputs.  Then one search refuses, in order: the
-        first missing rule it meets, a cycle of empty-output steps, and the
-        first output that cannot follow the output before it."""
+        """Integers by ``record.integer``'s rule, an initial state in range,
+        one rule per (state, symbol), rules in range with admissible
+        outputs.  Then one search refuses, in order: the first missing rule
+        it meets, a cycle of empty-output steps, and the first output that
+        cannot follow the output before it."""
+        # each rule as one row (q, a, q2, *out), refused in the order given;
+        # a row that ``integer`` converted (a bool, say) is stored converted,
+        # so the machine reads and prints the ints that make_transducer's would
+        given = [(self.n_states, self.initial),
+                 *((q, a, q2, *out) for q, a, q2, out in self.rules)]
+        frozen = freeze(given)
+        if any(map(is_not, frozen, given)):
+            (n_states, initial), *rows = frozen
+            vars(self).update(n_states=n_states, initial=initial, rules=tuple(
+                (q, a, q2, tuple(out)) for q, a, q2, *out in rows))
         if not (0 <= self.initial < self.n_states):
             raise FormatError(
                 f"initial state {self.initial} out of range for {self.n_states} states")
@@ -84,15 +97,16 @@ class Transducer(Record):
                     raise FormatError(f"duplicate rule for state {q}, symbol {a}")
                 seen.add((q, a))
         dom, cod = self.domain, self.codomain
+        states, inputs, outputs = (range(self.n_states), range(dom.alphabet_size),
+                                   range(cod.alphabet_size))
         for (q, a), (q2, out) in table.items():
-            if not (0 <= q < self.n_states and 0 <= q2 < self.n_states):
+            if not (q in states and q2 in states):
                 raise FormatError(f"rule ({q},{a}) references an unknown state")
-            if not (0 <= a < dom.alphabet_size):
+            if a not in inputs:
                 raise FormatError(f"rule ({q},{a}) reads an unknown symbol")
-            for s in out:
-                if not (0 <= s < cod.alphabet_size):
-                    raise FormatError(f"rule ({q},{a}) emits an unknown symbol")
-            if not cod.is_admissible(out):
+            if out and not (min(out) in outputs and max(out) in outputs):
+                raise FormatError(f"rule ({q},{a}) emits an unknown symbol")
+            if len(out) > 1 and not cod.is_admissible(out):
                 raise InadmissibleOutput(
                     f"output {cod.word_label(out)} of rule ({q},{a}) is inadmissible")
 
@@ -138,8 +152,10 @@ def make_transducer(domain: SftPresentation, codomain: SftPresentation,
                     rules, initial: int = 0,
                     n_states: int | None = None) -> Transducer:
     """Normalize the rule set (sorted, frozen) and build the machine."""
-    normalized = sorted((integer(q), integer(a), integer(q2),
-                         tuple(map(integer, out))) for q, a, q2, out in rules)
+    # each rule as one row (q, a, q2, *out), so entries are refused in the
+    # order given
+    normalized = sorted((q, a, q2, tuple(out)) for q, a, q2, *out in
+                        freeze([(q, a, q2, *out) for q, a, q2, out in rules]))
     initial = integer(initial)
     if n_states is None:
         n_states = 1 + max(-1, initial, *(max(q, q2) for q, _a, q2, _o in normalized))
@@ -328,9 +344,11 @@ def conjugacy_data(p: SftPresentation) -> OrbitData:
 
 def _runs(h: Transducer, pre_shift: int = 0):
     """The runs (state, output) of h on the words of B_1, B_2, ... past
-    their first ``pre_shift`` symbols, one list a level in level order.  A
-    word's run is its parent's and one step, the parents counted off the
-    first-child mask; a word no longer than ``pre_shift`` runs on nothing."""
+    their first ``pre_shift`` symbols, one level at a time in level order:
+    the word level and the runs.
+    A word's run is its parent's and one step, the parents counted off the
+    first-child mask; a word no longer than ``pre_shift`` runs on nothing.
+    Each level is fetched once."""
     table = h.table
 
     def step(run, a):
@@ -344,7 +362,7 @@ def _runs(h: Transducer, pre_shift: int = 0):
         parents = itertools.accumulate(level.first_child[1:], initial=0)
         move = step if k > pre_shift else lambda run, _a: run
         runs = list(map(move, map(runs.__getitem__, parents), level.last))
-        yield runs
+        yield level, runs
 
 
 def _buffer(p: SftPresentation, depth: int, on_full) -> tuple[int, list[Rule]]:
@@ -381,7 +399,7 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     if pre_shift < 0:
         raise FormatError(f"pre-shift must be nonnegative, got {pre_shift}")
     depth = max(amount.depth, pre_shift, 1)
-    runs = next(itertools.islice(_runs(h, pre_shift), depth - 1, None))  # on B_depth
+    _level, runs = next(itertools.islice(_runs(h, pre_shift), depth - 1, None))  # on B_depth
     amounts = coh.lift_table(amount, depth)
     run_ids: dict[tuple[int, int], int] = {}     # (state of h, drops) -> id
 
@@ -480,12 +498,18 @@ def transfer_psi(h: Transducer, data: OrbitData,
     shifts_back = data.k1.max_value() > 0
     lowest = max(data.k1.depth, data.l1.depth, 1 + shifts_back)
     dom, need = h.domain, f.depth - 1
-    k1 = suffixes = ()
-    for depth, runs in enumerate(_runs(h), 1):
+    # k1 and l1 on B_depth: their own tables up to their depths, and then
+    # each word's parent's value, the parents counted off the first-child mask
+    l1, k1, suffixes = data.l1.table, data.k1.table if shifts_back else (), ()
+    for depth, (level, runs) in enumerate(_runs(h), 1):
+        parents = list(itertools.accumulate(level.first_child[1:], initial=0))
+        if depth > data.l1.depth:
+            l1 = list(map(l1.__getitem__, parents))
+        if shifts_back and depth > data.k1.depth:
+            k1 = list(map(k1.__getitem__, parents))
         if depth >= lowest:
-            l1 = coh.lift_table(data.l1, depth)
             if shifts_back:            # the run on w[1:] is the level below's
-                k1, suffixes = coh.lift_table(data.k1, depth), block_edges(dom, depth)[1]
+                suffixes = block_edges(dom, depth)[1]
             if all(len(out) >= n + need for (_q, out), n in zip(runs, l1) if n) and all(
                     len(below[s][1]) >= n + need for s, n in zip(suffixes, k1) if n):
                 break

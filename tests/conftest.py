@@ -14,8 +14,17 @@ import sftlab
 import sftlab.cli
 import sftlab.cohomology
 import sftlab.shifts
-from sftlab.errors import NotIrreducible, PermutationMatrix
+from sftlab.errors import (
+    FormatError,
+    InadmissibleOutput,
+    IncompleteTransducer,
+    NotIrreducible,
+    PermutationMatrix,
+    Starvation,
+)
+from sftlab.graphs import bfs, find_cycle
 from sftlab.shifts import periodic_point, validate
+from sftlab.transducers import _inputs
 
 settings.register_profile(
     "suite",
@@ -69,6 +78,70 @@ def random_point(rng: random.Random, p, max_preperiod: int = 3,
         if starts:
             start = rng.choice(starts)
             return periodic_point(p, tuple(walk[:start]), tuple(walk[start:]))
+
+
+def reference_machine_check(t) -> None:
+    """The machine check of ``Transducer.__post_init__`` as it was before
+    the record took its integers through ``freeze`` and tested outputs by
+    their least and greatest symbol, the reference the record's check is
+    compared against: range and rule checks, each output symbol by symbol,
+    then one ``graphs.bfs`` over the reachable (state, previous input, last
+    output symbol) configurations, refusing the first missing rule it meets,
+    a cycle of empty-output steps, and the first bad join, in that order.
+    It checks no integer type."""
+    if not (0 <= t.initial < t.n_states):
+        raise FormatError(
+            f"initial state {t.initial} out of range for {t.n_states} states")
+    table = t.table
+    if len(table) != len(t.rules):
+        seen = set()
+        for q, a, _q2, _out in t.rules:
+            if (q, a) in seen:
+                raise FormatError(f"duplicate rule for state {q}, symbol {a}")
+            seen.add((q, a))
+    dom, cod = t.domain, t.codomain
+    for (q, a), (q2, out) in table.items():
+        if not (0 <= q < t.n_states and 0 <= q2 < t.n_states):
+            raise FormatError(f"rule ({q},{a}) references an unknown state")
+        if not (0 <= a < dom.alphabet_size):
+            raise FormatError(f"rule ({q},{a}) reads an unknown symbol")
+        for s in out:
+            if not (0 <= s < cod.alphabet_size):
+                raise FormatError(f"rule ({q},{a}) emits an unknown symbol")
+        if not cod.is_admissible(out):
+            raise InadmissibleOutput(
+                f"output {cod.word_label(out)} of rule ({q},{a}) is inadmissible")
+
+    silent: dict = {}
+    bad_joins: list[str] = []
+
+    def step(cfg):
+        q, prev, last = cfg
+        targets = [] if (q, prev) in silent else silent.setdefault((q, prev), [])
+        for a in _inputs(dom, prev):
+            if (q, a) not in table:
+                raise IncompleteTransducer(
+                    f"no rule for state {q} on symbol {dom.symbols[a]}")
+            q2, out = table[(q, a)]
+            if not out:
+                targets.append((q2, a))
+            elif last is not None and not bad_joins \
+                    and not cod.follow(last, out[0]):
+                bad_joins.append(
+                    f"outputs {cod.symbols[last]} then {cod.symbols[out[0]]} "
+                    f"cannot be concatenated (state {q}, input {dom.symbols[a]})")
+            yield a, (q2, a, out[-1] if out else last)
+
+    bfs([(t.initial, None, None)], step)
+
+    cfg_index = {c: i for i, c in enumerate(silent)}
+    starved = find_cycle([[cfg_index[c] for c in targets]
+                          for targets in silent.values()])
+    if starved is not None:
+        raise Starvation(
+            f"cycle through state {list(silent)[starved][0]} emits no output")
+    if bad_joins:
+        raise InadmissibleOutput(bad_joins[0])
 
 
 def negate(f):

@@ -108,7 +108,8 @@ def test_unequal_witness_is_the_first_split(full2):
 
 # Loops that stay hand-written, each with its reason at the loop.
 _KEPT_WALKS = {"cohomology.class_is_zero"}
-_WALK_PATTERNS = ("while frontier", "while pending", "color = [0]")
+_WALK_PATTERNS = ("while frontier", "while pending", "color = [0]", "while queue",
+                  "while stack", " in queue:", " in todo:")
 
 
 def test_no_hand_rolled_walks_outside_graphs():

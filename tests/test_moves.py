@@ -73,6 +73,22 @@ class TestExpand:
         with pytest.raises(FormatError):
             mv.expand(fib, vertex=5)
 
+    def test_vertex_is_taken_by_operator_index(self, fib):
+        """A float vertex is a FormatError, not the TypeError of a tuple
+        index, and a bool is the vertex it reads as."""
+        with pytest.raises(FormatError, match=r"^expected an integer, got 1\.0$"):
+            mv.expand(fib, 1.0)
+        assert mv.expand(fib, True) == mv.expand(fib, 1)
+
+    def test_machines_as_make_transducer_builds_them(self, fib, full3):
+        """The split and the merge equal the machines make_transducer
+        normalizes from the same rules."""
+        for p in (fib, full3):
+            for vertex in range(p.n_vertices):
+                e = mv.expand(p, vertex)
+                for t in (e.split, e.merge):
+                    assert t == tr.make_transducer(t.domain, t.codomain, reversed(t.rules))
+
     def test_fresh_label(self, fib):
         relabeled = validate(fib.adjacency, "vertex", ("0", "2"))
         e = mv.expand(relabeled)

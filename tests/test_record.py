@@ -16,10 +16,11 @@ import sftlab
 import sftlab.cohomology as coh
 import sftlab.linalg as la
 import sftlab.moves as mv
+import sftlab.record
 import sftlab.transducers as tr
 from sftlab.config import Limits
 from sftlab.errors import FieldMismatch, FormatError, FrozenField
-from sftlab.record import Record
+from sftlab.record import Record, freeze, integer
 from sftlab.shifts import SftPresentation, periodic_point, validate
 
 SRC = pathlib.Path(sftlab.__file__).parent
@@ -177,6 +178,12 @@ TAKES_INTEGERS = {
     "determinant": lambda p, x: la.determinant([[x, 1], [1, 0]]),
     "lattice_member": lambda p, x: la.lattice_member([x, 0], [[2, 0], [0, 1]]),
     "make_transducer": _machine,
+    "Transducer": lambda p, x: tr.Transducer(
+        p, p, 2, 0, tuple((q, a, x, (a,)) for q in (0, 1) for a in (0, 1))),
+    "Transducer.initial": lambda p, x: tr.Transducer(p, p, 2, x, _machine(p, 1).rules),
+    "Transducer.n_states": lambda p, x: tr.Transducer(
+        p, p, x, 0, tr.identity_transducer(p).rules),
+    "expand": lambda p, x: mv.expand(p, x),
     "make_transducer.initial": lambda p, x: tr.make_transducer(
         p, p, [(q, a, q, (a,)) for q in (0, 1) for a in (0, 1)], initial=x),
     "make_transducer.n_states":
@@ -218,3 +225,62 @@ def test_row_that_is_not_iterable_is_refused(name, bad, text):
     naming it, not the TypeError of iterating over an int."""
     with pytest.raises(FormatError, match=rf"^expected {text}$"):
         TAKES_ROWS[name](bad)
+
+
+def per_entry_freeze(rows):
+    """``freeze`` entry by entry, each entry through ``integer``: the
+    reference its type test in front must agree with."""
+    def entries(values, what):
+        try:
+            return iter(values)
+        except TypeError:
+            raise FormatError(f"expected {what}, got {values!r}") from None
+    return tuple(tuple(map(integer, entries(row, "a row of integers")))
+                 for row in entries(rows, "rows of integers"))
+
+
+def _outcome(call, make_rows):
+    try:
+        return call(make_rows())
+    except FormatError as exc:
+        return FormatError, str(exc)
+
+
+# rows as callers hand them over; each is made afresh for each call
+FREEZE_INPUTS = {
+    "int-tuples": lambda: ((1, 0), (0, 1)),
+    "int-lists": lambda: [[1, 2], [3, 4]],
+    "generator-rows": lambda: ((i + j for j in range(3)) for i in range(2)),
+    "bool-entries": lambda: ((True, False), [1, True]),
+    "bool-tuple": lambda: ((True, 1),),
+    "string-row": lambda: ((1, 2), "12"),
+    "float-in-tuple": lambda: ((1, 2.0),),
+    "fraction-in-list": lambda: [[Fraction(1), 2]],
+    "row-an-int": lambda: ((1, 2), 3),
+    "rows-an-int": lambda: 4,
+    "empty-row": lambda: ((),),
+}
+
+
+@pytest.mark.parametrize("name", FREEZE_INPUTS)
+def test_freeze_matches_the_per_entry_path(name):
+    """The same rows of exact ints, or the same refusal text."""
+    make = FREEZE_INPUTS[name]
+    got = _outcome(freeze, make)
+    assert got == _outcome(per_entry_freeze, make)
+    if got[0] is not FormatError:
+        assert all(type(v) is int for row in got for v in row)
+
+
+def test_freezing_int_tuples_converts_no_entry(monkeypatch):
+    """Int tuples in a tuple or a list are kept after two type tests: no
+    entry goes through ``integer``.  Rows with any other row among them
+    still go entry by entry."""
+    calls = []
+    monkeypatch.setattr(sftlab.record, "integer", lambda v: calls.append(v) or v)
+    rows = ((1, 2, 3), (4, 5, 6))
+    assert freeze(rows) == rows
+    assert freeze(list(rows)) == rows
+    assert calls == []
+    assert freeze([(1, 2), [3, True]]) == ((1, 2), (3, True))
+    assert calls == [1, 2, 3, True]

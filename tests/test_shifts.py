@@ -101,6 +101,41 @@ def _ref_edge_list(m):
     return tuple(out)
 
 
+# validate's arguments -> its refusal; a refusal that names an entry, a row
+# or a column names the first in the order of the checks
+REFUSALS = {
+    "kind": ((FIB, "rect"), FormatError, "unknown presentation kind 'rect'"),
+    "empty": (((),), FormatError, "empty matrix"),
+    "not square": ((((1, 1), (1,)),), FormatError, "matrix is not square"),
+    "vertex cap": ((((1,) * 3,) * 3, "vertex", None, Limits(max_vertices=2)),
+                   EnvelopeExceeded, "matrix has 3 vertices, supported maximum is 2"),
+    "negative": ((((1, -1), (1, 0)), "edge"), NegativeEntry,
+                 "entry (1,2) = -1 is negative"),
+    "not 0-1": ((((1, 2), (1, 0)), "vertex"), NotZeroOne,
+                "entry (1,2) = 2; vertex kind needs 0-1"),
+    "first bad entry": ((((1, 1, 1), (1, 2, -1), (-1, 1, 1)), "vertex"), NotZeroOne,
+                        "entry (2,2) = 2; vertex kind needs 0-1"),
+    "first bad entry of an edge matrix": ((((1, 3, 1), (0, 5, -2), (-1, 1, 1)), "edge"),
+                                          NegativeEntry, "entry (2,3) = -2 is negative"),
+    "zero row": ((((1, 1), (0, 0)),), NotIrreducible, "row 2 is zero"),
+    "zero column": ((((1, 0), (1, 0)),), NotIrreducible, "column 2 is zero"),
+    "column before the next row": ((((0, 1), (0, 0)),), NotIrreducible,
+                                   "column 1 is zero"),
+    "permutation": ((((0, 1), (1, 0)), "edge"), PermutationMatrix,
+                    "matrix is a permutation matrix"),
+    "unreachable": ((((1, 1, 0), (1, 1, 0), (1, 1, 1)),), NotIrreducible,
+                    "vertex 3 unreachable from vertex 1"),
+    "cannot reach back": ((((1, 1, 0), (0, 1, 1), (0, 1, 1)),), NotIrreducible,
+                          "vertex 1 unreachable from vertex 2"),
+    "least unreachable": ((((1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1)),),
+                          NotIrreducible, "vertex 2 unreachable from vertex 1"),
+    "label count": ((FIB, "vertex", ("a",)), FormatError,
+                    "vertex labels must be distinct and match the size"),
+    "repeated label": ((FIB, "vertex", ("a", "a")), FormatError,
+                       "vertex labels must be distinct and match the size"),
+}
+
+
 class TestValidate:
     def test_fibonacci(self, fib):
         assert fib.kind == "vertex"
@@ -161,6 +196,13 @@ class TestValidate:
         tight = Limits(max_vertices=2, max_words=default_limits().max_words)
         with pytest.raises(EnvelopeExceeded):
             validate(((1,) * 3,) * 3, "vertex", limits=tight)
+
+    @pytest.mark.parametrize("args, error, text", REFUSALS.values(), ids=REFUSALS)
+    def test_refusal_text(self, args, error, text):
+        """Each refusal, and the first of two in its order, word for word."""
+        with pytest.raises(error) as refused:
+            validate(*args)
+        assert str(refused.value) == text
 
 
 class TestWords:

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from conftest import random_edge_presentation, random_point
+from conftest import random_edge_presentation, random_point, reference_machine_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +69,46 @@ def random_machine(rng):
             return tr.make_transducer(dom, cod, rules, n_states=n_states)
         except SftError:
             continue
+
+
+def raw_machine(rng):
+    """The fields of a small machine that may break any rule of
+    construction: an initial state out of range, rules missing, repeated
+    or out of range, empty outputs that may close a silent cycle, and
+    outputs that may be inadmissible or not join."""
+    dom, cod = random_irreducible(rng, 3), random_irreducible(rng, 3)
+    n_states = rng.randint(1, 3)
+
+    def pick(size):               # now and then one step out of range
+        return rng.choice((-1, size)) if rng.random() < 0.03 else rng.randrange(size)
+
+    rules = [(q, a, pick(n_states),
+              tuple(pick(cod.alphabet_size) for _ in range(rng.choice((0, 0, 1, 1, 2)))))
+             for q in range(n_states) for a in range(dom.alphabet_size)
+             if rng.random() < 0.93]
+    if rules and rng.random() < 0.05:
+        rules.append(rng.choice(rules)[:2] + (0, ()))
+    if rng.random() < 0.05:
+        rules.append((pick(n_states), pick(dom.alphabet_size), 0, ()))
+    rng.shuffle(rules)
+    initial = n_states if rng.random() < 0.03 else 0
+    return dom, cod, n_states, initial, tuple(rules)
+
+
+def check_outcome(check, *args):
+    """None when check(*args) passes, else the class and text of its refusal."""
+    try:
+        check(*args)
+    except SftError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def unchecked(fields) -> tr.Transducer:
+    """The machine with these fields, built without its check."""
+    t = object.__new__(tr.Transducer)
+    vars(t).update(zip(tr.Transducer._fields, fields))
+    return t
 
 
 def sigma_machine(p):
@@ -234,6 +275,55 @@ class TestConstruction:
         for machine, (error, message) in ((rules, first), (repaired, second)):
             with pytest.raises(error, match=f"^{message}$"):
                 tr.make_transducer(full2, fib, machine)
+
+    @settings(max_examples=300)
+    @given(seeds)
+    def test_check_matches_the_reference(self, seed):
+        """The record's check accepts and refuses what the reference check
+        of ``conftest`` does, with the same class and text."""
+        fields = raw_machine(random.Random(seed))
+        assert check_outcome(tr.Transducer, *fields) == \
+            check_outcome(reference_machine_check, unchecked(fields))
+
+    def test_reference_cases_reach_every_refusal(self):
+        """The machines the comparison above draws from reach every refusal
+        of the check, and some pass it."""
+        kinds = ("initial state", "duplicate rule", "unknown state", "unknown symbol",
+                 "emits an unknown symbol", "is inadmissible", "no rule for state",
+                 "emits no output", "cannot be concatenated")
+        seen = set()
+        for seed in range(400):
+            outcome = check_outcome(tr.Transducer, *raw_machine(random.Random(seed)))
+            seen.update(kind for kind in kinds if outcome and kind in outcome[1])
+            seen.add(outcome is None)
+        assert seen == {*kinds, True, False}
+
+    @BUILDERS
+    @pytest.mark.parametrize("rule, bad", [
+        ((0.0, 1, 0, (1,)), "0.0"), ((0, 1.0, 0, (1,)), "1.0"),
+        ((0, 1, 0.5, (1,)), "0.5"), ((0, 1, 0, (1.0,)), "1.0"),
+        ((0, "1", 0, (1,)), "'1'"), ((0, 1, 0, (Fraction(1),)), "Fraction(1, 1)"),
+    ], ids=["state", "symbol", "next-state", "output", "str", "Fraction"])
+    def test_non_integer_rule_refused(self, fib, build, rule, bad):
+        """A rule entry that ``operator.index`` refuses is a FormatError
+        naming it, by make_transducer and by the record alike; a float
+        symbol would otherwise build and break ``format_transducer_text``."""
+        with pytest.raises(FormatError, match=rf"^expected an integer, got {re.escape(bad)}$"):
+            build(fib, fib, [(0, 0, 0, (0,)), rule])
+
+    @pytest.mark.parametrize("n_states, initial, bad", [(2.5, 0, "2.5"), (1, 0.0, "0.0")])
+    def test_non_integer_state_count_or_initial_refused(self, fib, n_states, initial, bad):
+        rules = ((0, 0, 0, (0,)), (0, 1, 0, (1,)))
+        with pytest.raises(FormatError, match=rf"^expected an integer, got {bad}$"):
+            tr.Transducer(fib, fib, n_states, initial, rules)
+        with pytest.raises(FormatError, match=rf"^expected an integer, got {bad}$"):
+            tr.make_transducer(fib, fib, rules, initial=initial, n_states=n_states)
+
+    @BUILDERS
+    def test_bool_entries_read_as_integers(self, fib, build):
+        """What ``operator.index`` takes, a bool, builds the machine it reads as."""
+        assert build(fib, fib, [(0, 0, 0, (0,)), (0, True, 0, (True,))]) == \
+            tr.identity_transducer(fib)
 
     @settings(max_examples=10)
     @given(seeds)
@@ -745,6 +835,19 @@ class TestTransducerText:
         assert " -\n" in text or text.endswith(" -")
         t = tr.parse_transducer_text(text, fib_exp.expanded, fib)
         assert t.rules == fib_exp.merge.rules
+
+    def test_bool_fields_roundtrip(self, fib):
+        """A machine built directly from bools holds the ints they read as,
+        as make_transducer's does, so its text reads back."""
+        rules = ((False, False, False, (False,)), (False, True, False, (True,)))
+        t = tr.Transducer(fib, fib, True, False, rules)
+        assert t == tr.make_transducer(fib, fib, rules, initial=False, n_states=True)
+        entries = [t.n_states, t.initial,
+                   *itertools.chain.from_iterable((q, a, q2, *out) for q, a, q2, out in t.rules)]
+        assert {type(v) for v in entries} == {int}
+        text = tr.format_transducer_text(t, "fib", "fib")
+        assert text.splitlines()[0] == "transducer fib fib states=1 initial=0"
+        assert tr.parse_transducer_text(text, fib, fib) == t
 
     def test_bad_rule_line(self, fib):
         text = "transducer a b states=1 initial=0\n0 1 -> 0\n"
