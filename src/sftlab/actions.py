@@ -1,13 +1,14 @@
-"""Circle actions on the Cuntz-Krieger algebra of a presentation, handled
-entirely through their integer classifier functions.
+"""Circle actions on the Cuntz-Krieger algebra of a presentation, held as
+their integer classifier functions.
 
-An action is determined by a locally constant integer function f: the
-canonical generator indexed by an admissible word mu is rotated by the
-partial sum of f over |mu| steps.  Composition of actions adds classifiers,
-equivalence (unitary conjugacy by a diagonal one-parameter family) is
-equality of cohomology classes, and the order structure on classes matches
-the operational cone from the cohomology module.  The gauge action is the
-classifier 1.
+An action is a locally constant integer function f: the canonical generator
+indexed by an admissible word mu is rotated by the partial sum of f over
+|mu| steps (``cohomology.partial_sum``).  So actions need no object of their
+own: composition adds classifiers (``cohomology.add``), the gauge action is
+``cohomology.unit`` and the trivial one ``cohomology.zero``, and the order
+on classes is ``cohomology.class_is_nonnegative``.  What is particular to
+actions stays here: the integer refusal, equivalence with its witness
+oriented from the first action to the second, and the exact phase.
 """
 from __future__ import annotations
 
@@ -15,81 +16,36 @@ from fractions import Fraction
 
 from . import cohomology as coh
 from .errors import Inadmissible, PresentationMismatch, RationalNotSupported
-from .record import Record
-from .shifts import EventuallyPeriodicPoint, SftPresentation, Word
+from .shifts import EventuallyPeriodicPoint, Word
 
 
-class CircleAction(Record):
-    """A circle action, held as its integer classifier alone."""
-
-    classifier: coh.LocallyConstantFunction
-
-    def __post_init__(self):
-        if self.classifier.ring != coh.RING_INT:
-            raise RationalNotSupported("classifiers are integer-valued")
-
-    @property
-    def presentation(self) -> SftPresentation:
-        return self.classifier.presentation
+def action(f: coh.LocallyConstantFunction) -> coh.LocallyConstantFunction:
+    """f as the classifier of an action: refused unless integer-valued."""
+    if f.ring != coh.RING_INT:
+        raise RationalNotSupported("classifiers are integer-valued")
+    return f
 
 
-def action(f: coh.LocallyConstantFunction) -> CircleAction:
-    return CircleAction(f)
-
-
-def gauge_action(p: SftPresentation) -> CircleAction:
-    """The gauge action: classifier constant 1."""
-    return CircleAction(coh.unit(p))
-
-
-def trivial_action(p: SftPresentation) -> CircleAction:
-    return CircleAction(coh.zero(p))
-
-
-def compose(a: CircleAction, b: CircleAction) -> CircleAction:
-    """Pointwise composition of the two actions; classifiers add."""
-    return CircleAction(coh.add(a.classifier, b.classifier))
-
-
-def equivalent(a: CircleAction, b: CircleAction) -> coh.CoboundaryResult:
-    """Unitary equivalence of the two actions: are the classifiers
+def equivalent(a: coh.LocallyConstantFunction,
+               b: coh.LocallyConstantFunction) -> coh.CoboundaryResult:
+    """Unitary equivalence of the actions with classifiers a and b: are they
     cohomologous?  The witness potential generates the intertwining
     one-parameter unitary family; it is oriented so that its coboundary is
     the second classifier minus the first, and a no's ``cycle_sum`` is the
     orbit sum of that difference."""
-    return coh.class_equal(b.classifier, a.classifier)
+    return coh.class_equal(b, a)
 
 
-def class_nonnegative(a: CircleAction) -> coh.PositivityResult:
-    """Order relation against the trivial action."""
-    return coh.class_is_nonnegative(a.classifier)
-
-
-class PhaseExponent(Record):
-    """Rotation exponent attached to the generator of an admissible word:
-    the |word|-step partial sum of the classifier."""
-
-    word: Word
-    exponent: coh.LocallyConstantFunction
-
-
-def phase_on_word(a: CircleAction, mu: Word) -> PhaseExponent:
-    a.presentation.check_admissible(tuple(mu))
-    return PhaseExponent(tuple(mu),
-                         coh.partial_sum(a.classifier, len(mu)))
-
-
-def evaluate_phase(a: CircleAction, mu: Word, t: Fraction,
+def evaluate_phase(f: coh.LocallyConstantFunction, mu: Word, t: Fraction,
                    x: EventuallyPeriodicPoint) -> Fraction:
-    """Exact phase in [0, 1) by which the generator of mu is rotated at the
-    point mu.x, for a rational circle parameter t."""
-    p = a.presentation
+    """Exact phase in [0, 1) by which the action with classifier f rotates
+    the generator of mu at the point mu.x, for a rational circle parameter t."""
+    p = f.presentation
     if x.presentation != p:
         raise PresentationMismatch("point lives on a different presentation")
     mu = tuple(mu)
     p.check_admissible(mu)
     n = len(mu)
-    f = a.classifier
     need = max(n - 1, 0) + f.depth
     stream = mu + x.prefix(need)
     if mu and not p.follow(mu[-1], stream[n]):

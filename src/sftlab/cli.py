@@ -229,18 +229,17 @@ def cmd_cohom(args) -> Report:
 def cmd_action(args) -> Report:
     from . import actions, cohomology as coh
     name, p = _load_presentation(args.matrix)
-    a = actions.action(_load_function(args.f, p, name))
+    f = actions.action(_load_function(args.f, p, name))
     rep = Report()
     rep.add("matrix", name)
     if args.mode == "compose":
-        b = actions.action(_load_function(args.g, p, name))
-        out = actions.compose(a, b)
-        rep.add("classifier", _function_text(out.classifier, name))
+        g = actions.action(_load_function(args.g, p, name))
+        rep.add("classifier", _function_text(coh.add(f, g), name))
     elif args.mode == "equivalent":
-        b = actions.action(_load_function(args.g, p, name))
-        _add_coboundary(rep, actions.equivalent(a, b), p, "equivalent", name)
+        g = actions.action(_load_function(args.g, p, name))
+        _add_coboundary(rep, actions.equivalent(f, g), p, "equivalent", name)
     elif args.mode == "positive":
-        res = actions.class_nonnegative(a)
+        res = coh.class_is_nonnegative(f)
         rep.add("class-nonnegative", "yes" if res.nonnegative else "no")
         if res.nonnegative:
             rep.add("representative", _function_text(res.representative, name))
@@ -250,12 +249,13 @@ def cmd_action(args) -> Report:
         mu = p.parse_word(args.word)
         t = coh.parse_value(args.t, coh.RING_RAT)
         x = parse_point(p, args.point)
-        exponent = actions.phase_on_word(a, mu)
-        value = actions.evaluate_phase(a, mu, t, x)
+        p.check_admissible(mu)
+        exponent = coh.partial_sum(f, len(mu))
+        value = actions.evaluate_phase(f, mu, t, x)
         rep.add("word", p.word_label(mu))
         rep.add("t", t)
         rep.add("point", x.label())
-        rep.add("exponent", _function_text(exponent.exponent, name))
+        rep.add("exponent", _function_text(exponent, name))
         rep.add("phase", value)
     return rep
 
@@ -417,14 +417,10 @@ def _selftest_action(rng: random.Random) -> bool:
     p = randgen.random_irreducible(rng, 5)
     f = randgen.random_function(rng, p, 2)
     b = randgen.random_function(rng, p, 2)
-    a1 = actions.action(f)
-    a2 = actions.action(coh.add(f, coh.coboundary(b)))
-    res = actions.equivalent(a1, a2)
+    res = actions.equivalent(f, coh.add(f, coh.coboundary(b)))
     if not res.is_coboundary:
         return False
-    gauge = actions.gauge_action(p)
-    trivial = actions.trivial_action(p)
-    return not actions.equivalent(gauge, trivial).is_coboundary
+    return not actions.equivalent(coh.unit(p), coh.zero(p)).is_coboundary
 
 
 def _selftest_elementary(rng: random.Random) -> bool:

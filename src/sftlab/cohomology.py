@@ -560,15 +560,20 @@ def class_is_nonnegative(f: LocallyConstantFunction) -> PositivityResult:
 def order_unit_check(f: LocallyConstantFunction) -> bool:
     """Order-unit test: every periodic orbit sum of f is strictly positive.
 
-    Decided exactly by one negative-cycle search on the weights n f - 1, n
-    = |B_{d-1}| the number of vertices.  Every cycle splits into simple
-    cycles, and a simple cycle of length L <= n and integer sum S weighs
-    n S - L: at least 0 when S >= 1 and negative when S <= 0."""
+    Decided exactly as the positivity of n f - 1, n = |B_{d-1}| the number
+    of vertices: the same potential graph, weighted n f - 1.  Every cycle
+    splits into simple cycles, and a simple cycle of length L <= n and
+    integer sum S weighs n S - L: at least 0 when S >= 1 and negative when
+    S <= 0.  Both answers are re-checked: a yes by the positivity witness,
+    a no by the orbit sum of f along its simple cycle."""
     if f.ring != RING_INT:
         raise RationalNotSupported("order unit test needs integer values")
-    _d, nverts, sources, targets, table = _potential_graph(f)
-    weights = [nverts * v - 1 for v in table]
-    return _bellman_ford(nverts, sources, targets, weights)[0] is None
+    p = f.presentation
+    n = word_level(p, max(f.depth, 2) - 1).offsets[-1]
+    res = class_is_nonnegative(function(p, f.depth, [n * v - 1 for v in f.table]))
+    if not res.nonnegative:
+        require(orbit_sum(f, res.cycle) <= 0, "order unit: cycle sum positive")
+    return res.nonnegative
 
 
 # ------------------------------------------------------------------ file I/O

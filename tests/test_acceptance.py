@@ -65,14 +65,11 @@ def test_criterion_02_action_equivalence_round_trip():
         p = random_irreducible(rng, 6)
         f = random_function(rng, p, max_depth=3, low=-5, high=5)
         b = random_function(rng, p, max_depth=3, low=-5, high=5)
-        first = act.action(f)
         second = act.action(coh.add(f, coh.coboundary(b)))
-        res = act.equivalent(first, second)
+        res = act.equivalent(act.action(f), second)
         assert res.is_coboundary
         assert coh.coboundary(res.potential) == coh.coboundary(b)
-        gauge = act.gauge_action(p)
-        ident = act.trivial_action(p)
-        assert not act.equivalent(gauge, ident).is_coboundary
+        assert not act.equivalent(coh.unit(p), coh.zero(p)).is_coboundary
 
 
 def test_criterion_03_elementary_transfer_identities():
@@ -226,13 +223,13 @@ def test_criterion_08_order_structure(fib, full2, full3):
     tested = [fib, full2, full3] + [random_irreducible(rng, 5)
                                     for _ in range(25)]
     for p in tested:
-        gauge = act.gauge_action(p)
-        res = act.class_nonnegative(gauge)
+        gauge = coh.unit(p)
+        res = coh.class_is_nonnegative(gauge)
         assert res.nonnegative
         assert min(res.representative.table) >= 0
-        assert coh.class_equal(res.representative, gauge.classifier).is_coboundary
-        assert coh.order_unit_check(coh.unit(p))
-        assert not act.class_nonnegative(act.action(negate(gauge.classifier))).nonnegative
+        assert coh.class_equal(res.representative, gauge).is_coboundary
+        assert coh.order_unit_check(gauge)
+        assert not coh.class_is_nonnegative(negate(gauge)).nonnegative
 
 
 def test_criterion_09_eventual_and_strong_detectors(fib, full2):

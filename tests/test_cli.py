@@ -524,6 +524,27 @@ class TestAction:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_phase_word_refused_before_the_point(self, capsys, fixture_dir):
+        code, out, err = cli(capsys, "action", "phase", fixture_dir / "fib.mat",
+                             fixture_dir / "gauge.f", "22", "1/4", ":21")
+        assert (code, out) == (2, "")
+        assert err == "error: Inadmissible: word 22 is not admissible\n"
+
+    @pytest.mark.parametrize("argv", [
+        "compose half.f gauge.f", "equivalent half.f gauge.f", "positive half.f",
+        "phase half.f 22 1/4 :21", "compose gauge.f half.f",
+        "equivalent gauge.f half.f"])
+    def test_rational_classifier_refused(self, capsys, fixture_dir, tmp_path, argv):
+        """A ring-Q f or g is refused in every mode, before anything after
+        it is read: the phase word 22 and the point :21 are both bad."""
+        (tmp_path / "half.f").write_text("function fib depth=1 ring=Q\n1 1/2\n2 1\n")
+        mode, *rest = argv.split()
+        files = [tmp_path / a if a == "half.f" else fixture_dir / a if a.endswith(".f")
+                 else a for a in rest]
+        code, out, err = cli(capsys, "action", mode, fixture_dir / "fib.mat", *files)
+        assert (code, out) == (2, "")
+        assert err == "error: RationalNotSupported: classifiers are integer-valued\n"
+
 
 class TestTransducer:
     def test_apply(self, capsys, fixture_dir):

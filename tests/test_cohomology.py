@@ -930,6 +930,48 @@ class TestOrderUnit:
         assert coh.order_unit_check(f)
         assert not coh.order_unit_check(coh.function(full2, 2, [1, 0, 0, 1]))
 
+    def test_rational_rejected(self, fib):
+        f = coh.constant(fib, Fraction(1, 2), coh.RING_RAT)
+        with pytest.raises(RationalNotSupported, match="order unit test needs integer values"):
+            coh.order_unit_check(f)
+
+    @given(seeds)
+    def test_verdict_is_positivity_of_n_f_minus_one(self, seed):
+        """n = |B_{d-1}|: f is an order unit exactly when the class of n f - 1
+        is nonnegative, and a no's cycle has orbit sum at most 0 under f."""
+        rng = random.Random(seed)
+        p = random_irreducible(rng, 4)
+        f = random_function(rng, p, max_depth=3, low=-1, high=2)
+        n = count_words(p, max(f.depth, 2) - 1)
+        res = coh.class_is_nonnegative(coh.subtract(scale(f, n), coh.unit(p)))
+        assert coh.order_unit_check(f) == res.nonnegative
+        if not res.nonnegative:
+            assert coh.orbit_sum(f, res.cycle) <= 0
+
+    def test_both_answers_rechecked_under_optimisation(self):
+        """A no is re-checked by the orbit sum of f along its cycle, a yes
+        by the positivity witness of n f - 1; python -O keeps both."""
+        code = ("import sftlab.cohomology as coh\n"
+                "from sftlab.errors import ContradictionDetected\n"
+                "from sftlab.shifts import validate\n"
+                "p = validate(((1, 1), (1, 0)))\n"
+                "zero = coh.zero(p)\n"
+                "sums = coh.orbit_sum\n"
+                "coh.orbit_sum = lambda g, c: 1 if g is zero else sums(g, c)\n"
+                + _OFF_BY_ONE +
+                "for f in (zero, coh.unit(p)):\n"
+                "    try:\n"
+                "        coh.order_unit_check(f)\n"
+                "    except ContradictionDetected as exc:\n"
+                "        print(exc)\n")
+        src = pathlib.Path(sftlab.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("order unit: cycle sum positive\n"
+                               "nonnegative representative is not cohomologous to f\n")
+
 
 class TestWellDefinedness:
     @given(seeds)

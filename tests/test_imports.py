@@ -4,6 +4,7 @@ function."""
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import pathlib
 import shutil
@@ -674,3 +675,76 @@ def test_guard_sees_an_unset_parameter_and_a_stale_entry():
     assert found == {"a.search.bound"}
     assert allow_list_drift(found, {"a.gone.x"}) == ["unlisted: a.search.bound",
                                                      "stale: a.gone.x"]
+
+
+# ------------------------------------------- the names the benchmark reads
+
+BENCH = ROOT / "perfbench"
+# perfbench/layertrace.py's tuples of names: the layer modules, and the
+# functions of one layer whose calls it counts
+_LAYERTRACE_TUPLES = {"LAYERS": None, "DECISIONS": "cohomology", "TRANSFERS": "moves"}
+
+
+def benchmark_reads(source: str) -> set[tuple[str, str]]:
+    """(module, attribute) for each sftlab name the source reads, attribute
+    "" for a module alone: the modules it imports, the names it imports from
+    them, the attributes it reads off a module's alias, and the names in
+    layertrace's tuples."""
+    tree = ast.parse(source)
+    found: set[tuple[str, str]] = set()
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "sftlab":
+                    found.add((alias.name, ""))
+                    if alias.asname:
+                        aliases[alias.asname] = alias.name
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and (node.module or "").split(".")[0] == "sftlab"):
+            found.update((node.module, alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in _LAYERTRACE_TUPLES):
+            layer = _LAYERTRACE_TUPLES[node.targets[0].id]
+            found.update((f"sftlab.{name}", "") if layer is None
+                         else (f"sftlab.{layer}", name)
+                         for name in ast.literal_eval(node.value))
+    found.update((aliases[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in aliases)
+    return found
+
+
+def missing_names(reads: set[tuple[str, str]]) -> list[str]:
+    missing = []
+    for module, attr in sorted(reads):
+        try:
+            mod = importlib.import_module(module)
+        except ModuleNotFoundError:
+            missing.append(module)
+            continue
+        if attr and not hasattr(mod, attr):
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_every_name_the_benchmark_reads_exists():
+    """perfbench runs against sftlab's names, read here and not run: a module
+    or attribute it reads that is gone would fail the benchmark."""
+    reads = {name for path in sorted(BENCH.glob("*.py"))
+             for name in benchmark_reads(path.read_text())}
+    assert {("sftlab.actions", ""), ("sftlab.actions", "equivalent"),
+            ("sftlab.shifts", "validate"), ("sftlab.cohomology", "order_unit_check"),
+            ("sftlab.moves", "psi_xi")} <= reads
+    assert missing_names(reads) == []
+
+
+def test_guard_sees_a_missing_benchmark_name():
+    source = ("import sftlab.cohomology as coh\nimport sftlab.gone\n"
+              "from sftlab.shifts import validate, vanished\n"
+              "LAYERS = ('shifts', 'lost')\nDECISIONS = ('class_is_zero', 'undecide')\n"
+              "def run(p):\n    return coh.unit(p), coh.missing(p)\n")
+    assert missing_names(benchmark_reads(source)) == [
+        "sftlab.cohomology.missing", "sftlab.cohomology.undecide", "sftlab.gone",
+        "sftlab.lost", "sftlab.shifts.vanished"]

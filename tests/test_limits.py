@@ -169,7 +169,7 @@ def ctx(tmp_path_factory):
         path = tmp_path_factory.mktemp("limits") / "fib.mat"
         path.write_text("matrix vertex 2\n1 1\n1 0\n")
         return SimpleNamespace(
-            fib=fib, full3=full3, f2=f2, a=act.action(f2), ee=ee, e=e,
+            fib=fib, full3=full3, f2=f2, ee=ee, e=e,
             g1=coh.function(fib, 1, [1, 0]),
             f2_text=coh.format_function_text(f2, "fib"),
             amount=coh.function(fib, 2, [0, 1, 1]),
@@ -221,12 +221,9 @@ CASES = {
         lambda c: coh.parse_function_text(c.f2_text, c.fib, "fib"),
     "cohomology.format_function_text":
         lambda c: coh.format_function_text(c.f2, "fib"),
-    "actions.compose": lambda c: act.compose(c.a, c.a),
-    "actions.equivalent": lambda c: act.equivalent(c.a, c.a),
-    "actions.class_nonnegative": lambda c: act.class_nonnegative(c.a),
-    "actions.phase_on_word": lambda c: act.phase_on_word(c.a, (0, 1)),
+    "actions.equivalent": lambda c: act.equivalent(c.f2, c.f2),
     "actions.evaluate_phase":
-        lambda c: act.evaluate_phase(c.a, (0, 1), Fraction(1, 7), c.x),
+        lambda c: act.evaluate_phase(c.f2, (0, 1), Fraction(1, 7), c.x),
     "transducers.conjugacy_data": lambda c: tr.conjugacy_data(c.full3),
     "transducers.shifted_image": lambda c: tr.shifted_image(c.h, c.amount, 0),
     "transducers.verify_orbit_relation":

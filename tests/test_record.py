@@ -46,7 +46,7 @@ def test_every_record_class_is_found():
                 if isinstance(node, ast.ClassDef)
                 and any(getattr(base, "id", None) == "Record" for base in node.bases)}
     assert {(cls.__module__, cls.__name__) for cls in RECORDS} == declared
-    assert len(declared) >= 30
+    assert len(declared) >= 28
 
 
 def _values(cls, offset: int = 0) -> tuple:
@@ -135,7 +135,8 @@ def test_frozen_field_is_an_attribute_error():
 
 def test_post_init_checks_still_run(fib):
     with pytest.raises(sftlab.errors.RationalNotSupported):
-        sftlab.actions.CircleAction(coh.function(fib, 1, [Fraction(1, 2), 1], "Q"))
+        half = coh.function(fib, 1, [Fraction(1, 2), 1], "Q")
+        tr.OrbitData(half, half)
 
 
 def test_presentation_hides_limits(fib):
