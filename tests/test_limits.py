@@ -221,7 +221,15 @@ CASES = {
         lambda c: coh.parse_function_text(c.f2_text, c.fib, "fib"),
     "cohomology.format_function_text":
         lambda c: coh.format_function_text(c.f2, "fib"),
+    # the action command's compose, positive and phase routes, on the
+    # classifier that action(f) hands back
+    "actions.compose": lambda c: coh.add(act.action(c.f2), act.action(c.f2)),
     "actions.equivalent": lambda c: act.equivalent(c.f2, c.f2),
+    "actions.class_nonnegative":
+        lambda c: coh.class_is_nonnegative(act.action(c.f2)),
+    "actions.phase_on_word":
+        lambda c: (c.fib.check_admissible((0, 1)),
+                   coh.partial_sum(act.action(c.f2), 2)),
     "actions.evaluate_phase":
         lambda c: act.evaluate_phase(c.f2, (0, 1), Fraction(1, 7), c.x),
     "transducers.conjugacy_data": lambda c: tr.conjugacy_data(c.full3),
