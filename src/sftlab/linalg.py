@@ -3,7 +3,8 @@ and isomorphism of finitely generated abelian groups with a marked element.
 
 Everything runs on arbitrary-precision Python integers.  Witnesses returned
 by a decision (transforms, coefficient vectors, isomorphism matrices) are
-re-verified before they leave this module; a failed re-check is a bug and
+re-verified before they leave this module: a pointed isomorphism against its
+inverse, by products modulo the moduli.  A failed re-check is a bug and
 raises ContradictionDetected (through ``errors.require``, which ``python -O``
 keeps) rather than returning a wrong answer.
 """
@@ -206,10 +207,6 @@ class FgAbelianGroup(Record):
         return " + ".join(parts) if parts else "0"
 
 
-def _reduce_coord(value: int, modulus: int) -> int:
-    return value % modulus if modulus else value
-
-
 class PointedGroup(Record):
     """Group in canonical form with a marked element given in canonical
     coordinates (torsion coordinates first, reduced mod the factor)."""
@@ -241,7 +238,7 @@ class CokernelPresentation(Record):
         """Canonical coordinates of the class of an integer vector."""
         image = mat_vec(self.smith_form.u, tuple(vector))
         moduli = self.group.moduli()
-        return tuple(_reduce_coord(image[i], d) for i, d in zip(self.kept, moduli))
+        return tuple(image[i] % d if d else image[i] for i, d in zip(self.kept, moduli))
 
 
 def cokernel(m) -> CokernelPresentation:
@@ -331,55 +328,28 @@ class PointedIsoResult(Record):
     reason: str | None = None
 
 
+def _divides(d: int, x: int) -> bool:
+    """d | x, where 0, the modulus of a free coordinate, divides only 0."""
+    return x % d == 0 if d else x == 0
+
+
 def _is_endomorphism(mat, moduli) -> bool:
-    """Columns are generator images; well-defined iff M_ij * d_j == 0 mod d_i
-    for torsion coordinates (modulus 0 marks a free coordinate)."""
-    r = len(moduli)
-    for i in range(r):
-        for j in range(r):
-            di, dj = moduli[i], moduli[j]
-            if di == 0:
-                if dj != 0 and mat[i][j] != 0:
-                    return False       # torsion cannot map into a free coord
-            else:
-                if dj == 0:
-                    continue           # free generator may land anywhere
-                if (mat[i][j] * dj) % di != 0:
-                    return False
-    return True
+    """Columns are generator images; well-defined iff d_i divides M_ij d_j
+    (modulus 0 marks a free coordinate, which no torsion generator reaches)."""
+    return all(_divides(di, x * dj)
+               for row, di in zip(mat, moduli) for x, dj in zip(row, moduli))
 
 
-def _is_automorphism(mat, moduli) -> bool:
-    """Surjectivity of the induced endomorphism: the block [M | diag(moduli)]
-    must have trivial cokernel; plus the free block must be unimodular."""
-    r = len(moduli)
-    free = [i for i in range(r) if moduli[i] == 0]
-    tor = [i for i in range(r) if moduli[i] != 0]
-    if free:
-        fblock = [[mat[i][j] for j in free] for i in free]
-        if not is_unimodular(fblock):
-            return False
-    if tor:
-        cols = [[mat[i][j] for i in tor] for j in range(r)]
-        for t in tor:
-            col = [0] * len(tor)
-            col[tor.index(t)] = moduli[t]
-            cols.append(col)
-        block = transpose(tuple(tuple(c) for c in cols))
-        ck = cokernel(block)
-        if ck.group.rank != 0:
-            return False
-    return True
-
-
-def _apply(mat, vec, moduli) -> tuple[int, ...]:
-    image = mat_vec(mat, vec)
-    return tuple(_reduce_coord(x, d) for x, d in zip(image, moduli))
-
-
-def _verify_pointed_witness(mat, src, dst, moduli) -> bool:
-    return (_is_endomorphism(mat, moduli) and _is_automorphism(mat, moduli)
-            and _apply(mat, src, moduli) == dst)
+def _is_pointed_automorphism(mat, inv, src, dst, moduli) -> bool:
+    """mat and inv are endomorphisms, mat inv and inv mat are the identity
+    modulo each row's modulus, and mat carries src to dst."""
+    def is_identity(prod):
+        return all(_divides(d, x - (i == j)) for i, (row, d) in
+                   enumerate(zip(prod, moduli)) for j, x in enumerate(row))
+    image = mat_vec(mat, src)
+    return (_is_endomorphism(mat, moduli) and _is_endomorphism(inv, moduli)
+            and is_identity(mat_mul(mat, inv)) and is_identity(mat_mul(inv, mat))
+            and all(_divides(d, x - y) for x, y, d in zip(image, dst, moduli)))
 
 
 def _coprime_base(values) -> list[int]:
@@ -473,9 +443,13 @@ def pointed_iso(a: PointedGroup, b: PointedGroup) -> PointedIsoResult:
     heights over p would.  Nothing is factored: on 64-vertex inputs the
     invariant factors can have tens of digits.
 
-    The witness glues the blocks F_s⁻¹ F_t by CRT, takes γ = P_w⁻¹ P_v from
-    the content reducers, and β = -c ⊗ (row 0 of P_v) where αt - s = gc.  It
-    is re-checked before it is returned."""
+    The witness W = (α β; 0 γ) glues the blocks F_s⁻¹ F_t by CRT, takes
+    γ = P_w⁻¹ P_v from the content reducers, and β = -c ⊗ (row 0 of P_v)
+    where αt - s = gc.  The same steps give its inverse W′ = (α′ β′; 0 γ′):
+    α′ glues F_t⁻¹ F_s, γ′ = P_v⁻¹ P_w and β′ = -α′βγ′.  A yes is re-checked
+    against W′ by products alone: W and W′ are well-defined, W W′ and W′ W
+    are the identity modulo the moduli, and W carries the mark of a to the
+    mark of b."""
     if a.group != b.group:
         return PointedIsoResult("no", reason="groups not isomorphic")
     factors = a.group.invariant_factors
@@ -489,36 +463,45 @@ def pointed_iso(a: PointedGroup, b: PointedGroup) -> PointedIsoResult:
     base = _coprime_base([*factors, top, *(math.gcd(x, d) for x, d in
                                            zip(t + s, factors + factors))])
     alpha = [[0] * tor for _ in range(tor)]
+    alpha_inv = [[0] * tor for _ in range(tor)]
     glued = [1] * tor
     for q in base:
         exps = [_valuation(d, q) for d in factors]
         k = _valuation(top, q)
-        form_t, f_t, _ = _height_reducer(t, q, exps, k)
-        form_s, _, finv_s = _height_reducer(s, q, exps, k)
+        form_t, f_t, finv_t = _height_reducer(t, q, exps, k)
+        form_s, f_s, finv_s = _height_reducer(s, q, exps, k)
         if form_t != form_s:
             return PointedIsoResult(
                 "no", reason=f"marked elements have different heights at {q}")
-        block = mat_mul(finv_s, f_t)
-        # CRT: row i of alpha agrees with row i of each block mod q^a_i
+        blocks = mat_mul(finv_s, f_t), mat_mul(finv_t, f_s)
+        # CRT: row i of alpha (alpha_inv) agrees with row i of each block
+        # mod q^a_i
         for i, x in enumerate(exps):
             m = q ** x
             lift = pow(glued[i], -1, m)
-            alpha[i] = [y + glued[i] * ((z - y) * lift % m)
-                        for y, z in zip(alpha[i], block[i])]
+            for glue, block in zip((alpha, alpha_inv), blocks):
+                glue[i] = [y + glued[i] * ((z - y) * lift % m)
+                           for y, z in zip(glue[i], block[i])]
             glued[i] *= m
 
-    p_v, _ = _content_reducer(v)
-    _, pinv_w = _content_reducer(w)
+    p_v, pinv_v = _content_reducer(v)
+    p_w, pinv_w = _content_reducer(w)
     content_row = p_v[0] if v else ()          # content_row . v = g
-    rows = []
+    beta = []
     for i, d in enumerate(factors):
         h = math.gcd(g, d)
         diff = (sum(x * y for x, y in zip(alpha[i], t)) - s[i]) % d
         c = diff // h * pow(g // h, -1, d // h)
-        rows.append(alpha[i] + [-c * x % d for x in content_row])
-    rows += [[0] * tor + list(row) for row in mat_mul(pinv_w, p_v)]
-    mat = freeze(rows)
-    require(_verify_pointed_witness(mat, a.marked, b.marked, a.group.moduli()),
+        beta.append([-c * x % d for x in content_row])
+    gamma_inv = mat_mul(pinv_v, p_w)
+    beta_inv = [[-x % d for x in row] for row, d in
+                zip(mat_mul(alpha_inv, mat_mul(beta, gamma_inv)), factors)]
+    mat = freeze([[*x, *y] for x, y in zip(alpha, beta)]
+                 + [[0] * tor + list(row) for row in mat_mul(pinv_w, p_v)])
+    inv = ([[*x, *y] for x, y in zip(alpha_inv, beta_inv)]
+           + [[0] * tor + list(row) for row in gamma_inv])
+    require(_is_pointed_automorphism(mat, inv, a.marked, b.marked,
+                                     a.group.moduli()),
             "pointed_iso: witness is not an automorphism carrying "
             f"{a.describe()} to {b.describe()}")
     return PointedIsoResult("yes", witness=mat)

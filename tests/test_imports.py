@@ -337,6 +337,60 @@ def test_guard_sees_a_module_level_linalg_import():
                                                  "linalg (line 2)", "smith (line 4)"]
 
 
+# ``pointed_iso`` re-checks a yes against the inverse it builds, by products
+# modulo the moduli, so neither it nor any function of ``linalg`` it reaches
+# takes a Smith form or a determinant.
+_SMITH_PATH = {"cokernel", "smith", "determinant", "is_unimodular"}
+
+
+def smith_path_reads(source: str, root: str) -> list[str]:
+    """The reads of a Smith-path name in ``root`` and in every top-level
+    function of its module that ``root`` reaches by reading its name, as
+    ``function: name (line n)``; nested functions and lambdas count under
+    the outermost."""
+    functions = {node.name: node for node in ast.parse(source).body
+                 if isinstance(node, FUNCTIONS)}
+    reached, todo, found = set(), [root], []
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in functions:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                todo.append(node.id)
+                if node.id in _SMITH_PATH:
+                    entry = f"{name}: {node.id} (line {node.lineno})"
+                    found.append((node.lineno, entry))
+    return [entry for _line, entry in sorted(found)]
+
+
+def test_pointed_iso_check_takes_no_smith_form():
+    source = (ROOT / "src" / "sftlab" / "linalg.py").read_text()
+    assert smith_path_reads(source, "pointed_iso") == []
+
+
+def test_guard_sees_a_smith_path_read():
+    """A read two calls down, by a lambda, or by the root itself counts; a
+    method, a function the root does not reach and an attribute do not."""
+    source = ("def pointed_iso(x):\n"
+              "    return check(x) and la.smith(x)\n"
+              "def check(x):\n"
+              "    return inner(x)\n"
+              "def inner(x):\n"
+              "    f = lambda m: cokernel(m)\n"
+              "    return f(x) and is_unimodular(x)\n"
+              "def unreached(x):\n"
+              "    return determinant(x)\n"
+              "class C:\n"
+              "    def check(self, x):\n"
+              "        return smith(x)\n")
+    assert smith_path_reads(source, "pointed_iso") == [
+        "inner: cokernel (line 6)", "inner: is_unimodular (line 7)"]
+    assert smith_path_reads("def pointed_iso(m):\n    return determinant(m)\n",
+                            "pointed_iso") == ["pointed_iso: determinant (line 2)"]
+
+
 # Of these, all but ``actions`` load no ``fractions`` (nor the ``decimal`` it
 # imports) when imported: ``cohomology`` imports it where ring Q makes or
 # parses a value.

@@ -362,7 +362,7 @@ class TestPointedIso:
     def test_two_torsion_blocks(self):
         res = pointed_iso(pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
         assert res.verdict == "yes"
-        self._check_witness(res, pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
+        _check_oracle_witness(res, pg(0, (2, 4), (0, 1)), pg(0, (2, 4), (1, 1)))
 
     @staticmethod
     def _check_witness(res, a, b):
@@ -438,6 +438,22 @@ def _image(mat, x, moduli):
     return tuple(v % d if d else v for v, d in zip(mat_vec(mat, x), moduli))
 
 
+def _check_oracle_witness(res, a, b):
+    """The witness carries the mark and is bijective, checked without the
+    library: on T + Z^f, T one of the oracle groups, its torsion block
+    reduced is one of `_automorphisms`, it maps no torsion into the free
+    part, and its free block has cofactor determinant +-1 (for f = 1, the
+    free entry is +-1)."""
+    TestPointedIso._check_witness(res, a, b)
+    factors = a.group.invariant_factors
+    tor = len(factors)
+    alpha = tuple(tuple(x % d for x in row[:tor])
+                  for row, d in zip(res.witness, factors))
+    assert alpha in _automorphisms(factors)[0]
+    assert all(x == 0 for row in res.witness[tor:] for x in row[:tor])
+    assert abs(det_oracle([row[tor:] for row in res.witness[tor:]])) == 1
+
+
 SMALL_GROUPS = tuple(f for n in range(1, 65) for f in _factor_chains(n)
                      if _candidate_count(f) <= 256)
 ORACLE_GROUPS = tuple(f for f in SMALL_GROUPS if math.prod(f) <= 16)
@@ -461,7 +477,7 @@ class TestPointedIsoOracle:
                     res = pointed_iso(a, b)
                     assert (res.verdict == "yes") == (rep[x] == y), (factors, x, y)
                     if res.verdict == "yes":
-                        TestPointedIso._check_witness(res, a, b)
+                        _check_oracle_witness(res, a, b)
 
     @given(st.sampled_from(ORACLE_GROUPS), seeds)
     def test_free_rank_one_against_orbits(self, factors, seed):
@@ -477,7 +493,34 @@ class TestPointedIsoOracle:
         res = pointed_iso(a, b)
         assert (res.verdict == "yes") == (s + (w,) in orbit)
         if res.verdict == "yes":
-            TestPointedIso._check_witness(res, a, b)
+            _check_oracle_witness(res, a, b)
+
+    @pytest.mark.parametrize("factors", [f for f in ORACLE_GROUPS if f])
+    def test_free_rank_two_automorphic_images(self, factors):
+        """A mark and its image under (α β; 0 γ), with α in Aut(T), β nonzero
+        and γ a unimodular 2x2, are equivalent, and the witness is
+        bijective.  The free part's content shares a random divisor with the
+        top factor, so the witness's α and β are not both trivial, and the
+        inverse's β′ = -α′βγ′ has a γ′ other than +-1."""
+        autos, elements = _automorphisms(factors)
+        for seed in range(20):
+            rng = random.Random(seed)
+            beta = [[rng.randrange(d) for _ in range(2)] for d in factors]
+            beta[0][0] = beta[0][0] or 1
+            gamma = [[rng.choice((1, -1)), 0], [0, rng.choice((1, -1))]]
+            for _ in range(4):
+                i, c = rng.randrange(2), rng.randint(-3, 3)
+                gamma[i] = [x + c * y for x, y in zip(gamma[i], gamma[1 - i])]
+            mat = ([[*row, *beta_row] for row, beta_row in zip(rng.choice(autos), beta)]
+                   + [[0] * len(factors) + row for row in gamma])
+            top = factors[-1]
+            m = rng.choice([k for k in range(1, top + 1) if top % k == 0])
+            t = rng.choice(elements) + (m * rng.randint(-8, 8), m * rng.randint(-8, 8))
+            a = pg(2, factors, t)
+            b = pg(2, factors, _image(mat, t, factors + (0, 0)))
+            res = pointed_iso(a, b)
+            assert res.verdict == "yes", (factors, seed)
+            _check_oracle_witness(res, a, b)
 
     def test_large_invariant_factors(self):
         """Invariant factors of 40 to 64 digits; none is factored."""
@@ -543,6 +586,26 @@ class TestChecksUnderOptimisation:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == ("pointed_iso: witness is not an automorphism "
                                "carrying (Z; [2]) to (Z; [-2])\n")
+
+    def test_non_bijective_pointed_witness(self):
+        """Height reducers whose F is doubled give the witness x -> 2x on
+        Z/4, which carries 0 to 0 but has no inverse."""
+        proc = _run_optimised(
+            "import sftlab.linalg as la\n"
+            "from sftlab.errors import ContradictionDetected\n"
+            "real = la._height_reducer\n"
+            "def doubled(t, q, exps, k):\n"
+            "    form, f, finv = real(t, q, exps, k)\n"
+            "    return form, [[2 * x for x in row] for row in f], finv\n"
+            "la._height_reducer = doubled\n"
+            "g = la.FgAbelianGroup(0, (4,))\n"
+            "try:\n"
+            "    la.pointed_iso(la.PointedGroup(g, (0,)), la.PointedGroup(g, (0,)))\n"
+            "except ContradictionDetected as exc:\n"
+            "    print(exc)\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("pointed_iso: witness is not an automorphism "
+                               "carrying (Z/4; [0]) to (Z/4; [0])\n")
 
 
 class TestHelpers:
