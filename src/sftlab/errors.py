@@ -63,7 +63,9 @@ class MismatchedInput(SftError):
 
 
 class RationalNotSupported(SftError):
-    """Positivity decisions are defined over integer-valued functions only."""
+    """A ring-Q function where only integer values are defined: positivity
+    decisions and the order-unit test, classifiers, cocycle exponents and
+    shift amounts."""
 
 
 # --------------------------------------------------------------- transducers

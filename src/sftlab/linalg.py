@@ -1,17 +1,17 @@
-"""Exact integer linear algebra: Smith form, cokernels, lattice membership,
-and isomorphism of finitely generated abelian groups with a marked element.
+"""Exact integer linear algebra: Smith form, cokernels, and isomorphism of
+finitely generated abelian groups with a marked element.
 
-Everything runs on arbitrary-precision Python integers.  Witnesses returned
-by a decision (transforms, coefficient vectors, isomorphism matrices) are
-re-verified before they leave this module: a pointed isomorphism against its
-inverse, by products modulo the moduli.  A failed re-check is a bug and
-raises ContradictionDetected (through ``errors.require``, which ``python -O``
-keeps) rather than returning a wrong answer.
+Everything runs on arbitrary-precision Python integers; the group records
+take theirs by ``record.integer``'s rule.  Witnesses returned by a decision
+(transforms, isomorphism matrices) are re-verified before they leave this
+module: a pointed isomorphism against its inverse, by products modulo the
+moduli.  A failed re-check is a bug and raises ContradictionDetected
+(through ``errors.require``, which ``python -O`` keeps) rather than
+returning a wrong answer.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import FormatError, require
 from .record import Record, freeze
@@ -186,16 +186,18 @@ class FgAbelianGroup(Record):
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
+        # integers by ``record.integer``'s rule, stored as converted (a bool
+        # as its int); ``freeze`` keeps int tuples as they are given
+        (free_rank,), factors = freeze(((self.free_rank,), self.invariant_factors))
+        vars(self).update(free_rank=free_rank, invariant_factors=factors)
+        if self.free_rank < 0:
+            raise FormatError(f"free rank must be nonnegative, got {self.free_rank}")
         for x in self.invariant_factors:
             if x < 2:
                 raise FormatError("invariant factors must be at least 2")
         for x, y in zip(self.invariant_factors, self.invariant_factors[1:]):
             if y % x != 0:
                 raise FormatError("invariant factors must form a divisibility chain")
-
-    @property
-    def rank(self) -> int:
-        return self.free_rank + len(self.invariant_factors)
 
     def moduli(self) -> tuple[int, ...]:
         """Per-coordinate moduli: invariant factors then 0s for free coords."""
@@ -215,6 +217,8 @@ class PointedGroup(Record):
     marked: tuple[int, ...]
 
     def __post_init__(self):
+        marked, = freeze((self.marked,))
+        vars(self).update(marked=marked)
         moduli = self.group.moduli()
         if len(self.marked) != len(moduli):
             raise FormatError("marked element has the wrong number of coordinates")
@@ -252,68 +256,6 @@ def cokernel(m) -> CokernelPresentation:
                            invariant_factors=tuple(diag[i] for i in torsion))
     return CokernelPresentation(group=group, smith_form=sd,
                                 kept=tuple(torsion + free))
-
-
-# ------------------------------------------------------------ lattice tests
-
-class LatticeMembership(Record):
-    member: bool
-    coefficients: tuple[int, ...] | None          # c with c @ G == v
-    separating: tuple[Fraction, ...] | None       # w with w.g integral, w.v not
-
-    def __bool__(self):
-        return self.member
-
-
-def lattice_member(vector, generators) -> LatticeMembership:
-    """Decide v in the integer row span of the generators.
-
-    Yes comes with coefficients (re-verified); no comes with a rational
-    functional that is integral on every generator but not on v.
-    """
-    gens = freeze(generators)
-    v, = freeze([vector])
-    if not gens:
-        # the zero lattice: membership means v = 0
-        if all(x == 0 for x in v):
-            return LatticeMembership(True, (), None)
-        i = next(i for i, x in enumerate(v) if x != 0)
-        w = tuple(Fraction(1 if j == i else 0, 2 * v[i]) for j in range(len(v)))
-        return _verified_no(v, gens, w)
-    n = len(v)
-    if any(len(g) != n for g in gens):
-        raise FormatError("generator length mismatch")
-    gt = transpose(gens)                     # n x m
-    sd = smith(gt)
-    uv = mat_vec(sd.u, v)
-    rank = sum(1 for d in sd.diagonal if d != 0)
-    y = [0] * len(gens)
-    for i in range(len(uv)):
-        d = sd.diagonal[i] if i < len(sd.diagonal) else 0
-        if d != 0:
-            if uv[i] % d != 0:
-                w = tuple(Fraction(x, d) for x in sd.u[i])
-                return _verified_no(v, gens, w)
-        else:
-            if uv[i] != 0:
-                w = tuple(Fraction(x, 2 * uv[i]) for x in sd.u[i])
-                return _verified_no(v, gens, w)
-    for i in range(rank):
-        y[i] = uv[i] // sd.diagonal[i]
-    coeffs = mat_vec(sd.v, tuple(y))
-    combo = mat_vec(gt, coeffs)
-    require(combo == v, "lattice_member: coefficient witness failed")
-    return LatticeMembership(True, tuple(coeffs), None)
-
-
-def _verified_no(v, gens, w) -> LatticeMembership:
-    for g in gens:
-        dot = sum(wi * gi for wi, gi in zip(w, g))
-        require(dot.denominator == 1,
-                "lattice_member: functional not integral on span")
-    dot_v = sum(wi * vi for wi, vi in zip(w, v))
-    require(dot_v.denominator != 1, "lattice_member: functional integral on v")
-    return LatticeMembership(False, None, tuple(w))
 
 
 # --------------------------------------------------------- pointed isomorphy

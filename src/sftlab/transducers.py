@@ -345,7 +345,7 @@ def conjugacy_data(p: SftPresentation) -> OrbitData:
 def _runs(h: Transducer, pre_shift: int = 0):
     """The runs (state, output) of h on the words of B_1, B_2, ... past
     their first ``pre_shift`` symbols, one level at a time in level order:
-    the word level and the runs.
+    each word's parent (its position in the level below) and the runs.
     A word's run is its parent's and one step, the parents counted off the
     first-child mask; a word no longer than ``pre_shift`` runs on nothing.
     Each level is fetched once."""
@@ -359,10 +359,10 @@ def _runs(h: Transducer, pre_shift: int = 0):
     runs = [(h.initial, ())]
     for k in itertools.count(1):
         level = word_level(h.domain, k)
-        parents = itertools.accumulate(level.first_child[1:], initial=0)
+        parents = list(itertools.accumulate(level.first_child[1:], initial=0))
         move = step if k > pre_shift else lambda run, _a: run
         runs = list(map(move, map(runs.__getitem__, parents), level.last))
-        yield level, runs
+        yield parents, runs
 
 
 def _buffer(p: SftPresentation, depth: int, on_full) -> tuple[int, list[Rule]]:
@@ -394,12 +394,14 @@ def shifted_image(h: Transducer, amount: coh.LocallyConstantFunction,
     symbols to drop."""
     if amount.presentation != h.domain:
         raise PresentationMismatch("shift amount must live on the machine's domain")
-    if amount.ring != coh.RING_INT or amount.min_value() < 0:
+    if amount.ring != coh.RING_INT:
         raise RationalNotSupported("shift amounts are nonnegative integers")
+    if amount.min_value() < 0:
+        raise FormatError("shift amounts must be nonnegative")
     if pre_shift < 0:
         raise FormatError(f"pre-shift must be nonnegative, got {pre_shift}")
     depth = max(amount.depth, pre_shift, 1)
-    _level, runs = next(itertools.islice(_runs(h, pre_shift), depth - 1, None))  # on B_depth
+    _parents, runs = next(itertools.islice(_runs(h, pre_shift), depth - 1, None))  # B_depth
     amounts = coh.lift_table(amount, depth)
     run_ids: dict[tuple[int, int], int] = {}     # (state of h, drops) -> id
 
@@ -499,10 +501,9 @@ def transfer_psi(h: Transducer, data: OrbitData,
     lowest = max(data.k1.depth, data.l1.depth, 1 + shifts_back)
     dom, need = h.domain, f.depth - 1
     # k1 and l1 on B_depth: their own tables up to their depths, and then
-    # each word's parent's value, the parents counted off the first-child mask
+    # each word's parent's value, the parents as ``_runs`` counts them
     l1, k1, suffixes = data.l1.table, data.k1.table if shifts_back else (), ()
-    for depth, (level, runs) in enumerate(_runs(h), 1):
-        parents = list(itertools.accumulate(level.first_child[1:], initial=0))
+    for depth, (parents, runs) in enumerate(_runs(h), 1):
         if depth > data.l1.depth:
             l1 = list(map(l1.__getitem__, parents))
         if shifts_back and depth > data.k1.depth:

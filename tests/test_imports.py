@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import operator
 import os
 import pathlib
 import shutil
@@ -393,8 +394,8 @@ def test_guard_sees_a_smith_path_read():
 
 # Of these, all but ``actions`` load no ``fractions`` (nor the ``decimal`` it
 # imports) when imported: ``cohomology`` imports it where ring Q makes or
-# parses a value.
-_NO_FRACTIONS = ("shifts", "cohomology", "transducers", "moves")
+# parses a value.  Nor does ``linalg``, whose numbers are all integers.
+_NO_FRACTIONS = ("shifts", "cohomology", "transducers", "moves", "linalg")
 
 
 def module_level_imports(source: str, module: str) -> list[str]:
@@ -490,6 +491,7 @@ def test_guard_sees_a_module_level_array_import(fixture_dir, tmp_path):
 # Commands that make no rational load no ``fractions``, and the transfers
 # along an expansion no ``linalg``.
 @pytest.mark.parametrize("command, absent", [
+    ("snf fib.mat", "fractions decimal"),
     ("cohom class-equal fib.mat gauge.f zero.f", "fractions"),
     ("transducer verify-coe fib.mat fib.mat ident.t zero.f gauge.f", "fractions"),
     ("transfer psi-xi fib.mat x.f", "fractions sftlab.linalg"),
@@ -510,14 +512,16 @@ def test_guard_sees_module_level_fractions_linalg_pathlib_and_random(fixture_dir
 
 
 # Public names of the package that nothing in ``src/`` or ``scripts/`` reads,
-# each with the reason it stays.  The tests and the benchmark are not readers,
-# and neither are the re-exports of ``__init__``.
+# each with the reason it stays: functions and classes as ``module.name``,
+# methods and properties as ``module.Class.name``.  The tests and the
+# benchmark are not readers, and neither are the re-exports of ``__init__``.
 UNREAD_ALLOWED = {
-    # ROADMAP item 4: the flow and orbit-equivalence certificates check their
-    # claims by lattice membership
-    "linalg.lattice_member",
-    # item 8: the last decision that returns a bare bool, and the printer of
-    # the matrix round trip
+    # perfbench's checks compare functions at points and test a difference
+    # for zero
+    "cohomology.LocallyConstantFunction.value_at_point",
+    "cohomology.LocallyConstantFunction.is_zero",
+    # ROADMAP item 8: the last decision that returns a bare bool, and the
+    # printer of the matrix round trip
     "cohomology.order_unit_check",
     "shifts.format_matrix_text",
     # item 11: the gauge-action verdicts, to be reached from a command
@@ -592,11 +596,34 @@ def _reads(tree, stem, modules: set[str], exports: dict[str, str]):
                 yield name, owner
 
 
+def _methods(tree, stem) -> dict[str, ast.AST]:
+    """``stem.Class.name`` -> definition, for each method and property of
+    the file's top-level classes.  Fields are annotations, not definitions."""
+    return {f"{stem}.{cls.name}.{node.name}": node for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, FUNCTIONS)}
+
+
+def _attribute_reads(tree, stem):
+    """(attribute name, reader) for every attribute read in a file.  The
+    reader is ``stem.Class.name`` inside a method of a top-level class of
+    module ``stem``, else None."""
+    owners = {id(node): name for name, fn in
+              (_methods(tree, stem).items() if stem is not None else ())
+              for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, owners.get(id(node))
+
+
 def unread_public_names(package: dict[str, str], scripts=()) -> set[str]:
     """The public functions and classes defined at the top level of the
     package's modules (stem -> source) that no module and no script reads
-    outside their own definition, as ``module.name``.  ``__init__`` reads
-    nothing: its names are re-exports."""
+    outside their own definition, as ``module.name``, and the public
+    methods and properties of their top-level classes that no module and no
+    script reads as an attribute of that name outside their own
+    definition, as ``module.Class.name``.  ``__init__`` reads nothing: its
+    names are re-exports."""
     trees = {stem: ast.parse(source) for stem, source in package.items()}
     exports = {}
     if "__init__" in trees:
@@ -605,11 +632,20 @@ def unread_public_names(package: dict[str, str], scripts=()) -> set[str]:
                for node in tree.body
                if isinstance(node, (*FUNCTIONS, ast.ClassDef))
                and not node.name.startswith("_")}
+    methods = {name for stem, tree in trees.items() for name in _methods(tree, stem)
+               if not name.rsplit(".", 1)[1].startswith("_")}
     read = {name for stem, tree in trees.items()
             for name, owner in _reads(tree, stem, set(trees), exports) if name != owner}
     read |= {name for source in scripts
              for name, _owner in _reads(ast.parse(source), None, set(trees), exports)}
-    return defined - read
+    readers: dict[str, set] = {}
+    files = [*trees.items(), *((None, ast.parse(source)) for source in scripts)]
+    for stem, tree in files:
+        for attr, owner in _attribute_reads(tree, stem):
+            readers.setdefault(attr, set()).add(owner)
+    read |= {name for name in methods
+             if readers.get(name.rsplit(".", 1)[1], set()) - {name}}
+    return (defined | methods) - read
 
 
 def allow_list_drift(found: set[str], allowed: set[str]) -> list[str]:
@@ -625,6 +661,45 @@ def test_every_public_name_has_a_reader():
     scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
     assert allow_list_drift(unread_public_names(package, scripts),
                              UNREAD_ALLOWED) == []
+
+
+def test_guard_sees_an_unread_method():
+    """A method or property read only from its own body, or not at all, has
+    no reader; one read as an attribute by another method, a function or a
+    script has one, whatever the object it is read off.  Fields and private
+    methods are not listed."""
+    package = {
+        "a": ("class Group:\n"
+              "    free_rank: int\n"
+              "    def moduli(self):\n        return (0,) * self.free_rank\n"
+              "    @property\n"
+              "    def rank(self):\n        return len(self.moduli())\n"
+              "    def describe(self):\n        return self.describe\n"
+              "    def summary(self):\n        return self._helper()\n"
+              "    def _helper(self):\n        pass\n"
+              "def user(g):\n    return g.moduli()\n"),
+        "b": "from . import a\ndef caller(g):\n    return a.user(g)\n",
+    }
+    scripts = ["from sftlab.a import Group\nfrom sftlab.b import caller\n"
+               "caller(Group()).summary()\n"]
+    assert unread_public_names(package, scripts) == {"a.Group.rank", "a.Group.describe"}
+
+
+def test_guard_sees_a_planted_unread_property():
+    """The property ``FgAbelianGroup.rank``, which nothing read, put back
+    into ``linalg``."""
+    package = {path.stem: path.read_text()
+               for path in (ROOT / "src" / "sftlab").glob("*.py")}
+    anchor = "    def moduli(self) -> tuple[int, ...]:\n"
+    planted = package["linalg"].replace(anchor, (
+        "    @property\n"
+        "    def rank(self) -> int:\n"
+        "        return self.free_rank + len(self.invariant_factors)\n\n" + anchor), 1)
+    assert planted != package["linalg"]
+    scripts = [path.read_text() for path in (ROOT / "scripts").glob("*.py")]
+    found = unread_public_names({**package, "linalg": planted}, scripts)
+    assert allow_list_drift(found, UNREAD_ALLOWED) == [
+        "unlisted: linalg.FgAbelianGroup.rank"]
 
 
 def test_guard_sees_an_unread_name_and_a_stale_entry():
@@ -737,18 +812,41 @@ BENCH = ROOT / "perfbench"
 # perfbench/layertrace.py's tuples of names: the layer modules, and the
 # functions of one layer whose calls it counts
 _LAYERTRACE_TUPLES = {"LAYERS": None, "DECISIONS": "cohomology", "TRANSFERS": "moves"}
+# Names the benchmark reads that are gone, each with the reason it stays.
+# A hook on a gone name never runs, so its counter reads 0.
+BENCH_MISSING_ALLOWED = {
+    # ROADMAP item 1: the hook that counts cohomology.graph_edges
+    "sftlab.cohomology.potential_graph",
+}
+
+
+def _traced(qual: str) -> tuple[str, str]:
+    """(module, attribute) of a name as layertrace qualifies it:
+    ``layer.name`` or ``layer.Class.method``."""
+    layer, _, attr = qual.partition(".")
+    return f"sftlab.{layer}", attr
 
 
 def benchmark_reads(source: str) -> set[tuple[str, str]]:
     """(module, attribute) for each sftlab name the source reads, attribute
     "" for a module alone: the modules it imports, the names it imports from
-    them, the attributes it reads off a module's alias, and the names in
-    layertrace's tuples."""
+    them, the attributes it reads off a module's alias, the names in
+    layertrace's tuples, the keys of the dict its ``_hooks`` returns, and
+    the names its counters take with ``by_name.get``."""
     tree = ast.parse(source)
     found: set[tuple[str, str]] = set()
     aliases: dict[str, str] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
+        if isinstance(node, FUNCTIONS) and node.name == "_hooks":
+            found.update(_traced(key.value) for ret in _own_nodes(node.body)
+                         if isinstance(ret, ast.Return) and isinstance(ret.value, ast.Dict)
+                         for key in ret.value.keys if isinstance(key, ast.Constant))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "by_name" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            found.add(_traced(node.args[0].value))
+        elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "sftlab":
                     found.add((alias.name, ""))
@@ -771,6 +869,7 @@ def benchmark_reads(source: str) -> set[tuple[str, str]]:
 
 
 def missing_names(reads: set[tuple[str, str]]) -> list[str]:
+    """The modules and the attributes, dotted ones too, that are gone."""
     missing = []
     for module, attr in sorted(reads):
         try:
@@ -778,20 +877,25 @@ def missing_names(reads: set[tuple[str, str]]) -> list[str]:
         except ModuleNotFoundError:
             missing.append(module)
             continue
-        if attr and not hasattr(mod, attr):
-            missing.append(f"{module}.{attr}")
+        if attr:
+            try:
+                operator.attrgetter(attr)(mod)
+            except AttributeError:
+                missing.append(f"{module}.{attr}")
     return missing
 
 
 def test_every_name_the_benchmark_reads_exists():
     """perfbench runs against sftlab's names, read here and not run: a module
-    or attribute it reads that is gone would fail the benchmark."""
+    or attribute it reads that is gone would fail the benchmark, and a name
+    it hooks or counts that is gone would read 0."""
     reads = {name for path in sorted(BENCH.glob("*.py"))
              for name in benchmark_reads(path.read_text())}
     assert {("sftlab.actions", ""), ("sftlab.actions", "equivalent"),
             ("sftlab.shifts", "validate"), ("sftlab.cohomology", "order_unit_check"),
-            ("sftlab.moves", "psi_xi")} <= reads
-    assert missing_names(reads) == []
+            ("sftlab.moves", "psi_xi"), ("sftlab.transducers", "make_transducer"),
+            ("sftlab.classify", "coe_verdict")} <= reads
+    assert allow_list_drift(set(missing_names(reads)), BENCH_MISSING_ALLOWED) == []
 
 
 def test_guard_sees_a_missing_benchmark_name():
@@ -802,3 +906,26 @@ def test_guard_sees_a_missing_benchmark_name():
     assert missing_names(benchmark_reads(source)) == [
         "sftlab.cohomology.missing", "sftlab.cohomology.undecide", "sftlab.gone",
         "sftlab.lost", "sftlab.shifts.vanished"]
+
+
+def test_guard_sees_a_missing_hooked_or_counted_name():
+    """Keys of the dict ``_hooks`` returns and names ``by_name.get`` takes,
+    a method's among them; another dict's keys and another mapping's
+    ``get`` are not read."""
+    source = ("class Tracer:\n"
+              "    def _hooks(self):\n"
+              "        def words(args, result):\n"
+              "            return {'shifts.ignored': result}\n"
+              "        return {'shifts.words': words,\n"
+              "                'cohomology.potential_graph': words,\n"
+              "                'transducers.Transducer.table': words,\n"
+              "                'transducers.Transducer.gone': words}\n"
+              "    def summary(self, by_name, other):\n"
+              "        return (by_name.get('shifts.count_words', 0),\n"
+              "                by_name.get('moves.lost', 0), other.get('moves.ignored'))\n")
+    reads = benchmark_reads(source)
+    assert ("sftlab.shifts", "ignored") not in reads
+    assert ("sftlab.moves", "ignored") not in reads
+    assert missing_names(reads) == [
+        "sftlab.cohomology.potential_graph", "sftlab.moves.lost",
+        "sftlab.transducers.Transducer.gone"]

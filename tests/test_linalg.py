@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith form, cokernels, lattice membership,
+"""Exact integer linear algebra: Smith form, cokernels, the group records,
 pointed isomorphism.  Oracles: cofactor determinants, the minor-gcd
 characterization of invariant factors, and automorphism orbits found by
 enumerating endomorphism matrices."""
@@ -13,13 +13,13 @@ import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import sftlab
+import sftlab.record
 from sftlab.errors import FormatError
 from sftlab.linalg import (
     FgAbelianGroup,
@@ -28,7 +28,6 @@ from sftlab.linalg import (
     determinant,
     identity,
     is_unimodular,
-    lattice_member,
     mat_mul,
     mat_vec,
     pointed_iso,
@@ -279,53 +278,39 @@ class TestCokernel:
         assert trivial == (abs(determinant(m)) == 1)
 
 
-class TestLatticeMember:
-    def test_multiple_of_generator(self):
-        res = lattice_member((2, 0), [(1, 0)])
-        assert res.member and res.coefficients == (2,)
+class TestGroupRecords:
+    """The group records take their integers by ``record.integer``'s rule:
+    a float is refused, not truncated, and a bool is stored as its int.
+    ``tests/test_record.py`` refuses a float, a string and a fraction as
+    the free rank and in the mark."""
 
-    def test_odd_vector_outside_even_lattice(self):
-        res = lattice_member((1, 1), [(2, 0), (0, 2)])
-        assert not res.member
-        assert not res
-        assert res.separating is not None
+    def test_negative_free_rank_is_refused(self):
+        with pytest.raises(FormatError, match=r"^free rank must be nonnegative, got -1$"):
+            FgAbelianGroup(-1, ())
 
-    def test_zero_vector(self):
-        assert lattice_member((0, 0, 0), [(1, 2, 3)]).member
+    def test_float_invariant_factor_is_refused(self):
+        with pytest.raises(FormatError, match=r"^expected an integer, got 4\.0$"):
+            FgAbelianGroup(0, (4.0,))
 
-    def test_no_generators(self):
-        assert lattice_member((0, 0), []).member
-        assert not lattice_member((1, 0), []).member
+    def test_converted_integers_are_stored(self):
+        group = FgAbelianGroup(True, [2, 4])
+        assert group == FgAbelianGroup(1, (2, 4))
+        assert type(group.free_rank) is int and type(group.invariant_factors) is tuple
+        marked = PointedGroup(group, [True, False, 3])
+        assert marked == PointedGroup(FgAbelianGroup(1, (2, 4)), (1, 0, 3))
+        assert all(type(v) is int for v in marked.marked)
+        assert pointed_iso(marked, marked).verdict == "yes"
 
-    @given(seeds)
-    def test_witnesses_verify(self, seed):
-        rng = random.Random(seed)
-        dim = rng.randint(1, 4)
-        gens = [tuple(rng.randint(-5, 5) for _ in range(dim))
-                for _ in range(rng.randint(1, 4))]
-        v = tuple(rng.randint(-5, 5) for _ in range(dim))
-        res = lattice_member(v, gens)
-        if res.member:
-            combo = tuple(
-                sum(c * g[i] for c, g in zip(res.coefficients, gens))
-                for i in range(dim))
-            assert combo == v
-        else:
-            w = res.separating
-            for g in gens:
-                assert sum(Fraction(x) * y for x, y in zip(w, g)).denominator == 1
-            assert sum(Fraction(x) * y for x, y in zip(w, v)).denominator != 1
-
-    @given(seeds)
-    def test_constructed_members_found(self, seed):
-        rng = random.Random(seed)
-        dim = rng.randint(1, 4)
-        gens = [tuple(rng.randint(-5, 5) for _ in range(dim))
-                for _ in range(rng.randint(1, 3))]
-        coeffs = [rng.randint(-5, 5) for _ in gens]
-        v = tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
-                  for i in range(dim))
-        assert lattice_member(v, gens).member
+    def test_int_tuples_convert_no_entry(self, monkeypatch):
+        """Int tuples pass ``freeze``'s type tests: no entry goes through
+        ``integer``, and the tuples given are the tuples stored."""
+        calls = []
+        monkeypatch.setattr(sftlab.record, "integer", lambda v: calls.append(v) or v)
+        factors, marked = (2, 4), (1, 3, -5)
+        group = FgAbelianGroup(1, factors)
+        assert group.invariant_factors is factors
+        assert PointedGroup(group, marked).marked is marked
+        assert calls == []
 
 
 def pg(free, factors, marked):

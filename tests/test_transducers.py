@@ -21,6 +21,7 @@ from sftlab.errors import (
     InadmissibleOutput,
     IncompleteTransducer,
     PresentationMismatch,
+    RationalNotSupported,
     Starvation,
 )
 from sftlab.config import Limits
@@ -477,6 +478,20 @@ class TestVerifyOrbitRelation:
         amount = coh.function(fib, 2, [0, 1, 1])
         with pytest.raises(FormatError, match="pre-shift must be nonnegative, got -1"):
             tr.shifted_image(h, amount, -1)
+
+    def test_rational_shift_amount_refused(self, fib):
+        h = tr.identity_transducer(fib)
+        amount = coh.function(fib, 1, [Fraction(1, 2), 1], coh.RING_RAT)
+        with pytest.raises(RationalNotSupported,
+                           match="^shift amounts are nonnegative integers$"):
+            tr.shifted_image(h, amount, 0)
+
+    def test_negative_shift_amount_refused(self, fib):
+        """A FormatError, as ``OrbitData`` gives for a negative exponent."""
+        h = tr.identity_transducer(fib)
+        amount = coh.function(fib, 2, [0, -1, 1])
+        with pytest.raises(FormatError, match="^shift amounts must be nonnegative$"):
+            tr.shifted_image(h, amount, 0)
 
     def test_split_with_wrong_data_fails(self, fib, fib_exp):
         bad = tr.OrbitData(coh.zero(fib), coh.unit(fib))
